@@ -21,7 +21,7 @@ from fractions import Fraction
 from .core import Graph
 from .geom import Polygon3
 from .scene import ConstructionError, Scene, graph_scene
-from .verify import verify_scene
+from .verify import KernelScene, verify_scene
 
 _MAX_HALVINGS = 128
 
@@ -197,9 +197,11 @@ def _pairs_ok(scene: Scene, touched) -> bool:
     from .geom import classify_pair, polygon_properties, VIOLATION
 
     ctx = scene.context()
-    labels = sorted(scene.polygons)
+    kernel = KernelScene(scene, ctx)
+    polys = kernel.polygons
+    labels = sorted(polys)
     for a in touched:
-        props = polygon_properties(scene.polygons[a], ctx)
+        props = polygon_properties(polys[a], ctx)
         if not props.planar or not (props.simple or props.degenerate):
             return False
         if not props.degenerate and not props.convex:
@@ -207,7 +209,7 @@ def _pairs_ok(scene: Scene, touched) -> bool:
         for b in labels:
             if b == a:
                 continue
-            cls = classify_pair(scene.polygons[a], scene.polygons[b], ctx)
+            cls = classify_pair(polys[a], polys[b], ctx, kernel.frame(a), kernel.frame(b))
             if cls.kind == VIOLATION:
                 return False
             shared = cls.shared_corners

@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-import networkx as nx
-
 from .core import Graph, edge_key
 from .geom import Polygon3
 from .planar import PlaneGraph
@@ -160,7 +158,14 @@ def _cycles_after_matching(vertices, edges, matching):
 
 
 def _perfect_matching(vertices, edges, forced=()):
-    """Perfect matching via blossom; forced edges are included if possible."""
+    """Perfect matching via blossom; forced edges are included if possible.
+
+    Nodes and edges go to networkx sorted, so the matching does not depend
+    on the hash seed.  networkx is imported here because nothing else in
+    the package needs it.
+    """
+    import networkx as nx
+
     forced = set(forced)
     used = set()
     for e in forced:
@@ -169,9 +174,9 @@ def _perfect_matching(vertices, edges, forced=()):
             return None
         used |= {u, v}
     gx = nx.Graph()
-    gx.add_nodes_from(v for v in vertices if v not in used)
-    for e in edges:
-        u, v = tuple(e)
+    gx.add_nodes_from(v for v in sorted(vertices) if v not in used)
+    for e in sorted(edges, key=sorted):
+        u, v = sorted(e)
         if u in used or v in used:
             continue
         gx.add_edge(u, v)
@@ -831,7 +836,8 @@ def represent_cubic(g: Graph) -> Scene:
     H, plans, vb_label = _build_floorplan(g, bbt)
     H.check_planar()
     if len(H.rotation) > len(g.edges):
-        raise ConstructionError(uninjective_msg(len(H.rotation), len(g.edges)))
+        raise ConstructionError(f"floorplan has {len(H.rotation)} vertices, "
+                                f"more than the graph's {len(g.edges)} edges")
     pos = schnyder_draw(H)
 
     # a chord triangle degenerates when the drawing put the hub on the line

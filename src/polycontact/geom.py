@@ -62,6 +62,8 @@ class ArithmeticContext:
         return self.sign(x - y) == 0
 
     def point_eq(self, p: Point3, q: Point3) -> bool:
+        if self.exact:
+            return tuple(p) == tuple(q)
         return all(self.sign(a - b) == 0 for a, b in zip(p, q))
 
     def __repr__(self):
@@ -456,8 +458,10 @@ class _Convex2D:
         return "boundary" if on_edge else "interior"
 
 
-def _poly_frame(poly: Polygon3, ctx: ArithmeticContext):
-    """(plane, projector) for a polygon; plane None when degenerate."""
+def polygon_frame(poly: Polygon3, ctx: ArithmeticContext = EXACT):
+    """(plane, flat) for a polygon: its supporting plane and its corners
+    projected along the drop axis in ccw order; (None, None) when the
+    corners span no plane.  `classify_pair` accepts these precomputed."""
     plane = _plane_of(poly.corners, ctx)
     if plane is None:
         return None, None
@@ -629,17 +633,18 @@ def _boundary_touch_points(p, q, p_flat, q_flat, p_plane, q_plane, ctx):
     return out
 
 
-def classify_pair(p: Polygon3, q: Polygon3,
-                  ctx: ArithmeticContext = EXACT) -> PairClassification:
+def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
+                  p_frame=None, q_frame=None) -> PairClassification:
     """Classify how two convex (or degenerate) polygons meet in 3D.
 
     Returns a `PairClassification` whose kind is one of Disjoint,
     CornerContact, BoundaryTouch (tolerated) or Violation.  Violations carry
     (reason, witness) pairs with reasons 'interior-overlap', 'corner-inside'
-    or 'corner-on-boundary'.
+    or 'corner-on-boundary'.  `p_frame`/`q_frame` are the polygons'
+    `polygon_frame` results when the caller has them already.
     """
-    p_plane, p_flat = _poly_frame(p, ctx)
-    q_plane, q_flat = _poly_frame(q, ctx)
+    p_plane, p_flat = p_frame or polygon_frame(p, ctx)
+    q_plane, q_flat = q_frame or polygon_frame(q, ctx)
 
     # Degenerate cases (point or segment, or collinear corner lists) are
     # routed through the same machinery; a missing plane means dimension <= 1.
@@ -824,8 +829,8 @@ def _classify_degenerate_pair(p: Polygon3, q: Polygon3, ctx) -> PairClassificati
                 lo = max(min(t0, t1), 0 * uu)
                 hi = min(max(t0, t1), uu)
                 if ctx.sign(hi - lo) > 0:
-                    mid = (lo + hi) / 2
-                    x = _line_point(a, u, Fraction(mid, uu) if ctx.exact else mid / uu)
+                    x = _line_point(a, u, Fraction(lo + hi, 2 * uu) if ctx.exact
+                                    else (lo + hi) / 2 / uu)
                     res.violations.append(("interior-overlap", x))
                 elif ctx.sign(hi - lo) == 0:
                     x = _line_point(a, u, Fraction(lo, uu) if ctx.exact else lo / uu)

@@ -18,12 +18,14 @@ epsilon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional
 
-from .geom import (ArithmeticContext, classify_pair, polygon_properties,
-                   BOUNDARY_TOUCH, VIOLATION)
+from .geom import (ArithmeticContext, Polygon3, classify_pair, polygon_frame,
+                   polygon_properties, BOUNDARY_TOUCH, VIOLATION)
 from .scene import GRAPH, Scene
 
 
@@ -82,17 +84,58 @@ def _pair_label(a: str, b: str):
     return tuple(sorted((a, b)))
 
 
+class KernelScene:
+    """A scene's polygons and contacts as the predicates see them.
+
+    Exact scenes are scaled once by L, the lcm of every coordinate's
+    denominator, so each corner and contact point becomes a tuple of ints,
+    and equal points become one shared tuple.  Every predicate is a sign
+    test, and positive scaling keeps signs.  Float scenes are taken as they
+    are (L = 1).  Each polygon's frame (plane, drop axis, ccw 2D corners) is
+    built once, on first use.
+    """
+
+    def __init__(self, scene: Scene, ctx: ArithmeticContext):
+        self.ctx = ctx
+        self.scale = 1
+        self.polygons = scene.polygons
+        self.contacts = scene.contacts
+        if ctx.exact:
+            pts = {tuple(c) for poly in scene.polygons.values() for c in poly.corners}
+            pts.update(tuple(p) for p in scene.contacts.values())
+            self.scale = math.lcm(*{Fraction(x).denominator for p in pts for x in p})
+            scaled = {p: tuple(int(Fraction(x) * self.scale) for x in p) for p in pts}
+            self.polygons = {label: Polygon3(tuple(scaled[tuple(c)] for c in poly.corners),
+                                             poly.claimed_convex)
+                             for label, poly in scene.polygons.items()}
+            self.contacts = {k: scaled[tuple(p)] for k, p in scene.contacts.items()}
+        self._frames = {}
+
+    def frame(self, label: str):
+        fr = self._frames.get(label)
+        if fr is None:
+            fr = self._frames[label] = polygon_frame(self.polygons[label], self.ctx)
+        return fr
+
+    def unscale(self, p) -> tuple:
+        """A point in the scene's own coordinates."""
+        if not self.ctx.exact:
+            return tuple(p)
+        return tuple(Fraction(x, self.scale) for x in p)
+
+
 def verify_scene(scene: Scene, ctx: Optional[ArithmeticContext] = None,
                  eps: Optional[float] = None) -> VerificationReport:
     """Certify a scene; all findings are collected into the report."""
     if ctx is None:
         ctx = scene.context(eps=eps)
     report = VerificationReport()
+    kernel = KernelScene(scene, ctx)
 
     labels = sorted(scene.polygons)
     valid = {}
     for label in labels:
-        poly = scene.polygons[label]
+        poly = kernel.polygons[label]
         props = polygon_properties(poly, ctx)
         report.polygon_properties[label] = props
         valid[label] = props.planar and (props.simple or props.degenerate)
@@ -113,7 +156,8 @@ def verify_scene(scene: Scene, ctx: Optional[ArithmeticContext] = None,
     for a, b in combinations(labels, 2):
         if not (valid[a] and valid[b]):
             continue
-        cls = classify_pair(scene.polygons[a], scene.polygons[b], ctx)
+        cls = classify_pair(kernel.polygons[a], kernel.polygons[b], ctx,
+                            kernel.frame(a), kernel.frame(b))
         key = _pair_label(a, b)
         report.pair_kinds[key] = cls.kind
         if cls.kind == VIOLATION:
@@ -126,14 +170,20 @@ def verify_scene(scene: Scene, ctx: Optional[ArithmeticContext] = None,
         if cls.shared_corners:
             shared[key] = cls.shared_corners
 
-    _reconstruct(scene, ctx, shared, report)
+    _reconstruct(scene, kernel, shared, report)
 
+    for f in report.violations + report.warnings:
+        if f.witness is not None:
+            f.witness = kernel.unscale(f.witness)
+    report.reconstructed = {k: kernel.unscale(p) for k, p in report.reconstructed.items()}
     report.passed = not report.violations
     return report
 
 
-def _reconstruct(scene: Scene, ctx, shared: dict, report: VerificationReport):
+def _reconstruct(scene: Scene, kernel: KernelScene, shared: dict,
+                 report: VerificationReport):
     """Compare geometric corner sharing with the structure-implied contacts."""
+    ctx, contacts = kernel.ctx, kernel.contacts
     if scene.kind == GRAPH:
         g = scene.structure
         for key, pts in sorted(shared.items()):
@@ -157,7 +207,7 @@ def _reconstruct(scene: Scene, ctx, shared: dict, report: VerificationReport):
                 recon[e] = pts[0]
         report.reconstructed = recon
         _check_distinct(recon, ctx, report)
-        _check_declared(scene, recon, ctx, report)
+        _check_declared(scene, contacts, recon, ctx, report)
         return
 
     # hypergraph: reconstruct one point per vertex from the declared map,
@@ -166,13 +216,13 @@ def _reconstruct(scene: Scene, ctx, shared: dict, report: VerificationReport):
     recon = {}
     for v in h.vertices:
         want = scene.polygons_for_contact(v)
-        if v not in scene.contacts:
+        if v not in contacts:
             report.violations.append(Finding("missing-contact", v, "no declared point"))
             continue
-        p = tuple(scene.contacts[v])
+        p = tuple(contacts[v])
         ok = True
-        for label in sorted(scene.polygons):
-            poly = scene.polygons[label]
+        for label in sorted(kernel.polygons):
+            poly = kernel.polygons[label]
             is_corner = any(ctx.point_eq(p, c) for c in poly.corners)
             if label in want and not is_corner:
                 report.violations.append(Finding(
@@ -192,7 +242,7 @@ def _reconstruct(scene: Scene, ctx, shared: dict, report: VerificationReport):
         ba = frozenset(la.split(","))
         bb = frozenset(lb.split(","))
         common = ba & bb
-        expect = {tuple(scene.contacts[v]) for v in common if v in scene.contacts}
+        expect = {tuple(contacts[v]) for v in common if v in contacts}
         for p in pts:
             if not any(ctx.point_eq(tuple(p), q) for q in expect):
                 report.violations.append(Finding(
@@ -215,9 +265,10 @@ def _key_str(k):
     return "-".join(sorted(k)) if isinstance(k, frozenset) else str(k)
 
 
-def _check_declared(scene: Scene, recon: dict, ctx, report: VerificationReport):
+def _check_declared(scene: Scene, contacts: dict, recon: dict, ctx,
+                    report: VerificationReport):
     for key in scene.expected_contact_keys():
-        declared = scene.contacts.get(key)
+        declared = contacts.get(key)
         if declared is None:
             report.violations.append(Finding(
                 "declared-mismatch", _key_str(key), "no declared contact"))
@@ -228,7 +279,7 @@ def _check_declared(scene: Scene, recon: dict, ctx, report: VerificationReport):
                 "declared-mismatch", _key_str(key),
                 "declared point differs from reconstruction",
                 witness=tuple(declared)))
-    for key in scene.contacts:
+    for key in contacts:
         if key not in scene.expected_contact_keys():
             report.violations.append(Finding(
                 "declared-mismatch", _key_str(key),

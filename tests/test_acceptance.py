@@ -84,6 +84,12 @@ def test_criterion_03_min_degree3():
         assert len(report.reconstructed) == len(g.edges)
 
 
+def _assert_extent_within(ext, bound, what):
+    """Each axis on its own: tuple <= would compare lexicographically."""
+    for axis, got, most in zip("xyz", (ext.gx, ext.gy, ext.gz), bound):
+        assert got <= most, f"{what}: {axis}-extent {got} exceeds {most}"
+
+
 @criterion(4, "bipartite integer grid: all K(a,b), a,b in 3..10")
 def test_criterion_04_bipartite_grid():
     for a in range(3, 11):
@@ -97,8 +103,8 @@ def test_criterion_04_bipartite_grid():
             ext = grid_extent(scene)
             ca, cb = (a + 1) // 2, (b + 3) // 4
             bound = sorted((a, 2 * cb, ca * ca + cb * cb))
-            assert sorted((ext.gx, ext.gy, ext.gz)) <= bound, \
-                f"K{a},{b}: extent {ext} exceeds {bound}"
+            for got, most in zip(sorted((ext.gx, ext.gy, ext.gz)), bound):
+                assert got <= most, f"K{a},{b}: extent {ext} exceeds {bound}"
 
 
 @criterion(5, "K33 by unit equilateral triangles")
@@ -129,7 +135,7 @@ def test_criterion_06_oneplanar():
                               "polygon-issues"), f"{name}: {w}"
         n = emb.graph.n
         ext = grid_extent(scene)
-        assert (ext.gx, ext.gy, ext.gz) <= (3 * n // 2 - 1, 3 * n // 2 - 1, 3)
+        _assert_extent_within(ext, (3 * n // 2 - 1, 3 * n // 2 - 1, 3), name)
         if not emb.crossings:
             zs = {c[2] for p in scene.polygons.values() for c in p.corners}
             assert zs == {0}, f"{name} not flat"
@@ -139,7 +145,7 @@ def test_criterion_06_oneplanar():
 def test_criterion_07_cubic():
     k4 = Graph.from_edges([(i, j) for i in "abcd" for j in "abcd" if i < j])
     ext = grid_extent(represent_2ec_cubic(k4))
-    assert (ext.gx, ext.gy, ext.gz) <= (3, 2, 2)
+    _assert_extent_within(ext, (3, 2, 2), "K4")
 
     lines = []
     for i in range(5):
@@ -158,7 +164,7 @@ def test_criterion_07_cubic():
         assert report.passed, f"chain {k}: {report.to_text()}"
         ext = grid_extent(scene)
         n = g.n
-        assert (ext.gx, ext.gy, ext.gz) <= (3 * n // 2, 3 * n // 2, n // 2)
+        _assert_extent_within(ext, (3 * n // 2, 3 * n // 2, n // 2), f"chain {k}")
 
 
 @criterion(8, "cycle squares: unit squares (even) and bounded splits (odd)")

@@ -1,7 +1,13 @@
 """Cubic constructions: decomposition, 2EC rectangles, bridges, max-deg-3."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import polycontact
+from polycontact import cubic
 from polycontact import (ConstructionError, Graph, bridge_block_tree,
                          edge_key, find_bridges, graph_from_edge_list,
                          grid_extent, petersen_decompose, represent_2ec_cubic,
@@ -274,3 +280,45 @@ class TestMaxDegree3:
         assert verify_scene(scene).passed
         kinds = sorted(p.kind for p in scene.polygons.values())
         assert kinds == ["point", "point", "segment", "segment"]
+
+
+def _run_python(code, hash_seed="0"):
+    """stdout of `code` in a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polycontact.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+class TestProcessIndependence:
+    def test_2ec_scene_ignores_hash_seed(self):
+        # a 16-rung prism has many perfect matchings to choose from
+        code = (
+            "import json\n"
+            "from polycontact import Graph, represent_2ec_cubic, scene_to_json\n"
+            "k = 16\n"
+            "edges = [(f'a{i}', f'a{(i + 1) % k}') for i in range(k)]\n"
+            "edges += [(f'b{i}', f'b{(i + 1) % k}') for i in range(k)]\n"
+            "edges += [(f'a{i}', f'b{i}') for i in range(k)]\n"
+            "scene = represent_2ec_cubic(Graph.from_edges(edges))\n"
+            "print(json.dumps(scene_to_json(scene), sort_keys=True))\n")
+        assert _run_python(code, "1") == _run_python(code, "2")
+
+    def test_import_leaves_networkx_unloaded(self):
+        code = "import sys, polycontact; print('networkx' in sys.modules)"
+        assert _run_python(code).strip() == "False"
+
+
+def test_oversized_floorplan_is_construction_error(monkeypatch):
+    g = gadget_chain(2)
+
+    class Floorplan:
+        rotation = {f"x{i}": [] for i in range(len(g.edges) + 1)}
+
+        def check_planar(self):
+            pass
+
+    monkeypatch.setattr(cubic, "_build_floorplan",
+                        lambda g, bbt: (Floorplan(), [], {}))
+    with pytest.raises(ConstructionError, match="floorplan has"):
+        represent_cubic(g)

@@ -1,9 +1,18 @@
 """Verifier behavior, especially the designed-violation negative suite."""
 
 from fractions import Fraction as F
+from itertools import combinations
 
-from polycontact import (Graph, Polygon3, edge_key, graph_scene,
-                         grid_extent, represent_complete, verify_scene)
+import pytest
+
+from polycontact import (Graph, Polygon3, classify_pair, complete_bipartite,
+                         edge_key, graph_scene, grid_extent,
+                         represent_2ec_cubic, represent_bipartite_grid,
+                         represent_complete, represent_cubic,
+                         represent_min_degree3, represent_oneplanar_cubic,
+                         verify_scene)
+
+from conftest import gadget_chain, prism_embedding
 
 
 def _translate(poly, dz):
@@ -189,3 +198,57 @@ class TestGridExtent:
         r2 = verify_scene(scene)
         assert r1.reconstructed == r2.reconstructed
         assert r1.passed and r2.passed
+
+
+class TestIntegerKernel:
+    """Exact scenes are verified in integer coordinates; nothing of that shows."""
+
+    def test_witnesses_in_scene_coordinates(self):
+        # denominators 3, 5 and 7: the verifier scales by their lcm inside
+        a = T((0, 0, 0), (F(2, 3), 0, 0), (0, F(5, 7), 0))
+        b = T((F(2, 3), 0, 0), (F(2, 3), F(1, 7), F(1, 3)),
+              (F(2, 3), F(-1, 7), F(1, 3)))
+        # c rests one corner inside a; d cuts through a's interior
+        c = T((F(1, 7), F(1, 3), 0), (F(1, 7), F(1, 3), F(2, 3)),
+              (F(2, 7), F(1, 3), F(1, 2)))
+        d = T((F(1, 7), F(2, 7), F(-1, 3)), (F(1, 7), F(2, 7), F(1, 3)),
+              (F(3, 7), F(2, 7), 0))
+        g = Graph.from_edges([("a", "b")], vertices=["a", "b", "c", "d"])
+        contact = (F(2, 3), F(0), F(0))
+        scene = graph_scene(g, {"a": a, "b": b, "c": c, "d": d},
+                            {edge_key("a", "b"): contact},
+                            {"construction": "test", "arithmetic": "exact"})
+        report = verify_scene(scene)
+        found = {(f.code, f.where): f.witness for f in report.violations}
+        assert found == {
+            ("corner-inside", "a / c"): (F(1, 7), F(1, 3), F(0)),
+            ("interior-overlap", "a / d"): (F(19, 70), F(2, 7), F(0)),
+        }
+        for w in found.values():
+            assert all(type(x) is F for x in w)
+        assert report.reconstructed == {edge_key("a", "b"): contact}
+        assert all(type(x) is F for x in report.reconstructed[edge_key("a", "b")])
+
+    @pytest.mark.parametrize("build", [
+        lambda: represent_complete(5),
+        lambda: represent_min_degree3(Graph.from_edges(
+            [(f"a{i}", f"a{(i + 1) % 3}") for i in range(3)]
+            + [(f"b{i}", f"b{(i + 1) % 3}") for i in range(3)]
+            + [(f"a{i}", f"b{i}") for i in range(3)])),
+        lambda: represent_bipartite_grid(complete_bipartite(3, 4)),
+        lambda: represent_oneplanar_cubic(prism_embedding()),
+        lambda: represent_2ec_cubic(Graph.from_edges(
+            [(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
+            + [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)]
+            + [(f"o{i}", f"i{i}") for i in range(5)])),
+        lambda: represent_cubic(gadget_chain(2)),
+    ], ids=["complete", "mindeg3", "bipartite-grid", "oneplanar-cubic",
+            "cubic-2ec", "cubic"])
+    def test_pair_kinds_match_plain_classifier(self, build):
+        scene = build()
+        assert scene.is_exact
+        report = verify_scene(scene)
+        assert report.passed
+        plain = {(a, b): classify_pair(scene.polygons[a], scene.polygons[b]).kind
+                 for a, b in combinations(sorted(scene.polygons), 2)}
+        assert report.pair_kinds == plain
