@@ -4,7 +4,12 @@ The construction lifts an arrangement of n lines in the xy-plane whose
 consecutive intersection gaps along every line at least halve (checked
 exactly).  The arrangement is built incrementally: line i pivots around a
 point fixed on line i-1 by the gap-halving equality, rotated clockwise by
-a bisected rational amount until every ordering and gap predicate passes.
+a bisected rational amount.  Lines < i are fixed, so their intersection
+points and each line's parameter list (in index order) are cached, and a
+candidate for line i is tested on its i-1 new points only: each must
+continue its old line's order and halving, and line i's own parameters
+must be monotone with halving gaps.  One full `arrangement_ok` on the
+finished arrangement is the certificate; the build raises if it fails.
 Lifting intersection point p(i,j) to z = min(i,j) makes the convex hull of
 each line's lifted points a polygon in a vertical plane; polygons of lines
 i and j then meet exactly in the lifted p(i,j).
@@ -46,14 +51,14 @@ class Arrangement:
         return ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
 
 
-def _intersect(a1, d1, a2, d2):
-    # solve a1 + s d1 = a2 + t d2
-    det = d1[0] * (-d2[1]) - (-d2[0]) * d1[1]
-    if det == 0:
-        return None
-    rx, ry = a2[0] - a1[0], a2[1] - a1[1]
-    s = (rx * (-d2[1]) - (-d2[0]) * ry) / det
-    return (a1[0] + s * d1[0], a1[1] + s * d1[1])
+def _monotone_halving(ts) -> bool:
+    """ts is strictly monotone and each gap is at most half the one before."""
+    inc = all(a < b for a, b in zip(ts, ts[1:]))
+    dec = all(a > b for a, b in zip(ts, ts[1:]))
+    if not (inc or dec):
+        return False
+    gaps = [abs(b - a) for a, b in zip(ts, ts[1:])]
+    return all(2 * g_next <= g_prev for g_prev, g_next in zip(gaps, gaps[1:]))
 
 
 def arrangement_ok(arr: Arrangement) -> bool:
@@ -64,22 +69,49 @@ def arrangement_ok(arr: Arrangement) -> bool:
     must be at most half the previous one, comparing 1D line parameters.
     """
     for i in range(1, arr.n + 1):
-        others = [j for j in range(1, arr.n + 1) if j != i]
         try:
-            ts = [arr.param(i, j) for j in others]
+            ts = [arr.param(i, j) for j in range(1, arr.n + 1) if j != i]
         except KeyError:
             return False
-        if len(set(ts)) != len(ts):
+        if not _monotone_halving(ts):
             return False
-        inc = all(a < b for a, b in zip(ts, ts[1:]))
-        dec = all(a > b for a, b in zip(ts, ts[1:]))
-        if not (inc or dec):
-            return False
-        gaps = [abs(b - a) for a, b in zip(ts, ts[1:])]
-        for g_prev, g_next in zip(gaps, gaps[1:]):
-            if 2 * g_next > g_prev:
-                return False
     return True
+
+
+def _crossing(a1, d1, a2, d2):
+    """Parameters (s, u) with a1 + s d1 = a2 + u d2, or None if parallel."""
+    det = d1[0] * d2[1] - d1[1] * d2[0]
+    if det == 0:
+        return None
+    rx, ry = a2[0] - a1[0], a2[1] - a1[1]
+    return (rx * d2[1] - ry * d2[0]) / det, (rx * d1[1] - ry * d1[0]) / det
+
+
+def _tilt_line(i: int, anchors, directions, points, params):
+    """Anchor, direction and crossings (s, u) with lines 1..i-1 of line i."""
+    prev = i - 1
+    p2 = points[frozenset((prev, i - 2))]
+    p3 = points[frozenset((prev, i - 3))]
+    # gap-halving equality fixes the pivot past p(i-1, i-2)
+    pivot = (p2[0] + (p2[0] - p3[0]) / 2, p2[1] + (p2[1] - p3[1]) / 2)
+    d = directions[prev]
+    t = Fraction(1, 2)
+    for _ in range(_MAX_HALVINGS):
+        cand = (d[0] + t * d[1], d[1] - t * d[0])  # clockwise tilt
+        # Lines < i never move, so line i is accepted iff each p(j, i)
+        # continues line j's order and halving, and line i's own
+        # parameters are monotone with halving gaps.
+        hits = []
+        for j in range(1, i):
+            hit = _crossing(anchors[j], directions[j], pivot, cand)
+            if hit is None or not _monotone_halving(params[j][-2:] + [hit[0]]):
+                break
+            hits.append(hit)
+        else:
+            if _monotone_halving([u for _, u in hits]):
+                return pivot, cand, hits
+        t /= 2
+    raise ConstructionError(f"bisection failed placing line {i}")
 
 
 def build_line_arrangement(n: int) -> Arrangement:
@@ -96,44 +128,26 @@ def build_line_arrangement(n: int) -> Arrangement:
         2: (Fraction(0), Fraction(-1)),
         3: (Fraction(-1), Fraction(-1)),
     }
+    points = {}
+    params = {1: []}  # line j -> parameters along j of p(j, k), k = 1, 2, ...
+    for i in range(2, n + 1):
+        if i <= 3:
+            hits = [_crossing(anchors[j], directions[j], anchors[i], directions[i])
+                    for j in range(1, i)]
+        else:
+            anchors[i], directions[i], hits = _tilt_line(i, anchors, directions,
+                                                         points, params)
+        params[i] = []
+        for j, (s, u) in enumerate(hits, start=1):
+            a, d = anchors[j], directions[j]
+            points[frozenset((j, i))] = (a[0] + s * d[0], a[1] + s * d[1])
+            params[j].append(s)
+            params[i].append(u)
 
-    def all_points(k):
-        pts = {}
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                p = _intersect(anchors[i], directions[i], anchors[j], directions[j])
-                if p is None:
-                    return None
-                pts[frozenset((i, j))] = p
-        return pts
-
-    for i in range(4, n + 1):
-        prev = i - 1
-        pts = all_points(prev)
-        p2 = pts[frozenset((prev, i - 2))]
-        p3 = pts[frozenset((prev, i - 3))]
-        # gap-halving equality fixes the pivot past p(i-1, i-2)
-        pivot = (p2[0] + (p2[0] - p3[0]) / 2, p2[1] + (p2[1] - p3[1]) / 2)
-        d = directions[prev]
-        t = Fraction(1, 2)
-        placed = False
-        for _ in range(_MAX_HALVINGS):
-            cand = (d[0] + t * d[1], d[1] - t * d[0])  # clockwise tilt
-            anchors[i] = pivot
-            directions[i] = cand
-            pts_i = all_points(i)
-            if pts_i is not None:
-                arr = Arrangement(n=i, anchors=dict(anchors),
-                                  directions=dict(directions), points=pts_i)
-                if arrangement_ok(arr):
-                    placed = True
-                    break
-            t /= 2
-        if not placed:
-            raise ConstructionError(f"bisection failed placing line {i}")
-
-    return Arrangement(n=n, anchors=anchors, directions=directions,
-                       points=all_points(n))
+    arr = Arrangement(n=n, anchors=anchors, directions=directions, points=points)
+    if not arrangement_ok(arr):
+        raise ConstructionError(f"arrangement of {n} lines failed its exact re-check")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +248,26 @@ def _touched_vertices(g: Graph) -> list:
     return sorted(touched)
 
 
-def represent_min_degree3(g: Graph) -> Scene:
-    """Contact representation by convex polygons for min-degree-3 graphs."""
-    bad = [v for v in g.vertices if g.degree(v) < 3]
-    if bad:
-        raise ConstructionError(f"vertices of degree < 3: {bad}")
+def _represent_lifted(g: Graph) -> Scene:
+    """Lift g over an arrangement of g.n lines, halving delta until the
+    pairs of the lowered polygons pass the local check."""
     arr = build_line_arrangement(g.n)
-    delta = Fraction(1, 2)
     touched = _touched_vertices(g)
+    delta = Fraction(1, 2)
     for _ in range(_MAX_HALVINGS):
         scene = _lift_scene(g, arr, delta)
         if _pairs_ok(scene, touched):
             return scene
         delta /= 2
     raise ConstructionError("perturbation backoff failed")  # pragma: no cover
+
+
+def represent_min_degree3(g: Graph) -> Scene:
+    """Contact representation by convex polygons for min-degree-3 graphs."""
+    bad = [v for v in g.vertices if g.degree(v) < 3]
+    if bad:
+        raise ConstructionError(f"vertices of degree < 3: {bad}")
+    return _represent_lifted(g)
 
 
 def represent_complete(n: int) -> Scene:
@@ -258,18 +278,9 @@ def represent_complete(n: int) -> Scene:
     """
     if n < 3:
         raise ConstructionError("need n >= 3")
-    g = Graph.from_edges([(str(i), str(j))
-                          for i in range(1, n + 1) for j in range(i + 1, n + 1)],
-                         vertices=[str(i) for i in range(1, n + 1)])
-    arr = build_line_arrangement(n)
-    delta = Fraction(1, 2)
-    for _ in range(_MAX_HALVINGS):
-        scene = _lift_scene(g, arr, delta)
-        scene.meta["construction"] = "complete"
-        if _pairs_ok(scene, _touched_vertices(g)):
-            return scene
-        delta /= 2
-    raise ConstructionError("perturbation backoff failed")  # pragma: no cover
+    return _represent_lifted(Graph.from_edges(
+        [(str(i), str(j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)],
+        vertices=[str(i) for i in range(1, n + 1)]))
 
 
 def strictify(scene: Scene) -> Scene:

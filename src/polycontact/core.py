@@ -10,6 +10,7 @@ to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -55,16 +56,22 @@ class Graph:
             ekeys.append(edge_key(u, v))
         return Graph(vertices=tuple(order), edges=frozenset(ekeys))
 
+    @cached_property
+    def _adjacency(self) -> dict:
+        # Built on first use; not a dataclass field, so equality and hash
+        # still compare vertices and edges only.
+        adj = {v: set() for v in self.vertices}
+        for e in self.edges:
+            u, v = tuple(e)
+            adj[u].add(v)
+            adj[v].add(u)
+        return adj
+
     def degree(self, v: str) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return len(self._adjacency.get(v, ()))
 
     def neighbors(self, v: str) -> list:
-        out = set()
-        for e in self.edges:
-            if v in e:
-                (w,) = e - {v}
-                out.add(w)
-        return sorted(out)
+        return sorted(self._adjacency.get(v, ()))
 
     def adjacent(self, u: str, v: str) -> bool:
         return edge_key(u, v) in self.edges

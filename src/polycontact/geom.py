@@ -723,7 +723,7 @@ def _classify_transversal(p, q, p_flat, q_flat, p_plane, q_plane, dr, ctx):
             res.violations.append(("interior-overlap", mid))
 
     touch = []
-    for t in {lo, hi}:
+    for t in ((lo,) if lo == hi else (lo, hi)):
         pt = _line_point(p0, dr, t)
         loc_p = _locate_point(p, p_flat, p_plane, pt, ctx)
         loc_q = _locate_point(q, q_flat, q_plane, pt, ctx)
@@ -773,7 +773,7 @@ def _classify_degenerate_vs_poly(seg: Polygon3, poly: Polygon3, poly_flat,
                         mid = _line_point(a, dr, (lo + hi) / 2)
                         if _locate_point(poly, poly_flat, poly_plane, mid, ctx) == "interior":
                             res.violations.append(("interior-overlap", mid))
-                    for t in {lo, hi}:
+                    for t in ((lo,) if lo == hi else (lo, hi)):
                         hits.append(_line_point(a, dr, t))
         elif sa * sb <= 0:
             dr = vsub(b, a)

@@ -40,6 +40,17 @@ class TestEdgeList:
         assert g1.edges == g2.edges
         assert set(g1.vertices) == set(g2.vertices)
 
+    def test_adjacency_cache_leaves_identity_alone(self):
+        g1 = graph_from_edge_list("1 2\n2 3\n3 1\n3 4")
+        g2 = graph_from_edge_list("1 2\n2 3\n3 1\n3 4")
+        nbrs = g1.neighbors("3")
+        assert nbrs == ["1", "2", "4"] and g1.degree("3") == 3
+        nbrs.append("5")  # callers get a fresh list each time
+        assert g1.neighbors("3") == ["1", "2", "4"]
+        assert g1.degree("x") == 0 and g1.neighbors("x") == []
+        assert g1 == g2 and hash(g1) == hash(g2)
+        assert repr(g1) == repr(g2)
+
 
 class TestBuiltinSystems:
     @pytest.mark.parametrize("name", ["S237", "S239", "S348", "S3410", "PG3"])

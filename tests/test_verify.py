@@ -12,6 +12,8 @@ from polycontact import (Graph, Polygon3, classify_pair, complete_bipartite,
                          represent_min_degree3, represent_oneplanar_cubic,
                          verify_scene)
 
+from polycontact.verify import KernelScene
+
 from conftest import gadget_chain, prism_embedding
 
 
@@ -228,6 +230,26 @@ class TestIntegerKernel:
             assert all(type(x) is F for x in w)
         assert report.reconstructed == {edge_key("a", "b"): contact}
         assert all(type(x) is F for x in report.reconstructed[edge_key("a", "b")])
+
+    def test_touch_witness_order_independent_of_scaling(self):
+        # b's edge runs through a's interior: a boundary touch whose two
+        # witnesses are the ends of a's chord along that edge
+        a = T((F(-1, 2), -4, -1), (F(5, 2), 0, F(-3, 2)), (2, F(-3, 2), -3))
+        b = T((F(29, 3), F(13, 2), F(-17, 2)), (F(-89, 12), F(-127, 12), F(31, 6)),
+              (F(-7, 8), F(23, 24), F(-11, 3)))
+        g = Graph.from_edges([], vertices=["a", "b"])
+        scene = graph_scene(g, {"a": a, "b": b}, {},
+                            {"construction": "test", "arithmetic": "exact"})
+        ends = [(F(13, 6), F(-1), F(-5, 2)), (F(1, 2), F(-8, 3), F(-7, 6))]
+        plain = classify_pair(a, b)
+        assert plain.kind == "BoundaryTouch"
+        assert plain.touch_witnesses == ends
+        ctx = scene.context()
+        kernel = KernelScene(scene, ctx)
+        scaled = classify_pair(kernel.polygons["a"], kernel.polygons["b"], ctx)
+        assert [kernel.unscale(w) for w in scaled.touch_witnesses] == ends
+        report = verify_scene(scene)
+        assert [(f.code, f.witness) for f in report.warnings] == [("boundary-touch", ends[0])]
 
     @pytest.mark.parametrize("build", [
         lambda: represent_complete(5),
