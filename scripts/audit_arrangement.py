@@ -8,14 +8,9 @@ ordering/halving re-check is clean.
 """
 
 import argparse
-import pathlib
-import sys
 import time
 
-from polycontact.arrangement import build_line_arrangement
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
-from test_arrangement import audit_arrangement  # noqa: E402
+from polycontact.arrangement import audit_arrangement, build_line_arrangement
 
 
 def bits(arr):

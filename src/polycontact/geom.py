@@ -1,8 +1,18 @@
 """Exact (rational) and epsilon-tolerant 3D geometry for touching-polygon scenes.
 
-Coordinates are either `fractions.Fraction` (exact mode, no rounding anywhere)
-or `float` (epsilon mode).  All predicates go through an `ArithmeticContext`,
-so the same code path serves both modes; only the sign test differs.
+Coordinates are either exact (`fractions.Fraction`, or ints once
+`verify.KernelScene` has scaled a scene) or `float` (epsilon mode).  All
+predicates go through an `ArithmeticContext`, so the same code path serves
+both modes; only the sign test differs.
+
+On int coordinates the polygon checks, the plane tests and the chord
+clipping of transversal pairs are division-free: plane normals and line
+directions are divided by the gcd of their entries, the intersection line's
+point is an int vector over an int weight, and chord bounds are int pairs
+compared by cross-multiplication.  `Fraction`s are built only for the two
+winning chord bounds of a pair and for the points derived from them (the
+midpoint probe and touch witnesses), and by the degenerate-polygon
+classifiers.
 
 The contact model implemented by `classify_pair` treats polygons as *open*
 filled regions:
@@ -170,6 +180,8 @@ def _plane_of(corners: Sequence[Point3], ctx: ArithmeticContext):
 
     Returns None when all corners are collinear (degenerate).  In float mode
     the normal is scaled to unit length so eps thresholds mean distances.
+    An all-int normal is divided by the gcd of its entries: a positive
+    factor keeps every sign, the drop axis and the ccw orientation.
     """
     if len(corners) < 3:
         return None
@@ -181,8 +193,16 @@ def _plane_of(corners: Sequence[Point3], ctx: ArithmeticContext):
                 if not ctx.exact:
                     norm = math.sqrt(vdot(n, n))
                     n = vscale(n, 1.0 / norm)
+                elif all(type(c) is int for c in n):
+                    n = _primitive(n)
                 return n, vdot(n, a)
     return None
+
+
+def _primitive(v):
+    """An int tuple divided by the gcd of its entries (not all zero)."""
+    g = math.gcd(*v)
+    return tuple(c // g for c in v)
 
 
 def plane_contains(plane, p: Point3, ctx: ArithmeticContext) -> bool:
@@ -499,12 +519,14 @@ def _locate_point(poly: Polygon3, flat: Optional[_Convex2D], plane,
 
 
 def _chord(poly: Polygon3, flat: _Convex2D, p0: Point3, dr: Point3,
-           ctx: ArithmeticContext):
-    """Clip the line p0 + t*dr (known to lie in the polygon's plane).
+           ctx: ArithmeticContext, w=1):
+    """Clip the line p0/w + t*dr (known to lie in the polygon's plane), w > 0.
 
     Returns (t_lo, t_hi, through_interior) or None when the line misses.
     through_interior is False when the chord runs along an edge, in which
-    case the whole chord belongs to the boundary.
+    case the whole chord belongs to the boundary.  In exact mode each bound
+    is kept as a (num, den) pair with den > 0 of t*w, compared by
+    cross-multiplication; only the two winning bounds become Fractions.
     """
     a0 = project2d(p0, flat.axis)
     d2 = project2d(dr, flat.axis)
@@ -512,11 +534,12 @@ def _chord(poly: Polygon3, flat: _Convex2D, p0: Point3, dr: Point3,
     n = len(pts)
     lo, hi = None, None  # None = unbounded
     through = True
-    edges = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
-    for a, b in edges:
+    exact = ctx.exact
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
         ex, ey = b[0] - a[0], b[1] - a[1]
-        # inward halfplane for ccw polygon: cross(edge, x - a) >= 0
-        num = ex * (a0[1] - a[1]) - ey * (a0[0] - a[0])
+        # inward halfplane for ccw polygon: cross(edge, x - a) >= 0, times w
+        num = ex * (a0[1] - w * a[1]) - ey * (a0[0] - w * a[0])
         den = ex * d2[1] - ey * d2[0]
         sden = ctx.sign(den)
         if sden == 0:
@@ -525,7 +548,14 @@ def _chord(poly: Polygon3, flat: _Convex2D, p0: Point3, dr: Point3,
             if ctx.sign(num) == 0:
                 through = False  # line runs along this edge
             continue
-        t = -Fraction(num, den) if ctx.exact else -num / den
+        if exact:
+            if sden > 0:
+                if lo is None or -num * lo[1] > lo[0] * den:
+                    lo = (-num, den)
+            elif hi is None or num * hi[1] < hi[0] * -den:
+                hi = (num, -den)
+            continue
+        t = -num / den
         if sden > 0:
             if lo is None or t > lo:
                 lo = t
@@ -534,6 +564,10 @@ def _chord(poly: Polygon3, flat: _Convex2D, p0: Point3, dr: Point3,
                 hi = t
     if lo is None or hi is None:
         raise GeometryError("unbounded chord; polygon not convex?")
+    if exact:
+        if hi[0] * lo[1] < lo[0] * hi[1]:
+            return None
+        return Fraction(lo[0], lo[1] * w), Fraction(hi[0], hi[1] * w), through
     if ctx.sign(hi - lo) < 0:
         return None
     return lo, hi, through
@@ -681,21 +715,25 @@ def _classify_transversal(p, q, p_flat, q_flat, p_plane, q_plane, dr, ctx):
     # |n1|^2 |n2|^2 - (n1.n2)^2 = |n1 x n2|^2; taken from dr it does not
     # cancel to zero for nearly parallel planes in float mode.
     det = vdot(dr, dr)
-    if not ctx.exact:
-        dr = vscale(dr, 1.0 / math.sqrt(det))
     n1n1 = vdot(n1, n1)
     n2n2 = vdot(n2, n2)
     n1n2 = vdot(n1, n2)
     c1 = (d1 * n2n2 - d2 * n1n2)
     c2 = (d2 * n1n1 - d1 * n1n2)
     if ctx.exact:
-        c1, c2 = Fraction(c1, det), Fraction(c2, det)
+        # the line is h0/w + t*dr; with int planes h0, w and dr are ints,
+        # each reduced by its gcd, and no Fraction is built until a chord
+        # bound or a witness is needed
+        h0, w = vadd(vscale(n1, c1), vscale(n2, c2)), det
+        if type(w) is int and all(type(c) is int for c in h0):
+            *h0, w = _primitive((*h0, w))
+            dr = _primitive(dr)
     else:
-        c1, c2 = c1 / det, c2 / det
-    p0 = vadd(vscale(n1, c1), vscale(n2, c2))
+        dr = vscale(dr, 1.0 / math.sqrt(det))
+        h0, w = vadd(vscale(n1, c1 / det), vscale(n2, c2 / det)), 1
 
-    ip = _chord(p, p_flat, p0, dr, ctx)
-    iq = _chord(q, q_flat, p0, dr, ctx)
+    ip = _chord(p, p_flat, h0, dr, ctx, w)
+    iq = _chord(q, q_flat, h0, dr, ctx, w)
     if ip is None or iq is None:
         if res.violations:
             res.kind = VIOLATION
@@ -712,6 +750,7 @@ def _classify_transversal(p, q, p_flat, q_flat, p_plane, q_plane, dr, ctx):
             res.kind = CORNER_CONTACT
         return res
 
+    p0 = tuple(Fraction(c, w) for c in h0) if ctx.exact else h0
     if s > 0 and ip[2] and iq[2]:
         # The open part of a convex polygon's chord is interior whenever the
         # chord does not run along an edge; when that holds for both, the

@@ -46,6 +46,12 @@ class Scene:
             return set(self.structure.edges)
         return set(self.structure.vertices)
 
+    def expected_polygon_labels(self):
+        """One polygon per graph vertex, or per hypergraph block."""
+        if self.kind == GRAPH:
+            return set(self.structure.vertices)
+        return {block_label(b) for b in self.structure.blocks}
+
     def polygons_for_contact(self, key):
         """Labels of the polygons that must share the contact point."""
         if self.kind == GRAPH:

@@ -9,12 +9,15 @@ id so corner coincidences survive the trip exactly.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .core import (Graph, Hypergraph, InputError, OnePlaneEmbedding,
                    edge_key)
 from .geom import Polygon3
 from .scene import GRAPH, HYPERGRAPH, Scene
+
+_SCENE_KEYS = {"kind", "points", "polygons", "contacts"}
 
 
 def _num_to_str(x, exact: bool) -> str:
@@ -26,9 +29,14 @@ def _num_to_str(x, exact: bool) -> str:
 
 def _num_from_str(s: str, exact: bool):
     if exact:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return float(s)
+        num, den = map(int, s.split("/"))
+        if den == 0:
+            raise InputError(f"zero denominator in coordinate {s!r}")
+        return Fraction(num, den)
+    x = float(s)
+    if not math.isfinite(x):
+        raise InputError(f"non-finite coordinate {s!r}")
+    return x
 
 
 def scene_to_json(scene: Scene) -> dict:
@@ -79,6 +87,9 @@ def scene_to_json(scene: Scene) -> dict:
 
 
 def scene_from_json(doc: dict) -> Scene:
+    if not isinstance(doc, dict) or not _SCENE_KEYS <= doc.keys():
+        raise InputError("a scene is an object with keys "
+                         + ", ".join(sorted(_SCENE_KEYS)))
     kind = doc["kind"]
     meta = dict(doc.get("meta", {}))
     exact = meta.get("arithmetic", "exact") == "exact"

@@ -3,6 +3,7 @@
 `verify_scene` re-derives the contact structure from the geometry alone and
 compares it with what the scene's combinatorial structure demands:
 
+* there is one polygon per graph vertex or hypergraph block, and no other,
 * every polygon is planar and simple (convex when claimed),
 * no pair of polygons violates the open-polygon contact model,
 * graph scenes: each edge's two polygons share exactly one corner, distinct
@@ -91,8 +92,13 @@ class KernelScene:
     denominator, so each corner and contact point becomes a tuple of ints,
     and equal points become one shared tuple.  Every predicate is a sign
     test, and positive scaling keeps signs.  Float scenes are taken as they
-    are (L = 1).  Each polygon's frame (plane, drop axis, ccw 2D corners) is
-    built once, on first use.
+    are (L = 1).  Each polygon's frame (plane with a primitive int normal,
+    drop axis, ccw 2D corners) is built once, on first use.
+
+    On these ints the polygon checks, point location and transversal chord
+    clipping divide nothing.  `Fraction`s are built for the two winning
+    chord bounds of a transversal pair and the midpoint and touch witnesses
+    derived from them, by the point/segment classifiers, and by `unscale`.
     """
 
     def __init__(self, scene: Scene, ctx: ArithmeticContext):
@@ -131,6 +137,14 @@ def verify_scene(scene: Scene, ctx: Optional[ArithmeticContext] = None,
         ctx = scene.context(eps=eps)
     report = VerificationReport()
     kernel = KernelScene(scene, ctx)
+
+    expected = scene.expected_polygon_labels()
+    for label in sorted(expected - scene.polygons.keys()):
+        report.violations.append(Finding("missing-polygon", label,
+                                         "no polygon for this element"))
+    for label in sorted(scene.polygons.keys() - expected):
+        report.violations.append(Finding("foreign-polygon", label,
+                                         "polygon of no element"))
 
     labels = sorted(scene.polygons)
     valid = {}

@@ -2,8 +2,10 @@
 
 import json
 
-from polycontact import (represent_complete, represent_fano, scene_from_json,
-                         scene_to_json, verify_scene)
+import pytest
+
+from polycontact import (InputError, represent_complete, represent_fano,
+                         scene_from_json, scene_to_json, verify_scene)
 from polycontact.cli import main
 from polycontact.export import scene_to_obj, scene_to_svg
 
@@ -165,3 +167,73 @@ class TestCli:
     def test_info(self, capsys):
         assert main(["info"]) == 0
         assert "cycle-square" in capsys.readouterr().out
+
+
+def _two_triangle_doc(coords, arithmetic):
+    """Triangles a and b of an edgeless graph, as a scene document."""
+    return {"kind": "graph",
+            "structure": {"vertices": ["a", "b"], "edges": []},
+            "points": [{"id": f"p{i}", "x": x, "y": y, "z": z}
+                       for i, (x, y, z) in enumerate(coords)],
+            "polygons": [{"label": "a", "corners": ["p0", "p1", "p2"]},
+                         {"label": "b", "corners": ["p3", "p4", "p5"]}],
+            "contacts": [],
+            "meta": {"construction": "test", "arithmetic": arithmetic}}
+
+
+def _valid_exact_doc():
+    return scene_to_json(represent_complete(4))
+
+
+def _without(key):
+    doc = _valid_exact_doc()
+    del doc[key]
+    return doc
+
+
+def _zero_denominator():
+    doc = _valid_exact_doc()
+    doc["points"][0]["x"] = "1/0"
+    return doc
+
+
+def _float_corner(value):
+    # b's edge at x = y = 1 runs through a's interior whatever its third
+    # corner is; that corner carries the non-finite coordinate
+    return _two_triangle_doc(
+        [("0.0", "0.0", "0.0"), ("4.0", "0.0", "0.0"), ("0.0", "4.0", "0.0"),
+         ("1.0", "1.0", "-1.0"), ("1.0", "1.0", "1.0"), (value, "1.0", "0.0")],
+        "float")
+
+
+class TestMalformedScene:
+    """A scene file the reader cannot take is an input error: exit 2."""
+
+    @pytest.mark.parametrize("doc", [
+        lambda: [],
+        lambda: "scene",
+        lambda: _without("kind"),
+        lambda: _without("points"),
+        lambda: _without("polygons"),
+        lambda: _without("contacts"),
+        _zero_denominator,
+        lambda: _float_corner("nan"),
+        lambda: _float_corner("inf"),
+        lambda: _float_corner("-inf"),
+    ], ids=["list", "string", "no-kind", "no-points", "no-polygons",
+            "no-contacts", "zero-denominator", "nan", "inf", "minus-inf"])
+    def test_exit_two(self, doc, tmp_path, capsys):
+        doc = doc()
+        with pytest.raises(InputError):
+            scene_from_json(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        assert "input error" in capsys.readouterr().err
+
+    def test_finite_float_twin_fails_verification(self, tmp_path):
+        # the same scene with a finite third corner is read, and its
+        # piercing edge is a violation
+        path = tmp_path / "pierced.json"
+        path.write_text(json.dumps(_float_corner("2.0")))
+        assert main(["verify", str(path)]) == 1

@@ -1,20 +1,25 @@
 """Verifier behavior, especially the designed-violation negative suite."""
 
+import math
+import random
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
-from polycontact import (Graph, Polygon3, classify_pair, complete_bipartite,
-                         edge_key, graph_scene, grid_extent,
+from polycontact import (Graph, Polygon3, Scene, classify_pair,
+                         complete_bipartite, edge_key, graph_scene,
+                         grid_extent, polygon_properties,
                          represent_2ec_cubic, represent_bipartite_grid,
-                         represent_complete, represent_cubic,
+                         represent_complete, represent_cubic, represent_fano,
                          represent_min_degree3, represent_oneplanar_cubic,
                          verify_scene)
-
+from polycontact.geom import EXACT, _plane_of, vcross, vdot, vsub
+from polycontact.scene import GRAPH
 from polycontact.verify import KernelScene
 
 from conftest import gadget_chain, prism_embedding
+from oracle_geom import oracle_classify
 
 
 def _translate(poly, dz):
@@ -274,3 +279,134 @@ class TestIntegerKernel:
         plain = {(a, b): classify_pair(scene.polygons[a], scene.polygons[b]).kind
                  for a, b in combinations(sorted(scene.polygons), 2)}
         assert report.pair_kinds == plain
+
+
+class TestPolygonLabels:
+    """A scene has one polygon per vertex (graph) or block (hypergraph)."""
+
+    def test_partial_graph_scene_fails(self):
+        g = Graph.from_edges([], vertices=["a", "b", "c"])
+        scene = Scene(kind=GRAPH, structure=g,
+                      polygons={"a": T((0, 0, 0), (1, 0, 0), (0, 1, 0))},
+                      contacts={}, meta={"construction": "test",
+                                         "arithmetic": "exact"})
+        report = verify_scene(scene)
+        assert not report.passed
+        assert [(f.code, f.where) for f in report.violations] == [
+            ("missing-polygon", "b"), ("missing-polygon", "c")]
+
+    def test_foreign_polygon_fails(self):
+        scene = represent_complete(4)
+        scene.polygons["stray"] = T((10, 0, 0), (11, 0, 0), (10, 1, 0))
+        report = verify_scene(scene)
+        assert [(f.code, f.where) for f in report.violations] == [
+            ("foreign-polygon", "stray")]
+
+    def test_partial_hypergraph_scene_fails(self):
+        scene = represent_fano()
+        dropped = sorted(scene.polygons)[0]
+        del scene.polygons[dropped]
+        report = verify_scene(scene)
+        assert ("missing-polygon", dropped) in {
+            (f.code, f.where) for f in report.violations}
+
+
+def _rand_point(rng):
+    return tuple(F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(3))
+
+
+def _affine(tri, s, t):
+    a, b, c = tri.corners
+    return tuple(a[k] + s * (b[k] - a[k]) + t * (c[k] - a[k]) for k in range(3))
+
+
+def _random_pairs(seed, count):
+    """Triangle pairs of every kind: random (mostly crossing or disjoint),
+    sharing a corner, with an edge through the other's interior, and far
+    apart."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        a = Polygon3(corners=tuple(_rand_point(rng) for _ in range(3)))
+        if polygon_properties(a).degenerate:
+            continue
+        far = tuple(x + 100 for x in _rand_point(rng))
+        s, t = F(rng.randint(1, 4), 12), F(rng.randint(1, 4), 12)
+        u = F(rng.randint(-6, 6), 5), F(rng.randint(-6, 6), 5)
+        mid, step = _affine(a, s, t), _affine(a, u[0], u[1])
+        step = tuple(8 * (x - y) for x, y in zip(step, a.corners[0]))
+        pairs += [
+            (a, Polygon3(corners=tuple(_rand_point(rng) for _ in range(3)))),
+            (a, Polygon3(corners=(a.corners[rng.randrange(3)],
+                                  _rand_point(rng), _rand_point(rng)))),
+            (a, Polygon3(corners=(tuple(m - d for m, d in zip(mid, step)),
+                                  tuple(m + d for m, d in zip(mid, step)),
+                                  _rand_point(rng)))),
+            (a, Polygon3(corners=(far, _rand_point(rng), _rand_point(rng)))),
+        ]
+    return pairs
+
+
+class TestDivisionFreeKernel:
+    """The integer kernel (scaled points, primitive normals, int chord
+    bounds) classifies every pair as plain Fraction input does, and both
+    agree with the brute-force oracle."""
+
+    @staticmethod
+    def _assert_same_classification(scene):
+        ctx = scene.context()
+        kernel = KernelScene(scene, ctx)
+        kinds = []
+        for a, b in combinations(sorted(scene.polygons), 2):
+            plain = classify_pair(scene.polygons[a], scene.polygons[b])
+            fast = classify_pair(kernel.polygons[a], kernel.polygons[b], ctx,
+                                 kernel.frame(a), kernel.frame(b))
+            assert fast.kind == plain.kind, (a, b)
+            assert [kernel.unscale(c) for c in fast.shared_corners] == [
+                tuple(c) for c in plain.shared_corners]
+            assert [(r, kernel.unscale(w)) for r, w in fast.violations] == [
+                (r, tuple(w)) for r, w in plain.violations]
+            assert [kernel.unscale(w) for w in fast.touch_witnesses] == [
+                tuple(w) for w in plain.touch_witnesses]
+            kinds.append(plain.kind)
+        return kinds
+
+    def test_seeded_triangle_pairs(self):
+        kinds = []
+        for p, q in _random_pairs(seed=20191, count=60):
+            g = Graph.from_edges([], vertices=["p", "q"])
+            for first, second in ((p, q), (q, p)):
+                scene = graph_scene(g, {"p": first, "q": second}, {},
+                                    {"construction": "test",
+                                     "arithmetic": "exact"})
+                [kind] = self._assert_same_classification(scene)
+                assert kind == oracle_classify(first, second)
+                kinds.append(kind)
+        assert set(kinds) == {"Disjoint", "CornerContact", "BoundaryTouch",
+                              "Violation"}
+
+    def test_k14_lift(self):
+        kinds = self._assert_same_classification(represent_complete(14))
+        assert kinds == ["CornerContact"] * 91
+
+    def test_plane_of_int_normal_is_primitive(self):
+        rng = random.Random(5)
+        checked = 0
+        while checked < 40:
+            corners = [_rand_point(rng) for _ in range(3)]
+            plane = _plane_of(corners, EXACT)
+            if plane is None:
+                continue
+            a, b, c = corners
+            n, d = plane
+            assert (n, d) == (vcross(vsub(b, a), vsub(c, a)),
+                              vdot(vcross(vsub(b, a), vsub(c, a)), a))
+            scale = math.lcm(*(x.denominator for p in corners for x in p))
+            ints = [tuple(int(x * scale) for x in p) for p in corners]
+            m, e = _plane_of(ints, EXACT)
+            assert all(type(x) is int for x in m) and math.gcd(*m) == 1
+            ratio = next(F(mk, nk) for mk, nk in zip(m, n) if nk)
+            assert ratio > 0
+            assert m == tuple(ratio * nk for nk in n)
+            assert e == vdot(m, ints[0])
+            checked += 1
