@@ -256,7 +256,8 @@ def _pairs_ok(scene: Scene, touched) -> bool:
         for b in labels:
             if b == a:
                 continue
-            cls = classify_pair(polys[a], polys[b], ctx, kernel.frame(a), kernel.frame(b))
+            cls = classify_pair(polys[a], polys[b], ctx, kernel.frame(a), kernel.frame(b),
+                                kernel.match(a, b))
             if cls.kind == VIOLATION:
                 return False
             shared = cls.shared_corners

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .arrangement import represent_complete, represent_min_degree3
@@ -41,13 +42,19 @@ def _read_text(path):
 
 
 def _build(args):
+    """The scene, and the constructor's own passing report if it made one."""
+    cls = args.cls
+    if cls == "cycle-square":
+        _need(args.n is not None, "--n is required for cycle-square")
+        return represent_cycle_square(args.n, with_report=True)
+    return _build_scene(args), None
+
+
+def _build_scene(args):
     cls = args.cls
     if cls == "complete":
         _need(args.n is not None, "--n is required for complete")
         return represent_complete(args.n)
-    if cls == "cycle-square":
-        _need(args.n is not None, "--n is required for cycle-square")
-        return represent_cycle_square(args.n)
     if cls == "k33":
         return represent_k33_unit_triangles()
     if cls == "fano":
@@ -89,9 +96,10 @@ def _need(cond, msg):
 
 
 def cmd_represent(args) -> int:
-    scene = _build(args)
+    scene, report = _build(args)
     if not args.no_verify:
-        report = verify_scene(scene)
+        if report is None:
+            report = verify_scene(scene)
         print(report.to_text())
         if not report.passed:
             if args.output:
@@ -108,6 +116,8 @@ def cmd_represent(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _need(args.epsilon is None or (math.isfinite(args.epsilon) and args.epsilon >= 0),
+          "--epsilon must be finite and >= 0")
     scene = read_scene(args.file)
     report = verify_scene(scene, eps=args.epsilon)
     ext = grid_extent(scene)

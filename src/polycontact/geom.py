@@ -14,6 +14,14 @@ winning chord bounds of a pair and for the points derived from them (the
 midpoint probe and touch witnesses), and by the degenerate-polygon
 classifiers.
 
+Which corners two polygons share comes into `classify_pair` as a *match*:
+for each corner of either polygon, whether it equals (`point_eq`) some
+corner of the other.  `verify.KernelScene` reads the match off its
+per-scene point ids; without one, `classify_pair` compares the corners
+pairwise.  Either way a shared corner is located as "corner" and any other
+corner goes straight to the plane test, so `point_eq` scans are left only
+for points derived inside a pair (chord ends, midpoints).
+
 The contact model implemented by `classify_pair` treats polygons as *open*
 filled regions:
 
@@ -57,6 +65,8 @@ class ArithmeticContext:
     """
 
     def __init__(self, exact: bool = True, eps: float = 1e-9):
+        if not exact and not (math.isfinite(eps) and eps >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, not {eps!r}")
         self.exact = exact
         self.eps = 0 if exact else eps
 
@@ -495,11 +505,17 @@ def polygon_frame(poly: Polygon3, ctx: ArithmeticContext = EXACT):
 
 
 def _locate_point(poly: Polygon3, flat: Optional[_Convex2D], plane,
-                  q: Point3, ctx: ArithmeticContext) -> str:
-    """Classify q against a polygon of any degeneracy, in 3D."""
-    for c in poly.corners:
-        if ctx.point_eq(c, q):
-            return "corner"
+                  q: Point3, ctx: ArithmeticContext,
+                  is_corner: Optional[bool] = None) -> str:
+    """Classify q against a polygon of any degeneracy, in 3D.
+
+    `is_corner` says whether q equals a corner of poly when the caller
+    knows it; otherwise q is compared with every corner.
+    """
+    if is_corner is None:
+        is_corner = any(ctx.point_eq(c, q) for c in poly.corners)
+    if is_corner:
+        return "corner"
     n = len(poly.corners)
     if n == 1:
         return "outside"
@@ -577,10 +593,13 @@ def _line_point(p0, dr, t):
     return vadd(p0, vscale(dr, t))
 
 
-def _corner_incursions(p: Polygon3, q: Polygon3, q_flat, q_plane, ctx, out):
+def _corner_incursions(p: Polygon3, q: Polygon3, q_flat, q_plane, ctx, out,
+                       p_shared):
     """Corners of p lying on q but not at q's corners are violations."""
-    for c in p.corners:
-        loc = _locate_point(q, q_flat, q_plane, c, ctx)
+    for c, shared in zip(p.corners, p_shared):
+        if shared:
+            continue
+        loc = _locate_point(q, q_flat, q_plane, c, ctx, False)
         if loc == "interior":
             out.append(("corner-inside", c))
         elif loc == "boundary":
@@ -588,12 +607,11 @@ def _corner_incursions(p: Polygon3, q: Polygon3, q_flat, q_plane, ctx, out):
 
 
 def _classify_coplanar(p: Polygon3, q: Polygon3, p_flat, q_flat,
-                       p_plane, q_plane, ctx) -> PairClassification:
+                       p_plane, q_plane, ctx, match) -> PairClassification:
     res = PairClassification(kind=DISJOINT)
-    shared = [c for c in p.corners if any(ctx.point_eq(c, d) for d in q.corners)]
-    res.shared_corners = shared
-    _corner_incursions(p, q, q_flat, q_plane, ctx, res.violations)
-    _corner_incursions(q, p, p_flat, p_plane, ctx, res.violations)
+    shared = res.shared_corners = _shared(p, match[0])
+    _corner_incursions(p, q, q_flat, q_plane, ctx, res.violations, match[0])
+    _corner_incursions(q, p, p_flat, p_plane, ctx, res.violations, match[1])
 
     # Interior overlap via separating axes (edge normals of both polygons).
     # Both inputs here are proper polygons: coplanar pairs with a degenerate
@@ -632,13 +650,13 @@ def _classify_coplanar(p: Polygon3, q: Polygon3, p_flat, q_flat,
         # touching boundaries without shared corners
         res.kind = BOUNDARY_TOUCH
         res.touch_witnesses = _boundary_touch_points(p, q, p_flat, q_flat,
-                                                     p_plane, q_plane, ctx)
+                                                     p_plane, q_plane, ctx, match)
         if not res.touch_witnesses:
             res.kind = DISJOINT
     return res
 
 
-def _boundary_touch_points(p, q, p_flat, q_flat, p_plane, q_plane, ctx):
+def _boundary_touch_points(p, q, p_flat, q_flat, p_plane, q_plane, ctx, match):
     """Sample witnesses for coplanar boundary touches (edge-edge meets)."""
     out = []
     pc, qc = p.corners, q.corners
@@ -656,29 +674,34 @@ def _boundary_touch_points(p, q, p_flat, q_flat, p_plane, q_plane, ctx):
                                      project2d(b1, axis), project2d(b2, axis), ctx):
                 out.append(a1)
                 return out
-    for c in pc:
-        if _locate_point(q, q_flat, q_plane, c, ctx) != "outside":
+    for c, shared in zip(pc, match[0]):
+        if _locate_point(q, q_flat, q_plane, c, ctx, shared) != "outside":
             out.append(c)
             return out
-    for c in qc:
-        if _locate_point(p, p_flat, p_plane, c, ctx) != "outside":
+    for c, shared in zip(qc, match[1]):
+        if _locate_point(p, p_flat, p_plane, c, ctx, shared) != "outside":
             out.append(c)
             return out
     return out
 
 
 def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
-                  p_frame=None, q_frame=None) -> PairClassification:
+                  p_frame=None, q_frame=None, match=None) -> PairClassification:
     """Classify how two convex (or degenerate) polygons meet in 3D.
 
     Returns a `PairClassification` whose kind is one of Disjoint,
     CornerContact, BoundaryTouch (tolerated) or Violation.  Violations carry
     (reason, witness) pairs with reasons 'interior-overlap', 'corner-inside'
     or 'corner-on-boundary'.  `p_frame`/`q_frame` are the polygons'
-    `polygon_frame` results when the caller has them already.
+    `polygon_frame` results when the caller has them already.  `match` is
+    (p_shared, q_shared): per corner of p (of q), whether it equals a corner
+    of q (of p); it is built from a pairwise `point_eq` scan when omitted.
     """
     p_plane, p_flat = p_frame or polygon_frame(p, ctx)
     q_plane, q_flat = q_frame or polygon_frame(q, ctx)
+    if match is None:
+        eq = [[ctx.point_eq(c, d) for d in q.corners] for c in p.corners]
+        match = [any(row) for row in eq], [any(col) for col in zip(*eq)]
 
     # Degenerate cases (point or segment, or collinear corner lists) are
     # routed through the same machinery; a missing plane means dimension <= 1.
@@ -688,26 +711,30 @@ def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
         dr = vcross(n1, n2)
         if is_zero_vec(dr, ctx):
             if plane_contains(p_plane, q.corners[0], ctx):
-                return _classify_coplanar(p, q, p_flat, q_flat, p_plane, q_plane, ctx)
+                return _classify_coplanar(p, q, p_flat, q_flat, p_plane, q_plane,
+                                          ctx, match)
             return PairClassification(kind=DISJOINT)
         return _classify_transversal(p, q, p_flat, q_flat, p_plane, q_plane,
-                                     dr, ctx)
+                                     dr, ctx, match)
 
     # At least one degenerate object.
     if p_plane is None and q_plane is not None:
-        return _classify_degenerate_vs_poly(p, q, q_flat, q_plane, ctx)
+        return _classify_degenerate_vs_poly(p, q, q_flat, q_plane, ctx, match)
     if q_plane is None and p_plane is not None:
-        res = _classify_degenerate_vs_poly(q, p, p_flat, p_plane, ctx)
-        return res
-    return _classify_degenerate_pair(p, q, ctx)
+        return _classify_degenerate_vs_poly(q, p, p_flat, p_plane, ctx,
+                                            match[::-1])
+    return _classify_degenerate_pair(p, q, ctx, match)
 
 
-def _classify_transversal(p, q, p_flat, q_flat, p_plane, q_plane, dr, ctx):
+def _shared(p: Polygon3, p_shared) -> list:
+    return [c for c, shared in zip(p.corners, p_shared) if shared]
+
+
+def _classify_transversal(p, q, p_flat, q_flat, p_plane, q_plane, dr, ctx, match):
     res = PairClassification(kind=DISJOINT)
-    res.shared_corners = [c for c in p.corners
-                          if any(ctx.point_eq(c, d) for d in q.corners)]
-    _corner_incursions(p, q, q_flat, q_plane, ctx, res.violations)
-    _corner_incursions(q, p, p_flat, p_plane, ctx, res.violations)
+    res.shared_corners = _shared(p, match[0])
+    _corner_incursions(p, q, q_flat, q_plane, ctx, res.violations, match[0])
+    _corner_incursions(q, p, p_flat, p_plane, ctx, res.violations, match[1])
 
     # Intersection line of the two planes.
     n1, d1 = p_plane
@@ -783,14 +810,13 @@ def _classify_transversal(p, q, p_flat, q_flat, p_plane, q_plane, dr, ctx):
 
 
 def _classify_degenerate_vs_poly(seg: Polygon3, poly: Polygon3, poly_flat,
-                                 poly_plane, ctx) -> PairClassification:
+                                 poly_plane, ctx, match) -> PairClassification:
     """Segment-or-point against a proper polygon."""
     res = PairClassification(kind=DISJOINT)
-    res.shared_corners = [c for c in seg.corners
-                          if any(ctx.point_eq(c, d) for d in poly.corners)]
-    _corner_incursions(seg, poly, poly_flat, poly_plane, ctx, res.violations)
-    seg_plane, seg_flat = None, None
-    _corner_incursions(poly, seg, seg_flat, seg_plane, ctx, res.violations)
+    res.shared_corners = _shared(seg, match[0])
+    _corner_incursions(seg, poly, poly_flat, poly_plane, ctx, res.violations,
+                       match[0])
+    _corner_incursions(poly, seg, None, None, ctx, res.violations, match[1])
 
     hits = []
     if len(seg.corners) >= 2:
@@ -828,7 +854,7 @@ def _classify_degenerate_vs_poly(seg: Polygon3, poly: Polygon3, poly_flat,
                     hits.append(x)
     else:
         pt = seg.corners[0]
-        loc = _locate_point(poly, poly_flat, poly_plane, pt, ctx)
+        loc = _locate_point(poly, poly_flat, poly_plane, pt, ctx, match[0][0])
         if loc != "outside":
             hits.append(pt)
 
@@ -845,13 +871,12 @@ def _classify_degenerate_vs_poly(seg: Polygon3, poly: Polygon3, poly_flat,
     return res
 
 
-def _classify_degenerate_pair(p: Polygon3, q: Polygon3, ctx) -> PairClassification:
+def _classify_degenerate_pair(p: Polygon3, q: Polygon3, ctx, match) -> PairClassification:
     """Two segments/points (possibly skew)."""
     res = PairClassification(kind=DISJOINT)
-    res.shared_corners = [c for c in p.corners
-                          if any(ctx.point_eq(c, d) for d in q.corners)]
-    _corner_incursions(p, q, None, None, ctx, res.violations)
-    _corner_incursions(q, p, None, None, ctx, res.violations)
+    res.shared_corners = _shared(p, match[0])
+    _corner_incursions(p, q, None, None, ctx, res.violations, match[0])
+    _corner_incursions(q, p, None, None, ctx, res.violations, match[1])
 
     hits = []
     if len(p.corners) == 2 and len(q.corners) == 2:

@@ -93,6 +93,9 @@ def scene_from_json(doc: dict) -> Scene:
     kind = doc["kind"]
     meta = dict(doc.get("meta", {}))
     exact = meta.get("arithmetic", "exact") == "exact"
+    eps = meta.get("epsilon", 0)
+    if not exact and not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps >= 0):
+        raise InputError(f"epsilon must be a finite number >= 0, not {eps!r}")
     pts = {}
     for rec in doc["points"]:
         pts[rec["id"]] = (_num_from_str(rec["x"], exact),

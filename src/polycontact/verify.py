@@ -10,7 +10,8 @@ compares it with what the scene's combinatorial structure demands:
   across edges, and non-adjacent polygons share none,
 * hypergraph scenes: each vertex is one point that is a corner of exactly
   the blocks containing it, distinct across vertices,
-* the declared contact map coincides with the reconstruction.
+* the declared contact map coincides with the reconstruction,
+* every coordinate is finite.
 
 Boundary touches and degenerate (point/segment) polygons are warnings, not
 failures.  Everything is exact in exact mode; float scenes use the scene
@@ -88,14 +89,26 @@ def _pair_label(a: str, b: str):
 class KernelScene:
     """A scene's polygons and contacts as the predicates see them.
 
+    Polygons and contact points with a non-finite coordinate are set aside
+    (`nonfinite_polygons`, `nonfinite_contacts`) and take no further part.
     Exact scenes are scaled once by L, the lcm of every coordinate's
-    denominator, so each corner and contact point becomes a tuple of ints,
-    and equal points become one shared tuple.  Every predicate is a sign
-    test, and positive scaling keeps signs.  Float scenes are taken as they
-    are (L = 1).  Each polygon's frame (plane with a primitive int normal,
-    drop axis, ccw 2D corners) is built once, on first use.
+    denominator, so each corner and contact point becomes a tuple of ints.
+    Every predicate is a sign test, and positive scaling keeps signs.  Float
+    scenes are taken as they are (L = 1).  Each polygon's frame (plane with
+    a primitive int normal, drop axis, ccw 2D corners) is built once, on
+    first use.
 
-    On these ints the polygon checks, point location and transversal chord
+    Each distinct corner and contact point is interned once: `ids[label]`
+    holds a polygon's corner ids (`corner_sets[label]` as a set),
+    `contact_ids[key]` a contact's id, and `near[i]` the ids of every point
+    that `ctx.point_eq` holds equal to point i, i itself included.  In exact
+    mode that is (i,).  In float mode it is every point within eps (L-inf),
+    found through a hash grid of cells at least 4*eps wide and confirmed
+    with `point_eq`: the pairwise relation, never its transitive closure, so
+    a ~ b and b ~ c need not give a ~ c.
+    `match` turns these into `classify_pair`'s shared-corner match.
+
+    On the ints the polygon checks, point location and transversal chord
     clipping divide nothing.  `Fraction`s are built for the two winning
     chord bounds of a transversal pair and the midpoint and touch witnesses
     derived from them, by the point/segment classifiers, and by `unscale`.
@@ -104,18 +117,47 @@ class KernelScene:
     def __init__(self, scene: Scene, ctx: ArithmeticContext):
         self.ctx = ctx
         self.scale = 1
-        self.polygons = scene.polygons
-        self.contacts = scene.contacts
+        self.nonfinite_polygons = {label for label, poly in scene.polygons.items()
+                                   if not all(map(_finite, poly.corners))}
+        self.nonfinite_contacts = {k for k, p in scene.contacts.items()
+                                   if not _finite(p)}
+        self.polygons = {label: poly for label, poly in scene.polygons.items()
+                         if label not in self.nonfinite_polygons}
+        self.contacts = {k: tuple(p) for k, p in scene.contacts.items()
+                         if k not in self.nonfinite_contacts}
+        index = {}  # point -> id, in first-seen order
+        for poly in self.polygons.values():
+            for c in poly.corners:
+                index.setdefault(tuple(c), len(index))
+        for p in self.contacts.values():
+            index.setdefault(p, len(index))
+        self.ids = {label: tuple(index[tuple(c)] for c in poly.corners)
+                    for label, poly in self.polygons.items()}
+        self.contact_ids = {k: index[p] for k, p in self.contacts.items()}
         if ctx.exact:
-            pts = {tuple(c) for poly in scene.polygons.values() for c in poly.corners}
-            pts.update(tuple(p) for p in scene.contacts.values())
-            self.scale = math.lcm(*{Fraction(x).denominator for p in pts for x in p})
-            scaled = {p: tuple(int(Fraction(x) * self.scale) for x in p) for p in pts}
-            self.polygons = {label: Polygon3(tuple(scaled[tuple(c)] for c in poly.corners),
+            self.scale = math.lcm(*{Fraction(x).denominator for p in index for x in p})
+            scaled = [tuple(int(Fraction(x) * self.scale) for x in p) for p in index]
+            self.polygons = {label: Polygon3(tuple(scaled[i] for i in self.ids[label]),
                                              poly.claimed_convex)
-                             for label, poly in scene.polygons.items()}
-            self.contacts = {k: scaled[tuple(p)] for k, p in scene.contacts.items()}
+                             for label, poly in self.polygons.items()}
+            self.contacts = {k: scaled[self.contact_ids[k]] for k in self.contacts}
+        if ctx.eps == 0:
+            self.near = [(i,) for i in range(len(index))]
+        else:
+            self.near = _near_within_eps(list(index), ctx)
+        self.corner_sets = {label: frozenset(ids) for label, ids in self.ids.items()}
+        self._reach = {label: frozenset().union(*(self.near[i] for i in ids))
+                       for label, ids in self.ids.items()}
         self._frames = {}
+
+    def match(self, a: str, b: str):
+        """`classify_pair`'s match for polygons a and b, from the ids."""
+        ia, ib = self.ids[a], self.ids[b]
+        if self._reach[a].isdisjoint(self.corner_sets[b]):
+            return (False,) * len(ia), (False,) * len(ib)
+        sa, sb, near = self.corner_sets[a], self.corner_sets[b], self.near
+        return (tuple(not sb.isdisjoint(near[i]) for i in ia),
+                tuple(not sa.isdisjoint(near[j]) for j in ib))
 
     def frame(self, label: str):
         fr = self._frames.get(label)
@@ -128,6 +170,34 @@ class KernelScene:
         if not self.ctx.exact:
             return tuple(p)
         return tuple(Fraction(x, self.scale) for x in p)
+
+
+def _finite(p) -> bool:
+    return all(math.isfinite(x) for x in p if isinstance(x, float))
+
+
+def _near_within_eps(points: list, ctx: ArithmeticContext) -> list:
+    """near[i] for float points: the ids j with point_eq(points[i], points[j]).
+
+    Points within eps lie in the same or neighbouring cells of a grid at
+    least 4*eps wide.  Cells are widened on far-out scenes so that
+    coordinate / width stays well inside float precision.
+    """
+    top = max((abs(x) for p in points for x in p), default=0.0)
+    width = max(4 * ctx.eps, top * 2.0 ** -40)
+    cells = [tuple(math.floor(x / width) for x in p) for p in points]
+    grid = {}
+    for i, cell in enumerate(cells):
+        grid.setdefault(cell, []).append(i)
+    steps = (-1, 0, 1)
+    near = []
+    for i, (x, y, z) in enumerate(cells):
+        p = points[i]
+        near.append(tuple(
+            j for dx in steps for dy in steps for dz in steps
+            for j in grid.get((x + dx, y + dy, z + dz), ())
+            if j == i or ctx.point_eq(p, points[j])))
+    return near
 
 
 def verify_scene(scene: Scene, ctx: Optional[ArithmeticContext] = None,
@@ -149,6 +219,11 @@ def verify_scene(scene: Scene, ctx: Optional[ArithmeticContext] = None,
     labels = sorted(scene.polygons)
     valid = {}
     for label in labels:
+        if label in kernel.nonfinite_polygons:
+            report.violations.append(Finding("non-finite", label,
+                                             "corner with a non-finite coordinate"))
+            valid[label] = False
+            continue
         poly = kernel.polygons[label]
         props = polygon_properties(poly, ctx)
         report.polygon_properties[label] = props
@@ -164,14 +239,19 @@ def verify_scene(scene: Scene, ctx: Optional[ArithmeticContext] = None,
             report.warnings.append(Finding("degenerate-polygon", label, poly.kind))
         if props.issues and valid[label]:
             report.warnings.append(Finding("polygon-issues", label, "; ".join(props.issues)))
+    for key in sorted(kernel.nonfinite_contacts, key=_key_str):
+        report.violations.append(Finding("non-finite", _key_str(key),
+                                         "contact point with a non-finite coordinate"))
 
-    # Pairwise classification; shared corners feed the reconstruction.
+    # Pairwise classification; shared corners, as (id, point) pairs, feed
+    # the reconstruction.
     shared = {}
     for a, b in combinations(labels, 2):
         if not (valid[a] and valid[b]):
             continue
+        match = kernel.match(a, b)
         cls = classify_pair(kernel.polygons[a], kernel.polygons[b], ctx,
-                            kernel.frame(a), kernel.frame(b))
+                            kernel.frame(a), kernel.frame(b), match)
         key = _pair_label(a, b)
         report.pair_kinds[key] = cls.kind
         if cls.kind == VIOLATION:
@@ -182,22 +262,27 @@ def verify_scene(scene: Scene, ctx: Optional[ArithmeticContext] = None,
             report.warnings.append(Finding("boundary-touch", f"{a} / {b}",
                                            witness=tuple(w) if w else None))
         if cls.shared_corners:
-            shared[key] = cls.shared_corners
+            ids = [i for i, s in zip(kernel.ids[a], match[0]) if s]
+            shared[key] = list(zip(ids, cls.shared_corners))
 
     _reconstruct(scene, kernel, shared, report)
 
     for f in report.violations + report.warnings:
         if f.witness is not None:
             f.witness = kernel.unscale(f.witness)
-    report.reconstructed = {k: kernel.unscale(p) for k, p in report.reconstructed.items()}
+    report.reconstructed = {k: kernel.unscale(p) for k, (_, p) in report.reconstructed.items()}
     report.passed = not report.violations
     return report
 
 
 def _reconstruct(scene: Scene, kernel: KernelScene, shared: dict,
                  report: VerificationReport):
-    """Compare geometric corner sharing with the structure-implied contacts."""
-    ctx, contacts = kernel.ctx, kernel.contacts
+    """Compare geometric corner sharing with the structure-implied contacts.
+
+    Points are matched by id (`kernel.near`); `report.reconstructed` maps
+    each contact key to an (id, point) pair.
+    """
+    contacts, near = kernel.contacts, kernel.near
     if scene.kind == GRAPH:
         g = scene.structure
         for key, pts in sorted(shared.items()):
@@ -205,7 +290,7 @@ def _reconstruct(scene: Scene, kernel: KernelScene, shared: dict,
             if not g.adjacent(a, b):
                 report.violations.append(Finding(
                     "shared-corner-without-edge", f"{a} / {b}",
-                    witness=tuple(pts[0])))
+                    witness=pts[0][1]))
         recon = {}
         for e in sorted(g.edges, key=sorted):
             u, v = sorted(e)
@@ -216,12 +301,12 @@ def _reconstruct(scene: Scene, kernel: KernelScene, shared: dict,
             elif len(pts) > 1:
                 report.violations.append(Finding(
                     "contact-count", f"{u} / {v}",
-                    f"{len(pts)} shared corners, expected 1", witness=tuple(pts[0])))
+                    f"{len(pts)} shared corners, expected 1", witness=pts[0][1]))
             else:
                 recon[e] = pts[0]
         report.reconstructed = recon
-        _check_distinct(recon, ctx, report)
-        _check_declared(scene, contacts, recon, ctx, report)
+        _check_distinct(recon, near, report)
+        _check_declared(scene, kernel, recon, report)
         return
 
     # hypergraph: reconstruct one point per vertex from the declared map,
@@ -230,14 +315,15 @@ def _reconstruct(scene: Scene, kernel: KernelScene, shared: dict,
     recon = {}
     for v in h.vertices:
         want = scene.polygons_for_contact(v)
+        if v in kernel.nonfinite_contacts:
+            continue
         if v not in contacts:
             report.violations.append(Finding("missing-contact", v, "no declared point"))
             continue
-        p = tuple(contacts[v])
+        p, pid = contacts[v], kernel.contact_ids[v]
         ok = True
         for label in sorted(kernel.polygons):
-            poly = kernel.polygons[label]
-            is_corner = any(ctx.point_eq(p, c) for c in poly.corners)
+            is_corner = not kernel.corner_sets[label].isdisjoint(near[pid])
             if label in want and not is_corner:
                 report.violations.append(Finding(
                     "missing-contact", f"{v} in {label}",
@@ -249,52 +335,59 @@ def _reconstruct(scene: Scene, kernel: KernelScene, shared: dict,
                     "vertex point is a corner of a foreign block", witness=p))
                 ok = False
         if ok:
-            recon[v] = p
+            recon[v] = pid, p
     # blocks sharing vertices must share exactly those corner points
     for key, pts in sorted(shared.items()):
         la, lb = key
         ba = frozenset(la.split(","))
         bb = frozenset(lb.split(","))
         common = ba & bb
-        expect = {tuple(contacts[v]) for v in common if v in contacts}
-        for p in pts:
-            if not any(ctx.point_eq(tuple(p), q) for q in expect):
+        expect = {kernel.contact_ids[v] for v in common if v in contacts}
+        for i, p in pts:
+            if expect.isdisjoint(near[i]):
                 report.violations.append(Finding(
                     "shared-corner-without-edge", f"{la} / {lb}",
-                    "blocks share a corner that is no common vertex", witness=tuple(p)))
+                    "blocks share a corner that is no common vertex", witness=p))
     report.reconstructed = recon
-    _check_distinct(recon, ctx, report)
+    _check_distinct(recon, near, report)
 
 
-def _check_distinct(recon: dict, ctx, report: VerificationReport):
-    items = sorted(recon.items(), key=lambda kv: str(kv[0]))
-    for (k1, p1), (k2, p2) in combinations(items, 2):
-        if ctx.point_eq(p1, p2):
+def _check_distinct(recon: dict, near: list, report: VerificationReport):
+    """A merged-contacts finding for each two contacts on one point, in
+    `_key_str` order; contacts are grouped by id, not compared pairwise."""
+    items = sorted(recon.items(), key=lambda kv: _key_str(kv[0]))
+    at = {}  # id -> positions in items
+    for pos, (_, (i, _)) in enumerate(items):
+        at.setdefault(i, []).append(pos)
+    for pos, (k1, (i, p1)) in enumerate(items):
+        for other in sorted(q for j in near[i] for q in at.get(j, ()) if q > pos):
             report.violations.append(Finding(
-                "merged-contacts", f"{_key_str(k1)} / {_key_str(k2)}",
-                "two contacts share one point", witness=tuple(p1)))
+                "merged-contacts", f"{_key_str(k1)} / {_key_str(items[other][0])}",
+                "two contacts share one point", witness=p1))
 
 
 def _key_str(k):
     return "-".join(sorted(k)) if isinstance(k, frozenset) else str(k)
 
 
-def _check_declared(scene: Scene, contacts: dict, recon: dict, ctx,
+def _check_declared(scene: Scene, kernel: KernelScene, recon: dict,
                     report: VerificationReport):
-    for key in scene.expected_contact_keys():
-        declared = contacts.get(key)
+    expected = scene.expected_contact_keys()
+    for key in sorted(expected, key=_key_str):
+        if key in kernel.nonfinite_contacts:
+            continue
+        declared = kernel.contacts.get(key)
         if declared is None:
             report.violations.append(Finding(
                 "declared-mismatch", _key_str(key), "no declared contact"))
             continue
         got = recon.get(key)
-        if got is not None and not ctx.point_eq(tuple(declared), got):
+        if got is not None and got[0] not in kernel.near[kernel.contact_ids[key]]:
             report.violations.append(Finding(
                 "declared-mismatch", _key_str(key),
-                "declared point differs from reconstruction",
-                witness=tuple(declared)))
-    for key in contacts:
-        if key not in scene.expected_contact_keys():
+                "declared point differs from reconstruction", witness=declared))
+    for key in scene.contacts:
+        if key not in expected:
             report.violations.append(Finding(
                 "declared-mismatch", _key_str(key),
                 "declared contact for a non-element"))

@@ -1,7 +1,10 @@
+import math
+from fractions import Fraction
+
 import hypothesis
 import pytest
 
-from polycontact import Graph, OnePlaneEmbedding, edge_key
+from polycontact import Graph, OnePlaneEmbedding, Polygon3, edge_key, graph_scene
 
 hypothesis.settings.register_profile("suite", deadline=None, max_examples=60)
 hypothesis.settings.load_profile("suite")
@@ -71,6 +74,22 @@ def gadget_star():
     for t in ends:
         edges.append(("hub", t))
     return Graph.from_edges(edges)
+
+
+def merged_fan(edges):
+    """Six exact triangles a, b, c, d, m, z in z = 0, fanned around the
+    origin: every pair shares that one corner, and every edge's declared
+    contact is there, so the contacts merge."""
+    origin = (Fraction(0),) * 3
+    polygons = {}
+    for k, label in enumerate("abcdmz"):
+        rim = [(round(100 * math.cos(math.radians(60 * k + t))),
+                round(100 * math.sin(math.radians(60 * k + t))), 0) for t in (10, 50)]
+        polygons[label] = Polygon3(corners=(origin,) + tuple(
+            tuple(map(Fraction, p)) for p in rim))
+    return graph_scene(Graph.from_edges(edges, vertices=sorted(polygons)), polygons,
+                       {edge_key(u, v): origin for u, v in edges},
+                       {"construction": "test", "arithmetic": "exact"})
 
 
 # ---------------------------------------------------------------------------

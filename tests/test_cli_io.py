@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from polycontact import (InputError, represent_complete, represent_fano,
+from polycontact import (InputError, represent_complete,
+                         represent_cycle_square, represent_fano,
                          scene_from_json, scene_to_json, verify_scene)
 from polycontact.cli import main
 from polycontact.export import scene_to_obj, scene_to_svg
@@ -84,6 +85,38 @@ class TestCli:
     def test_usage_error_exit_two(self, tmp_path):
         assert main(["represent", "--class", "complete",
                      "-o", str(tmp_path / "x.json")]) == 2
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_bad_epsilon_exit_two(self, eps, tmp_path, capsys):
+        out = tmp_path / "fano.json"
+        assert main(["represent", "--class", "fano", "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(out), "--epsilon", eps]) == 2
+        assert "--epsilon" in capsys.readouterr().err
+
+    def test_zero_epsilon_accepted(self, tmp_path, capsys):
+        # eps = 0 compares float coordinates literally: fano's rounded
+        # corners are no longer coplanar
+        out = tmp_path / "fano.json"
+        assert main(["represent", "--class", "fano", "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(out), "--epsilon", "0"]) == 1
+        assert "[nonplanar]" in capsys.readouterr().out
+
+    def test_cycle_square_verified_once(self, tmp_path, capsys, monkeypatch):
+        # the constructor's own passing report is printed; the command
+        # does not verify the scene a second time
+        import polycontact.cli as cli
+        _, report = represent_cycle_square(8, with_report=True)
+        calls = []
+        monkeypatch.setattr(cli, "verify_scene", lambda *a, **k: calls.append(a))
+        out = tmp_path / "c8.json"
+        assert main(["represent", "--class", "cycle-square", "--n", "8",
+                     "-o", str(out)]) == 0
+        assert not calls
+        assert capsys.readouterr().out == f"{report.to_text()}\nwrote {out}\n"
+        assert scene_to_json(scene_from_json(json.loads(out.read_text()))) == \
+            scene_to_json(represent_cycle_square(8))
 
     def test_bipartite_flags(self, tmp_path):
         out = tmp_path / "k34.json"
@@ -206,6 +239,12 @@ def _float_corner(value):
         "float")
 
 
+def _float_epsilon(value):
+    doc = _float_corner("2.0")
+    doc["meta"]["epsilon"] = value
+    return doc
+
+
 class TestMalformedScene:
     """A scene file the reader cannot take is an input error: exit 2."""
 
@@ -220,8 +259,12 @@ class TestMalformedScene:
         lambda: _float_corner("nan"),
         lambda: _float_corner("inf"),
         lambda: _float_corner("-inf"),
+        lambda: _float_epsilon(-1e-9),
+        lambda: _float_epsilon(float("nan")),
+        lambda: _float_epsilon("1e-9"),
     ], ids=["list", "string", "no-kind", "no-points", "no-polygons",
-            "no-contacts", "zero-denominator", "nan", "inf", "minus-inf"])
+            "no-contacts", "zero-denominator", "nan", "inf", "minus-inf",
+            "negative-epsilon", "nan-epsilon", "string-epsilon"])
     def test_exit_two(self, doc, tmp_path, capsys):
         doc = doc()
         with pytest.raises(InputError):

@@ -1,7 +1,10 @@
 """Verifier behavior, especially the designed-violation negative suite."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -410,3 +413,88 @@ class TestDivisionFreeKernel:
             assert m == tuple(ratio * nk for nk in n)
             assert e == vdot(m, ints[0])
             checked += 1
+
+
+def _pierced_float_scene(x):
+    """b's edge at x = y = 1 runs through a's interior; b's third corner,
+    outside a, has x coordinate `x`."""
+    a = Polygon3(corners=((0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (0.0, 4.0, 0.0)))
+    b = Polygon3(corners=((1.0, 1.0, -1.0), (1.0, 1.0, 1.0), (x, 5.0, 0.0)))
+    return graph_scene(Graph.from_edges([], vertices=["a", "b"]), {"a": a, "b": b}, {},
+                       {"construction": "test", "arithmetic": "float", "epsilon": 1e-9})
+
+
+class TestNonFinite:
+    """A nan or inf coordinate is a violation; it never reaches a predicate."""
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_corner_fails(self, x):
+        report = verify_scene(_pierced_float_scene(x))
+        assert not report.passed
+        assert [(f.code, f.where) for f in report.violations] == [("non-finite", "b")]
+        assert "b" not in report.polygon_properties and not report.pair_kinds
+
+    def test_finite_twin_is_a_violation(self):
+        report = verify_scene(_pierced_float_scene(1.0))
+        assert report.violation_codes() == {"interior-overlap"}
+
+    def test_non_finite_contact_fails(self):
+        a = Polygon3(corners=((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
+        b = Polygon3(corners=((1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (2.0, 1.0, 0.0)))
+        scene = graph_scene(Graph.from_edges([("a", "b")]), {"a": a, "b": b},
+                            {edge_key("a", "b"): (math.inf, 0.0, 0.0)},
+                            {"construction": "test", "arithmetic": "float",
+                             "epsilon": 1e-9})
+        report = verify_scene(scene)
+        assert [(f.code, f.where) for f in report.violations] == [("non-finite", "a-b")]
+        assert report.reconstructed == {edge_key("a", "b"): (1.0, 0.0, 0.0)}
+
+    def test_non_finite_hypergraph_contact_fails(self):
+        scene = represent_fano()
+        v = sorted(scene.contacts)[0]
+        scene.contacts[v] = (math.nan, 0.0, 0.0)
+        report = verify_scene(scene)
+        assert (report.violations[0].code, report.violations[0].where) == ("non-finite", v)
+        assert v not in report.reconstructed
+
+    def test_float_nan_in_exact_scene_fails(self):
+        scene = represent_complete(4)
+        label = sorted(scene.polygons)[0]
+        corners = list(scene.polygons[label].corners)
+        corners[0] = (math.nan,) + tuple(corners[0][1:])
+        scene.polygons[label] = Polygon3(corners=tuple(corners))
+        report = verify_scene(scene)
+        assert ("non-finite", label) in {(f.code, f.where) for f in report.violations}
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-9])
+    def test_bad_epsilon_rejected(self, eps):
+        with pytest.raises(ValueError):
+            verify_scene(represent_fano(), eps=eps)
+
+
+_MERGED_FAN = """
+from conftest import merged_fan
+from polycontact import verify_scene
+
+for f in verify_scene(merged_fan([("a", "z"), ("b", "c"), ("d", "m")])).violations:
+    print(f)
+"""
+
+
+class TestHashSeed:
+    def test_merged_contacts_independent_of_hash_seed(self):
+        # three contacts on one point: findings are ordered by "a-z"-style
+        # keys, not by how a frozenset happens to print
+        tests = os.path.dirname(os.path.abspath(__file__))
+        path = [os.path.join(os.path.dirname(tests), "src"), tests,
+                os.environ.get("PYTHONPATH", "")]
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(path))
+            run = subprocess.run([sys.executable, "-c", _MERGED_FAN], env=env,
+                                 capture_output=True, text=True, check=True)
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+        merged = [line for line in outputs[0].splitlines() if "merged-contacts" in line]
+        assert [line.split("]")[1].split(":")[0].strip() for line in merged] == [
+            "a-z / b-c", "a-z / d-m", "b-c / d-m"]
