@@ -7,10 +7,10 @@ prints a one-line summary per scene with its grid extent.
 
 import argparse
 import pathlib
-import sys
 
-from polycontact import (complete_bipartite, graph_from_edge_list,
-                         grid_extent, represent_bipartite_grid,
+from polycontact import (complete_bipartite, embedding_from_json,
+                         graph_from_edge_list, grid_extent,
+                         represent_bipartite_grid,
                          represent_bipartite_toroidal, represent_complete,
                          represent_cubic, represent_cycle_square,
                          represent_fano, represent_k33_unit_triangles,
@@ -18,8 +18,37 @@ from polycontact import (complete_bipartite, graph_from_edge_list,
                          represent_s239, verify_scene, write_scene)
 from polycontact.export import scene_to_obj, scene_to_svg
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
-from conftest import gadget_chain, k4_crossed_embedding  # noqa: E402
+# two K4 gadgets (K4 with edge c-d subdivided by the slot vertex 1) joined
+# by one bridge between their slots: cubic, 10 vertices
+GADGET_CHAIN = """
+g0a g0b
+g0a g0c
+g0a g0d
+g0b g0c
+g0b g0d
+g0c g01
+g0d g01
+g1a g1b
+g1a g1c
+g1a g1d
+g1b g1c
+g1b g1d
+g1c g11
+g1d g11
+g01 g11
+"""
+
+# square 1234 with its diagonals crossing inside; outer face the square
+K4_CROSSED = {
+    "vertices": [{"id": "1", "rotation": ["12", "13", "14"]},
+                 {"id": "2", "rotation": ["23", "24", "12"]},
+                 {"id": "3", "rotation": ["34", "13", "23"]},
+                 {"id": "4", "rotation": ["34", "14", "24"]}],
+    "edges": [{"id": u + v, "endpoints": [u, v]}
+              for u, v in ("12", "13", "14", "23", "24", "34")],
+    "crossings": [["13", "24"]],
+    "outer_face": ["12", "23", "34", "14"],
+}
 
 
 def petersen_text():
@@ -39,8 +68,9 @@ def build_all():
             complete_bipartite(5, 5)),
         "bipartite-grid-k46": represent_bipartite_grid(complete_bipartite(4, 6)),
         "k33-unit-triangles": represent_k33_unit_triangles(),
-        "oneplanar-k4-crossed": represent_oneplanar_cubic(k4_crossed_embedding()),
-        "cubic-gadget-chain": represent_cubic(gadget_chain(2)),
+        "oneplanar-k4-crossed": represent_oneplanar_cubic(
+            embedding_from_json(K4_CROSSED)),
+        "cubic-gadget-chain": represent_cubic(graph_from_edge_list(GADGET_CHAIN)),
         "cycle-square-8": represent_cycle_square(8),
         "cycle-square-9": represent_cycle_square(9),
         "fano": represent_fano(),

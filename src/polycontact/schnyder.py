@@ -2,12 +2,16 @@
 
 Pipeline: fully triangulate the input plane graph (dummy chords and hub
 vertices as needed), compute a canonical ordering of the triangulation,
-derive the three-tree realizer from it, count region vertices, and place
-every vertex at (x0, x1) where xi = |vertices in region i| - |vertices on
-the clockwise bounding path|.  Internal coordinates sum to n-1, so the
-drawing fits on a grid of (n-1) x (n-1) lines with the outer triangle at
-(n-2, 1), (0, n-2), (1, 0).  Dummy edges and vertices are dropped from the
-output, which stays a straight-line planar drawing of the input.
+derive the three-tree realizer from it, and place every vertex at
+(x0, x1) where xi = |vertices in region i| - |vertices on the clockwise
+bounding path|.  Region sizes come from the trees, in linear time: the
+inner vertices of region i are the tree-i subtrees hanging off its two
+bounding paths, so each size is a sum of subtree sizes along those paths,
+read off prefix sums taken down the other two trees.  Internal coordinates
+sum to n-1, so the drawing fits on a grid of (n-1) x (n-1) lines with the
+outer triangle at (n-2, 1), (0, n-2), (1, 0).  Dummy edges and vertices
+are dropped from the output, which stays a straight-line planar drawing of
+the input.
 """
 
 from __future__ import annotations
@@ -94,59 +98,43 @@ def _realizer(pg: PlaneGraph, outer, cover):
     return out
 
 
-def _paths(out, v, color, roots):
-    path = [v]
-    seen = {v}
-    while path[-1] not in roots:
-        nxt = out[color].get(path[-1])
-        if nxt is None or nxt in seen:
-            raise DrawingError(f"realizer path broken at {path[-1]!r}")
-        path.append(nxt)
-        seen.add(nxt)
-    return path
+def _tree_counts(out, root, inner):
+    """BFS order, depths and subtree sizes of one realizer tree.
 
-
-def _region_vertices(pg: PlaneGraph, boundary_edges, boundary_vertices, avoid):
-    """Vertices on the closed side of the boundary cycle away from `avoid`.
-
-    The cycle (two realizer paths plus one outer edge) is simple, so it
-    splits the faces into two components; flooding across every non-cycle
-    edge finds them, and the region is the component not containing the
-    opposite outer corner, plus the cycle itself.
+    `out` maps each inner vertex to its parent; depth counts the vertices
+    on the path to `root`, both ends included, and a subtree size counts
+    inner vertices only.  A tree that misses an inner vertex (no parent, a
+    cycle, a foreign head) raises DrawingError.
     """
-    faces = pg.faces()
-    edge_faces = {}
-    for fi, f in enumerate(faces):
-        for d in f:
-            edge_faces.setdefault(d[0], []).append(fi)
-    adj = {fi: set() for fi in range(len(faces))}
-    for eid, fis in edge_faces.items():
-        if eid in boundary_edges:
-            continue
-        for x in fis:
-            for y in fis:
-                if x != y:
-                    adj[x].add(y)
-    comp = {}
-    for fi in range(len(faces)):
-        if fi in comp:
-            continue
-        stack = [fi]
-        comp[fi] = fi
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp[y] = fi
-                    stack.append(y)
-    side_vertices = {}
-    for fi, f in enumerate(faces):
-        side_vertices.setdefault(comp[fi], set()).update(pg.tail(d) for d in f)
-    region = set(boundary_vertices)
-    for vs in side_vertices.values():
-        if avoid not in (vs - boundary_vertices):
-            region |= vs
-    return region
+    children = {v: [] for v in inner}
+    children[root] = []
+    for v in inner:
+        p = out.get(v)
+        if p not in children:
+            raise DrawingError(f"realizer tree of {root!r} broken at {v!r}")
+        children[p].append(v)
+    order = [root]
+    for v in order:
+        order.extend(children[v])
+    if len(order) != len(inner) + 1:
+        raise DrawingError(f"realizer tree of {root!r} misses "
+                           f"{len(inner) + 1 - len(order)} vertices")
+    depth = {root: 1}
+    for v in order[1:]:
+        depth[v] = depth[out[v]] + 1
+    size = dict.fromkeys(order[1:], 1)
+    size[root] = 0
+    for v in reversed(order[1:]):
+        size[out[v]] += size[v]
+    return order, depth, size
+
+
+def _path_sums(out, order, weight):
+    """sum of weight[u] over the inner vertices u on each vertex's tree path."""
+    acc = {order[0]: 0}
+    for v in order[1:]:
+        acc[v] = acc[out[v]] + weight[v]
+    return acc
 
 
 def schnyder_positions(pg: PlaneGraph, outer):
@@ -155,37 +143,29 @@ def schnyder_positions(pg: PlaneGraph, outer):
     a, b, c = outer
     if n == 3:
         return {a: (1, 0), b: (0, 1), c: (0, 0)}
-    order, cover = _canonical_order(pg, outer)
+    _, cover = _canonical_order(pg, outer)
     out = _realizer(pg, outer, cover)
-    roots = {0: a, 1: b, 2: c}
+    inner = [v for v in pg.vertices() if v not in (a, b, c)]
+    trees = [_tree_counts(out[i], root, inner)
+             for i, root in enumerate((a, b, c))]
 
     pos = {a: (n - 2, 1), b: (0, n - 2), c: (1, 0)}
-    outer_edge = {0: pg.edge_between(b, c), 1: pg.edge_between(c, a),
-                  2: pg.edge_between(a, b)}
-
-    for v in pg.vertices():
-        if v in (a, b, c):
-            continue
-        paths = [_paths(out, v, i, {roots[i]}) for i in range(3)]
-        coords = []
-        for i in range(3):
-            p_next = paths[(i + 1) % 3]
-            p_prev = paths[(i + 2) % 3]
-            cyc_edges = set()
-            for pth in (p_next, p_prev):
-                for x, y in zip(pth, pth[1:]):
-                    eid = pg.edge_between(x, y)
-                    if eid is None:
-                        raise DrawingError("path edge missing")
-                    cyc_edges.add(eid)
-            cyc_edges.add(outer_edge[i])
-            boundary_vertices = set(p_next) | set(p_prev)
-            region = _region_vertices(pg, cyc_edges, boundary_vertices,
-                                      roots[i])
-            coords.append(len(region) - len(p_prev))
-        if sum(coords) != n - 1:
-            raise DrawingError(f"region counts {coords} do not sum to {n - 1}")
-        pos[v] = (coords[0], coords[1])
+    # x_i = |R_i(v)| - d_{i-1}(v); the inner vertices of the closed region
+    # R_i(v) are the T_i-subtrees hanging off its boundary paths P_{i+1}(v)
+    # and P_{i-1}(v), v's own counted twice, plus the two outer corners.
+    coords = {v: [] for v in inner}
+    for i in range(3):
+        size = trees[i][2]
+        nxt, prv = (i + 1) % 3, (i + 2) % 3
+        s_next = _path_sums(out[nxt], trees[nxt][0], size)
+        s_prev = _path_sums(out[prv], trees[prv][0], size)
+        depth_prev = trees[prv][1]
+        for v in inner:
+            coords[v].append(s_next[v] + s_prev[v] - size[v] + 2 - depth_prev[v])
+    for v in inner:
+        if sum(coords[v]) != n - 1:
+            raise DrawingError(f"region counts {coords[v]} do not sum to {n - 1}")
+        pos[v] = (coords[v][0], coords[v][1])
     return pos
 
 

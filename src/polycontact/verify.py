@@ -11,7 +11,8 @@ compares it with what the scene's combinatorial structure demands:
 * hypergraph scenes: each vertex is one point that is a corner of exactly
   the blocks containing it, distinct across vertices,
 * the declared contact map coincides with the reconstruction,
-* every coordinate is finite.
+* every coordinate is finite,
+* a `claimed_grid` in the scene's meta bounds its grid extent on each axis.
 
 Boundary touches and degenerate (point/segment) polygons are warnings, not
 failures.  Everything is exact in exact mode; float scenes use the scene
@@ -266,6 +267,8 @@ def verify_scene(scene: Scene, ctx: Optional[ArithmeticContext] = None,
             shared[key] = list(zip(ids, cls.shared_corners))
 
     _reconstruct(scene, kernel, shared, report)
+    if "claimed_grid" in scene.meta:
+        _check_grid_claim(scene, ctx, report)
 
     for f in report.violations + report.warnings:
         if f.witness is not None:
@@ -391,6 +394,24 @@ def _check_declared(scene: Scene, kernel: KernelScene, recon: dict,
             report.violations.append(Finding(
                 "declared-mismatch", _key_str(key),
                 "declared contact for a non-element"))
+
+
+def _check_grid_claim(scene: Scene, ctx: ArithmeticContext,
+                      report: VerificationReport):
+    """Compare each axis of the grid extent with the scene's claim."""
+    claim = scene.meta["claimed_grid"]
+    if not (isinstance(claim, dict) and set(claim) == {"x", "y", "z"}
+            and all(type(v) is int and v >= 0 for v in claim.values())):
+        report.violations.append(Finding(
+            "grid-claim-malformed", "claimed_grid",
+            f"{claim!r} is not x, y, z mapped to non-negative ints"))
+        return
+    ext = grid_extent(scene, eps=None if ctx.exact else ctx.eps)
+    for axis, got in zip("xyz", ext):
+        if got > claim[axis]:
+            report.violations.append(Finding(
+                "grid-claim-exceeded", f"axis {axis}",
+                f"extent {got} exceeds the claimed {claim[axis]}"))
 
 
 def grid_extent(scene: Scene, eps: Optional[float] = None) -> GridExtent:

@@ -4,7 +4,7 @@ It makes the checks `verify_scene` makes, in the same order and with the
 same findings, but without a point index: pairs go through a 3-argument
 `classify_pair` (its corner match comes from a p x q `point_eq` scan), and
 shared corners, contacts and declared points are compared with `point_eq`
-pair by pair.  Only `KernelScene`'s int scaling of exact scenes is reused,
+pair by pair.  A `claimed_grid` is held against `grid_extent` axis by axis.  Only `KernelScene`'s int scaling of exact scenes is reused,
 for speed; witnesses are reported in scene coordinates.  Differential tests
 hold the indexed verifier to it.
 """
@@ -15,7 +15,7 @@ from itertools import combinations
 from polycontact.geom import (BOUNDARY_TOUCH, VIOLATION, classify_pair,
                               polygon_properties)
 from polycontact.scene import GRAPH
-from polycontact.verify import Finding, KernelScene
+from polycontact.verify import Finding, KernelScene, grid_extent
 
 
 def _finite(p):
@@ -157,6 +157,20 @@ def reference_verify(scene, eps=None):
             if key not in want:
                 viol.append(Finding("declared-mismatch", _key_str(key),
                                     "declared contact for a non-element"))
+
+    if "claimed_grid" in scene.meta:
+        claim = scene.meta["claimed_grid"]
+        if not (isinstance(claim, dict) and sorted(map(str, claim)) == ["x", "y", "z"]
+                and all(isinstance(v, int) and not isinstance(v, bool) and v >= 0
+                        for v in claim.values())):
+            viol.append(Finding("grid-claim-malformed", "claimed_grid",
+                                f"{claim!r} is not x, y, z mapped to non-negative ints"))
+        else:
+            ext = grid_extent(scene, eps=None if ctx.exact else ctx.eps)
+            for axis, got in (("x", ext.gx), ("y", ext.gy), ("z", ext.gz)):
+                if got > claim[axis]:
+                    viol.append(Finding("grid-claim-exceeded", f"axis {axis}",
+                                        f"extent {got} exceeds the claimed {claim[axis]}"))
 
     def rows(findings):
         return [(f.code, f.where, f.detail,

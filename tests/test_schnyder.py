@@ -1,11 +1,16 @@
 """Plane-graph machinery and the Schnyder grid drawing."""
 
+import random
 from itertools import combinations
 
 import pytest
+from conftest import all_oneplanar_fixtures, ek, gadget_chain
 
-from polycontact.planar import PlaneGraph
-from polycontact.schnyder import DrawingError, schnyder_draw
+from polycontact import Graph, OnePlaneEmbedding, represent_cubic, represent_oneplanar_cubic
+from polycontact import schnyder
+from polycontact.oneplanar import build_modified_medial
+from polycontact.planar import PlaneGraph, stellate
+from polycontact.schnyder import DrawingError, schnyder_draw, schnyder_positions
 
 
 def build(edges, rotations):
@@ -149,3 +154,191 @@ class TestSchnyder:
         pos = schnyder_draw(pg)
         assert drawing_is_planar(pg, pos)
         assert len(pos) == 8
+
+
+# ---------------------------------------------------------------------------
+# Reference: count every region by flooding the faces off its boundary cycle
+# ---------------------------------------------------------------------------
+
+
+def _flood_path(out, v, root):
+    path = [v]
+    while path[-1] != root:
+        path.append(out[path[-1]])
+    return path
+
+
+def _flood_region(pg, boundary_edges, boundary_vertices, avoid):
+    """Vertices on the closed side of the boundary cycle away from `avoid`."""
+    faces = pg.faces()
+    edge_faces = {}
+    for fi, f in enumerate(faces):
+        for d in f:
+            edge_faces.setdefault(d[0], []).append(fi)
+    adj = {fi: set() for fi in range(len(faces))}
+    for eid, fis in edge_faces.items():
+        if eid not in boundary_edges:
+            for x in fis:
+                adj[x].update(y for y in fis if y != x)
+    comp = {}
+    for fi in range(len(faces)):
+        if fi in comp:
+            continue
+        stack = [fi]
+        comp[fi] = fi
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in comp:
+                    comp[y] = fi
+                    stack.append(y)
+    side_vertices = {}
+    for fi, f in enumerate(faces):
+        side_vertices.setdefault(comp[fi], set()).update(pg.tail(d) for d in f)
+    region = set(boundary_vertices)
+    for vs in side_vertices.values():
+        if avoid not in (vs - boundary_vertices):
+            region |= vs
+    return region
+
+
+def flood_positions(pg, outer):
+    """Schnyder positions with x_i = |R_i(v)| - |P_{i-1}(v)|, each region
+    R_i(v) found by flooding the faces of the triangulation."""
+    n = len(pg.vertices())
+    a, b, c = outer
+    _, cover = schnyder._canonical_order(pg, outer)
+    out = schnyder._realizer(pg, outer, cover)
+    roots = (a, b, c)
+    pos = {a: (n - 2, 1), b: (0, n - 2), c: (1, 0)}
+    outer_edge = (pg.edge_between(b, c), pg.edge_between(c, a), pg.edge_between(a, b))
+    for v in pg.vertices():
+        if v in roots:
+            continue
+        paths = [_flood_path(out[i], v, roots[i]) for i in range(3)]
+        coords = []
+        for i in range(3):
+            p_next, p_prev = paths[(i + 1) % 3], paths[(i + 2) % 3]
+            cyc = {outer_edge[i]}
+            for pth in (p_next, p_prev):
+                cyc.update(pg.edge_between(x, y) for x, y in zip(pth, pth[1:]))
+            region = _flood_region(pg, cyc, set(p_next) | set(p_prev), roots[i])
+            coords.append(len(region) - len(p_prev))
+        pos[v] = (coords[0], coords[1])
+    return pos
+
+
+def stacked_triangulation(n, seed):
+    """K4 grown to n vertices by stellating random inner faces (seeded)."""
+    rng = random.Random(seed)
+    pg = k4_plane()
+    outer_walk = pg.faces()[0]
+    outer_darts = set(outer_walk)
+    for k in range(n - 4):
+        inner = [f for f in pg.faces() if set(f) != outer_darts]
+        stellate(pg, rng.choice(inner), f"h{k}")
+    return pg, [pg.tail(d) for d in outer_walk]
+
+
+@pytest.fixture(scope="module")
+def construction_triangulations():
+    """Every triangulation the gadget-chain and 1-planar builds draw."""
+    seen = []
+    real = schnyder.schnyder_positions
+
+    def record(pg, outer):
+        seen.append((pg.copy(), list(outer)))
+        return real(pg, outer)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schnyder, "schnyder_positions", record)
+        for k in range(2, 7):
+            represent_cubic(gadget_chain(k))
+        for emb in all_oneplanar_fixtures().values():
+            represent_oneplanar_cubic(emb)
+    return seen
+
+
+def assert_on_grid(pg, pos, n):
+    assert drawing_is_planar(pg, pos)
+    assert all(0 <= x <= n - 2 and 0 <= y <= n - 2 for x, y in pos.values())
+
+
+class TestRegionCounts:
+    """Subtree-size region counts against the flood-fill reference."""
+
+    def test_construction_triangulations(self, construction_triangulations):
+        assert len(construction_triangulations) == 11
+        for pg, outer in construction_triangulations:
+            pos = schnyder_positions(pg, outer)
+            assert pos == flood_positions(pg, outer)
+            assert_on_grid(pg, pos, len(pg.vertices()))
+
+    @pytest.mark.parametrize("n,seed", [(5, 0), (9, 1), (16, 2), (24, 3),
+                                        (33, 4), (45, 5), (60, 6)])
+    def test_stacked_triangulations(self, n, seed):
+        pg, outer = stacked_triangulation(n, seed)
+        pos = schnyder_positions(pg, outer)
+        assert pos == flood_positions(pg, outer)
+        assert_on_grid(pg, pos, n)
+
+
+def _inner_tree_edge(out, outer):
+    """An inner vertex and its child in colour-0 tree (both inner)."""
+    return next((v, w) for w, v in out[0].items()
+                if v not in outer and w not in outer)
+
+
+class TestBrokenRealizer:
+    """A realizer that is not three spanning trees is refused, not drawn."""
+
+    def _draw_with(self, monkeypatch, breaker):
+        real = schnyder._realizer
+
+        def broken(pg, outer, cover):
+            out = real(pg, outer, cover)
+            breaker(out, outer)
+            return out
+
+        monkeypatch.setattr(schnyder, "_realizer", broken)
+        pg, outer = stacked_triangulation(12, 7)
+        with pytest.raises(DrawingError, match="realizer tree"):
+            schnyder_positions(pg, outer)
+
+    def test_colour_zero_cycle(self, monkeypatch):
+        def cycle(out, outer):
+            v, w = _inner_tree_edge(out, outer)
+            out[0][v] = w  # v -> w -> v
+        self._draw_with(monkeypatch, cycle)
+
+    def test_vertex_without_tree_edge(self, monkeypatch):
+        def orphan(out, outer):
+            v, _ = _inner_tree_edge(out, outer)
+            del out[1][v]
+        self._draw_with(monkeypatch, orphan)
+
+
+def prism_medial(k):
+    """Medial graph of the prism C_k x K2 (3k vertices), with rotations
+    laid out as `conftest.prism_embedding` lays out k = 3: inner cycle
+    1..k, outer cycle k+1..2k, outer face the outer cycle."""
+    inner = [str(i) for i in range(1, k + 1)]
+    outer = [str(k + i) for i in range(1, k + 1)]
+    edges, rotation = [], {}
+    for i in range(k):
+        nxt, prv = (i + 1) % k, (i - 1) % k
+        edges += [(inner[i], inner[nxt]), (outer[i], outer[nxt]), (inner[i], outer[i])]
+        rotation[inner[i]] = [ek(inner[i], outer[i]), ek(inner[i], inner[nxt]),
+                              ek(inner[i], inner[prv])]
+        rotation[outer[i]] = [ek(outer[i], inner[i]), ek(outer[i], outer[prv]),
+                              ek(outer[i], outer[nxt])]
+    emb = OnePlaneEmbedding(
+        graph=Graph.from_edges(edges), rotation=rotation, crossings=frozenset(),
+        outer_face=frozenset(ek(outer[i], outer[(i + 1) % k]) for i in range(k)))
+    return build_modified_medial(emb).plane
+
+
+def test_prism_medial_60_vertices():
+    pg = prism_medial(20)
+    assert len(pg.vertices()) == 60
+    pos = schnyder_draw(pg)
+    assert_on_grid(pg, pos, 60)

@@ -210,6 +210,68 @@ class TestGridExtent:
         assert r1.passed and r2.passed
 
 
+
+class TestGridClaim:
+    """`verify_scene` certifies `meta["claimed_grid"]` axis by axis."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        return represent_cubic(gadget_chain(2))
+
+    @staticmethod
+    def _claiming(scene, claim):
+        return Scene(scene.kind, scene.structure, scene.polygons, scene.contacts,
+                     {**scene.meta, "claimed_grid": claim})
+
+    def test_constructions_within_claim(self, chain):
+        for scene in (chain, represent_2ec_cubic(Graph.from_edges(
+                [(i, j) for i in "abcd" for j in "abcd" if i < j])),
+                      represent_oneplanar_cubic(prism_embedding()),
+                      represent_bipartite_grid(complete_bipartite(3, 4))):
+            assert "claimed_grid" in scene.meta
+            assert verify_scene(scene).passed
+
+    def test_tight_claim_passes(self, chain):
+        ext = grid_extent(chain)
+        tight = {"x": ext.gx, "y": ext.gy, "z": ext.gz}
+        assert verify_scene(self._claiming(chain, tight)).passed
+
+    @pytest.mark.parametrize("axis", "xyz")
+    def test_one_line_short_fails(self, chain, axis):
+        ext = grid_extent(chain)
+        claim = {"x": ext.gx, "y": ext.gy, "z": ext.gz}
+        claim[axis] -= 1
+        report = verify_scene(self._claiming(chain, claim))
+        assert not report.passed
+        (finding,) = report.violations
+        assert finding.code == "grid-claim-exceeded"
+        assert finding.where == f"axis {axis}"
+        assert f"extent {claim[axis] + 1} exceeds the claimed {claim[axis]}" in finding.detail
+
+    @pytest.mark.parametrize("claim", [
+        {"x": 20, "y": 20}, {"x": 20, "y": 20, "z": 20, "w": 1},
+        {"x": 20, "y": -1, "z": 20}, {"x": 20, "y": 20, "z": "20"},
+        {"x": 20.0, "y": 20, "z": 20}, {"x": True, "y": 20, "z": 20},
+        [20, 20, 20], None])
+    def test_malformed_claim_fails(self, chain, claim):
+        report = verify_scene(self._claiming(chain, claim))
+        assert report.violation_codes() == {"grid-claim-malformed"}
+
+    def test_no_claim_skipped(self):
+        scene = represent_complete(4)
+        assert "claimed_grid" not in scene.meta
+        assert verify_scene(scene).passed
+
+    def test_cli_exit_one(self, chain, tmp_path, capsys):
+        from polycontact.cli import main
+        from polycontact.sceneio import write_scene
+        ext = grid_extent(chain)
+        out = tmp_path / "short.json"
+        write_scene(str(out), self._claiming(chain, {"x": ext.gx, "y": ext.gy - 1,
+                                                     "z": ext.gz}))
+        assert main(["verify", str(out), "--json"]) == 1
+        assert "[grid-claim-exceeded] axis y" in capsys.readouterr().out
+
 class TestIntegerKernel:
     """Exact scenes are verified in integer coordinates; nothing of that shows."""
 
