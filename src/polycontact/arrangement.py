@@ -16,7 +16,8 @@ i and j then meet exactly in the lifted p(i,j).
 
 Coordinates are exact rationals throughout; every perturbation ("slightly
 reduce", strictification) is a power-of-two rational chosen by halving
-until exact re-verification succeeds.
+until `verify_scene` passes the whole scene.  That report is the only
+contact check here: the returned scene carries it as its `certificate`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from .core import Graph
 from .geom import Polygon3
 from .scene import ConstructionError, Scene, graph_scene
-from .verify import KernelScene, verify_scene
+from .verify import verify_scene
 
 _MAX_HALVINGS = 128
 
@@ -188,24 +189,27 @@ def build_line_arrangement(n: int) -> Arrangement:
 # ---------------------------------------------------------------------------
 
 
+def _corner_order(i: int, nbr: list) -> list:
+    """Corner order of line i's polygon, as the sorted indices `nbr` of its
+    neighbours: the lower ones ascending, then the higher ones descending."""
+    return [j for j in nbr if j < i] + [j for j in reversed(nbr) if j > i]
+
+
 def _lift_scene(g: Graph, arr: Arrangement, delta: Fraction) -> Scene:
     """Lift contacts of g over the arrangement; delta lowers flat polygons."""
     order = list(g.vertices)
     index = {v: i + 1 for i, v in enumerate(order)}
+    nbrs = {v: sorted(index[w] for w in g.neighbors(v)) for v in order}
 
     z = {}
     for e in g.edges:
         u, v = tuple(e)
         i, j = index[u], index[v]
         z[frozenset((i, j))] = Fraction(min(i, j))
-    lowered = {}
     for v in order:
-        i = index[v]
-        nbr = sorted(index[w] for w in g.neighbors(v))
+        i, nbr = index[v], nbrs[v]
         if nbr and nbr[0] > i:
-            key = frozenset((i, nbr[0]))
-            z[key] -= delta
-            lowered[v] = (i, nbr[0])
+            z[frozenset((i, nbr[0]))] -= delta
 
     pts3 = {}
     for key in z:
@@ -216,11 +220,7 @@ def _lift_scene(g: Graph, arr: Arrangement, delta: Fraction) -> Scene:
     polygons = {}
     for v in order:
         i = index[v]
-        nbr = sorted(index[w] for w in g.neighbors(v))
-        low = [j for j in nbr if j < i]
-        high = [j for j in nbr if j > i]
-        seq = low + list(reversed(high))
-        corners = tuple(pts3[frozenset((i, j))] for j in seq)
+        corners = tuple(pts3[frozenset((i, j))] for j in _corner_order(i, nbrs[v]))
         polygons[v] = Polygon3(corners=corners)
 
     contacts = {}
@@ -239,58 +239,16 @@ def _lift_scene(g: Graph, arr: Arrangement, delta: Fraction) -> Scene:
     return graph_scene(g, polygons, contacts, meta)
 
 
-def _pairs_ok(scene: Scene, touched) -> bool:
-    """Cheap local check: verify only pairs involving the touched polygons."""
-    from .geom import classify_pair, polygon_properties, VIOLATION
-
-    ctx = scene.context()
-    kernel = KernelScene(scene, ctx)
-    polys = kernel.polygons
-    labels = sorted(polys)
-    for a in touched:
-        props = polygon_properties(polys[a], ctx)
-        if not props.planar or not (props.simple or props.degenerate):
-            return False
-        if not props.degenerate and not props.convex:
-            return False
-        for b in labels:
-            if b == a:
-                continue
-            cls = classify_pair(polys[a], polys[b], ctx, kernel.frame(a), kernel.frame(b),
-                                kernel.match(a, b))
-            if cls.kind == VIOLATION:
-                return False
-            shared = cls.shared_corners
-            if scene.structure.adjacent(a, b):
-                if len(shared) != 1:
-                    return False
-            elif shared:
-                return False
-    return True
-
-
-def _touched_vertices(g: Graph) -> list:
-    order = list(g.vertices)
-    index = {v: i + 1 for i, v in enumerate(order)}
-    touched = set()
-    for v in order:
-        i = index[v]
-        nbr = sorted(index[w] for w in g.neighbors(v))
-        if nbr and nbr[0] > i:
-            touched.add(v)
-            touched.add(order[nbr[0] - 1])
-    return sorted(touched)
-
-
 def _represent_lifted(g: Graph) -> Scene:
-    """Lift g over an arrangement of g.n lines, halving delta until the
-    pairs of the lowered polygons pass the local check."""
+    """Lift g over an arrangement of g.n lines, halving delta until
+    `verify_scene` certifies the scene."""
     arr = build_line_arrangement(g.n)
-    touched = _touched_vertices(g)
     delta = Fraction(1, 2)
     for _ in range(_MAX_HALVINGS):
         scene = _lift_scene(g, arr, delta)
-        if _pairs_ok(scene, touched):
+        report = verify_scene(scene)
+        if report.passed:
+            scene.certificate = report
             return scene
         delta /= 2
     raise ConstructionError("perturbation backoff failed")  # pragma: no cover
@@ -370,9 +328,10 @@ def strictify(scene: Scene) -> Scene:
                 ok = False
                 break
         if ok:
-            rep = verify_scene(candidate)
-            if rep.passed:
+            report = verify_scene(candidate)
+            if report.passed:
                 candidate.meta["strictified"] = True
+                candidate.certificate = report
                 return candidate
         delta /= 2
     raise ConstructionError("strictification backoff failed")
@@ -389,10 +348,7 @@ def _rebuild_with_z(scene: Scene, g: Graph, index: dict, newz: dict) -> Scene:
     for v in order:
         i = index[v]
         nbr = sorted(index[w] for w in g.neighbors(v))
-        low = [j for j in nbr if j < i]
-        high = [j for j in nbr if j > i]
-        seq = low + list(reversed(high))
-        corners = tuple(pts3[frozenset((v, label_of[j]))] for j in seq)
+        corners = tuple(pts3[frozenset((v, label_of[j]))] for j in _corner_order(i, nbr))
         polygons[v] = Polygon3(corners=corners)
     meta = dict(scene.meta)
     return graph_scene(g, polygons, pts3, meta)

@@ -1,8 +1,10 @@
 """Command-line surface: construct, verify, analyze, export.
 
-Every construction is verified before the scene file leaves the tool
-(disable with --no-verify).  Exit codes: 0 success, 1 verification
-failure, 2 usage or parse error, 3 construction precondition violation.
+Every construction is verified once before the scene file leaves the tool
+(disable with --no-verify): the constructor's `certificate` is printed
+when it has one, and `verify_scene` runs otherwise.  Exit codes: 0
+success, 1 verification failure, 2 usage or parse error, 3 construction
+precondition violation.
 """
 
 from __future__ import annotations
@@ -41,20 +43,14 @@ def _read_text(path):
         return fh.read()
 
 
-def _build(args):
-    """The scene, and the constructor's own passing report if it made one."""
-    cls = args.cls
-    if cls == "cycle-square":
-        _need(args.n is not None, "--n is required for cycle-square")
-        return represent_cycle_square(args.n, with_report=True)
-    return _build_scene(args), None
-
-
 def _build_scene(args):
     cls = args.cls
     if cls == "complete":
         _need(args.n is not None, "--n is required for complete")
         return represent_complete(args.n)
+    if cls == "cycle-square":
+        _need(args.n is not None, "--n is required for cycle-square")
+        return represent_cycle_square(args.n)
     if cls == "k33":
         return represent_k33_unit_triangles()
     if cls == "fano":
@@ -96,8 +92,9 @@ def _need(cond, msg):
 
 
 def cmd_represent(args) -> int:
-    scene, report = _build(args)
+    scene = _build_scene(args)
     if not args.no_verify:
+        report = scene.certificate
         if report is None:
             report = verify_scene(scene)
         print(report.to_text())

@@ -896,6 +896,7 @@ def represent_cubic(g: Graph) -> Scene:
         scene = build(delta)
         report = verify_scene(scene)
         if report.passed:
+            scene.certificate = report
             return scene
         delta /= 2
     raise ConstructionError("chord lift backoff failed")  # pragma: no cover

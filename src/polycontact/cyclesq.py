@@ -82,14 +82,13 @@ def _ring_winding(n: int):
     return None
 
 
-def represent_cycle_square(n: int, *, with_report: bool = False):
+def represent_cycle_square(n: int) -> Scene:
     """Contact representation of the square of an n-cycle, n >= 6.
 
     Even n uses unit squares (unit-sided rhombi for n = 12); odd n relaxes
     a split of the even scene below it.  n = 5 (the complete graph K5) is
     out of scope.  Raises `ConstructionError` naming n when no layout
-    verifies.  With `with_report`, returns (scene, the passing
-    `verify_scene` report of it at the scene's own epsilon).
+    verifies; the returned scene's `certificate` is its passing report.
     """
     if n == 5:
         raise ConstructionError("n = 5 is the complete graph; unsupported here")
@@ -107,7 +106,8 @@ def represent_cycle_square(n: int, *, with_report: bool = False):
         scene = graph_scene(g, polygons, contacts, meta)
         report = verify_scene(scene)
         if report.passed:
-            return (scene, report) if with_report else scene
+            scene.certificate = report
+            return scene
     raise ConstructionError(
         f"no verified cycle-square scene for n={n}: the {meta['layout']} "
         f"layout has {len(report.violations)} violations, first "

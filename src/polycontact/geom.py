@@ -159,7 +159,6 @@ class Polygon3:
     """
 
     corners: tuple
-    claimed_convex: bool = True
 
     def __post_init__(self):
         if len(self.corners) < 1:

@@ -5,6 +5,11 @@ A graph scene has one polygon per vertex and one contact point per edge
 contact point per hypergraph vertex (keyed by the vertex label).  `meta`
 carries the construction name, arithmetic mode ('exact' or 'float'),
 claimed grid bounds and any construction-specific parameters.
+
+`certificate` is the passing `VerificationReport` a constructor certified
+this very scene object with, or None.  It is not part of the scene: it is
+never compared, serialized or read back, and `verify_scene` ignores it.
+It goes stale if the scene is changed afterwards.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ class Scene:
     polygons: dict  # label -> Polygon3
     contacts: dict  # graph: edge key -> point; hypergraph: vertex -> point
     meta: dict = field(default_factory=dict)
+    certificate: object = field(default=None, compare=False, repr=False)  # VerificationReport
 
     def context(self, eps: Optional[float] = None) -> ArithmeticContext:
         exact = self.meta.get("arithmetic", "exact") == "exact"

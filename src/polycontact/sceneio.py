@@ -58,8 +58,7 @@ def scene_to_json(scene: Scene) -> dict:
     for label in sorted(scene.polygons):
         poly = scene.polygons[label]
         polygons.append({"label": label,
-                         "corners": [pid(c) for c in poly.corners],
-                         "convex": poly.claimed_convex})
+                         "corners": [pid(c) for c in poly.corners]})
     contacts = []
     if scene.kind == GRAPH:
         for e in sorted(scene.contacts, key=lambda e: sorted(e)):
@@ -112,8 +111,7 @@ def scene_from_json(doc: dict) -> Scene:
     polygons = {}
     for rec in doc["polygons"]:
         corners = tuple(pts[c] for c in rec["corners"])
-        polygons[rec["label"]] = Polygon3(corners=corners,
-                                          claimed_convex=rec.get("convex", True))
+        polygons[rec["label"]] = Polygon3(corners=corners)
     contacts = {}
     for rec in doc["contacts"]:
         el = rec["elements"]

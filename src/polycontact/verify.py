@@ -4,7 +4,7 @@
 compares it with what the scene's combinatorial structure demands:
 
 * there is one polygon per graph vertex or hypergraph block, and no other,
-* every polygon is planar and simple (convex when claimed),
+* every polygon is planar and simple, and convex unless it is degenerate,
 * no pair of polygons violates the open-polygon contact model,
 * graph scenes: each edge's two polygons share exactly one corner, distinct
   across edges, and non-adjacent polygons share none,
@@ -138,9 +138,8 @@ class KernelScene:
         if ctx.exact:
             self.scale = math.lcm(*{Fraction(x).denominator for p in index for x in p})
             scaled = [tuple(int(Fraction(x) * self.scale) for x in p) for p in index]
-            self.polygons = {label: Polygon3(tuple(scaled[i] for i in self.ids[label]),
-                                             poly.claimed_convex)
-                             for label, poly in self.polygons.items()}
+            self.polygons = {label: Polygon3(tuple(scaled[i] for i in self.ids[label]))
+                             for label in self.polygons}
             self.contacts = {k: scaled[self.contact_ids[k]] for k in self.contacts}
         if ctx.eps == 0:
             self.near = [(i,) for i in range(len(index))]
@@ -233,7 +232,7 @@ def verify_scene(scene: Scene, ctx: Optional[ArithmeticContext] = None,
             report.violations.append(Finding("nonplanar", label, "; ".join(props.issues)))
         elif not props.simple and not props.degenerate:
             report.violations.append(Finding("not-simple", label, "; ".join(props.issues)))
-        elif poly.claimed_convex and not props.degenerate and not props.convex:
+        elif not props.degenerate and not props.convex:
             report.violations.append(Finding("not-convex", label))
             valid[label] = False
         if props.degenerate:

@@ -55,7 +55,7 @@ def reference_verify(scene, eps=None):
             viol.append(Finding("nonplanar", label, "; ".join(props.issues)))
         elif not props.simple and not props.degenerate:
             viol.append(Finding("not-simple", label, "; ".join(props.issues)))
-        elif poly.claimed_convex and not props.degenerate and not props.convex:
+        elif not props.degenerate and not props.convex:
             viol.append(Finding("not-convex", label))
             valid[label] = False
         if props.degenerate:

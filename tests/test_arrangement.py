@@ -4,10 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from polycontact import (Arrangement, ConstructionError, arrangement_ok,
-                         build_line_arrangement, graph_from_edge_list,
-                         polygon_properties, represent_complete,
-                         represent_min_degree3, strictify, verify_scene)
+from polycontact import (Arrangement, ConstructionError, Polygon3,
+                         arrangement_ok, build_line_arrangement, edge_key,
+                         graph_from_edge_list, polygon_properties,
+                         represent_complete, represent_min_degree3, strictify,
+                         verify_scene)
 from polycontact.arrangement import audit_arrangement
 
 
@@ -161,6 +162,7 @@ class TestStrictify:
         for poly in scene.polygons.values():
             assert polygon_properties(poly, ctx).strictly_convex
         assert verify_scene(scene).passed
+        assert scene.certificate.to_text() == verify_scene(scene).to_text()
 
     def test_contact_map_preserved(self):
         base = represent_complete(5)
@@ -178,3 +180,32 @@ class TestStrictify:
         for label in once.polygons:
             assert len(once.polygons[label].corners) == \
                 len(twice.polygons[label].corners)
+
+
+class TestCertificate:
+    def test_backs_off_past_defect_away_from_lowered_polygons(self, monkeypatch):
+        # only polygons 1 and 2 are lowered; at delta = 1/2 the declared
+        # contact of edge 3-4 is moved, so that scene must not be returned
+        import polycontact.arrangement as arrangement
+        lift = arrangement._lift_scene
+
+        def lift_with_defect(g, arr, delta):
+            scene = lift(g, arr, delta)
+            if delta == F(1, 2):
+                x, y, z = scene.contacts[edge_key("3", "4")]
+                scene.contacts[edge_key("3", "4")] = (x, y, z + 1)
+            return scene
+
+        monkeypatch.setattr(arrangement, "_lift_scene", lift_with_defect)
+        scene = represent_complete(5)
+        assert scene.meta["delta"] == "1/4"
+        assert scene.certificate.passed
+        assert scene.certificate.to_text() == verify_scene(scene).to_text()
+
+    def test_mutated_scene_fails_whatever_its_certificate(self):
+        scene = represent_complete(5)
+        poly = scene.polygons["3"]
+        x, y, z = poly.corners[0]
+        scene.polygons["3"] = Polygon3(corners=((x, y, z + 1),) + poly.corners[1:])
+        assert scene.certificate.passed
+        assert not verify_scene(scene).passed

@@ -4,11 +4,15 @@ import json
 
 import pytest
 
-from polycontact import (InputError, represent_complete,
+from polycontact import (InputError, graph_from_edge_list, represent_complete,
                          represent_cycle_square, represent_fano,
-                         scene_from_json, scene_to_json, verify_scene)
+                         represent_min_degree3, scene_from_json,
+                         scene_to_json, verify_scene)
 from polycontact.cli import main
 from polycontact.export import scene_to_obj, scene_to_svg
+
+_PETERSEN = "".join(f"{i} {(i + 1) % 5}\n{i} {i + 5}\n{i + 5} {(i + 2) % 5 + 5}\n"
+                    for i in range(5))
 
 
 class TestSceneRoundTrip:
@@ -18,6 +22,7 @@ class TestSceneRoundTrip:
         assert back.contacts == scene.contacts
         for label in scene.polygons:
             assert back.polygons[label].corners == scene.polygons[label].corners
+        assert back.certificate is None
         r1, r2 = verify_scene(scene), verify_scene(back)
         assert r1.passed and r2.passed
         assert r1.reconstructed == r2.reconstructed
@@ -103,20 +108,30 @@ class TestCli:
         assert main(["verify", str(out), "--epsilon", "0"]) == 1
         assert "[nonplanar]" in capsys.readouterr().out
 
-    def test_cycle_square_verified_once(self, tmp_path, capsys, monkeypatch):
-        # the constructor's own passing report is printed; the command
-        # does not verify the scene a second time
+    @pytest.mark.parametrize("cls, args, build", [
+        ("complete", ["--n", "6"], lambda: represent_complete(6)),
+        ("mindeg3", ["--input", "{petersen}"],
+         lambda: represent_min_degree3(graph_from_edge_list(_PETERSEN))),
+        ("cycle-square", ["--n", "8"], lambda: represent_cycle_square(8)),
+    ], ids=["complete", "mindeg3", "cycle-square"])
+    def test_represent_verified_once(self, cls, args, build, tmp_path, capsys,
+                                     monkeypatch):
+        # the constructor's certificate is printed; the command does not
+        # verify the scene a second time
         import polycontact.cli as cli
-        _, report = represent_cycle_square(8, with_report=True)
+        scene = build()
+        assert scene.certificate.passed
+        edges = tmp_path / "petersen.edges"
+        edges.write_text(_PETERSEN)
         calls = []
         monkeypatch.setattr(cli, "verify_scene", lambda *a, **k: calls.append(a))
-        out = tmp_path / "c8.json"
-        assert main(["represent", "--class", "cycle-square", "--n", "8",
-                     "-o", str(out)]) == 0
+        out = tmp_path / "scene.json"
+        assert main(["represent", "--class", cls, "-o", str(out)]
+                    + [a.format(petersen=edges) for a in args]) == 0
         assert not calls
-        assert capsys.readouterr().out == f"{report.to_text()}\nwrote {out}\n"
-        assert scene_to_json(scene_from_json(json.loads(out.read_text()))) == \
-            scene_to_json(represent_cycle_square(8))
+        assert capsys.readouterr().out == \
+            f"{scene.certificate.to_text()}\nwrote {out}\n"
+        assert out.read_text() == json.dumps(scene_to_json(scene), indent=1) + "\n"
 
     def test_bipartite_flags(self, tmp_path):
         out = tmp_path / "k34.json"
@@ -125,12 +140,7 @@ class TestCli:
 
     def test_mindeg3_input_file(self, tmp_path):
         edges = tmp_path / "petersen.edges"
-        lines = []
-        for i in range(5):
-            lines.append(f"{i} {(i + 1) % 5}")
-            lines.append(f"{i} {i + 5}")
-            lines.append(f"{i + 5} {(i + 2) % 5 + 5}")
-        edges.write_text("\n".join(lines))
+        edges.write_text(_PETERSEN)
         out = tmp_path / "p.json"
         assert main(["represent", "--class", "mindeg3", "--input", str(edges),
                      "-o", str(out)]) == 0

@@ -147,8 +147,7 @@ def _points(scene):
 def _replace(scene, old, new):
     """Every occurrence of point old, in corners and contacts, becomes new."""
     swap = lambda p: new if tuple(p) == old else p  # noqa: E731
-    scene.polygons = {label: Polygon3(corners=tuple(swap(c) for c in poly.corners),
-                                      claimed_convex=poly.claimed_convex)
+    scene.polygons = {label: Polygon3(corners=tuple(swap(c) for c in poly.corners))
                       for label, poly in scene.polygons.items()}
     scene.contacts = {k: swap(p) for k, p in scene.contacts.items()}
 
@@ -176,8 +175,7 @@ def _mutate(scene, data):
         c[axis] += step
         cs = list(poly.corners)
         cs[i] = tuple(c)
-        scene.polygons[label] = Polygon3(corners=tuple(cs),
-                                         claimed_convex=poly.claimed_convex)
+        scene.polygons[label] = Polygon3(corners=tuple(cs))
 
 
 class TestMutationFuzz:

@@ -16,7 +16,7 @@ from polycontact import (Graph, Polygon3, Scene, classify_pair,
                          represent_2ec_cubic, represent_bipartite_grid,
                          represent_complete, represent_cubic, represent_fano,
                          represent_min_degree3, represent_oneplanar_cubic,
-                         verify_scene)
+                         scene_from_json, verify_scene)
 from polycontact.geom import EXACT, _plane_of, vcross, vdot, vsub
 from polycontact.scene import GRAPH
 from polycontact.verify import KernelScene
@@ -26,8 +26,7 @@ from oracle_geom import oracle_classify
 
 
 def _translate(poly, dz):
-    return Polygon3(corners=tuple((x, y, z + dz) for x, y, z in poly.corners),
-                    claimed_convex=poly.claimed_convex)
+    return Polygon3(corners=tuple((x, y, z + dz) for x, y, z in poly.corners))
 
 
 def _two_triangle_scene(tri_a, tri_b, adjacent=True):
@@ -177,6 +176,24 @@ class TestNegativeSuite:
         report = verify_scene(scene)
         assert not report.passed
         assert "declared-mismatch" in report.violation_codes()
+
+    def test_non_convex_polygon(self):
+        # an L-shaped hexagon whose upper arm holds a corner of a vertical
+        # triangle; a file's "convex": false is ignored
+        L = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+        tri = [("1/2", "3/2", "0"), ("1/2", "3/2", "1"), ("3/2", "3/2", "1")]
+        pts = [(f"{x}/1", f"{y}/1", "0/1") for x, y in L]
+        pts += [tuple(c if "/" in c else f"{c}/1" for c in p) for p in tri]
+        doc = {"kind": "graph", "structure": {"vertices": ["L", "t"], "edges": []},
+               "points": [{"id": f"p{i}", "x": x, "y": y, "z": z}
+                          for i, (x, y, z) in enumerate(pts)],
+               "polygons": [{"label": "L", "corners": [f"p{i}" for i in range(6)],
+                             "convex": False},
+                            {"label": "t", "corners": ["p6", "p7", "p8"]}],
+               "contacts": [], "meta": {"construction": "test", "arithmetic": "exact"}}
+        report = verify_scene(scene_from_json(doc))
+        assert not report.passed
+        assert [(f.code, f.where) for f in report.violations] == [("not-convex", "L")]
 
 
 class TestGridExtent:
