@@ -2,7 +2,9 @@
 """Build one scene of every construction class, verify, and export.
 
 Writes scene JSON, OBJ and SVG files into --out (default ./gallery) and
-prints a one-line summary per scene with its grid extent.
+prints a one-line summary per scene with its grid extent.  A scene whose
+constructor certified it already (`scene.certificate`) is not verified
+again.
 """
 
 import argparse
@@ -87,7 +89,9 @@ def main():
 
     failures = 0
     for name, scene in build_all().items():
-        report = verify_scene(scene)
+        report = scene.certificate  # set by the certifying constructors
+        if report is None:
+            report = verify_scene(scene)
         ext = grid_extent(scene)
         status = "ok" if report.passed else "FAILED"
         if not report.passed:

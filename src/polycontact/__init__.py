@@ -20,8 +20,7 @@ from .cubic import (BridgeBlockTree, PetersenDecomposition, bridge_block_tree,
                     represent_cubic, represent_max_degree3)
 from .cyclesq import cycle_square_graph, represent_cycle_square
 from .geom import (ArithmeticContext, GeometryError, PairClassification,
-                   Polygon3, classify_pair, convex_hull_planar, orient3d,
-                   polygon_properties)
+                   Polygon3, classify_pair, polygon_properties)
 from .oneplanar import (ModifiedMedialGraph, build_modified_medial,
                         represent_oneplanar_cubic)
 from .scene import ConstructionError, Scene, graph_scene, hypergraph_scene

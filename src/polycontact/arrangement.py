@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .core import Graph
+from .core import Graph, edge_key
 from .geom import Polygon3
 from .scene import ConstructionError, Scene, graph_scene
 from .verify import verify_scene
@@ -195,48 +195,44 @@ def _corner_order(i: int, nbr: list) -> list:
     return [j for j in nbr if j < i] + [j for j in reversed(nbr) if j > i]
 
 
+def _scene_from_contacts(g: Graph, order: list, contacts: dict, meta: dict) -> Scene:
+    """Scene of g with contact point contacts[e] per edge e: the polygon of
+    order[i-1], lifted from line i, has its edges' contacts as corners."""
+    index = {v: i + 1 for i, v in enumerate(order)}
+    polygons = {}
+    for v in order:
+        at = {index[w]: contacts[edge_key(v, w)] for w in g.neighbors(v)}
+        corners = tuple(at[j] for j in _corner_order(index[v], sorted(at)))
+        polygons[v] = Polygon3(corners=corners)
+    return graph_scene(g, polygons, contacts, meta)
+
+
 def _lift_scene(g: Graph, arr: Arrangement, delta: Fraction) -> Scene:
     """Lift contacts of g over the arrangement; delta lowers flat polygons."""
     order = list(g.vertices)
     index = {v: i + 1 for i, v in enumerate(order)}
-    nbrs = {v: sorted(index[w] for w in g.neighbors(v)) for v in order}
-
-    z = {}
-    for e in g.edges:
-        u, v = tuple(e)
-        i, j = index[u], index[v]
-        z[frozenset((i, j))] = Fraction(min(i, j))
-    for v in order:
-        i, nbr = index[v], nbrs[v]
-        if nbr and nbr[0] > i:
-            z[frozenset((i, nbr[0]))] -= delta
-
-    pts3 = {}
-    for key in z:
-        i, j = tuple(key)
-        x, y = arr.point(i, j)
-        pts3[key] = (x, y, z[key])
-
-    polygons = {}
-    for v in order:
-        i = index[v]
-        corners = tuple(pts3[frozenset((i, j))] for j in _corner_order(i, nbrs[v]))
-        polygons[v] = Polygon3(corners=corners)
-
     contacts = {}
     for e in g.edges:
-        u, v = tuple(e)
-        contacts[e] = pts3[frozenset((index[u], index[v]))]
+        i, j = sorted(index[v] for v in e)
+        x, y = arr.point(i, j)
+        contacts[e] = (x, y, Fraction(i))
+    # a polygon whose neighbours all come later would lie flat at z = i:
+    # lower its contact with the first of them
+    for v in order:
+        j = min((index[w] for w in g.neighbors(v)), default=0)
+        if j > index[v]:
+            e = edge_key(v, order[j - 1])
+            x, y, z = contacts[e]
+            contacts[e] = (x, y, z - delta)
 
-    degenerate = any(len(p.corners) < 3 for p in polygons.values())
     meta = {
         "construction": "complete" if len(g.edges) == g.n * (g.n - 1) // 2 else "min-degree-3",
         "arithmetic": "exact",
         "order": order,
         "delta": str(delta),
-        "degenerate": degenerate,
+        "degenerate": any(g.degree(v) < 3 for v in order),
     }
-    return graph_scene(g, polygons, contacts, meta)
+    return _scene_from_contacts(g, order, contacts, meta)
 
 
 def _represent_lifted(g: Graph) -> Scene:
@@ -288,67 +284,35 @@ def strictify(scene: Scene) -> Scene:
     g: Graph = scene.structure
     order = scene.meta.get("order") or list(g.vertices)
     index = {v: i + 1 for i, v in enumerate(order)}
-    label_of = {i + 1: v for i, v in enumerate(order)}
-
-    def neighbors_idx(i):
-        return sorted(index[w] for w in g.neighbors(label_of[i]))
 
     # 1D positions of contacts along each line, from that line's first contact
-    def positions(i):
-        nbr = neighbors_idx(i)
-        pts = {j: scene.contacts[frozenset((label_of[i], label_of[j]))] for j in nbr}
-        first, last = nbr[0], nbr[-1]
-        d = (pts[last][0] - pts[first][0], pts[last][1] - pts[first][1])
-        return {j: (pts[j][0] - pts[first][0]) * d[0] + (pts[j][1] - pts[first][1]) * d[1]
-                for j in nbr}, nbr[0]
-
     pos = {}
     firsts = {}
     for v in order:
-        pos[index[v]], firsts[index[v]] = positions(index[v])
+        pts = {index[w]: scene.contacts[edge_key(v, w)] for w in g.neighbors(v)}
+        nbr = sorted(pts)
+        first, last = pts[nbr[0]], pts[nbr[-1]]
+        d = (last[0] - first[0], last[1] - first[1])
+        pos[index[v]] = {j: (p[0] - first[0]) * d[0] + (p[1] - first[1]) * d[1]
+                         for j, p in pts.items()}
+        firsts[index[v]] = nbr[0]
 
     delta = Fraction(1, 4)
     for _ in range(_MAX_HALVINGS):
-        newz = {}
+        contacts = {}
         for e in g.edges:
-            u, v = tuple(e)
-            i, j = sorted((index[u], index[v]))
-            zc = scene.contacts[e][2]
-            if j == firsts[i]:
-                newz[e] = zc  # the pair already lowered by the flatness rule
-            else:
-                newz[e] = zc - delta / pos[i][j]
-        candidate = _rebuild_with_z(scene, g, index, newz)
-        ok = True
-        ctx = candidate.context()
-        from .geom import polygon_properties
-        for label, poly in candidate.polygons.items():
-            props = polygon_properties(poly, ctx)
-            if len(poly.corners) >= 3 and not props.strictly_convex:
-                ok = False
-                break
-        if ok:
-            report = verify_scene(candidate)
-            if report.passed:
-                candidate.meta["strictified"] = True
-                candidate.certificate = report
-                return candidate
+            i, j = sorted(index[v] for v in e)
+            x, y, z = scene.contacts[e]
+            if j != firsts[i]:  # else the pair already lowered by the flatness rule
+                z -= delta / pos[i][j]
+            contacts[e] = (x, y, z)
+        candidate = _scene_from_contacts(g, order, contacts, dict(scene.meta))
+        report = verify_scene(candidate)
+        if report.passed and all(
+                props.strictly_convex or len(candidate.polygons[v].corners) < 3
+                for v, props in report.polygon_properties.items()):
+            candidate.meta["strictified"] = True
+            candidate.certificate = report
+            return candidate
         delta /= 2
     raise ConstructionError("strictification backoff failed")
-
-
-def _rebuild_with_z(scene: Scene, g: Graph, index: dict, newz: dict) -> Scene:
-    pts3 = {}
-    for e in g.edges:
-        p = scene.contacts[e]
-        pts3[e] = (p[0], p[1], newz[e])
-    order = scene.meta.get("order") or list(g.vertices)
-    label_of = {i + 1: v for i, v in enumerate(order)}
-    polygons = {}
-    for v in order:
-        i = index[v]
-        nbr = sorted(index[w] for w in g.neighbors(v))
-        corners = tuple(pts3[frozenset((v, label_of[j]))] for j in _corner_order(i, nbr))
-        polygons[v] = Polygon3(corners=corners)
-    meta = dict(scene.meta)
-    return graph_scene(g, polygons, pts3, meta)

@@ -249,6 +249,29 @@ def _apex_of_vertices(matching, slots):
     return apex, mate
 
 
+def _chord_last(cycles, apex):
+    """Cycles rotated so each chord vertex (highest apex slot, then label)
+    comes last and its smaller neighbour first, sorted by smallest label."""
+    out = []
+    for cyc in cycles:
+        cv = max(cyc, key=lambda v: (apex[v], v))
+        i = cyc.index(cv)
+        rot = cyc[i + 1:] + cyc[: i + 1]
+        if rot[0] > rot[-2]:
+            rot = list(reversed([cv] + rot[:-1]))
+        out.append(rot)
+    out.sort(key=min)
+    return out
+
+
+def _grid_point(pos):
+    """pt(label, z): the exact 3D point over label's grid position."""
+    def pt(label, z=0):
+        x, y = pos[label]
+        return (Fraction(x), Fraction(y), Fraction(z))
+    return pt
+
+
 def _rect_boundary(height):
     """Boundary grid points of [0,2] x [0,height-1], ccw from the origin."""
     pts = [(0, 0), (1, 0), (2, 0)]
@@ -303,6 +326,8 @@ def _k4_scene(g: Graph) -> Scene:
 # 2-edge-connected cubic graphs on a 3 x n/2 x n/2 grid
 # ---------------------------------------------------------------------------
 
+_HUB = ("hub",)  # the hub's position key; vertex labels are strings
+
 
 def represent_2ec_cubic(g: Graph) -> Scene:
     decomp = petersen_decompose(g)
@@ -313,77 +338,38 @@ def represent_2ec_cubic(g: Graph) -> Scene:
     matching = decomp.matching
     slots = _assign_slots(matching, feet=set())
     apex, mate = _apex_of_vertices(matching, slots)
+    cycles = _chord_last(decomp.cycles, apex)
 
-    cycles = []
-    for cyc in decomp.cycles:
-        cv = max(cyc, key=lambda v: (apex[v], v))
-        i = cyc.index(cv)
-        rot = cyc[i + 1:] + cyc[: i + 1]  # chord vertex last
-        nbr_prev, nbr_next = rot[-2], rot[0]
-        if nbr_next > nbr_prev:
-            rot = [cv] + rot[:-1]
-            rot = list(reversed(rot))
-        cycles.append(rot)
-    cycles.sort(key=lambda c: min(c))
-
-    height = n // 2
-    boundary = _rect_boundary(height)
+    boundary = _rect_boundary(n // 2)
     seq = [v for cyc in cycles for v in cyc]
-    arcs = []
-    start = 0
-    for cyc in cycles:
-        arcs.append((start, start + len(cyc) - 1))
-        start += len(cyc)
-
-    hub, offset, enclosing = _place_hub(n, boundary, seq, cycles, arcs, apex, mate)
+    hub, offset, enclosing = _place_hub(n, boundary, seq, cycles, mate)
     pos = {v: boundary[(t + offset) % len(boundary)] for t, v in enumerate(seq)}
+    pos[_HUB] = hub
 
-    # final z mapping after the optional -1 move
-    zstar = {ci: apex[cyc[-1]] for ci, cyc in enumerate(cycles)}
-    if enclosing is not None:
-        zs = zstar[enclosing]
+    # the enclosing cycle's chord level moves to z = -1 and every level
+    # above it compacts down one step
+    zs = None if enclosing is None else apex[cycles[enclosing][-1]]
 
-        def final(z):
-            if z == zs:
-                return -1
-            return z - 1 if z > zs else z
-    else:
-        def final(z):
+    def final(z):
+        if zs is None or z < zs:
             return z
+        return -1 if z == zs else z - 1
 
+    # rim slot j of a cycle sits at the boundary point of its vertex j
+    plan = _WheelPlan(index=0, cut={}, matching=matching, cycles=cycles,
+                      slots={e: (final(lo), final(hi))
+                             for e, (lo, hi) in slots.items()},
+                      apex={v: final(z) for v, z in apex.items()}, hub=_HUB,
+                      slot_nodes=[[[v] for v in cyc] for cyc in cycles])
     polygons = {}
     contacts = {}
-    hubf = (Fraction(hub[0]), Fraction(hub[1]))
-    for ci, cyc in enumerate(cycles):
-        m = len(cyc)
-        zc = Fraction(final(zstar[ci]))
-        rim = [pos[v] for v in cyc]  # rim vertex t = contact of edge (cyc[t-1], cyc[t])
-
-        def rim_point(t):
-            z = zc if t in (0, m - 1) else Fraction(0)
-            # rim slot t sits between cyc[t-1] and cyc[t]
-            x, y = rim[t]
-            return (Fraction(x), Fraction(y), z)
-
-        for j, v in enumerate(cyc):
-            az = Fraction(final(apex[v]))
-            if j == m - 1:
-                corners = (rim_point(0), rim_point(m - 1), (hubf[0], hubf[1], zc))
-            else:
-                corners = (rim_point(j), rim_point(j + 1), (hubf[0], hubf[1], az))
-            polygons[v] = Polygon3(corners=corners)
-        for j in range(m):
-            u, v = cyc[j - 1], cyc[j]
-            contacts[edge_key(u, v)] = rim_point(j)
-    for e in matching:
-        contacts[e] = (hubf[0], hubf[1], Fraction(final(slots[e][0])))
-
+    _wheel_scene_part(plan, {}, _grid_point(pos), polygons, contacts)
     meta = {"construction": "cubic-2ec", "arithmetic": "exact",
             "claimed_grid": {"x": 3, "y": n // 2, "z": n // 2}}
     return graph_scene(g, polygons, contacts, meta)
 
 
-def _place_hub(n, boundary, seq, cycles, arcs, apex, mate):
+def _place_hub(n, boundary, seq, cycles, mate):
     """Choose a rotation offset and hub with at most one benign enclosure."""
     height = n // 2
     hubs = [(1, y) for y in range(1, height - 1)]
@@ -437,16 +423,14 @@ def _place_hub(n, boundary, seq, cycles, arcs, apex, mate):
 @dataclass
 class _WheelPlan:
     index: int
-    vertices: frozenset
-    cut: dict            # cut vertex -> (foot edge key, bridge key)
+    cut: dict            # cut vertex -> (foot edge key, bridge key, kind)
     matching: set        # matching of the reduced graph (includes feet)
     cycles: list         # reduced-graph cycles, chord vertex last
     slots: dict          # matching edge -> (lo, hi)
     apex: dict           # reduced vertex -> z slot
-    rim: list = field(default_factory=list)      # rim vertex labels, cyclic
-    rim_contact: dict = field(default_factory=dict)  # rim label -> cycle edge key
-    hub: str = ""
-    arcs: list = field(default_factory=list)     # (start, end) rim indices per cycle
+    hub: object = None   # floorplan label of the hub
+    slot_nodes: list = field(default_factory=list)  # per cycle, per slot: rim labels
+    cycle_foot_at: dict = field(default_factory=dict)  # (cycle, slot) -> cut vertex
     kind: str = "wheel"
 
 
@@ -464,21 +448,6 @@ class _VertexPlan:
     kind: str = "vertex"
 
 
-def _trace_cycle(vertices, adjacency):
-    start = min(vertices)
-    cyc = [start]
-    prev = None
-    cur = start
-    while True:
-        nxts = [w for w in sorted(adjacency[cur]) if w != prev]
-        nxt = nxts[0]
-        if nxt == start:
-            break
-        cyc.append(nxt)
-        prev, cur = cur, nxt
-    return cyc
-
-
 def _component_plan(g: Graph, idx, comp, bridges):
     comp_edges = [e for e in g.edges if e <= comp]
     if len(comp) == 1:
@@ -490,8 +459,8 @@ def _component_plan(g: Graph, idx, comp, bridges):
             cut[v] = mine[0]
     core = set(comp) - set(cut)
     if not core:
-        adjacency = {v: [w for w in g.neighbors(v) if w in comp] for v in comp}
-        return _CyclePlan(index=idx, order=_trace_cycle(comp, adjacency))
+        (order,) = _cycles_after_matching(comp, comp_edges, set())
+        return _CyclePlan(index=idx, order=order)
 
     feet = {}
     reduced_edges = {e for e in comp_edges if not (set(e) & set(cut))}
@@ -517,7 +486,7 @@ def _component_plan(g: Graph, idx, comp, bridges):
                                      forced=forced)
         if matching is None:
             continue
-        plan = _try_wheel_plan(idx, comp, cut, feet, core, reduced_edges,
+        plan = _try_wheel_plan(idx, cut, feet, core, reduced_edges,
                                matching, reasons)
         if plan is not None:
             return plan
@@ -533,21 +502,12 @@ def _subsets(items):
     return [set(s) for s in out]
 
 
-def _try_wheel_plan(idx, comp, cut, feet, core, reduced_edges, matching,
-                    reasons):
+def _try_wheel_plan(idx, cut, feet, core, reduced_edges, matching, reasons):
     foot_set = set(feet.values())
     cycles = _cycles_after_matching(sorted(core), reduced_edges, matching)
     slots = _assign_slots(matching, foot_set & matching)
     apex, _ = _apex_of_vertices(matching, slots)
-    rotated = []
-    for cyc in cycles:
-        cv = max(cyc, key=lambda v: (apex[v], v))
-        i = cyc.index(cv)
-        rot = cyc[i + 1:] + cyc[: i + 1]
-        if rot[0] > rot[-2]:
-            rot = list(reversed([cv] + rot[:-1]))
-        rotated.append(rot)
-    rotated.sort(key=lambda c: min(c))
+    rotated = _chord_last(cycles, apex)
     cutinfo = {}
     for u in cut:
         kind = "matching" if feet[u] in matching else "cycle"
@@ -563,7 +523,7 @@ def _try_wheel_plan(idx, comp, cut, feet, core, reduced_edges, matching,
             if edge_key(cyc[j - 1], cyc[j]) in cycle_feet:
                 reasons.append("cycle-type foot on a chord-lifted rim corner")
                 return None
-    return _WheelPlan(index=idx, vertices=comp, cut=cutinfo, matching=matching,
+    return _WheelPlan(index=idx, cut=cutinfo, matching=matching,
                       cycles=rotated, slots=slots, apex=apex)
 
 
@@ -610,12 +570,8 @@ def _embed_vertex_comp(H, g, plan, vb_label, vb_sides):
         for other in (nxt, prv):
             eid = H.edge_between(lbl, other)
             if eid is None:
-                eid = H.add_edge(lbl, other)
-                # remove auto-appended darts; rotations are rebuilt by hand
-                H.rotation[lbl].remove((eid, 0))
-                H.rotation[other].remove((eid, 1))
-            end = 0 if H.endpoints[eid][0] == lbl else 1
-            darts.append((eid, end))
+                eid = H.record_edge(lbl, other)
+            darts.append(H.dart(eid, lbl))
         vb_sides[lbl][plan.index] = darts
 
 
@@ -625,26 +581,13 @@ def _embed_cycle_comp(H, g, plan, vb_label, vb_sides):
     plan.rim = rims
     for w in rims:
         H.add_vertex(w)
-    rim_eids = {}
-    for t in range(m):
-        eid = H.add_edge(rims[t], rims[(t + 1) % m])
-        H.rotation[rims[t]].pop()
-        H.rotation[rims[(t + 1) % m]].pop()
-        rim_eids[t] = eid
+    rim_eids = {t: H.record_edge(rims[t], rims[(t + 1) % m]) for t in range(m)}
     vb_eids = {}
     for t, u in enumerate(plan.order):
         b = [bk for bk in vb_label if u in bk][0]
         lbl = vb_label[b]
-        e1 = H.add_edge(rims[t], lbl)
-        H.rotation[rims[t]].pop()
-        H.rotation[lbl].pop()
-        e2 = H.add_edge(rims[(t + 1) % m], lbl)
-        H.rotation[rims[(t + 1) % m]].pop()
-        H.rotation[lbl].pop()
-        vb_eids[t] = (e1, e2, lbl)
-
-    def dart(eid, frm):
-        return (eid, 0 if H.endpoints[eid][0] == frm else 1)
+        vb_eids[t] = (H.record_edge(rims[t], lbl),
+                      H.record_edge(rims[(t + 1) % m], lbl), lbl)
 
     for t in range(m):
         w = rims[t]
@@ -652,11 +595,11 @@ def _embed_cycle_comp(H, g, plan, vb_label, vb_sides):
         e_prev = rim_eids[(t - 1) % m]
         att_right = vb_eids[t][0]          # vb over edge (t, t+1)
         att_left = vb_eids[(t - 1) % m][1]  # vb over edge (t-1, t)
-        H.rotation[w] = [dart(e_next, w), dart(att_right, w),
-                         dart(att_left, w), dart(e_prev, w)]
+        H.rotation[w] = [H.dart(e_next, w), H.dart(att_right, w),
+                         H.dart(att_left, w), H.dart(e_prev, w)]
     for t in range(m):
         e1, e2, lbl = vb_eids[t]
-        vb_sides[lbl][plan.index] = [dart(e1, lbl), dart(e2, lbl)]
+        vb_sides[lbl][plan.index] = [H.dart(e1, lbl), H.dart(e2, lbl)]
 
 
 def _embed_wheel_comp(H, g, plan, vb_label, vb_sides):
@@ -710,20 +653,11 @@ def _embed_wheel_comp(H, g, plan, vb_label, vb_sides):
     for u in matching_feet:
         chains[gap_of].append(u)
 
-    def dart(eid, frm):
-        return (eid, 0 if H.endpoints[eid][0] == frm else 1)
-
-    def quiet_edge(a, bnode):
-        eid = H.add_edge(a, bnode)
-        H.rotation[a].pop()
-        H.rotation[bnode].pop()
-        return eid
-
     spoke = {}
     for row in slot_nodes:
         for names in row:
             for nm in names:
-                spoke[nm] = quiet_edge(hub, nm)
+                spoke[nm] = H.record_edge(hub, nm)
 
     intra = {}
     foot_vb = {}
@@ -735,14 +669,15 @@ def _embed_wheel_comp(H, g, plan, vb_label, vb_sides):
         for j in range(m):
             if len(row[j]) == 2:
                 a, b = row[j]
-                intra[(ci, j)] = quiet_edge(a, b)
+                intra[(ci, j)] = H.record_edge(a, b)
                 u = cycle_foot_at[(ci, j)]
                 lbl = vb_label[plan.cut[u][1]]
-                foot_vb[(ci, j)] = (quiet_edge(a, lbl), quiet_edge(lbl, b), lbl)
+                foot_vb[(ci, j)] = (H.record_edge(a, lbl),
+                                    H.record_edge(lbl, b), lbl)
         for j in range(m - 1):
-            inter[(ci, j)] = quiet_edge(row[j][-1], row[j + 1][0])
+            inter[(ci, j)] = H.record_edge(row[j][-1], row[j + 1][0])
         if k >= 2:
-            chords[ci] = quiet_edge(row[0][0], row[m - 1][-1])
+            chords[ci] = H.record_edge(row[0][0], row[m - 1][-1])
 
     gap_eids = {}
     chain_nodes = {}
@@ -753,22 +688,21 @@ def _embed_wheel_comp(H, g, plan, vb_label, vb_sides):
         y_nm = slot_nodes[(gi + 1) % k][0][0]
         chain = chains[gi]
         if not chain:
-            gap_eids[gi] = quiet_edge(x_nm, y_nm)
+            gap_eids[gi] = H.record_edge(x_nm, y_nm)
             continue
         nodes = [vb_label[plan.cut[u][1]] for u in chain]
         chain_nodes[gi] = nodes
         seq = [x_nm] + nodes + [y_nm]
-        chain_edges[gi] = [quiet_edge(seq[i], seq[i + 1])
+        chain_edges[gi] = [H.record_edge(seq[i], seq[i + 1])
                            for i in range(len(seq) - 1)]
-        hub_chain[gi] = {lbl: quiet_edge(hub, lbl) for lbl in nodes}
-    plan.chain_nodes = chain_nodes
+        hub_chain[gi] = {lbl: H.record_edge(hub, lbl) for lbl in nodes}
 
     rot_h = []
     for ci in range(k):
         for names in slot_nodes[ci]:
-            rot_h += [dart(spoke[nm], hub) for nm in names]
+            rot_h += [H.dart(spoke[nm], hub) for nm in names]
         for lbl in chain_nodes.get(ci, []):
-            rot_h.append(dart(hub_chain[ci][lbl], hub))
+            rot_h.append(H.dart(hub_chain[ci][lbl], hub))
     H.rotation[hub] = rot_h
 
     # rim rotations, ccw: [next, hub, prev, outward attachments]; split
@@ -792,30 +726,30 @@ def _embed_wheel_comp(H, g, plan, vb_label, vb_sides):
             names = row[j]
             if len(names) == 1:
                 nm = names[0]
-                rot = [dart(e_next, nm), dart(spoke[nm], nm),
-                       dart(e_prev, nm)]
+                rot = [H.dart(e_next, nm), H.dart(spoke[nm], nm),
+                       H.dart(e_prev, nm)]
                 if k >= 2 and j in (0, m - 1):
-                    rot.append(dart(chords[ci], nm))
+                    rot.append(H.dart(chords[ci], nm))
                 H.rotation[nm] = rot
             else:
                 a, b = names
                 e_ab = intra[(ci, j)]
                 e_avb, e_vbb, lbl = foot_vb[(ci, j)]
-                H.rotation[a] = [dart(e_ab, a), dart(spoke[a], a),
-                                 dart(e_prev, a), dart(e_avb, a)]
-                H.rotation[b] = [dart(e_next, b), dart(spoke[b], b),
-                                 dart(e_ab, b), dart(e_vbb, b)]
+                H.rotation[a] = [H.dart(e_ab, a), H.dart(spoke[a], a),
+                                 H.dart(e_prev, a), H.dart(e_avb, a)]
+                H.rotation[b] = [H.dart(e_next, b), H.dart(spoke[b], b),
+                                 H.dart(e_ab, b), H.dart(e_vbb, b)]
                 # the foot triangle face (a, vb, b) needs the b-dart right
                 # before the a-dart once partner darts are appended
-                vb_sides[lbl][plan.index] = [dart(e_vbb, lbl),
-                                             dart(e_avb, lbl)]
+                vb_sides[lbl][plan.index] = [H.dart(e_vbb, lbl),
+                                             H.dart(e_avb, lbl)]
 
     for gi, nodes in chain_nodes.items():
         edges = chain_edges[gi]
         for j, lbl in enumerate(nodes):
-            vb_sides[lbl][plan.index] = [dart(edges[j + 1], lbl),
-                                         dart(hub_chain[gi][lbl], lbl),
-                                         dart(edges[j], lbl)]
+            vb_sides[lbl][plan.index] = [H.dart(edges[j + 1], lbl),
+                                         H.dart(hub_chain[gi][lbl], lbl),
+                                         H.dart(edges[j], lbl)]
 
 
 def represent_cubic(g: Graph) -> Scene:
@@ -858,11 +792,9 @@ def represent_cubic(g: Graph) -> Scene:
             if cr == 0:
                 lifted.add((plan.index, ci))
 
-    def build(delta):
-        def pt(label, z=0):
-            x, y = pos[label]
-            return (Fraction(x), Fraction(y), Fraction(z))
+    pt = _grid_point(pos)
 
+    def build(delta):
         polygons = {}
         contacts = {}
         for b, lbl in vb_label.items():
@@ -881,7 +813,7 @@ def represent_cubic(g: Graph) -> Scene:
                     polygons[u] = Polygon3(corners=corners)
                     contacts[edge_key(plan.order[t - 1], u)] = pt(plan.rim[t])
             else:
-                _wheel_scene_part(plan, g, vb_label, pt, polygons, contacts,
+                _wheel_scene_part(plan, vb_label, pt, polygons, contacts,
                                   lifted, delta)
         meta = {"construction": "cubic", "arithmetic": "exact",
                 "floorplan_vertices": len(H.rotation),
@@ -902,8 +834,16 @@ def represent_cubic(g: Graph) -> Scene:
     raise ConstructionError("chord lift backoff failed")  # pragma: no cover
 
 
-def _wheel_scene_part(plan: _WheelPlan, g: Graph, vb_label, pt, polygons,
-                      contacts, lifted=frozenset(), delta=0):
+def _wheel_scene_part(plan: _WheelPlan, vb_label, pt, polygons, contacts,
+                      lifted=frozenset(), delta=0):
+    """Add the triangles and contacts of one wheel plan.
+
+    Cycle vertex j spans rim slots j and j+1 and the hub at its apex
+    level; the chord vertex (last) spans the first and last slots and the
+    hub at its own level, which those two slots share.  `pt(label, z)` is
+    a floorplan label's point; a cycle in `lifted` raises its first slot
+    by delta.  Both cubic constructions build their wheels here.
+    """
     hub = plan.hub
     all_feet = {fk for fk, _, _ in plan.cut.values()}
     for ci, cyc in enumerate(plan.cycles):

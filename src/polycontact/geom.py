@@ -126,22 +126,6 @@ def is_zero_vec(v, ctx: ArithmeticContext) -> bool:
     return all(ctx.is_zero(c) for c in v)
 
 
-def as_fraction_point(p) -> Point3:
-    return (Fraction(p[0]), Fraction(p[1]), Fraction(p[2]))
-
-
-def as_float_point(p) -> Point3:
-    return (float(p[0]), float(p[1]), float(p[2]))
-
-
-def orient3d(a: Point3, b: Point3, c: Point3, d: Point3,
-             ctx: ArithmeticContext = EXACT) -> int:
-    """Sign of det(b-a, c-a, d-a): +1, -1, or 0 iff the points are coplanar."""
-    u, v, w = vsub(b, a), vsub(c, a), vsub(d, a)
-    det = vdot(u, vcross(v, w))
-    return ctx.sign(det)
-
-
 # ---------------------------------------------------------------------------
 # Polygons
 # ---------------------------------------------------------------------------
@@ -179,10 +163,6 @@ class PolygonProperties:
     degenerate: bool = False
     issues: list = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return self.planar and (self.degenerate or self.simple)
-
 
 def _plane_of(corners: Sequence[Point3], ctx: ArithmeticContext):
     """Supporting plane (normal, offset) from the first non-collinear triple.
@@ -219,10 +199,9 @@ def plane_contains(plane, p: Point3, ctx: ArithmeticContext) -> bool:
     return ctx.is_zero(vdot(n, p) - d)
 
 
-def _drop_axis(normal, ctx: ArithmeticContext):
-    """Axis to drop for 2D work, and whether the kept pair preserves ccw."""
-    ax = max(range(3), key=lambda k: abs(normal[k]))
-    return ax, ctx.sign(normal[ax]) > 0
+def _drop_axis(normal) -> int:
+    """Axis to drop for 2D work: the one of the normal's largest entry."""
+    return max(range(3), key=lambda k: abs(normal[k]))
 
 
 def project2d(p: Point3, axis: int):
@@ -304,7 +283,7 @@ def polygon_properties(poly: Polygon3, ctx: ArithmeticContext = EXACT) -> Polygo
             return props
     props.planar = True
 
-    axis, keep_ccw = _drop_axis(normal, ctx)
+    axis = _drop_axis(normal)
     pts = [project2d(p, axis) for p in cs]
 
     # Simplicity: no two non-adjacent edges meet; adjacent edges meet only
@@ -348,66 +327,6 @@ def polygon_properties(poly: Polygon3, ctx: ArithmeticContext = EXACT) -> Polygo
     return props
 
 
-def convex_hull_planar(points: Sequence[Point3], ctx: ArithmeticContext = EXACT,
-                       keep_collinear: bool = False) -> Polygon3:
-    """Convex hull of coplanar 3D points, as a ccw polygon.
-
-    Orientation is counterclockwise with respect to the canonical plane
-    normal (the lexicographically positive one).  Interior points are
-    dropped; collinear hull points are dropped too unless keep_collinear
-    is set, which constructions use to retain straight-angle contact
-    corners.
-    """
-    pts = list(dict.fromkeys(tuple(p) for p in points))
-    if len(pts) < 2:
-        if not pts:
-            raise GeometryError("hull of empty point set")
-        return Polygon3(corners=(pts[0],))
-    plane = _plane_of(pts, ctx)
-    if plane is None:
-        # all collinear: degenerate segment between the extremes
-        d = vsub(pts[-1], pts[0])
-        params = sorted(pts, key=lambda p: vdot(vsub(p, pts[0]), d))
-        return Polygon3(corners=(params[0], params[-1]))
-    normal, _ = plane
-    for p in pts:
-        if not plane_contains(plane, p, ctx):
-            raise GeometryError("hull input not coplanar")
-    # canonical normal: first nonzero component positive
-    flip = False
-    for c in normal:
-        s = ctx.sign(c)
-        if s != 0:
-            flip = s < 0
-            break
-    axis, keep_ccw = _drop_axis(normal, ctx)
-    if flip:
-        keep_ccw = not keep_ccw
-
-    decorated = sorted(range(len(pts)), key=lambda i: project2d(pts[i], axis))
-    pro = [project2d(p, axis) for p in pts]
-
-    def build(indices):
-        chain = []
-        for i in indices:
-            while len(chain) >= 2:
-                s = ctx.sign(cross2(pro[chain[-2]], pro[chain[-1]], pro[i]))
-                if s < 0 or (s == 0 and not keep_collinear):
-                    chain.pop()
-                else:
-                    break
-            chain.append(i)
-        return chain
-
-    lower = build(decorated)
-    upper = build(list(reversed(decorated)))
-    hull = lower[:-1] + upper[:-1]
-    if not keep_ccw:
-        hull.reverse()
-    corners = tuple(pts[i] for i in hull)
-    return Polygon3(corners=corners)
-
-
 # ---------------------------------------------------------------------------
 # Pair classification
 # ---------------------------------------------------------------------------
@@ -425,14 +344,6 @@ class PairClassification:
     touch_witnesses: list = field(default_factory=list)
     violations: list = field(default_factory=list)  # (reason, witness point)
 
-    @property
-    def witnesses(self) -> list:
-        if self.kind == VIOLATION:
-            return [w for _, w in self.violations]
-        if self.kind == CORNER_CONTACT:
-            return list(self.shared_corners)
-        return list(self.touch_witnesses)
-
 
 class _Convex2D:
     """A convex polygon (or segment/point) flattened into its plane.
@@ -441,17 +352,10 @@ class _Convex2D:
     classifier needs, all in the polygon's own 2D frame.
     """
 
-    def __init__(self, poly: Polygon3, ctx: ArithmeticContext, plane, axis, ccw):
+    def __init__(self, pts, ctx: ArithmeticContext, axis):
         self.ctx = ctx
-        self.corners3 = poly.corners
         self.axis = axis
-        pts = [project2d(p, axis) for p in poly.corners]
-        if not ccw:
-            pts = list(reversed(pts))
-            self.order = list(reversed(range(len(poly.corners))))
-        else:
-            self.order = list(range(len(poly.corners)))
-        self.pts = pts
+        self.pts = pts  # ccw
 
     def locate(self, q2) -> str:
         """'corner' | 'boundary' | 'interior' | 'outside' for an in-plane point."""
@@ -494,13 +398,13 @@ def polygon_frame(poly: Polygon3, ctx: ArithmeticContext = EXACT):
     plane = _plane_of(poly.corners, ctx)
     if plane is None:
         return None, None
-    normal, _ = plane
-    axis, keep_ccw = _drop_axis(normal, ctx)
+    axis = _drop_axis(plane[0])
     pts = [project2d(p, axis) for p in poly.corners]
     # orient ccw in the projected frame
     area2 = sum(cross2(pts[0], pts[i], pts[i + 1]) for i in range(1, len(pts) - 1))
-    ccw = ctx.sign(area2) > 0
-    return plane, _Convex2D(poly, ctx, plane, axis, ccw)
+    if ctx.sign(area2) <= 0:
+        pts.reverse()
+    return plane, _Convex2D(pts, ctx, axis)
 
 
 def _locate_point(poly: Polygon3, flat: Optional[_Convex2D], plane,

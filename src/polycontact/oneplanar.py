@@ -60,18 +60,12 @@ def planarize(emb: OnePlaneEmbedding) -> tuple:
             name = _edge_name(e)
             if e in cross_of:
                 k, _ = cross_of[e]
-                e1 = pg.add_edge(u, f"x{k}", eid=f"{name}#0")
-                e2 = pg.add_edge(f"x{k}", v, eid=f"{name}#1")
-                pg.rotation[u].pop()
-                pg.rotation[f"x{k}"].pop()
-                pg.rotation[f"x{k}"].pop()
-                pg.rotation[v].pop()
+                e1 = pg.record_edge(u, f"x{k}", eid=f"{name}#0")
+                e2 = pg.record_edge(f"x{k}", v, eid=f"{name}#1")
                 darts[(u, e)] = (e1, 0)
                 darts[(v, e)] = (e2, 1)
             else:
-                eid = pg.add_edge(u, v, eid=name)
-                pg.rotation[u].pop()
-                pg.rotation[v].pop()
+                eid = pg.record_edge(u, v, eid=name)
                 darts[(u, e)] = (eid, 0)
                 darts[(v, e)] = (eid, 1)
         for v in g.vertices:
@@ -111,10 +105,6 @@ class ModifiedMedialGraph:
     vertex_face: dict       # original vertex -> face (list of darts)
     faces: list
 
-    @property
-    def vertex_count(self):
-        return len(self.plane.rotation)
-
 
 def build_modified_medial(emb: OnePlaneEmbedding) -> ModifiedMedialGraph:
     """Medial graph with one vertex per crossing pair, as a plane graph."""
@@ -151,26 +141,18 @@ def build_modified_medial(emb: OnePlaneEmbedding) -> ModifiedMedialGraph:
         for i in range(len(rot)):
             a = node_of[parent_edge(rot[i])]
             b = node_of[parent_edge(rot[(i + 1) % len(rot)])]
-            eid = med.add_edge(a, b, eid=f"k|{v}|{i}")
-            med.rotation[a].pop()
-            med.rotation[b].pop()
-            corner_edges[(v, i)] = eid
+            if a == b:
+                raise ConstructionError("medial loop; unsupported configuration")
+            corner_edges[(v, i)] = med.record_edge(a, b, eid=f"k|{v}|{i}")
 
     # rotations: plain medial node m_e, e = (u, v):
     # [toward succ_u(e), toward pred_u(e), toward succ_v(e), toward pred_v(e)]
-    def corner_dart(v, i, node):
-        eid = corner_edges[(v, i)]
-        end = 0 if med.endpoints[eid][0] == node else 1
-        if med.endpoints[eid][0] == med.endpoints[eid][1]:
-            raise ConstructionError("medial loop; unsupported configuration")
-        return (eid, end)
-
     def side_darts(v, e_dart, node):
         """(succ corner, pred corner) medial darts for edge arriving at v."""
         rot = pg.rotation[v]
         i = rot.index(e_dart)
-        succ = corner_dart(v, i, node)                 # corner (e, next)
-        pred = corner_dart(v, (i - 1) % len(rot), node)  # corner (prev, e)
+        succ = med.dart(corner_edges[(v, i)], node)  # corner (e, next)
+        pred = med.dart(corner_edges[(v, (i - 1) % len(rot))], node)  # corner (prev, e)
         return [succ, pred]
 
     for e in sorted(g.edges, key=lambda x: sorted(x)):
@@ -356,11 +338,9 @@ def _subdivide(pg: PlaneGraph, eid, new_vertex):
     iu = pg.rotation[u].index((eid, 0))
     iv = pg.rotation[v].index((eid, 1))
     del pg.endpoints[eid]
-    a = pg.add_edge(u, new_vertex, eid=f"{eid}a")
-    b = pg.add_edge(new_vertex, v, eid=f"{eid}b")
-    pg.rotation[u].pop()
+    a = pg.record_edge(u, new_vertex, eid=f"{eid}a")
+    b = pg.record_edge(new_vertex, v, eid=f"{eid}b")
     pg.rotation[new_vertex] = [(a, 1), (b, 0)]
-    pg.rotation[v].pop()
     pg.rotation[u][iu] = (a, 0)
     pg.rotation[v][iv] = (b, 1)
 

@@ -37,14 +37,20 @@ class PlaneGraph:
         self._next_eid += 1
         return eid
 
-    def add_edge(self, u, v, eid=None, pos_u: Optional[int] = None,
-                 pos_v: Optional[int] = None):
-        """Insert edge u-v; pos_* are rotation insertion indices (append if None)."""
+    def record_edge(self, u, v, eid=None):
+        """Record edge u-v without placing its darts in any rotation; the
+        caller sets the rotations of u and v by hand."""
         if eid is None:
             eid = self.new_edge_id()
         if eid in self.endpoints:
             raise EmbeddingError(f"edge {eid!r} exists")
         self.endpoints[eid] = (u, v)
+        return eid
+
+    def add_edge(self, u, v, eid=None, pos_u: Optional[int] = None,
+                 pos_v: Optional[int] = None):
+        """Insert edge u-v; pos_* are rotation insertion indices (append if None)."""
+        eid = self.record_edge(u, v, eid)
         du, dv = (eid, 0), (eid, 1)
         ru, rv = self.rotation[u], self.rotation[v]
         ru.insert(len(ru) if pos_u is None else pos_u, du)
@@ -52,6 +58,10 @@ class PlaneGraph:
         return eid
 
     # -- dart algebra ---------------------------------------------------
+
+    def dart(self, eid, tail):
+        """The dart of edge eid leaving its endpoint tail."""
+        return (eid, 0 if self.endpoints[eid][0] == tail else 1)
 
     def tail(self, dart):
         eid, end = dart
@@ -152,10 +162,6 @@ class PlaneGraph:
         pg.rotation = {v: list(r) for v, r in self.rotation.items()}
         pg._next_eid = self._next_eid
         return pg
-
-
-def face_vertices(pg: PlaneGraph, walk):
-    return [pg.tail(d) for d in walk]
 
 
 def add_chord(pg: PlaneGraph, walk, i, j):

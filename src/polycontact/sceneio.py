@@ -86,9 +86,21 @@ def scene_to_json(scene: Scene) -> dict:
 
 
 def scene_from_json(doc: dict) -> Scene:
+    """The scene a JSON document describes; InputError if any part of it
+    is malformed (a wrong type, a bad coordinate, a missing key or element,
+    a polygon without corners)."""
     if not isinstance(doc, dict) or not _SCENE_KEYS <= doc.keys():
         raise InputError("a scene is an object with keys "
                          + ", ".join(sorted(_SCENE_KEYS)))
+    try:
+        return _scene_from_doc(doc)
+    except InputError:
+        raise
+    except (TypeError, ValueError, LookupError, AttributeError) as exc:
+        raise InputError(f"malformed scene: {type(exc).__name__}: {exc}") from exc
+
+
+def _scene_from_doc(doc: dict) -> Scene:
     kind = doc["kind"]
     meta = dict(doc.get("meta", {}))
     exact = meta.get("arithmetic", "exact") == "exact"
@@ -115,6 +127,8 @@ def scene_from_json(doc: dict) -> Scene:
     contacts = {}
     for rec in doc["contacts"]:
         el = rec["elements"]
+        if len(el) != (2 if kind == GRAPH else 1):
+            raise InputError(f"contact elements {el!r} do not fit a {kind} scene")
         key = edge_key(el[0], el[1]) if kind == GRAPH else el[0]
         contacts[key] = pts[rec["point"]]
     return Scene(kind=kind, structure=structure, polygons=polygons,

@@ -20,7 +20,7 @@ from itertools import combinations, permutations
 from typing import Optional
 
 from .core import Hypergraph, InputError, SteinerDescriptor, block_label, validate_steiner
-from .geom import Polygon3, vcross, vdot, vsub
+from .geom import Polygon3, _plane_of, plane_contains, vcross, vdot, vsub
 from .scene import ConstructionError, Scene, hypergraph_scene
 from .core import builtin_system
 
@@ -287,18 +287,13 @@ def max_coplanar_vertices(scene: Scene, eps: Optional[float] = None):
     if len(pts) < 3:
         raise InputError("need at least 3 contact points")
     best = (0, None, [])
-    for (na, pa), (nb, pb), (nc, pc) in combinations(pts, 3):
-        normal = vcross(vsub(pb, pa), vsub(pc, pa))
-        if all(ctx.is_zero(c) for c in normal):
+    for (_, pa), (_, pb), (_, pc) in combinations(pts, 3):
+        plane = _plane_of((pa, pb, pc), ctx)
+        if plane is None:
             continue
-        if not ctx.exact:
-            norm = math.sqrt(vdot(normal, normal))
-            normal = tuple(c / norm for c in normal)
-        offset = vdot(normal, pa)
-        members = [name for name, p in pts
-                   if ctx.is_zero(vdot(normal, p) - offset)]
+        members = [name for name, p in pts if plane_contains(plane, p, ctx)]
         if len(members) > best[0]:
-            best = (len(members), (normal, offset), members)
+            best = (len(members), plane, members)
     return best
 
 
@@ -307,17 +302,9 @@ def coplanar_polygon_pairs(scene: Scene, eps: Optional[float] = None):
     ctx = scene.context(eps=eps)
     planes = {}
     for label in sorted(scene.polygons):
-        poly = scene.polygons[label]
-        if len(poly.corners) < 3:
-            continue
-        n = vcross(vsub(poly.corners[1], poly.corners[0]),
-                   vsub(poly.corners[2], poly.corners[0]))
-        if all(ctx.is_zero(c) for c in n):
-            continue
-        if not ctx.exact:
-            norm = math.sqrt(vdot(n, n))
-            n = tuple(c / norm for c in n)
-        planes[label] = (n, vdot(n, poly.corners[0]))
+        plane = _plane_of(scene.polygons[label].corners, ctx)
+        if plane is not None:
+            planes[label] = plane
     out = []
     labels = sorted(planes)
     for a, b in combinations(labels, 2):

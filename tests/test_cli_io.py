@@ -234,10 +234,14 @@ def _without(key):
     return doc
 
 
-def _zero_denominator():
+def _edited(edit):
     doc = _valid_exact_doc()
-    doc["points"][0]["x"] = "1/0"
+    edit(doc)
     return doc
+
+
+def _coordinate(value):
+    return _edited(lambda d: d["points"][0].update(x=value))
 
 
 def _float_corner(value):
@@ -265,7 +269,12 @@ class TestMalformedScene:
         lambda: _without("points"),
         lambda: _without("polygons"),
         lambda: _without("contacts"),
-        _zero_denominator,
+        lambda: _coordinate("1/0"),
+        lambda: _coordinate("abc"),
+        lambda: _coordinate("3"),
+        lambda: _edited(lambda d: d["contacts"][0].update(elements=["1"])),
+        lambda: _edited(lambda d: d["polygons"][0].update(corners=[])),
+        lambda: _edited(lambda d: d.update(structure=None)),
         lambda: _float_corner("nan"),
         lambda: _float_corner("inf"),
         lambda: _float_corner("-inf"),
@@ -273,7 +282,9 @@ class TestMalformedScene:
         lambda: _float_epsilon(float("nan")),
         lambda: _float_epsilon("1e-9"),
     ], ids=["list", "string", "no-kind", "no-points", "no-polygons",
-            "no-contacts", "zero-denominator", "nan", "inf", "minus-inf",
+            "no-contacts", "zero-denominator", "not-a-number", "no-denominator",
+            "one-element-contact", "no-corners", "null-structure",
+            "nan", "inf", "minus-inf",
             "negative-epsilon", "nan-epsilon", "string-epsilon"])
     def test_exit_two(self, doc, tmp_path, capsys):
         doc = doc()

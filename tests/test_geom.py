@@ -1,12 +1,10 @@
-"""Exact predicates, hulls, polygon properties and pair classification."""
+"""Polygon properties and pair classification."""
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from polycontact.geom import (ArithmeticContext, Polygon3, classify_pair,
-                              convex_hull_planar, orient3d,
                               polygon_properties, CORNER_CONTACT, DISJOINT,
                               VIOLATION, BOUNDARY_TOUCH)
 
@@ -18,24 +16,6 @@ EX = ArithmeticContext(exact=True)
 
 def P(*corners):
     return Polygon3(corners=tuple(tuple(map(F, c)) for c in corners))
-
-
-class TestOrient3d:
-    def test_unit_tetrahedron(self):
-        assert orient3d((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)) == 1
-
-    def test_coplanar(self):
-        assert orient3d((0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 3, 0)) == 0
-
-    def test_swap_flips_sign(self):
-        a, b, c, d = (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)
-        assert orient3d(a, b, c, d) == -orient3d(b, a, c, d)
-
-    @given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5),
-                              st.integers(-5, 5)), min_size=4, max_size=4))
-    def test_antisymmetry_property(self, pts):
-        a, b, c, d = pts
-        assert orient3d(a, b, c, d) == -orient3d(a, c, b, d)
 
 
 class TestPolygonProperties:
@@ -63,53 +43,6 @@ class TestPolygonProperties:
         seg = P((0, 0, 0), (1, 1, 1))
         props = polygon_properties(seg)
         assert props.degenerate and props.planar
-
-
-class TestConvexHull:
-    def test_square_with_center(self):
-        pts = [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0), (1, 1, 0)]
-        hull = convex_hull_planar([tuple(map(F, p)) for p in pts])
-        assert len(hull.corners) == 4
-        assert (F(1), F(1), F(0)) not in hull.corners
-
-    def test_two_points(self):
-        hull = convex_hull_planar([(F(0), F(0), F(0)), (F(1), F(2), F(3))])
-        assert hull.kind == "segment"
-
-    def test_tilted_pentagon(self):
-        # convex pentagon in the plane z = x + y; hull keeps all five, and
-        # consecutive orientation agrees with orient3d against the normal
-        base = [(0, 0), (2, 0), (3, 2), (1, 4), (-1, 2)]
-        pts = [(F(x), F(y), F(x) + F(y)) for x, y in base]
-        hull = convex_hull_planar(pts)
-        assert sorted(hull.corners) == sorted(pts)
-        cs = hull.corners
-        above = tuple(map(F, (0, 0, 10)))
-        signs = set()
-        for i in range(5):
-            o = orient3d(cs[i], cs[(i + 1) % 5], cs[(i + 2) % 5],
-                         (cs[i][0], cs[i][1], cs[i][2] + 1))
-            signs.add(o)
-        assert len(signs) == 1 and 0 not in signs
-
-    def test_hull_output_is_convex(self):
-        pts = [(F(0), F(0), F(0)), (F(4), F(0), F(0)), (F(1), F(1), F(0)),
-               (F(0), F(3), F(0)), (F(4), F(3), F(0)), (F(2), F(1), F(0))]
-        hull = convex_hull_planar(pts)
-        props = polygon_properties(hull)
-        assert props.convex and props.simple
-
-    def test_keep_collinear(self):
-        pts = [(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(2), F(0), F(0)),
-               (F(2), F(2), F(0)), (F(0), F(2), F(0))]
-        hull = convex_hull_planar(pts, keep_collinear=True)
-        assert len(hull.corners) == 5
-
-    def test_non_coplanar_rejected(self):
-        from polycontact.geom import GeometryError
-        with pytest.raises(GeometryError):
-            convex_hull_planar([(F(0), F(0), F(0)), (F(1), F(0), F(0)),
-                                (F(0), F(1), F(0)), (F(0), F(0), F(1))])
 
 
 class TestClassifyPair:

@@ -19,11 +19,9 @@ def build(edges, rotations):
     for v in rotations:
         pg.add_vertex(v)
     for u, v in edges:
-        eid = pg.add_edge(u, v)
+        eid = pg.record_edge(u, v)
         darts[(u, v)] = (eid, 0)
         darts[(v, u)] = (eid, 1)
-        pg.rotation[u].pop()
-        pg.rotation[v].pop()
     for v, nbrs in rotations.items():
         pg.rotation[v] = [darts[(v, w)] for w in nbrs]
     return pg

@@ -238,3 +238,23 @@ class TestCoplanarity:
         pairs = coplanar_polygon_pairs(scene, eps=1e-6)
         # for the default angle no two block triangles share a plane
         assert pairs == []
+
+    @pytest.mark.parametrize("arithmetic", ["exact", "float"])
+    def test_straight_angle_first_corners(self, arithmetic):
+        # the pentagon's first three corners are collinear; its plane comes
+        # from later corners, and the triangle shares it
+        from fractions import Fraction
+
+        from polycontact import Graph, Polygon3, edge_key, graph_scene
+        num = Fraction if arithmetic == "exact" else float
+
+        def poly(*corners):
+            return Polygon3(corners=tuple(tuple(map(num, c)) for c in corners))
+
+        pent = poly((0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0), (0, 1, 0))
+        tri = poly((2, 0, 0), (3, 0, 0), (3, 1, 0))
+        g = Graph.from_edges([("a", "b")])
+        scene = graph_scene(g, {"a": pent, "b": tri},
+                            {edge_key("a", "b"): tri.corners[0]},
+                            {"construction": "t", "arithmetic": arithmetic})
+        assert coplanar_polygon_pairs(scene) == [("a", "b")]
