@@ -78,11 +78,6 @@ def find_bridges(g: Graph) -> set:
 class BridgeBlockTree:
     components: list  # list of frozensets of vertices
     bridges: set  # edge keys
-    tree_edges: list  # (component index, component index, bridge key)
-
-    @property
-    def node_count(self):
-        return len(self.components)
 
 
 def bridge_block_tree(g: Graph) -> BridgeBlockTree:
@@ -108,11 +103,7 @@ def bridge_block_tree(g: Graph) -> BridgeBlockTree:
         comps.append(frozenset(comp))
         for v in comp:
             comp_of[v] = idx
-    tree = []
-    for b in bridges:
-        u, v = tuple(b)
-        tree.append((comp_of[u], comp_of[v], b))
-    return BridgeBlockTree(components=comps, bridges=bridges, tree_edges=tree)
+    return BridgeBlockTree(components=comps, bridges=bridges)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ directions are divided by the gcd of their entries, the intersection line's
 point is an int vector over an int weight, and chord bounds are int pairs
 compared by cross-multiplication.  `Fraction`s are built only for the two
 winning chord bounds of a pair and for the points derived from them (the
-midpoint probe and touch witnesses), and by the degenerate-polygon
-classifiers.
+midpoint probe and touch witnesses), and by the point/segment cases.
 
 Which corners two polygons share comes into `classify_pair` as a *match*:
 for each corner of either polygon, whether it equals (`point_eq`) some
@@ -32,9 +31,16 @@ filled regions:
   running through the other polygon, e.g. along the diagonal between two
   shared corners) is tolerated and reported as a boundary touch.
 
-Only convex polygons (plus degenerate segments and single points) are
-supported by `classify_pair`; that covers every construction in this
-package and keeps the chord logic exact and simple.
+`classify_pair` is the one place that applies this model and decides a
+pair's kind.  It finds the shared corners, runs the corner checks of both
+polygons, and then hands the pair to one geometric case (coplanar,
+transversal, degenerate against a polygon, two degenerate), which only adds
+interior-overlap violations and returns touch points.
+
+Only convex polygons (plus single points and degenerate corner lists, taken
+as the segment between their extreme corners) are supported by
+`classify_pair`; that covers every construction in this package and keeps
+the chord logic exact and simple.
 """
 
 from __future__ import annotations
@@ -77,9 +83,6 @@ class ArithmeticContext:
 
     def is_zero(self, x) -> bool:
         return self.sign(x) == 0
-
-    def eq(self, x, y) -> bool:
-        return self.sign(x - y) == 0
 
     def point_eq(self, p: Point3, q: Point3) -> bool:
         if self.exact:
@@ -346,7 +349,7 @@ class PairClassification:
 
 
 class _Convex2D:
-    """A convex polygon (or segment/point) flattened into its plane.
+    """A convex polygon flattened into its plane.
 
     Supplies the point-location and line-chord queries that the pair
     classifier needs, all in the polygon's own 2D frame.
@@ -365,16 +368,6 @@ class _Convex2D:
         for p in pts:
             if ctx.is_zero(q2[0] - p[0]) and ctx.is_zero(q2[1] - p[1]):
                 return "corner"
-        if n == 1:
-            return "outside"
-        if n == 2:
-            if ctx.sign(cross2(pts[0], pts[1], q2)) != 0:
-                return "outside"
-            d = (pts[1][0] - pts[0][0], pts[1][1] - pts[0][1])
-            t = (q2[0] - pts[0][0]) * d[0] + (q2[1] - pts[0][1]) * d[1]
-            if ctx.sign(t) < 0 or ctx.sign(t - (d[0] * d[0] + d[1] * d[1])) > 0:
-                return "outside"
-            return "boundary"  # relative interior of the segment
         on_edge = False
         for i in range(n):
             s = ctx.sign(cross2(pts[i], pts[(i + 1) % n], q2))
@@ -407,38 +400,52 @@ def polygon_frame(poly: Polygon3, ctx: ArithmeticContext = EXACT):
     return plane, _Convex2D(pts, ctx, axis)
 
 
+def _segment_ends(corners):
+    """The two extreme corners of a plane-less list of two or more corners.
+
+    A segment's corners come in list order.  A longer (collinear) list is
+    ordered along the axis on which its corners spread most.
+    """
+    if len(corners) == 2:
+        return corners
+    spread = [max(xs) - min(xs) for xs in zip(*corners)]
+    k = spread.index(max(spread))
+    return min(corners, key=lambda c: c[k]), max(corners, key=lambda c: c[k])
+
+
 def _locate_point(poly: Polygon3, flat: Optional[_Convex2D], plane,
                   q: Point3, ctx: ArithmeticContext,
                   is_corner: Optional[bool] = None) -> str:
     """Classify q against a polygon of any degeneracy, in 3D.
 
-    `is_corner` says whether q equals a corner of poly when the caller
-    knows it; otherwise q is compared with every corner.
+    `plane` and `flat` are poly's `polygon_frame`.  Without a plane, poly is
+    a point or a collinear corner list, whose relative interior is the open
+    segment between its extreme corners.  `is_corner` says whether q equals
+    a corner of poly when the caller knows it; otherwise q is compared with
+    every corner.
     """
     if is_corner is None:
         is_corner = any(ctx.point_eq(c, q) for c in poly.corners)
     if is_corner:
         return "corner"
-    n = len(poly.corners)
-    if n == 1:
-        return "outside"
-    if n == 2:
-        a, b = poly.corners
-        d = vsub(b, a)
-        w = vsub(q, a)
-        if not is_zero_vec(vcross(d, w), ctx):
+    if plane is not None:
+        if not plane_contains(plane, q, ctx):
             return "outside"
-        t = vdot(w, d)
-        if ctx.sign(t) < 0 or ctx.sign(t - vdot(d, d)) > 0:
-            return "outside"
-        return "boundary"
-    if plane is None or not plane_contains(plane, q, ctx):
+        return flat.locate(project2d(q, flat.axis))
+    if len(poly.corners) == 1:
         return "outside"
-    return flat.locate(project2d(q, flat.axis))
+    a, b = _segment_ends(poly.corners)
+    d = vsub(b, a)
+    w = vsub(q, a)
+    if not is_zero_vec(vcross(d, w), ctx):
+        return "outside"
+    t = vdot(w, d)
+    if ctx.sign(t) < 0 or ctx.sign(t - vdot(d, d)) > 0:
+        return "outside"
+    return "boundary"
 
 
-def _chord(poly: Polygon3, flat: _Convex2D, p0: Point3, dr: Point3,
-           ctx: ArithmeticContext, w=1):
+def _chord(flat: _Convex2D, p0: Point3, dr: Point3, ctx: ArithmeticContext, w=1):
     """Clip the line p0/w + t*dr (known to lie in the polygon's plane), w > 0.
 
     Returns (t_lo, t_hi, through_interior) or None when the line misses.
@@ -509,16 +516,72 @@ def _corner_incursions(p: Polygon3, q: Polygon3, q_flat, q_plane, ctx, out,
             out.append(("corner-on-boundary", c))
 
 
-def _classify_coplanar(p: Polygon3, q: Polygon3, p_flat, q_flat,
-                       p_plane, q_plane, ctx, match) -> PairClassification:
-    res = PairClassification(kind=DISJOINT)
-    shared = res.shared_corners = _shared(p, match[0])
+def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
+                  p_frame=None, q_frame=None, match=None) -> PairClassification:
+    """Classify how two convex (or degenerate) polygons meet in 3D.
+
+    Returns a `PairClassification` whose kind is one of Disjoint,
+    CornerContact, BoundaryTouch (tolerated) or Violation.  Violations carry
+    (reason, witness) pairs with reasons 'interior-overlap', 'corner-inside'
+    or 'corner-on-boundary'.  `p_frame`/`q_frame` are the polygons'
+    `polygon_frame` results when the caller has them already.  `match` is
+    (p_shared, q_shared): per corner of p (of q), whether it equals a corner
+    of q (of p); it is built from a pairwise `point_eq` scan when omitted.
+
+    This is the only place that decides a kind.  The shared corners are p's,
+    in p's order.  Each polygon's unshared corners are located on the other
+    (a point or collinear list first), then the pair's geometric case adds
+    its interior-overlap violations and returns its touch points.  The kind
+    is Violation if there are violations, else CornerContact if a corner is
+    shared, else BoundaryTouch if there are touch points, else Disjoint.
+    Touch points other than shared corners ride along on CornerContact and
+    BoundaryTouch.  Distinct parallel planes are Disjoint at once.
+    """
+    p_plane, p_flat = p_frame or polygon_frame(p, ctx)
+    q_plane, q_flat = q_frame or polygon_frame(q, ctx)
+    if p_plane is not None and q_plane is not None:
+        dr = vcross(p_plane[0], q_plane[0])
+        crossing = not is_zero_vec(dr, ctx)
+        if not crossing and not plane_contains(p_plane, q.corners[0], ctx):
+            return PairClassification(kind=DISJOINT)  # distinct parallel planes
+    if match is None:
+        eq = [[ctx.point_eq(c, d) for d in q.corners] for c in p.corners]
+        match = [any(row) for row in eq], [any(col) for col in zip(*eq)]
+    res = PairClassification(kind=DISJOINT, shared_corners=[
+        c for c, shared in zip(p.corners, match[0]) if shared])
+    # A missing plane means a point or collinear corner list; it goes first.
+    if p_plane is not None and q_plane is None:
+        p, q, p_flat, q_flat, p_plane, q_plane = q, p, q_flat, p_flat, q_plane, p_plane
+        match = match[::-1]
     _corner_incursions(p, q, q_flat, q_plane, ctx, res.violations, match[0])
     _corner_incursions(q, p, p_flat, p_plane, ctx, res.violations, match[1])
 
-    # Interior overlap via separating axes (edge normals of both polygons).
-    # Both inputs here are proper polygons: coplanar pairs with a degenerate
-    # member are routed through the degenerate classifiers instead.
+    out = res.violations
+    if p_plane is None and q_plane is None:
+        touch = _degenerate_pair(p, q, ctx, out)
+    elif p_plane is None:
+        touch = _degenerate_vs_polygon(p, q, q_flat, q_plane, ctx, out)
+    elif crossing:
+        touch = _transversal(p, q, p_flat, q_flat, p_plane, q_plane, dr, ctx, out)
+    else:
+        touch = _coplanar(p, q, p_flat, q_flat, ctx, out)
+
+    if res.violations:
+        res.kind = VIOLATION
+    elif res.shared_corners:
+        res.kind = CORNER_CONTACT
+        res.touch_witnesses = [t for t in touch if not any(
+            ctx.point_eq(t, c) for c in res.shared_corners)]
+    elif touch:
+        res.kind = BOUNDARY_TOUCH
+        res.touch_witnesses = touch
+    return res
+
+
+def _coplanar(p, q, p_flat, q_flat, ctx, out) -> list:
+    """Two proper polygons in one plane: interior overlap by separating
+    axes (edge normals of both), and a touch witness unless an axis
+    separates them."""
     def axes(flat):
         pts = flat.pts
         n = len(pts)
@@ -543,103 +606,26 @@ def _classify_coplanar(p: Polygon3, q: Polygon3, p_flat, q_flat,
         if separated:
             break
     if not separated and not touching_axis:
-        res.violations.append(("interior-overlap", p.corners[0]))
-
-    if res.violations:
-        res.kind = VIOLATION
-    elif shared:
-        res.kind = CORNER_CONTACT
-    elif not separated:
-        # touching boundaries without shared corners
-        res.kind = BOUNDARY_TOUCH
-        res.touch_witnesses = _boundary_touch_points(p, q, p_flat, q_flat,
-                                                     p_plane, q_plane, ctx, match)
-        if not res.touch_witnesses:
-            res.kind = DISJOINT
-    return res
+        out.append(("interior-overlap", p.corners[0]))
+    return [] if separated else _boundary_touch_points(p, q, p_flat.axis, ctx)
 
 
-def _boundary_touch_points(p, q, p_flat, q_flat, p_plane, q_plane, ctx, match):
-    """Sample witnesses for coplanar boundary touches (edge-edge meets)."""
-    out = []
-    pc, qc = p.corners, q.corners
+def _boundary_touch_points(p, q, axis, ctx) -> list:
+    """The witness of a coplanar boundary touch: the first corner of p's
+    first edge that meets an edge of q (closed), or none."""
+    pc = [project2d(c, axis) for c in p.corners]
+    qc = [project2d(c, axis) for c in q.corners]
     np_, nq = len(pc), len(qc)
-    p_edges = [(pc[i], pc[(i + 1) % np_]) for i in range(np_)] if np_ >= 2 else []
-    q_edges = [(qc[i], qc[(i + 1) % nq]) for i in range(nq)] if nq >= 2 else []
-    if np_ == 2:
-        p_edges = p_edges[:1]
-    if nq == 2:
-        q_edges = q_edges[:1]
-    axis = p_flat.axis if p_flat is not None else (q_flat.axis if q_flat else 2)
-    for a1, a2 in p_edges:
-        for b1, b2 in q_edges:
-            if _segments_intersect2d(project2d(a1, axis), project2d(a2, axis),
-                                     project2d(b1, axis), project2d(b2, axis), ctx):
-                out.append(a1)
-                return out
-    for c, shared in zip(pc, match[0]):
-        if _locate_point(q, q_flat, q_plane, c, ctx, shared) != "outside":
-            out.append(c)
-            return out
-    for c, shared in zip(qc, match[1]):
-        if _locate_point(p, p_flat, p_plane, c, ctx, shared) != "outside":
-            out.append(c)
-            return out
-    return out
+    for i in range(np_):
+        for j in range(nq):
+            if _segments_intersect2d(pc[i], pc[(i + 1) % np_],
+                                     qc[j], qc[(j + 1) % nq], ctx):
+                return [p.corners[i]]
+    return []
 
 
-def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
-                  p_frame=None, q_frame=None, match=None) -> PairClassification:
-    """Classify how two convex (or degenerate) polygons meet in 3D.
-
-    Returns a `PairClassification` whose kind is one of Disjoint,
-    CornerContact, BoundaryTouch (tolerated) or Violation.  Violations carry
-    (reason, witness) pairs with reasons 'interior-overlap', 'corner-inside'
-    or 'corner-on-boundary'.  `p_frame`/`q_frame` are the polygons'
-    `polygon_frame` results when the caller has them already.  `match` is
-    (p_shared, q_shared): per corner of p (of q), whether it equals a corner
-    of q (of p); it is built from a pairwise `point_eq` scan when omitted.
-    """
-    p_plane, p_flat = p_frame or polygon_frame(p, ctx)
-    q_plane, q_flat = q_frame or polygon_frame(q, ctx)
-    if match is None:
-        eq = [[ctx.point_eq(c, d) for d in q.corners] for c in p.corners]
-        match = [any(row) for row in eq], [any(col) for col in zip(*eq)]
-
-    # Degenerate cases (point or segment, or collinear corner lists) are
-    # routed through the same machinery; a missing plane means dimension <= 1.
-    if p_plane is not None and q_plane is not None:
-        n1, d1 = p_plane
-        n2, d2 = q_plane
-        dr = vcross(n1, n2)
-        if is_zero_vec(dr, ctx):
-            if plane_contains(p_plane, q.corners[0], ctx):
-                return _classify_coplanar(p, q, p_flat, q_flat, p_plane, q_plane,
-                                          ctx, match)
-            return PairClassification(kind=DISJOINT)
-        return _classify_transversal(p, q, p_flat, q_flat, p_plane, q_plane,
-                                     dr, ctx, match)
-
-    # At least one degenerate object.
-    if p_plane is None and q_plane is not None:
-        return _classify_degenerate_vs_poly(p, q, q_flat, q_plane, ctx, match)
-    if q_plane is None and p_plane is not None:
-        return _classify_degenerate_vs_poly(q, p, p_flat, p_plane, ctx,
-                                            match[::-1])
-    return _classify_degenerate_pair(p, q, ctx, match)
-
-
-def _shared(p: Polygon3, p_shared) -> list:
-    return [c for c, shared in zip(p.corners, p_shared) if shared]
-
-
-def _classify_transversal(p, q, p_flat, q_flat, p_plane, q_plane, dr, ctx, match):
-    res = PairClassification(kind=DISJOINT)
-    res.shared_corners = _shared(p, match[0])
-    _corner_incursions(p, q, q_flat, q_plane, ctx, res.violations, match[0])
-    _corner_incursions(q, p, p_flat, p_plane, ctx, res.violations, match[1])
-
-    # Intersection line of the two planes.
+def _transversal(p, q, p_flat, q_flat, p_plane, q_plane, dr, ctx, out) -> list:
+    """Two polygons in crossing planes, clipped to the planes' common line."""
     n1, d1 = p_plane
     n2, d2 = q_plane
     # |n1|^2 |n2|^2 - (n1.n2)^2 = |n1 x n2|^2; taken from dr it does not
@@ -662,23 +648,15 @@ def _classify_transversal(p, q, p_flat, q_flat, p_plane, q_plane, dr, ctx, match
         dr = vscale(dr, 1.0 / math.sqrt(det))
         h0, w = vadd(vscale(n1, c1 / det), vscale(n2, c2 / det)), 1
 
-    ip = _chord(p, p_flat, h0, dr, ctx, w)
-    iq = _chord(q, q_flat, h0, dr, ctx, w)
+    ip = _chord(p_flat, h0, dr, ctx, w)
+    iq = _chord(q_flat, h0, dr, ctx, w)
     if ip is None or iq is None:
-        if res.violations:
-            res.kind = VIOLATION
-        elif res.shared_corners:
-            res.kind = CORNER_CONTACT
-        return res
+        return []
     lo = max(ip[0], iq[0])
     hi = min(ip[1], iq[1])
     s = ctx.sign(hi - lo)
     if s < 0:
-        if res.violations:
-            res.kind = VIOLATION
-        elif res.shared_corners:
-            res.kind = CORNER_CONTACT
-        return res
+        return []
 
     p0 = tuple(Fraction(c, w) for c in h0) if ctx.exact else h0
     if s > 0 and ip[2] and iq[2]:
@@ -689,7 +667,7 @@ def _classify_transversal(p, q, p_flat, q_flat, p_plane, q_plane, dr, ctx, match
         in_p = _locate_point(p, p_flat, p_plane, mid, ctx)
         in_q = _locate_point(q, q_flat, q_plane, mid, ctx)
         if in_p == "interior" and in_q == "interior":
-            res.violations.append(("interior-overlap", mid))
+            out.append(("interior-overlap", mid))
 
     touch = []
     for t in ((lo,) if lo == hi else (lo, hi)):
@@ -700,133 +678,91 @@ def _classify_transversal(p, q, p_flat, q_flat, p_plane, q_plane, dr, ctx, match
             continue  # already in shared_corners
         if loc_p != "outside" and loc_q != "outside":
             touch.append(pt)
-
-    if res.violations:
-        res.kind = VIOLATION
-    elif res.shared_corners:
-        res.kind = CORNER_CONTACT
-        res.touch_witnesses = touch
-    elif touch:
-        res.kind = BOUNDARY_TOUCH
-        res.touch_witnesses = touch
-    return res
+    return touch
 
 
-def _classify_degenerate_vs_poly(seg: Polygon3, poly: Polygon3, poly_flat,
-                                 poly_plane, ctx, match) -> PairClassification:
-    """Segment-or-point against a proper polygon."""
-    res = PairClassification(kind=DISJOINT)
-    res.shared_corners = _shared(seg, match[0])
-    _corner_incursions(seg, poly, poly_flat, poly_plane, ctx, res.violations,
-                       match[0])
-    _corner_incursions(poly, seg, None, None, ctx, res.violations, match[1])
+def _degenerate_vs_polygon(seg: Polygon3, poly: Polygon3, poly_flat,
+                           poly_plane, ctx, out) -> list:
+    """A point or collinear corner list against a proper polygon.  A lone
+    point adds nothing to its corner checks."""
+    if len(seg.corners) == 1:
+        return []
+    a, b = _segment_ends(seg.corners)
+    dr = vsub(b, a)
+    n, d = poly_plane
+    da = vdot(n, a) - d
+    db = vdot(n, b) - d
+    sa, sb = ctx.sign(da), ctx.sign(db)
+    if sa == 0 and sb == 0:
+        # coplanar segment: clip against the polygon
+        chord = _chord(poly_flat, a, dr, ctx)
+        if chord is None:
+            return []
+        lo = max(chord[0], Fraction(0) if ctx.exact else 0.0)
+        hi = min(chord[1], Fraction(1) if ctx.exact else 1.0)
+        s = ctx.sign(hi - lo)
+        if s < 0:
+            return []
+        if s > 0 and chord[2]:
+            mid = _line_point(a, dr, (lo + hi) / 2)
+            if _locate_point(poly, poly_flat, poly_plane, mid, ctx) == "interior":
+                out.append(("interior-overlap", mid))
+        return [_line_point(a, dr, t) for t in ((lo,) if lo == hi else (lo, hi))]
+    denom = vdot(n, dr)
+    if sa * sb > 0 or ctx.is_zero(denom):
+        return []
+    t = Fraction(-da, denom) if ctx.exact else -da / denom
+    x = _line_point(a, dr, t)
+    loc = _locate_point(poly, poly_flat, poly_plane, x, ctx)
+    if loc == "outside":
+        return []
+    if loc == "interior" and _locate_point(seg, None, None, x, ctx) == "boundary":
+        out.append(("interior-overlap", x))
+    return [x]
 
-    hits = []
-    if len(seg.corners) >= 2:
-        a = seg.corners[0]
-        b = seg.corners[-1] if len(seg.corners) == 2 else seg.corners[1]
-        n, d = poly_plane
-        da = vdot(n, a) - d
-        db = vdot(n, b) - d
-        sa, sb = ctx.sign(da), ctx.sign(db)
-        if sa == 0 and sb == 0:
-            # coplanar segment: clip against the polygon
-            dr = vsub(b, a)
-            chord = _chord(poly, poly_flat, a, dr, ctx)
-            if chord is not None:
-                lo = max(chord[0], Fraction(0) if ctx.exact else 0.0)
-                hi = min(chord[1], Fraction(1) if ctx.exact else 1.0)
-                if ctx.sign(hi - lo) >= 0:
-                    if ctx.sign(hi - lo) > 0 and chord[2]:
-                        mid = _line_point(a, dr, (lo + hi) / 2)
-                        if _locate_point(poly, poly_flat, poly_plane, mid, ctx) == "interior":
-                            res.violations.append(("interior-overlap", mid))
-                    for t in ((lo,) if lo == hi else (lo, hi)):
-                        hits.append(_line_point(a, dr, t))
-        elif sa * sb <= 0:
-            dr = vsub(b, a)
-            denom = vdot(n, dr)
-            if not ctx.is_zero(denom):
-                t = Fraction(-da, denom) if ctx.exact else -da / denom
-                x = _line_point(a, dr, t)
-                loc = _locate_point(poly, poly_flat, poly_plane, x, ctx)
-                if loc != "outside":
-                    seg_loc = _locate_point(seg, None, None, x, ctx)
-                    if seg_loc == "boundary" and loc == "interior":
-                        res.violations.append(("interior-overlap", x))
-                    hits.append(x)
+
+def _degenerate_pair(p: Polygon3, q: Polygon3, ctx, out) -> list:
+    """Two points or collinear corner lists (possibly skew).  A lone point
+    adds nothing to its corner checks."""
+    if len(p.corners) == 1 or len(q.corners) == 1:
+        return []
+    a, b = _segment_ends(p.corners)
+    c, d = _segment_ends(q.corners)
+    u, v, w = vsub(b, a), vsub(d, c), vsub(c, a)
+    n = vcross(u, v)
+    if is_zero_vec(n, ctx):
+        # parallel: collinear overlap?
+        if not is_zero_vec(vcross(u, w), ctx):
+            return []
+        uu = vdot(u, u)
+        t0 = vdot(w, u)
+        t1 = vdot(vsub(d, a), u)
+        lo = max(min(t0, t1), 0 * uu)
+        hi = min(max(t0, t1), uu)
+        if ctx.sign(hi - lo) > 0:
+            x = _line_point(a, u, Fraction(lo + hi, 2 * uu) if ctx.exact
+                            else (lo + hi) / 2 / uu)
+            out.append(("interior-overlap", x))
+        elif ctx.sign(hi - lo) == 0:
+            return [_line_point(a, u, Fraction(lo, uu) if ctx.exact else lo / uu)]
+        return []
+    if not ctx.is_zero(vdot(w, n)):
+        return []
+    # coplanar, non-parallel: solve intersection params
+    nn = vdot(n, n)
+    t = vdot(vcross(w, v), n)
+    s = vdot(vcross(w, u), n)
+    if ctx.exact:
+        t, s = Fraction(t, nn), Fraction(s, nn)
     else:
-        pt = seg.corners[0]
-        loc = _locate_point(poly, poly_flat, poly_plane, pt, ctx, match[0][0])
-        if loc != "outside":
-            hits.append(pt)
-
-    touch = [h for h in hits
-             if not any(ctx.point_eq(h, c) for c in res.shared_corners)]
-    if res.violations:
-        res.kind = VIOLATION
-    elif res.shared_corners:
-        res.kind = CORNER_CONTACT
-        res.touch_witnesses = touch
-    elif touch:
-        res.kind = BOUNDARY_TOUCH
-        res.touch_witnesses = touch
-    return res
-
-
-def _classify_degenerate_pair(p: Polygon3, q: Polygon3, ctx, match) -> PairClassification:
-    """Two segments/points (possibly skew)."""
-    res = PairClassification(kind=DISJOINT)
-    res.shared_corners = _shared(p, match[0])
-    _corner_incursions(p, q, None, None, ctx, res.violations, match[0])
-    _corner_incursions(q, p, None, None, ctx, res.violations, match[1])
-
-    hits = []
-    if len(p.corners) == 2 and len(q.corners) == 2:
-        a, b = p.corners
-        c, d = q.corners
-        u, v, w = vsub(b, a), vsub(d, c), vsub(c, a)
-        n = vcross(u, v)
-        if is_zero_vec(n, ctx):
-            # parallel: collinear overlap?
-            if is_zero_vec(vcross(u, w), ctx):
-                uu = vdot(u, u)
-                t0 = vdot(w, u)
-                t1 = vdot(vsub(d, a), u)
-                lo = max(min(t0, t1), 0 * uu)
-                hi = min(max(t0, t1), uu)
-                if ctx.sign(hi - lo) > 0:
-                    x = _line_point(a, u, Fraction(lo + hi, 2 * uu) if ctx.exact
-                                    else (lo + hi) / 2 / uu)
-                    res.violations.append(("interior-overlap", x))
-                elif ctx.sign(hi - lo) == 0:
-                    x = _line_point(a, u, Fraction(lo, uu) if ctx.exact else lo / uu)
-                    hits.append(x)
-        elif ctx.is_zero(vdot(w, n)):
-            # coplanar, non-parallel: solve intersection params
-            nn = vdot(n, n)
-            t = vdot(vcross(w, v), n)
-            s = vdot(vcross(w, u), n)
-            if ctx.exact:
-                t, s = Fraction(t, nn), Fraction(s, nn)
-            else:
-                t, s = t / nn, s / nn
-            if 0 <= t <= 1 and 0 <= s <= 1:
-                x = _line_point(a, u, t)
-                p_loc = _locate_point(p, None, None, x, ctx)
-                q_loc = _locate_point(q, None, None, x, ctx)
-                if p_loc == "boundary" and q_loc == "boundary":
-                    res.violations.append(("interior-overlap", x))
-                elif p_loc != "outside" and q_loc != "outside":
-                    hits.append(x)
-
-    touch = [h for h in hits
-             if not any(ctx.point_eq(h, c) for c in res.shared_corners)]
-    if res.violations:
-        res.kind = VIOLATION
-    elif res.shared_corners:
-        res.kind = CORNER_CONTACT
-    elif touch:
-        res.kind = BOUNDARY_TOUCH
-        res.touch_witnesses = touch
-    return res
+        t, s = t / nn, s / nn
+    if not (0 <= t <= 1 and 0 <= s <= 1):
+        return []
+    x = _line_point(a, u, t)
+    p_loc = _locate_point(p, None, None, x, ctx)
+    q_loc = _locate_point(q, None, None, x, ctx)
+    if p_loc == "boundary" and q_loc == "boundary":
+        out.append(("interior-overlap", x))
+    elif p_loc != "outside" and q_loc != "outside":
+        return [x]
+    return []

@@ -169,10 +169,8 @@ def build_modified_medial(emb: OnePlaneEmbedding) -> ModifiedMedialGraph:
         rot = []
         dummy = f"x{k}"
         for d in pg.rotation[dummy]:
-            far = pg.head(d)
-            half = pg.rev(d)  # dart leaving far toward the dummy
-            far_dart = next(dd for dd in pg.rotation[far] if dd == half)
-            rot += side_darts(far, far_dart, node)
+            # pg.rev(d) is the dart leaving the far end toward the dummy
+            rot += side_darts(pg.head(d), pg.rev(d), node)
         med.rotation[node] = rot
 
     med.check_planar()

@@ -203,8 +203,7 @@ def stellate(pg: PlaneGraph, walk, new_vertex):
     return eids
 
 
-def triangulate_face(pg: PlaneGraph, walk, dummy_edges, dummy_vertices,
-                     counter):
+def triangulate_face(pg: PlaneGraph, walk, counter):
     """Triangulate one face by non-duplicating chords, stellating if stuck."""
     stack = [walk]
     while stack:
@@ -223,8 +222,7 @@ def triangulate_face(pg: PlaneGraph, walk, dummy_edges, dummy_vertices,
                 if pg.edge_between(a, b) is not None:
                     continue
                 lo, hi = min(i, j), max(i, j)
-                eid, wa, wb = add_chord(pg, w, lo, hi)
-                dummy_edges.add(eid)
+                _, wa, wb = add_chord(pg, w, lo, hi)
                 stack.append(wa)
                 stack.append(wb)
                 placed = True
@@ -232,23 +230,18 @@ def triangulate_face(pg: PlaneGraph, walk, dummy_edges, dummy_vertices,
             if placed:
                 break
         if not placed:
-            s = f"steiner{counter[0]}"
+            stellate(pg, w, f"steiner{counter[0]}")
             counter[0] += 1
-            eids = stellate(pg, w, s)
-            dummy_edges.update(eids)
-            dummy_vertices.add(s)
 
 
 def triangulate(pg: PlaneGraph, outer_walk):
     """Fully triangulate a simple connected plane graph.
 
-    Returns (graph copy, outer triangle vertices, dummy edge ids, dummy
-    vertices).  The outer triangle is one of the faces created inside the
-    given outer walk (the walk itself when it is already a triangle).
+    Returns (graph copy, outer triangle vertices).  The outer triangle is
+    one of the faces created inside the given outer walk (the walk itself
+    when it is already a triangle).
     """
     work = pg.copy()
-    dummy_edges: set = set()
-    dummy_vertices: set = set()
     counter = [0]
 
     faces = work.faces()
@@ -279,18 +272,14 @@ def triangulate(pg: PlaneGraph, outer_walk):
                 lo, hi = min(i, j), max(i, j)
                 if (hi - lo) != 2:
                     continue
-                eid, wa, wb = add_chord(work, w, lo, hi)
-                dummy_edges.add(eid)
+                _, wa, wb = add_chord(work, w, lo, hi)
                 w = wa if len(wa) >= len(wb) else wb
                 placed = True
                 break
             if not placed:
                 s = f"steiner{counter[0]}"
                 counter[0] += 1
-                eids = stellate(work, w, s)
-                dummy_edges.update(eids)
-                dummy_vertices.add(s)
-                w = [ (eids[0], 0) ]
+                stellate(work, w, s)
                 # stellation triangulated the face; outer triangle = first one
                 rot = work.rotation[s]
                 d0 = rot[0]
@@ -302,11 +291,11 @@ def triangulate(pg: PlaneGraph, outer_walk):
     for k, f in enumerate(faces):
         if k == outer_idx:
             continue
-        triangulate_face(work, f, dummy_edges, dummy_vertices, counter)
+        triangulate_face(work, f, counter)
     # the outer face region (now partially chorded) may still have big faces
     remaining = [f for f in work.faces() if len(f) > 3]
     for f in remaining:
-        triangulate_face(work, f, dummy_edges, dummy_vertices, counter)
+        triangulate_face(work, f, counter)
 
     work.check_planar()
-    return work, outer_triangle, dummy_edges, dummy_vertices
+    return work, outer_triangle

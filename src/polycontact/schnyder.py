@@ -191,6 +191,6 @@ def schnyder_draw(pg: PlaneGraph, outer_walk=None):
     faces = pg.faces()
     if outer_walk is None:
         outer_walk = max(faces, key=len)
-    tri, outer_triangle, dummy_edges, dummy_vertices = triangulate(pg, outer_walk)
+    tri, outer_triangle = triangulate(pg, outer_walk)
     pos = schnyder_positions(tri, outer_triangle)
     return {v: pos[v] for v in pg.vertices()}

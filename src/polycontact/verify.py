@@ -200,11 +200,9 @@ def _near_within_eps(points: list, ctx: ArithmeticContext) -> list:
     return near
 
 
-def verify_scene(scene: Scene, ctx: Optional[ArithmeticContext] = None,
-                 eps: Optional[float] = None) -> VerificationReport:
+def verify_scene(scene: Scene, eps: Optional[float] = None) -> VerificationReport:
     """Certify a scene; all findings are collected into the report."""
-    if ctx is None:
-        ctx = scene.context(eps=eps)
+    ctx = scene.context(eps=eps)
     report = VerificationReport()
     kernel = KernelScene(scene, ctx)
 

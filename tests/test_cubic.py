@@ -81,12 +81,12 @@ class TestBridgeBlockTree:
         g = graph_from_edge_list(
             "a b\na c\na d\nb c\nb d\nx y\nx z\nx w\ny z\ny w\nc x")
         bbt = bridge_block_tree(g)
-        assert bbt.node_count == 2
-        assert len(bbt.tree_edges) == 1
+        assert len(bbt.components) == 2
+        assert len(bbt.bridges) == 1
 
     def test_single_node_when_2ec(self, petersen):
         bbt = bridge_block_tree(petersen)
-        assert bbt.node_count == 1 and not bbt.bridges
+        assert len(bbt.components) == 1 and not bbt.bridges
 
     def test_path_of_three(self):
         base = ("{0}a {0}b\n{0}a {0}c\n{0}a {0}d\n{0}b {0}c\n{0}b {0}d\n")
@@ -94,8 +94,8 @@ class TestBridgeBlockTree:
         text += "g1c g2c\ng2d g3c\n"
         g = graph_from_edge_list(text)
         bbt = bridge_block_tree(g)
-        assert bbt.node_count == 3
-        assert len(bbt.tree_edges) == 2
+        assert len(bbt.components) == 3
+        assert len(bbt.bridges) == 2
 
     def test_oracle_edge_removal(self):
         g = gadget_chain(3)

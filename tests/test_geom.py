@@ -1,5 +1,6 @@
 """Polygon properties and pair classification."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
@@ -140,6 +141,76 @@ class TestClassifyPair:
         inside = P((1, 1, 0))
         assert classify_pair(a, inside).kind == VIOLATION
 
+    def test_shared_corners_in_first_polygons_order(self):
+        tri = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
+        seg = P((4, 0, 0), (0, 0, 0))
+        assert classify_pair(tri, seg).shared_corners == list(tri.corners[:2])
+        assert classify_pair(seg, tri).shared_corners == list(seg.corners)
+
+
+# A collinear corner list is checked as the segment between its extreme
+# corners, wherever those stand in the list.
+COLLINEAR = P((0, 0, 0), (1, 0, 0), (2, 0, 0))
+
+
+class TestCollinearList:
+    def test_span_pierces_triangle(self):
+        tri = P((F(3, 2), -1, -1), (F(3, 2), 1, -1), (F(3, 2), 0, 1))
+        for a, b in ((COLLINEAR, tri), (tri, COLLINEAR)):
+            res = classify_pair(a, b)
+            assert res.kind == VIOLATION
+            assert res.violations == [("interior-overlap", (F(3, 2), F(0), F(0)))]
+
+    def test_corner_on_span(self):
+        tri = P((F(3, 2), 0, 0), (3, 1, 1), (3, -1, 1))
+        for a, b in ((COLLINEAR, tri), (tri, COLLINEAR)):
+            res = classify_pair(a, b)
+            assert res.kind == VIOLATION
+            assert res.violations == [("corner-on-boundary", (F(3, 2), F(0), F(0)))]
+
+    def test_point_on_span_of_unordered_list(self):
+        unordered = P((1, 0, 0), (0, 0, 0), (2, 0, 0))
+        assert classify_pair(unordered, P((F(3, 2), 0, 0))).kind == VIOLATION
+        assert classify_pair(unordered, P((3, 0, 0))).kind == DISJOINT
+
+
+def _random_other(rng):
+    """A point, a segment or a non-degenerate triangle on a small grid."""
+    while True:
+        k = rng.choice((1, 2, 3))
+        cs = [tuple(F(rng.randint(-1, 2)) for _ in range(3)) for _ in range(k)]
+        if len(set(cs)) < k:
+            continue
+        if k == 3 and not polygon_properties(Polygon3(tuple(cs))).strictly_convex:
+            continue
+        return Polygon3(tuple(cs))
+
+
+def test_collinear_list_no_weaker_than_its_span():
+    """Where the segment between a collinear list's extreme corners is a
+    violation against q, so is the list, unless a middle corner of the
+    list is a corner of q."""
+    rng = random.Random(11)
+    violations = 0
+    for _ in range(3000):
+        a = tuple(F(rng.randint(-1, 1)) for _ in range(3))
+        d = tuple(F(rng.randint(-1, 1)) for _ in range(3))
+        if not any(d):
+            continue
+        ts = sorted(rng.sample(range(-1, 5), rng.choice((3, 4))))
+        pts = [tuple(x + F(t, 2) * y for x, y in zip(a, d)) for t in ts]
+        ends, middle = (pts[0], pts[-1]), pts[1:-1]
+        rng.shuffle(pts)
+        lst, q = Polygon3(tuple(pts)), _random_other(rng)
+        if any(c in q.corners for c in middle):
+            continue
+        if classify_pair(Polygon3(ends), q).kind != VIOLATION:
+            continue
+        violations += 1
+        assert classify_pair(lst, q).kind == VIOLATION, (lst.corners, q.corners)
+        assert classify_pair(q, lst).kind == VIOLATION, (q.corners, lst.corners)
+    assert violations >= 100
+
 
 # ---------------------------------------------------------------------------
 # Oracle agreement on random convex pairs
@@ -205,7 +276,38 @@ def test_classify_matches_bruteforce_oracle(pair):
     assert got == want, f"classify={got} oracle={want}\nA={a.corners}\nB={b.corners}"
 
 
-@given(convex_polygon_pairs())
+@st.composite
+def mixed_pairs(draw):
+    """Two of: point, segment, collinear corner list, convex polygon."""
+    def shape():
+        kind = draw(st.sampled_from(("point", "segment", "collinear", "polygon")))
+        if kind == "polygon":
+            pts2 = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=6))
+            hull = _hull2d(pts2)
+            if hull is None:
+                return None
+            cx, cy = draw(st.integers(-1, 1)), draw(st.integers(-1, 1))
+            return Polygon3(corners=tuple((F(x), F(y), F(x * cx + y * cy))
+                                          for x, y in hull))
+        if kind == "point":
+            return Polygon3(corners=(tuple(F(draw(coord)) for _ in range(3)),))
+        a = tuple(F(draw(coord)) for _ in range(3))
+        d = tuple(F(draw(st.integers(-1, 1))) for _ in range(3))
+        if not any(d):
+            return None
+        count = 2 if kind == "segment" else draw(st.integers(3, 4))
+        ts = draw(st.lists(st.integers(-4, 4), min_size=count, max_size=count,
+                           unique=True))
+        return Polygon3(corners=tuple(tuple(x + F(t, 2) * y for x, y in zip(a, d))
+                                      for t in ts))
+
+    a, b = shape(), shape()
+    if a is None or b is None:
+        return None
+    return a, b
+
+
+@given(st.one_of(convex_polygon_pairs(), mixed_pairs()))
 def test_classify_symmetric_property(pair):
     if pair is None:
         return

@@ -196,6 +196,31 @@ class TestNegativeSuite:
         assert [(f.code, f.where) for f in report.violations] == [("not-convex", "L")]
 
 
+def _unrelated_pair_scene(a, b):
+    """Exact scene of two polygons whose vertices share no edge."""
+    return graph_scene(Graph.from_edges([], vertices=["a", "b"]), {"a": a, "b": b}, {},
+                       {"construction": "test", "arithmetic": "exact"})
+
+
+class TestDegenerateCorners:
+    def test_collinear_list_through_triangle_fails(self):
+        # the list's extreme corners span (0,0,0)-(2,0,0), which pierces
+        # the triangle's interior
+        line = T((0, 0, 0), (1, 0, 0), (2, 0, 0))
+        tri = T(("3/2", -1, -1), ("3/2", 1, -1), ("3/2", 0, 1))
+        report = verify_scene(_unrelated_pair_scene(line, tri))
+        assert not report.passed
+        assert [(f.code, f.witness) for f in report.violations] == [
+            ("interior-overlap", (F(3, 2), F(0), F(0)))]
+
+    def test_shared_corner_witness_is_first_polygons_corner(self):
+        tri = T((0, 0, 0), (4, 0, 0), (0, 4, 0))
+        seg = T((4, 0, 0), (0, 0, 0))
+        report = verify_scene(_unrelated_pair_scene(tri, seg))
+        assert [(f.code, f.where, f.witness) for f in report.violations] == [
+            ("shared-corner-without-edge", "a / b", (F(0), F(0), F(0)))]
+
+
 class TestGridExtent:
     def test_planar_scene_depth_one(self):
         tri_a = T((0, 0, 0), (2, 0, 0), (0, 2, 0))
