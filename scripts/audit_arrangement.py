@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Audit the exponentially-spaced line arrangements up to a given size.
 
-For each n the table lists the bisection depth actually used (k for the
-smallest direction tilt 2**-k, read off consecutive line directions), the
-largest coordinate numerator size in bits, and whether the independent
+For each n the table lists the build time, the largest coordinate
+numerator or denominator size in bits, and whether the independent
 ordering/halving re-check is clean.
 """
 
@@ -22,27 +21,17 @@ def bits(arr):
     return worst
 
 
-def depth(arr):
-    """Largest k over lines 4..n, where line i is line i-1 tilted by 2**-k."""
-    worst = 0
-    for i in range(4, arr.n + 1):
-        (px, py), (dx, dy) = arr.directions[i - 1], arr.directions[i]
-        t = ((dx - px) * py - (dy - py) * px) / (px * px + py * py)
-        worst = max(worst, t.denominator.bit_length() - 1)
-    return worst
-
-
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--max-n", type=int, default=14)
     args = ap.parse_args()
-    print(f"{'n':>3} {'build s':>8} {'depth':>5} {'coord bits':>10} {'audit':>6}")
+    print(f"{'n':>3} {'build s':>8} {'coord bits':>10} {'audit':>6}")
     for n in range(3, args.max_n + 1):
         t0 = time.time()
         arr = build_line_arrangement(n)
         dt = time.time() - t0
         clean = "clean" if audit_arrangement(arr) == [] else "DIRTY"
-        print(f"{n:>3} {dt:>8.3f} {depth(arr):>5} {bits(arr):>10} {clean:>6}")
+        print(f"{n:>3} {dt:>8.3f} {bits(arr):>10} {clean:>6}")
 
 
 if __name__ == "__main__":

@@ -1,23 +1,32 @@
 """Contact representations for complete and min-degree-3 graphs.
 
 The construction lifts an arrangement of n lines in the xy-plane whose
-consecutive intersection gaps along every line at least halve (checked
-exactly).  The arrangement is built incrementally: line i pivots around a
-point fixed on line i-1 by the gap-halving equality, rotated clockwise by
-a bisected rational amount.  Lines < i are fixed, so their intersection
-points and each line's parameter list (in index order) are cached, and a
-candidate for line i is tested on its i-1 new points only: each must
-continue its old line's order and halving, and line i's own parameters
-must be monotone with halving gaps.  One full `arrangement_ok` on the
-finished arrangement is the certificate; the build raises if it fails.
+intersections appear along every line in index order, with each
+consecutive gap at most half the one before.  The arrangement is in closed
+form: line i is the tangent y = 2 s_i x - s_i**2 to the parabola y = x**2
+at s_i = sum(4**-k for 1 <= k < i).  Why it has both properties:
+
+- Lines i and j meet at p(i,j) = ((s_i + s_j)/2, s_i s_j), so along line i
+  the crossings sit at x = (s_i + s_j)/2, in index order.
+- The gap in x between the crossings with lines j and j+1 is 4**-j / 2,
+  so gaps shrink by a factor of 4; the one gap spanning j = i,
+  (4**-(i-1) + 4**-i) / 2, is at most half the gap before it
+  (5/16 <= 1/2) and at least twice the gap after it (1/16 <= 5/8).
+- The slopes 2 s_i are distinct, so no two lines are parallel; tangents at
+  a, b, c are never concurrent, since that needs (c - a)(c - b) = 0.
+
+As s_i has denominator 4**(i-1), every coordinate is a rational with a
+power-of-two denominator and at most 4n bits.  One exact `arrangement_ok`
+on the built arrangement is its certificate; the build raises if it
+fails.
+
 Lifting intersection point p(i,j) to z = min(i,j) makes the convex hull of
 each line's lifted points a polygon in a vertical plane; polygons of lines
-i and j then meet exactly in the lifted p(i,j).
-
-Coordinates are exact rationals throughout; every perturbation ("slightly
-reduce", strictification) is a power-of-two rational chosen by halving
-until `verify_scene` passes the whole scene.  That report is the only
-contact check here: the returned scene carries it as its `certificate`.
+i and j then meet exactly in the lifted p(i,j).  Every perturbation
+("slightly reduce", strictification) is a power-of-two rational chosen by
+halving until `verify_scene` passes the whole scene.  That report is the
+only contact check here: the returned scene carries it as its
+`certificate`.
 """
 
 from __future__ import annotations
@@ -112,73 +121,18 @@ def audit_arrangement(arr):
     return failures
 
 
-def _crossing(a1, d1, a2, d2):
-    """Parameters (s, u) with a1 + s d1 = a2 + u d2, or None if parallel."""
-    det = d1[0] * d2[1] - d1[1] * d2[0]
-    if det == 0:
-        return None
-    rx, ry = a2[0] - a1[0], a2[1] - a1[1]
-    return (rx * d2[1] - ry * d2[0]) / det, (rx * d1[1] - ry * d1[0]) / det
-
-
-def _tilt_line(i: int, anchors, directions, points, params):
-    """Anchor, direction and crossings (s, u) with lines 1..i-1 of line i."""
-    prev = i - 1
-    p2 = points[frozenset((prev, i - 2))]
-    p3 = points[frozenset((prev, i - 3))]
-    # gap-halving equality fixes the pivot past p(i-1, i-2)
-    pivot = (p2[0] + (p2[0] - p3[0]) / 2, p2[1] + (p2[1] - p3[1]) / 2)
-    d = directions[prev]
-    t = Fraction(1, 2)
-    for _ in range(_MAX_HALVINGS):
-        cand = (d[0] + t * d[1], d[1] - t * d[0])  # clockwise tilt
-        # Lines < i never move, so line i is accepted iff each p(j, i)
-        # continues line j's order and halving, and line i's own
-        # parameters are monotone with halving gaps.
-        hits = []
-        for j in range(1, i):
-            hit = _crossing(anchors[j], directions[j], pivot, cand)
-            if hit is None or not _monotone_halving(params[j][-2:] + [hit[0]]):
-                break
-            hits.append(hit)
-        else:
-            if _monotone_halving([u for _, u in hits]):
-                return pivot, cand, hits
-        t /= 2
-    raise ConstructionError(f"bisection failed placing line {i}")
-
-
 def build_line_arrangement(n: int) -> Arrangement:
-    """Arrangement of n >= 3 lines satisfying the ordering/halving properties."""
+    """Arrangement of n >= 3 lines satisfying the ordering/halving properties:
+    the tangents to y = x**2 at s_i = (1 - 4**(1-i)) / 3 (module docstring)."""
     if n < 3:
         raise ConstructionError("need at least 3 lines")
-    anchors = {
-        1: (Fraction(0), Fraction(0)),
-        2: (Fraction(0), Fraction(0)),
-        3: (Fraction(1), Fraction(0)),
-    }
-    directions = {
-        1: (Fraction(1), Fraction(0)),
-        2: (Fraction(0), Fraction(-1)),
-        3: (Fraction(-1), Fraction(-1)),
-    }
-    points = {}
-    params = {1: []}  # line j -> parameters along j of p(j, k), k = 1, 2, ...
-    for i in range(2, n + 1):
-        if i <= 3:
-            hits = [_crossing(anchors[j], directions[j], anchors[i], directions[i])
-                    for j in range(1, i)]
-        else:
-            anchors[i], directions[i], hits = _tilt_line(i, anchors, directions,
-                                                         points, params)
-        params[i] = []
-        for j, (s, u) in enumerate(hits, start=1):
-            a, d = anchors[j], directions[j]
-            points[frozenset((j, i))] = (a[0] + s * d[0], a[1] + s * d[1])
-            params[j].append(s)
-            params[i].append(u)
-
-    arr = Arrangement(n=n, anchors=anchors, directions=directions, points=points)
+    s = {i: Fraction(4 ** (i - 1) - 1, 3 * 4 ** (i - 1)) for i in range(1, n + 1)}
+    arr = Arrangement(
+        n=n,
+        anchors={i: (t, t * t) for i, t in s.items()},
+        directions={i: (Fraction(1), 2 * t) for i, t in s.items()},
+        points={frozenset((i, j)): ((s[i] + s[j]) / 2, s[i] * s[j])
+                for i in s for j in s if i < j})
     if not arrangement_ok(arr):
         raise ConstructionError(f"arrangement of {n} lines failed its exact re-check")
     return arr

@@ -17,8 +17,9 @@ import sys
 from .arrangement import represent_complete, represent_min_degree3
 from .bipartite import (complete_bipartite, represent_bipartite_grid,
                         represent_bipartite_toroidal, represent_k33_unit_triangles)
-from .core import (InputError, SteinerDescriptor, blocks_from_text,
-                   builtin_system, graph_from_edge_list, validate_steiner)
+from .core import (BUILTIN_SYSTEMS, InputError, SteinerDescriptor,
+                   blocks_from_text, builtin_system, graph_from_edge_list,
+                   validate_steiner)
 from .cubic import represent_2ec_cubic, represent_cubic, represent_max_degree3
 from .cyclesq import represent_cycle_square
 from .export import scene_to_obj, scene_to_svg
@@ -195,7 +196,7 @@ def cmd_export(args) -> int:
 def cmd_info(args) -> int:
     print("construction classes:", ", ".join(CLASSES))
     print("analyses:", ", ".join(ANALYSES))
-    print("builtin block systems: S237, S239, S348, S3410, PG3")
+    print("builtin block systems:", ", ".join(BUILTIN_SYSTEMS))
     return 0
 
 

@@ -263,11 +263,7 @@ def polygon_properties(poly: Polygon3, ctx: ArithmeticContext = EXACT) -> Polygo
         props.planar = True
         return props
 
-    if n == 1:
-        props.planar = props.simple = props.convex = True
-        props.degenerate = True
-        return props
-    if n == 2:
+    if n < 3:
         props.planar = props.simple = props.convex = True
         props.degenerate = True
         return props
@@ -361,13 +357,11 @@ class _Convex2D:
         self.pts = pts  # ccw
 
     def locate(self, q2) -> str:
-        """'corner' | 'boundary' | 'interior' | 'outside' for an in-plane point."""
+        """'boundary' | 'interior' | 'outside' for an in-plane point that is
+        not a corner: corner identity is `_locate_point`'s to decide."""
         ctx = self.ctx
         pts = self.pts
         n = len(pts)
-        for p in pts:
-            if ctx.is_zero(q2[0] - p[0]) and ctx.is_zero(q2[1] - p[1]):
-                return "corner"
         on_edge = False
         for i in range(n):
             s = ctx.sign(cross2(pts[i], pts[(i + 1) % n], q2))
@@ -375,9 +369,8 @@ class _Convex2D:
                 return "outside"
             if s == 0:
                 a, b = pts[i], pts[(i + 1) % n]
-                lo_x, hi_x = min(a[0], b[0]), max(a[0], b[0])
-                lo_y, hi_y = min(a[1], b[1]), max(a[1], b[1])
-                if lo_x <= q2[0] <= hi_x and lo_y <= q2[1] <= hi_y:
+                if all(ctx.sign(q2[k] - min(a[k], b[k])) >= 0
+                       and ctx.sign(max(a[k], b[k]) - q2[k]) >= 0 for k in (0, 1)):
                     on_edge = True
                 else:
                     return "outside"

@@ -519,6 +519,23 @@ class TestDivisionFreeKernel:
             checked += 1
 
 
+class TestFloatNearCorner:
+    def test_point_near_but_not_at_a_corner_is_on_the_boundary(self):
+        # P is 1.9e-9 from q's corner (0,0,0), so `point_eq` at eps 1e-9
+        # says it is not that corner, yet it lies on q's boundary within eps
+        P = (9e-10, 0.0, -1.9e-9)
+        q = Polygon3(corners=((0.0, 0.0, 0.0), (1.0, 0.0, -0.75), (0.0, 1.0, 0.0)))
+        p = Polygon3(corners=(P, (P[0], P[1] - 1.0, P[2]),
+                              (P[0] - 0.714, P[1], P[2] + 0.7)))
+        scene = graph_scene(Graph.from_edges([], vertices=["p", "q"]),
+                            {"p": p, "q": q}, {},
+                            {"construction": "test", "arithmetic": "float",
+                             "epsilon": 1e-9})
+        report = verify_scene(scene)
+        assert not report.passed
+        assert [f.code for f in report.violations] == ["corner-on-boundary"] * 2
+
+
 def _pierced_float_scene(x):
     """b's edge at x = y = 1 runs through a's interior; b's third corner,
     outside a, has x coordinate `x`."""
