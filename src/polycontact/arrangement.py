@@ -54,11 +54,14 @@ class Arrangement:
         return self.points[frozenset((i, j))]
 
     def param(self, i: int, j: int) -> Fraction:
-        """Position of p(i,j) along line i (affine in arclength)."""
+        """Position of p(i,j) along line i, times the line's constant
+        dx**2 + dy**2.  A positive factor shared by the whole line changes
+        neither the order of its crossings nor their gap ratios, so nothing
+        is divided."""
         ax, ay = self.anchors[i]
         dx, dy = self.directions[i]
         px, py = self.point(i, j)
-        return ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
+        return (px - ax) * dx + (py - ay) * dy
 
 
 def _monotone_halving(ts) -> bool:
@@ -76,7 +79,8 @@ def arrangement_ok(arr: Arrangement) -> bool:
 
     Along each line, intersections with the other lines must appear in
     index order (one direction or the other), and every consecutive gap
-    must be at most half the previous one, comparing 1D line parameters.
+    must be at most half the previous one, comparing 1D line parameters
+    (`Arrangement.param`, each line's scaled by one positive factor).
     """
     for i in range(1, arr.n + 1):
         try:

@@ -118,7 +118,7 @@ def cmd_verify(args) -> int:
           "--epsilon must be finite and >= 0")
     scene = read_scene(args.file)
     report = verify_scene(scene, eps=args.epsilon)
-    ext = grid_extent(scene)
+    ext = grid_extent(scene, eps=args.epsilon)
     if args.json:
         doc = {"pass": report.passed,
                "violations": [str(f) for f in report.violations],

@@ -509,6 +509,18 @@ def _corner_incursions(p: Polygon3, q: Polygon3, q_flat, q_plane, ctx, out,
             out.append(("corner-on-boundary", c))
 
 
+def _one_side(plane, corners) -> bool:
+    """Every corner lies strictly on one side of the plane (exact)."""
+    (a, b, c), d = plane
+    side = None
+    for x, y, z in corners:
+        s = a * x + b * y + c * z - d
+        if s == 0 or (side is not None and (s > 0) != side):
+            return False
+        side = s > 0
+    return True
+
+
 def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
                   p_frame=None, q_frame=None, match=None) -> PairClassification:
     """Classify how two convex (or degenerate) polygons meet in 3D.
@@ -528,11 +540,15 @@ def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
     is Violation if there are violations, else CornerContact if a corner is
     shared, else BoundaryTouch if there are touch points, else Disjoint.
     Touch points other than shared corners ride along on CornerContact and
-    BoundaryTouch.  Distinct parallel planes are Disjoint at once.
+    BoundaryTouch.  Two proper polygons are Disjoint at once when, in exact
+    mode, either lies strictly on one side of the other's plane, and in
+    float mode when they lie in distinct parallel planes.
     """
     p_plane, p_flat = p_frame or polygon_frame(p, ctx)
     q_plane, q_flat = q_frame or polygon_frame(q, ctx)
     if p_plane is not None and q_plane is not None:
+        if ctx.exact and (_one_side(p_plane, q.corners) or _one_side(q_plane, p.corners)):
+            return PairClassification(kind=DISJOINT)
         dr = vcross(p_plane[0], q_plane[0])
         crossing = not is_zero_vec(dr, ctx)
         if not crossing and not plane_contains(p_plane, q.corners[0], ctx):

@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .geom import (ArithmeticContext, Polygon3, classify_pair, polygon_frame,
-                   polygon_properties, BOUNDARY_TOUCH, VIOLATION)
+                   polygon_properties, BOUNDARY_TOUCH, DISJOINT, VIOLATION)
 from .scene import GRAPH, Scene
 
 
@@ -200,6 +200,31 @@ def _near_within_eps(points: list, ctx: ArithmeticContext) -> list:
     return near
 
 
+def _box_overlaps(kernel: KernelScene, labels: list) -> set:
+    """The label pairs (a, b), a < b, whose closed axis-aligned corner boxes
+    meet: sweep over the boxes sorted by low x, test y and z.
+
+    Exact scenes only, where the kernel's corners are ints and the box test
+    is exact.  Float predicates call a point on an edge when a cross product
+    is within eps, a distance that grows as the edge gets shorter, so no
+    eps-widened box bounds what they may call a contact.
+    """
+    boxes = []
+    for label in labels:
+        xs, ys, zs = zip(*kernel.polygons[label].corners)
+        boxes.append((min(xs), max(xs), min(ys), max(ys), min(zs), max(zs), label))
+    boxes.sort()
+    meet = set()
+    for i, (_, x1, y0, y1, z0, z1, a) in enumerate(boxes):
+        for j in range(i + 1, len(boxes)):
+            u0, _, v0, v1, w0, w1, b = boxes[j]
+            if u0 > x1:
+                break
+            if v0 <= y1 and y0 <= v1 and w0 <= z1 and z0 <= w1:
+                meet.add((a, b) if a < b else (b, a))
+    return meet
+
+
 def verify_scene(scene: Scene, eps: Optional[float] = None) -> VerificationReport:
     """Certify a scene; all findings are collected into the report."""
     ctx = scene.context(eps=eps)
@@ -242,10 +267,17 @@ def verify_scene(scene: Scene, eps: Optional[float] = None) -> VerificationRepor
                                          "contact point with a non-finite coordinate"))
 
     # Pairwise classification; shared corners, as (id, point) pairs, feed
-    # the reconstruction.
+    # the reconstruction.  Exact scenes skip pairs whose closed boxes are
+    # disjoint: such a pair shares no point, so it is Disjoint.
+    meet = None
+    if ctx.exact:
+        meet = _box_overlaps(kernel, [label for label in labels if valid[label]])
     shared = {}
     for a, b in combinations(labels, 2):
         if not (valid[a] and valid[b]):
+            continue
+        if meet is not None and (a, b) not in meet:
+            report.pair_kinds[a, b] = DISJOINT
             continue
         match = kernel.match(a, b)
         cls = classify_pair(kernel.polygons[a], kernel.polygons[b], ctx,

@@ -10,6 +10,8 @@ from polycontact import (InputError, graph_from_edge_list, represent_complete,
                          scene_to_json, verify_scene)
 from polycontact.cli import main
 from polycontact.export import scene_to_obj, scene_to_svg
+from polycontact.sceneio import read_scene
+from polycontact.verify import grid_extent
 
 _PETERSEN = "".join(f"{i} {(i + 1) % 5}\n{i} {i + 5}\n{i + 5} {(i + 2) % 5 + 5}\n"
                     for i in range(5))
@@ -98,6 +100,17 @@ class TestCli:
         capsys.readouterr()
         assert main(["verify", str(out), "--epsilon", eps]) == 2
         assert "--epsilon" in capsys.readouterr().err
+
+    def test_verify_grid_extent_at_given_epsilon(self, tmp_path, capsys):
+        out = tmp_path / "cycle-square-7.json"
+        assert main(["represent", "--class", "cycle-square", "--n", "7",
+                     "-o", str(out)]) == 0
+        capsys.readouterr()
+        main(["verify", str(out), "--epsilon", "0.3", "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        ext = grid_extent(read_scene(str(out)), eps=0.3)
+        assert doc["grid_extent"] == [ext.gx, ext.gy, ext.gz]
+        assert ext != grid_extent(read_scene(str(out)))
 
     def test_zero_epsilon_accepted(self, tmp_path, capsys):
         # eps = 0 compares float coordinates literally: fano's rounded

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from polycontact.geom import (ArithmeticContext, Polygon3, classify_pair,
+from polycontact.geom import (ArithmeticContext, Polygon3, _one_side,
+                              classify_pair, polygon_frame,
                               polygon_properties, CORNER_CONTACT, DISJOINT,
                               VIOLATION, BOUNDARY_TOUCH)
 
@@ -96,6 +97,25 @@ class TestClassifyPair:
         a = P((0, 0, 0), (1, 0, 0), (0, 1, 0))
         b = P((0, 0, 1), (1, 0, 1), (0, 1, 1))
         assert classify_pair(a, b).kind == DISJOINT
+
+    def test_corner_touching_plane_inside(self):
+        # b meets a's plane only at one corner, inside a
+        a = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
+        b = P((1, 1, 0), (2, 1, 1), (1, 2, 1))
+        res = classify_pair(a, b)
+        assert res.kind == VIOLATION
+        assert res.violations == [("corner-inside", b.corners[0])]
+
+    def test_corner_touching_plane_outside(self):
+        # b meets a's plane only at one corner, outside a; neither polygon
+        # is strictly on one side of the other's plane, so the full
+        # classification decides
+        a = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
+        b = P((5, 1, 0), (6, 1, 1), (4, 1, 1))
+        assert not _one_side(polygon_frame(a)[0], b.corners)
+        assert not _one_side(polygon_frame(b)[0], a.corners)
+        assert classify_pair(a, b).kind == DISJOINT
+        assert classify_pair(b, a).kind == DISJOINT
 
     def test_nearly_parallel_float_planes(self):
         # normals differ by ~1e-8: |n1|^2 |n2|^2 - (n1.n2)^2 cancels to 0.0

@@ -3,11 +3,14 @@
 `verify.KernelScene` interns each scene point once and matches corners and
 contacts by id; in float mode two ids match when their points lie within
 eps, a relation that need not be transitive.  Every report here must equal
-`reference_verify`'s, which compares points pair by pair.
+`reference_verify`'s, which compares points pair by pair.  The reference
+also classifies every pair, so exact scenes with far-apart polygons hold
+the verifier's broad phase to it as well.
 """
 
+import random
 from fractions import Fraction as F
-from functools import cache
+from functools import cache, partial
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +19,11 @@ from hypothesis import strategies as st
 from polycontact import (Graph, Polygon3, Scene, classify_pair,
                          complete_bipartite, edge_key, graph_scene,
                          represent_2ec_cubic, represent_bipartite_toroidal,
-                         represent_complete, represent_cycle_square,
-                         represent_fano, verify_scene)
+                         represent_complete, represent_cubic,
+                         represent_cycle_square, represent_fano, verify_scene)
 from polycontact.verify import KernelScene
 
-from conftest import merged_fan
+from conftest import gadget_chain, merged_fan
 from oracle_geom import oracle_classify
 from reference_verify import reference_verify
 
@@ -112,6 +115,37 @@ class TestToleranceBoundary:
         report = assert_matches_reference(merged_fan([("a", "z"), ("b", "c"), ("d", "m")]))
         assert [f.where for f in report.violations if f.code == "merged-contacts"] == [
             "a-z / b-c", "a-z / d-m", "b-c / d-m"]
+        for seed in range(10):
+            assert_matches_reference(_scattered_scene(seed))
+
+
+def _scattered_scene(seed):
+    """Exact triangles in three clusters translated far apart, so that most
+    pairs have disjoint boxes.  In a cluster, a triangle may reuse a corner
+    of an earlier one (a graph edge with that corner as its contact) or be
+    an earlier one translated by 1/2 or by 12 along x; the rest cross,
+    touch or miss at random."""
+    rng = random.Random(seed)
+    polygons, contacts = {}, {}
+    for c in range(3):
+        off = (40 * c, 20 * (c % 2), -10 * c)
+        placed = []
+        for k in range(5):
+            label = f"c{c}t{k}"
+            corners = [tuple(F(rng.randint(-6, 6), rng.choice((1, 2))) + o for o in off)
+                       for _ in range(3)]
+            what = rng.random() if placed else 1.0
+            if what < 0.5:
+                other, theirs = rng.choice(placed)
+                corners[0] = rng.choice(theirs)
+                contacts[edge_key(label, other)] = corners[0]
+            elif what < 0.7:
+                dx = rng.choice((F(1, 2), F(12)))
+                corners = [(x + dx, y, z) for x, y, z in rng.choice(placed)[1]]
+            placed.append((label, corners))
+            polygons[label] = Polygon3(corners=tuple(corners))
+    g = Graph.from_edges([tuple(e) for e in contacts], vertices=sorted(polygons))
+    return graph_scene(g, polygons, contacts, {"construction": "test", "arithmetic": "exact"})
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +163,9 @@ BASES = {
     "fano": represent_fano,
     "k5": lambda: represent_complete(5),
     "cubic-2ec-8": lambda: represent_2ec_cubic(_cube()),
+    "cubic-chain-3": lambda: represent_cubic(gadget_chain(3)),
+    "scattered-0": partial(_scattered_scene, 0),
+    "scattered-1": partial(_scattered_scene, 1),
 }
 
 

@@ -14,7 +14,8 @@ from polycontact import (Graph, Polygon3, Scene, classify_pair,
                          complete_bipartite, edge_key, graph_scene,
                          grid_extent, polygon_properties,
                          represent_2ec_cubic, represent_bipartite_grid,
-                         represent_complete, represent_cubic, represent_fano,
+                         represent_bipartite_toroidal, represent_complete,
+                         represent_cubic, represent_fano,
                          represent_min_degree3, represent_oneplanar_cubic,
                          scene_from_json, verify_scene)
 from polycontact.geom import EXACT, _plane_of, vcross, vdot, vsub
@@ -219,6 +220,60 @@ class TestDegenerateCorners:
         report = verify_scene(_unrelated_pair_scene(tri, seg))
         assert [(f.code, f.where, f.witness) for f in report.violations] == [
             ("shared-corner-without-edge", "a / b", (F(0), F(0), F(0)))]
+
+
+def _counting_classify_pair(monkeypatch):
+    """Count `verify_scene`'s calls of `classify_pair`."""
+    import polycontact.verify as verify
+    calls = []
+    original = verify.classify_pair
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(verify, "classify_pair", counted)
+    return calls
+
+
+class TestBroadPhase:
+    """Exact scenes classify only pairs whose closed boxes meet; boxes that
+    touch in a face or a single point still count as meeting."""
+
+    def test_boxes_meeting_in_one_shared_corner(self):
+        # box [-1, 0]^3 against box [0, 1]^3: they share only the origin
+        scene = _two_triangle_scene(T((0, 0, 0), (-1, 0, -1), (0, -1, -1)),
+                                    T((0, 0, 0), (1, 0, 1), (0, 1, 1)))
+        report = verify_scene(scene)
+        assert report.passed
+        assert report.pair_kinds == {("a", "b"): "CornerContact"}
+
+    @pytest.mark.parametrize("q", [
+        T((2, 0, 0), (3, -2, 2), (1, -2, -2)),  # on the face y = 0
+        T((0, 2, 0), (-2, 3, 2), (-2, 1, -2)),  # on the face x = 0, the sweep axis
+    ], ids=["y-face", "x-face"])
+    def test_corner_on_edge_at_a_box_face(self, q):
+        report = verify_scene(_unrelated_pair_scene(T((0, 0, 0), (4, 0, 0), (0, 4, 0)), q))
+        assert report.pair_kinds == {("a", "b"): "Violation"}
+        assert [(f.code, f.witness) for f in report.violations] == [
+            ("corner-on-boundary", q.corners[0])]
+
+    def test_gadget_chain_skips_box_disjoint_pairs(self, monkeypatch):
+        scene = represent_cubic(gadget_chain(4))
+        calls = _counting_classify_pair(monkeypatch)
+        report = verify_scene(scene)
+        assert report.passed
+        pairs = list(combinations(sorted(scene.polygons), 2))
+        assert list(report.pair_kinds) == pairs
+        assert len(calls) < len(pairs)
+
+    def test_float_scene_classifies_every_pair(self, monkeypatch):
+        scene = represent_bipartite_toroidal(complete_bipartite(4, 4))
+        assert not scene.is_exact
+        calls = _counting_classify_pair(monkeypatch)
+        report = verify_scene(scene)
+        assert report.passed
+        assert len(calls) == len(report.pair_kinds) == len(scene.polygons) * (
+            len(scene.polygons) - 1) // 2
 
 
 class TestGridExtent:
