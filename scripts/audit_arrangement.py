@@ -3,10 +3,11 @@
 
 For each n the table lists the build time, the largest coordinate
 numerator or denominator size in bits, and whether the independent
-ordering/halving re-check is clean.
+ordering/halving re-check is clean.  Exits 1 when any row is DIRTY.
 """
 
 import argparse
+import sys
 import time
 
 from polycontact.arrangement import audit_arrangement, build_line_arrangement
@@ -26,13 +27,16 @@ def main():
     ap.add_argument("--max-n", type=int, default=14)
     args = ap.parse_args()
     print(f"{'n':>3} {'build s':>8} {'coord bits':>10} {'audit':>6}")
+    dirty = False
     for n in range(3, args.max_n + 1):
         t0 = time.time()
         arr = build_line_arrangement(n)
         dt = time.time() - t0
-        clean = "clean" if audit_arrangement(arr) == [] else "DIRTY"
-        print(f"{n:>3} {dt:>8.3f} {bits(arr):>10} {clean:>6}")
+        clean = audit_arrangement(arr) == []
+        dirty |= not clean
+        print(f"{n:>3} {dt:>8.3f} {bits(arr):>10} {'clean' if clean else 'DIRTY':>6}")
+    return 1 if dirty else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

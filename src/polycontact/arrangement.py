@@ -43,25 +43,13 @@ _MAX_HALVINGS = 128
 
 @dataclass
 class Arrangement:
-    """n lines (anchor, direction) and their pairwise intersection points."""
+    """n lines, given by their pairwise intersection points."""
 
     n: int
-    anchors: dict  # i -> (x, y)
-    directions: dict  # i -> (dx, dy)
     points: dict  # frozenset({i,j}) -> (x, y)
 
     def point(self, i: int, j: int):
         return self.points[frozenset((i, j))]
-
-    def param(self, i: int, j: int) -> Fraction:
-        """Position of p(i,j) along line i, times the line's constant
-        dx**2 + dy**2.  A positive factor shared by the whole line changes
-        neither the order of its crossings nor their gap ratios, so nothing
-        is divided."""
-        ax, ay = self.anchors[i]
-        dx, dy = self.directions[i]
-        px, py = self.point(i, j)
-        return (px - ax) * dx + (py - ay) * dy
 
 
 def _monotone_halving(ts) -> bool:
@@ -79,12 +67,15 @@ def arrangement_ok(arr: Arrangement) -> bool:
 
     Along each line, intersections with the other lines must appear in
     index order (one direction or the other), and every consecutive gap
-    must be at most half the previous one, comparing 1D line parameters
-    (`Arrangement.param`, each line's scaled by one positive factor).
+    must be at most half the previous one.  The crossings are compared on
+    their x-coordinates: line i has direction (1, 2 s_i), so x is an
+    increasing affine function of the position along it, which keeps both
+    the order and the gap ratios.  `audit_arrangement` is the independent
+    check, which assumes no direction.
     """
     for i in range(1, arr.n + 1):
         try:
-            ts = [arr.param(i, j) for j in range(1, arr.n + 1) if j != i]
+            ts = [arr.point(i, j)[0] for j in range(1, arr.n + 1) if j != i]
         except KeyError:
             return False
         if not _monotone_halving(ts):
@@ -131,12 +122,8 @@ def build_line_arrangement(n: int) -> Arrangement:
     if n < 3:
         raise ConstructionError("need at least 3 lines")
     s = {i: Fraction(4 ** (i - 1) - 1, 3 * 4 ** (i - 1)) for i in range(1, n + 1)}
-    arr = Arrangement(
-        n=n,
-        anchors={i: (t, t * t) for i, t in s.items()},
-        directions={i: (Fraction(1), 2 * t) for i, t in s.items()},
-        points={frozenset((i, j)): ((s[i] + s[j]) / 2, s[i] * s[j])
-                for i in s for j in s if i < j})
+    arr = Arrangement(n=n, points={frozenset((i, j)): ((s[i] + s[j]) / 2, s[i] * s[j])
+                                   for i in s for j in s if i < j})
     if not arrangement_ok(arr):
         raise ConstructionError(f"arrangement of {n} lines failed its exact re-check")
     return arr

@@ -1,10 +1,11 @@
 """Command-line surface: construct, verify, analyze, export.
 
-Every construction is verified once before the scene file leaves the tool
-(disable with --no-verify): the constructor's `certificate` is printed
-when it has one, and `verify_scene` runs otherwise.  Exit codes: 0
-success, 1 verification failure, 2 usage or parse error, 3 construction
-precondition violation.
+Every construction is verified once before the scene file leaves the
+tool: the constructor's `certificate` is printed when it has one, and
+`verify_scene` runs otherwise.  `verify` prints the grid extent that the
+grid-claim check measured, and measures it only for scenes that claim
+none.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
+error, 3 construction precondition violation.
 """
 
 from __future__ import annotations
@@ -94,15 +95,14 @@ def _need(cond, msg):
 
 def cmd_represent(args) -> int:
     scene = _build_scene(args)
-    if not args.no_verify:
-        report = scene.certificate
-        if report is None:
-            report = verify_scene(scene)
-        print(report.to_text())
-        if not report.passed:
-            if args.output:
-                write_scene(args.output, scene)
-            return 1
+    report = scene.certificate
+    if report is None:
+        report = verify_scene(scene)
+    print(report.to_text())
+    if not report.passed:
+        if args.output:
+            write_scene(args.output, scene)
+        return 1
     if args.output:
         write_scene(args.output, scene)
         print(f"wrote {args.output}")
@@ -118,7 +118,7 @@ def cmd_verify(args) -> int:
           "--epsilon must be finite and >= 0")
     scene = read_scene(args.file)
     report = verify_scene(scene, eps=args.epsilon)
-    ext = grid_extent(scene, eps=args.epsilon)
+    ext = report.grid_extent or grid_extent(scene, eps=args.epsilon)
     if args.json:
         doc = {"pass": report.passed,
                "violations": [str(f) for f in report.violations],
@@ -212,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--input")
     rep.add_argument("--alpha", type=float, default=85.0)
     rep.add_argument("--beta", type=float, default=45.0)
-    rep.add_argument("--no-verify", action="store_true")
     rep.add_argument("--output", "-o")
     rep.set_defaults(func=cmd_represent)
 

@@ -13,13 +13,20 @@ compared by cross-multiplication.  `Fraction`s are built only for the two
 winning chord bounds of a pair and for the points derived from them (the
 midpoint probe and touch witnesses), and by the point/segment cases.
 
+Each polygon has one record, its `PolygonProperties`: the validity flags
+and the frame (supporting plane, drop axis, ccw 2D corners), derived once
+by `polygon_properties`.  `classify_pair` reads the two records; the
+verifier passes the ones it already holds.
+
 Which corners two polygons share comes into `classify_pair` as a *match*:
 for each corner of either polygon, whether it equals (`point_eq`) some
 corner of the other.  `verify.KernelScene` reads the match off its
 per-scene point ids; without one, `classify_pair` compares the corners
 pairwise.  Either way a shared corner is located as "corner" and any other
 corner goes straight to the plane test, so `point_eq` scans are left only
-for points derived inside a pair (chord ends, midpoints).
+for points derived inside a pair (chord ends, midpoints).  A shared corner
+fixes a pair's kind, so chord ends are sought as touch points only when
+no corner is shared.
 
 The contact model implemented by `classify_pair` treats polygons as *open*
 filled regions:
@@ -159,12 +166,20 @@ class Polygon3:
 
 @dataclass
 class PolygonProperties:
+    """One polygon's validity flags and the frame the pair classifier
+    reads: its supporting plane (None for points and collinear corner
+    lists), the axis dropped for 2D work, and `flat`, the corners projected
+    along that axis in ccw order."""
+
     planar: bool = False
     simple: bool = False
     convex: bool = False
     strictly_convex: bool = False
     degenerate: bool = False
     issues: list = field(default_factory=list)
+    plane: Optional[tuple] = None
+    axis: Optional[int] = None
+    flat: Optional[tuple] = None
 
 
 def _plane_of(corners: Sequence[Point3], ctx: ArithmeticContext):
@@ -245,15 +260,23 @@ def _segments_intersect2d(p1, p2, q1, q2, ctx) -> bool:
 
 
 def polygon_properties(poly: Polygon3, ctx: ArithmeticContext = EXACT) -> PolygonProperties:
-    """Planarity, simplicity, convexity and degeneracy flags for a polygon.
+    """Planarity, simplicity, convexity and degeneracy flags for a polygon,
+    and its frame.
 
-    A non-coplanar corner list yields planar=False and leaves the other
-    flags False.  Convexity allows straight angles; strict convexity does
-    not.
+    The plane comes from the first non-collinear corner triple, so a list
+    with duplicate or non-coplanar corners has a frame too.  A non-coplanar
+    corner list yields planar=False and leaves the other flags False.
+    Convexity allows straight angles; strict convexity does not.
     """
     props = PolygonProperties()
     cs = poly.corners
     n = len(cs)
+    props.plane = plane = _plane_of(cs, ctx)
+    if plane is not None:
+        props.axis = axis = _drop_axis(plane[0])
+        pts = [project2d(p, axis) for p in cs]
+        area2 = sum(cross2(pts[0], pts[i], pts[i + 1]) for i in range(1, n - 1))
+        props.flat = tuple(pts) if ctx.sign(area2) > 0 else tuple(reversed(pts))
 
     for i in range(n):
         for j in range(i + 1, n):
@@ -268,22 +291,17 @@ def polygon_properties(poly: Polygon3, ctx: ArithmeticContext = EXACT) -> Polygo
         props.degenerate = True
         return props
 
-    plane = _plane_of(cs, ctx)
     if plane is None:
         # >= 3 collinear corners
         props.planar = True
         props.degenerate = True
         props.issues.append("all corners collinear")
         return props
-    normal, offset = plane
     for p in cs:
         if not plane_contains(plane, p, ctx):
             props.issues.append("corners not coplanar")
             return props
     props.planar = True
-
-    axis = _drop_axis(normal)
-    pts = [project2d(p, axis) for p in cs]
 
     # Simplicity: no two non-adjacent edges meet; adjacent edges meet only
     # at their shared corner (no spikes folding back).
@@ -344,55 +362,6 @@ class PairClassification:
     violations: list = field(default_factory=list)  # (reason, witness point)
 
 
-class _Convex2D:
-    """A convex polygon flattened into its plane.
-
-    Supplies the point-location and line-chord queries that the pair
-    classifier needs, all in the polygon's own 2D frame.
-    """
-
-    def __init__(self, pts, ctx: ArithmeticContext, axis):
-        self.ctx = ctx
-        self.axis = axis
-        self.pts = pts  # ccw
-
-    def locate(self, q2) -> str:
-        """'boundary' | 'interior' | 'outside' for an in-plane point that is
-        not a corner: corner identity is `_locate_point`'s to decide."""
-        ctx = self.ctx
-        pts = self.pts
-        n = len(pts)
-        on_edge = False
-        for i in range(n):
-            s = ctx.sign(cross2(pts[i], pts[(i + 1) % n], q2))
-            if s < 0:
-                return "outside"
-            if s == 0:
-                a, b = pts[i], pts[(i + 1) % n]
-                if all(ctx.sign(q2[k] - min(a[k], b[k])) >= 0
-                       and ctx.sign(max(a[k], b[k]) - q2[k]) >= 0 for k in (0, 1)):
-                    on_edge = True
-                else:
-                    return "outside"
-        return "boundary" if on_edge else "interior"
-
-
-def polygon_frame(poly: Polygon3, ctx: ArithmeticContext = EXACT):
-    """(plane, flat) for a polygon: its supporting plane and its corners
-    projected along the drop axis in ccw order; (None, None) when the
-    corners span no plane.  `classify_pair` accepts these precomputed."""
-    plane = _plane_of(poly.corners, ctx)
-    if plane is None:
-        return None, None
-    axis = _drop_axis(plane[0])
-    pts = [project2d(p, axis) for p in poly.corners]
-    # orient ccw in the projected frame
-    area2 = sum(cross2(pts[0], pts[i], pts[i + 1]) for i in range(1, len(pts) - 1))
-    if ctx.sign(area2) <= 0:
-        pts.reverse()
-    return plane, _Convex2D(pts, ctx, axis)
-
-
 def _segment_ends(corners):
     """The two extreme corners of a plane-less list of two or more corners.
 
@@ -406,25 +375,35 @@ def _segment_ends(corners):
     return min(corners, key=lambda c: c[k]), max(corners, key=lambda c: c[k])
 
 
-def _locate_point(poly: Polygon3, flat: Optional[_Convex2D], plane,
-                  q: Point3, ctx: ArithmeticContext,
-                  is_corner: Optional[bool] = None) -> str:
+def _locate_point(poly: Polygon3, f: Optional[PolygonProperties], q: Point3,
+                  ctx: ArithmeticContext, is_corner: Optional[bool] = None) -> str:
     """Classify q against a polygon of any degeneracy, in 3D.
 
-    `plane` and `flat` are poly's `polygon_frame`.  Without a plane, poly is
-    a point or a collinear corner list, whose relative interior is the open
-    segment between its extreme corners.  `is_corner` says whether q equals
-    a corner of poly when the caller knows it; otherwise q is compared with
-    every corner.
+    `f` is poly's `polygon_properties` record (None for a plane-less poly).
+    Without a plane, poly is a point or a collinear corner list, whose
+    relative interior is the open segment between its extreme corners.
+    `is_corner` says whether q equals a corner of poly when the caller
+    knows it; otherwise q is compared with every corner.
     """
     if is_corner is None:
         is_corner = any(ctx.point_eq(c, q) for c in poly.corners)
     if is_corner:
         return "corner"
-    if plane is not None:
-        if not plane_contains(plane, q, ctx):
+    if f is not None and f.plane is not None:
+        if not plane_contains(f.plane, q, ctx):
             return "outside"
-        return flat.locate(project2d(q, flat.axis))
+        q2, pts = project2d(q, f.axis), f.flat
+        on_edge = False
+        for a, b in zip(pts, pts[1:] + pts[:1]):
+            s = ctx.sign(cross2(a, b, q2))
+            if s < 0:
+                return "outside"
+            if s == 0:
+                if not all(ctx.sign(q2[k] - min(a[k], b[k])) >= 0
+                           and ctx.sign(max(a[k], b[k]) - q2[k]) >= 0 for k in (0, 1)):
+                    return "outside"
+                on_edge = True
+        return "boundary" if on_edge else "interior"
     if len(poly.corners) == 1:
         return "outside"
     a, b = _segment_ends(poly.corners)
@@ -438,8 +417,8 @@ def _locate_point(poly: Polygon3, flat: Optional[_Convex2D], plane,
     return "boundary"
 
 
-def _chord(flat: _Convex2D, p0: Point3, dr: Point3, ctx: ArithmeticContext, w=1):
-    """Clip the line p0/w + t*dr (known to lie in the polygon's plane), w > 0.
+def _chord(f: PolygonProperties, p0: Point3, dr: Point3, ctx: ArithmeticContext, w=1):
+    """Clip the line p0/w + t*dr (known to lie in f's plane), w > 0.
 
     Returns (t_lo, t_hi, through_interior) or None when the line misses.
     through_interior is False when the chord runs along an edge, in which
@@ -447,9 +426,9 @@ def _chord(flat: _Convex2D, p0: Point3, dr: Point3, ctx: ArithmeticContext, w=1)
     is kept as a (num, den) pair with den > 0 of t*w, compared by
     cross-multiplication; only the two winning bounds become Fractions.
     """
-    a0 = project2d(p0, flat.axis)
-    d2 = project2d(dr, flat.axis)
-    pts = flat.pts
+    a0 = project2d(p0, f.axis)
+    d2 = project2d(dr, f.axis)
+    pts = f.flat
     n = len(pts)
     lo, hi = None, None  # None = unbounded
     through = True
@@ -496,13 +475,12 @@ def _line_point(p0, dr, t):
     return vadd(p0, vscale(dr, t))
 
 
-def _corner_incursions(p: Polygon3, q: Polygon3, q_flat, q_plane, ctx, out,
-                       p_shared):
+def _corner_incursions(p: Polygon3, q: Polygon3, fq, ctx, out, p_shared):
     """Corners of p lying on q but not at q's corners are violations."""
     for c, shared in zip(p.corners, p_shared):
         if shared:
             continue
-        loc = _locate_point(q, q_flat, q_plane, c, ctx, False)
+        loc = _locate_point(q, fq, c, ctx, False)
         if loc == "interior":
             out.append(("corner-inside", c))
         elif loc == "boundary":
@@ -522,14 +500,16 @@ def _one_side(plane, corners) -> bool:
 
 
 def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
-                  p_frame=None, q_frame=None, match=None) -> PairClassification:
+                  fp: Optional[PolygonProperties] = None,
+                  fq: Optional[PolygonProperties] = None,
+                  match=None) -> PairClassification:
     """Classify how two convex (or degenerate) polygons meet in 3D.
 
     Returns a `PairClassification` whose kind is one of Disjoint,
     CornerContact, BoundaryTouch (tolerated) or Violation.  Violations carry
     (reason, witness) pairs with reasons 'interior-overlap', 'corner-inside'
-    or 'corner-on-boundary'.  `p_frame`/`q_frame` are the polygons'
-    `polygon_frame` results when the caller has them already.  `match` is
+    or 'corner-on-boundary'.  `fp`/`fq` are the polygons'
+    `polygon_properties` records, computed here when omitted.  `match` is
     (p_shared, q_shared): per corner of p (of q), whether it equals a corner
     of q (of p); it is built from a pairwise `point_eq` scan when omitted.
 
@@ -538,20 +518,22 @@ def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
     (a point or collinear list first), then the pair's geometric case adds
     its interior-overlap violations and returns its touch points.  The kind
     is Violation if there are violations, else CornerContact if a corner is
-    shared, else BoundaryTouch if there are touch points, else Disjoint.
-    Touch points other than shared corners ride along on CornerContact and
-    BoundaryTouch.  Two proper polygons are Disjoint at once when, in exact
-    mode, either lies strictly on one side of the other's plane, and in
-    float mode when they lie in distinct parallel planes.
+    shared, else BoundaryTouch if there are touch points, else Disjoint.  A
+    shared corner thus fixes the kind without touch points, so proper
+    polygons seek them only when no corner is shared, and `touch_witnesses`
+    is empty except on BoundaryTouch.  Two proper polygons are Disjoint at
+    once when, in exact mode, either lies strictly on one side of the
+    other's plane, and in float mode when they lie in distinct parallel
+    planes.
     """
-    p_plane, p_flat = p_frame or polygon_frame(p, ctx)
-    q_plane, q_flat = q_frame or polygon_frame(q, ctx)
-    if p_plane is not None and q_plane is not None:
-        if ctx.exact and (_one_side(p_plane, q.corners) or _one_side(q_plane, p.corners)):
+    fp = fp or polygon_properties(p, ctx)
+    fq = fq or polygon_properties(q, ctx)
+    if fp.plane is not None and fq.plane is not None:
+        if ctx.exact and (_one_side(fp.plane, q.corners) or _one_side(fq.plane, p.corners)):
             return PairClassification(kind=DISJOINT)
-        dr = vcross(p_plane[0], q_plane[0])
+        dr = vcross(fp.plane[0], fq.plane[0])
         crossing = not is_zero_vec(dr, ctx)
-        if not crossing and not plane_contains(p_plane, q.corners[0], ctx):
+        if not crossing and not plane_contains(fp.plane, q.corners[0], ctx):
             return PairClassification(kind=DISJOINT)  # distinct parallel planes
     if match is None:
         eq = [[ctx.point_eq(c, d) for d in q.corners] for c in p.corners]
@@ -559,54 +541,51 @@ def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
     res = PairClassification(kind=DISJOINT, shared_corners=[
         c for c, shared in zip(p.corners, match[0]) if shared])
     # A missing plane means a point or collinear corner list; it goes first.
-    if p_plane is not None and q_plane is None:
-        p, q, p_flat, q_flat, p_plane, q_plane = q, p, q_flat, p_flat, q_plane, p_plane
-        match = match[::-1]
-    _corner_incursions(p, q, q_flat, q_plane, ctx, res.violations, match[0])
-    _corner_incursions(q, p, p_flat, p_plane, ctx, res.violations, match[1])
+    if fp.plane is not None and fq.plane is None:
+        p, q, fp, fq, match = q, p, fq, fp, match[::-1]
+    _corner_incursions(p, q, fq, ctx, res.violations, match[0])
+    _corner_incursions(q, p, fp, ctx, res.violations, match[1])
 
     out = res.violations
-    if p_plane is None and q_plane is None:
+    seek_touch = not res.shared_corners
+    if fp.plane is None and fq.plane is None:
         touch = _degenerate_pair(p, q, ctx, out)
-    elif p_plane is None:
-        touch = _degenerate_vs_polygon(p, q, q_flat, q_plane, ctx, out)
+    elif fp.plane is None:
+        touch = _degenerate_vs_polygon(p, q, fq, ctx, out)
     elif crossing:
-        touch = _transversal(p, q, p_flat, q_flat, p_plane, q_plane, dr, ctx, out)
+        touch = _transversal(p, q, fp, fq, dr, ctx, out, seek_touch)
     else:
-        touch = _coplanar(p, q, p_flat, q_flat, ctx, out)
+        touch = _coplanar(p, q, fp, fq, ctx, out, seek_touch)
 
     if res.violations:
         res.kind = VIOLATION
     elif res.shared_corners:
         res.kind = CORNER_CONTACT
-        res.touch_witnesses = [t for t in touch if not any(
-            ctx.point_eq(t, c) for c in res.shared_corners)]
     elif touch:
         res.kind = BOUNDARY_TOUCH
         res.touch_witnesses = touch
     return res
 
 
-def _coplanar(p, q, p_flat, q_flat, ctx, out) -> list:
+def _coplanar(p, q, fp, fq, ctx, out, seek_touch) -> list:
     """Two proper polygons in one plane: interior overlap by separating
-    axes (edge normals of both), and a touch witness unless an axis
-    separates them."""
-    def axes(flat):
-        pts = flat.pts
+    axes (edge normals of both), and, when sought, a touch witness unless
+    an axis separates them."""
+    def axes(pts):
         n = len(pts)
         return [(-(pts[(i + 1) % n][1] - pts[i][1]),
                  pts[(i + 1) % n][0] - pts[i][0]) for i in range(n)]
 
-    def interval(flat, ax):
-        vals = [ax[0] * pt[0] + ax[1] * pt[1] for pt in flat.pts]
+    def interval(pts, ax):
+        vals = [ax[0] * pt[0] + ax[1] * pt[1] for pt in pts]
         return min(vals), max(vals)
 
     separated = False
     touching_axis = False
-    for flat in (p_flat, q_flat):
+    for flat in (fp.flat, fq.flat):
         for ax in axes(flat):
-            p_lo, p_hi = interval(p_flat, ax)
-            q_lo, q_hi = interval(q_flat, ax)
+            p_lo, p_hi = interval(fp.flat, ax)
+            q_lo, q_hi = interval(fq.flat, ax)
             if ctx.sign(q_lo - p_hi) > 0 or ctx.sign(p_lo - q_hi) > 0:
                 separated = True
                 break
@@ -616,7 +595,9 @@ def _coplanar(p, q, p_flat, q_flat, ctx, out) -> list:
             break
     if not separated and not touching_axis:
         out.append(("interior-overlap", p.corners[0]))
-    return [] if separated else _boundary_touch_points(p, q, p_flat.axis, ctx)
+    if separated or not seek_touch:
+        return []
+    return _boundary_touch_points(p, q, fp.axis, ctx)
 
 
 def _boundary_touch_points(p, q, axis, ctx) -> list:
@@ -633,10 +614,11 @@ def _boundary_touch_points(p, q, axis, ctx) -> list:
     return []
 
 
-def _transversal(p, q, p_flat, q_flat, p_plane, q_plane, dr, ctx, out) -> list:
-    """Two polygons in crossing planes, clipped to the planes' common line."""
-    n1, d1 = p_plane
-    n2, d2 = q_plane
+def _transversal(p, q, fp, fq, dr, ctx, out, seek_touch) -> list:
+    """Two polygons in crossing planes, clipped to the planes' common line;
+    the chord's ends are touch points when sought."""
+    n1, d1 = fp.plane
+    n2, d2 = fq.plane
     # |n1|^2 |n2|^2 - (n1.n2)^2 = |n1 x n2|^2; taken from dr it does not
     # cancel to zero for nearly parallel planes in float mode.
     det = vdot(dr, dr)
@@ -657,8 +639,8 @@ def _transversal(p, q, p_flat, q_flat, p_plane, q_plane, dr, ctx, out) -> list:
         dr = vscale(dr, 1.0 / math.sqrt(det))
         h0, w = vadd(vscale(n1, c1 / det), vscale(n2, c2 / det)), 1
 
-    ip = _chord(p_flat, h0, dr, ctx, w)
-    iq = _chord(q_flat, h0, dr, ctx, w)
+    ip = _chord(fp, h0, dr, ctx, w)
+    iq = _chord(fq, h0, dr, ctx, w)
     if ip is None or iq is None:
         return []
     lo = max(ip[0], iq[0])
@@ -673,38 +655,41 @@ def _transversal(p, q, p_flat, q_flat, p_plane, q_plane, dr, ctx, out) -> list:
         # chord does not run along an edge; when that holds for both, the
         # shared open segment witnesses an interior-interior intersection.
         mid = _line_point(p0, dr, (lo + hi) / 2)
-        in_p = _locate_point(p, p_flat, p_plane, mid, ctx)
-        in_q = _locate_point(q, q_flat, q_plane, mid, ctx)
+        in_p = _locate_point(p, fp, mid, ctx)
+        in_q = _locate_point(q, fq, mid, ctx)
         if in_p == "interior" and in_q == "interior":
             out.append(("interior-overlap", mid))
+    if not seek_touch:
+        return []
 
     touch = []
     for t in ((lo,) if lo == hi else (lo, hi)):
         pt = _line_point(p0, dr, t)
-        loc_p = _locate_point(p, p_flat, p_plane, pt, ctx)
-        loc_q = _locate_point(q, q_flat, q_plane, pt, ctx)
+        loc_p = _locate_point(p, fp, pt, ctx)
+        loc_q = _locate_point(q, fq, pt, ctx)
         if loc_p == "corner" and loc_q == "corner":
-            continue  # already in shared_corners
+            # float `point_eq` is not transitive: a point within eps of a
+            # corner of each need not make those corners shared
+            continue
         if loc_p != "outside" and loc_q != "outside":
             touch.append(pt)
     return touch
 
 
-def _degenerate_vs_polygon(seg: Polygon3, poly: Polygon3, poly_flat,
-                           poly_plane, ctx, out) -> list:
+def _degenerate_vs_polygon(seg: Polygon3, poly: Polygon3, fpoly, ctx, out) -> list:
     """A point or collinear corner list against a proper polygon.  A lone
     point adds nothing to its corner checks."""
     if len(seg.corners) == 1:
         return []
     a, b = _segment_ends(seg.corners)
     dr = vsub(b, a)
-    n, d = poly_plane
+    n, d = fpoly.plane
     da = vdot(n, a) - d
     db = vdot(n, b) - d
     sa, sb = ctx.sign(da), ctx.sign(db)
     if sa == 0 and sb == 0:
         # coplanar segment: clip against the polygon
-        chord = _chord(poly_flat, a, dr, ctx)
+        chord = _chord(fpoly, a, dr, ctx)
         if chord is None:
             return []
         lo = max(chord[0], Fraction(0) if ctx.exact else 0.0)
@@ -714,7 +699,7 @@ def _degenerate_vs_polygon(seg: Polygon3, poly: Polygon3, poly_flat,
             return []
         if s > 0 and chord[2]:
             mid = _line_point(a, dr, (lo + hi) / 2)
-            if _locate_point(poly, poly_flat, poly_plane, mid, ctx) == "interior":
+            if _locate_point(poly, fpoly, mid, ctx) == "interior":
                 out.append(("interior-overlap", mid))
         return [_line_point(a, dr, t) for t in ((lo,) if lo == hi else (lo, hi))]
     denom = vdot(n, dr)
@@ -722,10 +707,10 @@ def _degenerate_vs_polygon(seg: Polygon3, poly: Polygon3, poly_flat,
         return []
     t = Fraction(-da, denom) if ctx.exact else -da / denom
     x = _line_point(a, dr, t)
-    loc = _locate_point(poly, poly_flat, poly_plane, x, ctx)
+    loc = _locate_point(poly, fpoly, x, ctx)
     if loc == "outside":
         return []
-    if loc == "interior" and _locate_point(seg, None, None, x, ctx) == "boundary":
+    if loc == "interior" and _locate_point(seg, None, x, ctx) == "boundary":
         out.append(("interior-overlap", x))
     return [x]
 
@@ -768,8 +753,8 @@ def _degenerate_pair(p: Polygon3, q: Polygon3, ctx, out) -> list:
     if not (0 <= t <= 1 and 0 <= s <= 1):
         return []
     x = _line_point(a, u, t)
-    p_loc = _locate_point(p, None, None, x, ctx)
-    q_loc = _locate_point(q, None, None, x, ctx)
+    p_loc = _locate_point(p, None, x, ctx)
+    q_loc = _locate_point(q, None, x, ctx)
     if p_loc == "boundary" and q_loc == "boundary":
         out.append(("interior-overlap", x))
     elif p_loc != "outside" and q_loc != "outside":

@@ -27,8 +27,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional
 
-from .geom import (ArithmeticContext, Polygon3, classify_pair, polygon_frame,
-                   polygon_properties, BOUNDARY_TOUCH, DISJOINT, VIOLATION)
+from .geom import (ArithmeticContext, Polygon3, classify_pair, polygon_properties,
+                   BOUNDARY_TOUCH, DISJOINT, VIOLATION)
 from .scene import GRAPH, Scene
 
 
@@ -56,6 +56,7 @@ class VerificationReport:
     reconstructed: dict = field(default_factory=dict)  # contact key -> point
     violations: list = field(default_factory=list)  # Finding
     warnings: list = field(default_factory=list)  # Finding
+    grid_extent: Optional[GridExtent] = None  # measured for a claimed_grid
 
     def to_text(self) -> str:
         lines = [f"pass: {self.passed}",
@@ -96,8 +97,9 @@ class KernelScene:
     denominator, so each corner and contact point becomes a tuple of ints.
     Every predicate is a sign test, and positive scaling keeps signs.  Float
     scenes are taken as they are (L = 1).  Each polygon's frame (plane with
-    a primitive int normal, drop axis, ccw 2D corners) is built once, on
-    first use.
+    a primitive int normal, drop axis, ccw 2D corners) is part of its
+    `polygon_properties` record, which `verify_scene` builds once per
+    polygon on these coordinates.
 
     Each distinct corner and contact point is interned once: `ids[label]`
     holds a polygon's corner ids (`corner_sets[label]` as a set),
@@ -148,7 +150,6 @@ class KernelScene:
         self.corner_sets = {label: frozenset(ids) for label, ids in self.ids.items()}
         self._reach = {label: frozenset().union(*(self.near[i] for i in ids))
                        for label, ids in self.ids.items()}
-        self._frames = {}
 
     def match(self, a: str, b: str):
         """`classify_pair`'s match for polygons a and b, from the ids."""
@@ -158,12 +159,6 @@ class KernelScene:
         sa, sb, near = self.corner_sets[a], self.corner_sets[b], self.near
         return (tuple(not sb.isdisjoint(near[i]) for i in ia),
                 tuple(not sa.isdisjoint(near[j]) for j in ib))
-
-    def frame(self, label: str):
-        fr = self._frames.get(label)
-        if fr is None:
-            fr = self._frames[label] = polygon_frame(self.polygons[label], self.ctx)
-        return fr
 
     def unscale(self, p) -> tuple:
         """A point in the scene's own coordinates."""
@@ -281,7 +276,8 @@ def verify_scene(scene: Scene, eps: Optional[float] = None) -> VerificationRepor
             continue
         match = kernel.match(a, b)
         cls = classify_pair(kernel.polygons[a], kernel.polygons[b], ctx,
-                            kernel.frame(a), kernel.frame(b), match)
+                            report.polygon_properties[a], report.polygon_properties[b],
+                            match)
         key = _pair_label(a, b)
         report.pair_kinds[key] = cls.kind
         if cls.kind == VIOLATION:
@@ -427,7 +423,8 @@ def _check_declared(scene: Scene, kernel: KernelScene, recon: dict,
 
 def _check_grid_claim(scene: Scene, ctx: ArithmeticContext,
                       report: VerificationReport):
-    """Compare each axis of the grid extent with the scene's claim."""
+    """Compare each axis of the grid extent with the scene's claim, and keep
+    the extent on the report."""
     claim = scene.meta["claimed_grid"]
     if not (isinstance(claim, dict) and set(claim) == {"x", "y", "z"}
             and all(type(v) is int and v >= 0 for v in claim.values())):
@@ -435,7 +432,7 @@ def _check_grid_claim(scene: Scene, ctx: ArithmeticContext,
             "grid-claim-malformed", "claimed_grid",
             f"{claim!r} is not x, y, z mapped to non-negative ints"))
         return
-    ext = grid_extent(scene, eps=None if ctx.exact else ctx.eps)
+    ext = report.grid_extent = grid_extent(scene, eps=None if ctx.exact else ctx.eps)
     for axis, got in zip("xyz", ext):
         if got > claim[axis]:
             report.violations.append(Finding(

@@ -29,6 +29,20 @@ class TestArrangement:
         assert all(max(c.numerator.bit_length(), c.denominator.bit_length()) <= 4 * n
                    for p in arr.points.values() for c in p)
 
+    @pytest.mark.parametrize("broken", ["swapped", "no-halving"])
+    def test_broken_arrangement_rejected_by_both_checks(self, broken):
+        # line 1 is y = 0 and meets line j at (s_j / 2, 0)
+        arr = build_line_arrangement(6)
+        p13, p14 = arr.point(1, 3), arr.point(1, 4)
+        if broken == "swapped":
+            arr.points[frozenset((1, 3))], arr.points[frozenset((1, 4))] = p14, p13
+        else:
+            # still in order, but the gap after p(1,3) outgrows the one before
+            p12 = arr.point(1, 2)
+            arr.points[frozenset((1, 3))] = (p12[0] + (p13[0] - p12[0]) / 8, F(0))
+        assert not arrangement_ok(arr)
+        assert audit_arrangement(arr) != []
+
     def test_too_small(self):
         with pytest.raises(ConstructionError):
             build_line_arrangement(2)

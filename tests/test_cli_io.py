@@ -112,6 +112,33 @@ class TestCli:
         assert doc["grid_extent"] == [ext.gx, ext.gy, ext.gz]
         assert ext != grid_extent(read_scene(str(out)))
 
+    def test_verify_measures_the_grid_once(self, tmp_path, capsys, monkeypatch):
+        # the grid-claim check's extent is printed; only a scene that claims
+        # no grid (a cycle square) is measured by the command itself
+        import polycontact.cli as cli
+        calls = []
+        monkeypatch.setattr(cli, "grid_extent",
+                            lambda *a, **k: calls.append(a) or grid_extent(*a, **k))
+        grid, square = tmp_path / "k46.json", tmp_path / "c8.json"
+        assert main(["represent", "--class", "bipartite-grid", "--a", "4",
+                     "--b", "6", "-o", str(grid)]) == 0
+        assert main(["represent", "--class", "cycle-square", "--n", "8",
+                     "-o", str(square)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(grid), "--json"]) == 0
+        ext = grid_extent(read_scene(str(grid)))
+        assert json.loads(capsys.readouterr().out)["grid_extent"] == [ext.gx, ext.gy, ext.gz]
+        assert verify_scene(read_scene(str(grid))).grid_extent == ext
+        assert calls == []
+        assert main(["verify", str(square)]) == 0
+        assert len(calls) == 1
+        assert verify_scene(read_scene(str(square))).grid_extent is None
+
+    def test_no_verify_flag_is_gone(self, tmp_path):
+        assert main(["represent", "--class", "complete", "--n", "4",
+                     "--no-verify", "-o", str(tmp_path / "k4.json")]) == 2
+        assert not (tmp_path / "k4.json").exists()
+
     def test_zero_epsilon_accepted(self, tmp_path, capsys):
         # eps = 0 compares float coordinates literally: fano's rounded
         # corners are no longer coplanar

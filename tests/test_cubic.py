@@ -140,6 +140,28 @@ class TestRect2EC:
         with pytest.raises(ConstructionError, match="bridge"):
             represent_2ec_cubic(g)
 
+    # Graphs whose hub is enclosed by one cycle, so that cycle's chord level
+    # moves to z = -1: a labelled prism, and stub-pairing 2EC cubic graphs
+    # (perfbench's random_cubic_edges(n, Random(seed), two_edge_connected=True)
+    # for n, seed = 8, 1 / 10, 0 / 12, 0).
+    @pytest.mark.parametrize("edges", [
+        "0-2 0-3 0-5 1-3 1-4 1-5 2-3 2-4 4-5",
+        "0-2 0-4 0-5 1-2 1-3 1-5 2-7 3-4 3-6 4-7 5-6 6-7",
+        "0-6 0-8 0-9 1-2 1-8 1-9 2-3 2-7 3-4 3-5 4-5 4-6 5-7 6-9 7-8",
+        "0-3 0-6 0-10 1-6 1-8 1-11 2-7 2-8 2-9 3-7 3-8 4-5 4-6 4-10 5-7 5-9 "
+        "9-11 10-11",
+    ], ids=["prism-6", "2ec-8", "2ec-10", "2ec-12"])
+    def test_enclosing_cycle_drops_to_z_minus_1(self, edges):
+        g = graph_from_edge_list(edges.replace(" ", "\n").replace("-", " "))
+        scene = represent_2ec_cubic(g)
+        report = verify_scene(scene)
+        assert report.passed, report.to_text()
+        claim = scene.meta["claimed_grid"]
+        assert claim == {"x": 3, "y": g.n // 2, "z": g.n // 2}
+        ext = grid_extent(scene)
+        assert (ext.gx, ext.gy, ext.gz) == (3, g.n // 2, g.n // 2)
+        assert min(c[2] for p in scene.polygons.values() for c in p.corners) == -1
+
 
 class TestCubicBridges:
     @pytest.mark.parametrize("k", [2, 3, 4])

@@ -6,9 +6,8 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from polycontact.geom import (ArithmeticContext, Polygon3, _one_side,
-                              classify_pair, polygon_frame,
-                              polygon_properties, CORNER_CONTACT, DISJOINT,
-                              VIOLATION, BOUNDARY_TOUCH)
+                              classify_pair, polygon_properties,
+                              CORNER_CONTACT, DISJOINT, VIOLATION, BOUNDARY_TOUCH)
 
 from oracle_geom import oracle_classify
 
@@ -45,6 +44,20 @@ class TestPolygonProperties:
         seg = P((0, 0, 0), (1, 1, 1))
         props = polygon_properties(seg)
         assert props.degenerate and props.planar
+        assert props.plane is props.axis is props.flat is None
+
+    def test_frame_from_first_noncollinear_triple(self):
+        # a clockwise square, a warped one and one with a duplicate corner
+        # all get the z = 0 frame of their first non-collinear triple,
+        # with the projected corners turned ccw
+        cw = P((0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0))
+        warp = P((0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 1))
+        dup = P((0, 0, 0), (0, 1, 0), (0, 1, 0), (1, 0, 0))
+        for poly in (cw, warp, dup):
+            props = polygon_properties(poly)
+            assert props.axis == 2 and props.plane == ((0, 0, -1), 0)
+            assert props.flat == tuple(c[:2] for c in reversed(poly.corners))
+        assert polygon_properties(P((0, 0, 0), (1, 1, 1), (2, 2, 2))).flat is None
 
 
 class TestClassifyPair:
@@ -112,8 +125,8 @@ class TestClassifyPair:
         # classification decides
         a = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
         b = P((5, 1, 0), (6, 1, 1), (4, 1, 1))
-        assert not _one_side(polygon_frame(a)[0], b.corners)
-        assert not _one_side(polygon_frame(b)[0], a.corners)
+        assert not _one_side(polygon_properties(a).plane, b.corners)
+        assert not _one_side(polygon_properties(b).plane, a.corners)
         assert classify_pair(a, b).kind == DISJOINT
         assert classify_pair(b, a).kind == DISJOINT
 
@@ -136,6 +149,18 @@ class TestClassifyPair:
         res = classify_pair(a, b)
         assert res.kind == BOUNDARY_TOUCH
         assert res.touch_witnesses == [(F(1), F(0), F(1, 2))]
+
+    def test_corner_contact_carries_no_touch_witness(self):
+        # b's edge from the shared corner runs through a and leaves it at
+        # (2, 2, 0), a non-corner boundary point of both; the shared corner
+        # already fixes the kind, so no touch point is sought
+        a = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
+        b = P((0, 0, 0), (3, 3, 0), (0, 0, 1))
+        for x, y in ((a, b), (b, a)):
+            res = classify_pair(x, y)
+            assert res.kind == CORNER_CONTACT
+            assert res.shared_corners == [(0, 0, 0)]
+            assert res.touch_witnesses == []
 
     def test_symmetry(self):
         a = P((0, 0, 0), (4, 0, 0), (0, 4, 0))

@@ -48,7 +48,7 @@ def assert_matches_reference(scene, eps=None):
     indexed = {}
     for a, b in kinds:
         cls = classify_pair(kernel.polygons[a], kernel.polygons[b], ctx,
-                            kernel.frame(a), kernel.frame(b), kernel.match(a, b))
+                            match=kernel.match(a, b))
         if cls.shared_corners:
             indexed[(a, b)] = [kernel.unscale(c) for c in cls.shared_corners]
     assert indexed == shared

@@ -521,8 +521,7 @@ class TestDivisionFreeKernel:
         kinds = []
         for a, b in combinations(sorted(scene.polygons), 2):
             plain = classify_pair(scene.polygons[a], scene.polygons[b])
-            fast = classify_pair(kernel.polygons[a], kernel.polygons[b], ctx,
-                                 kernel.frame(a), kernel.frame(b))
+            fast = classify_pair(kernel.polygons[a], kernel.polygons[b], ctx)
             assert fast.kind == plain.kind, (a, b)
             assert [kernel.unscale(c) for c in fast.shared_corners] == [
                 tuple(c) for c in plain.shared_corners]
