@@ -5,13 +5,18 @@ Coordinates are either exact (`fractions.Fraction`, or ints once
 predicates go through an `ArithmeticContext`, so the same code path serves
 both modes; only the sign test differs.
 
-On int coordinates the polygon checks, the plane tests and the chord
-clipping of transversal pairs are division-free: plane normals and line
-directions are divided by the gcd of their entries, the intersection line's
-point is an int vector over an int weight, and chord bounds are int pairs
-compared by cross-multiplication.  `Fraction`s are built only for the two
-winning chord bounds of a pair and for the points derived from them (the
-midpoint probe and touch witnesses), and by the point/segment cases.
+On int coordinates the polygon checks, the plane tests and the interval
+test of transversal pairs are division-free.  Plane normals are divided by
+the gcd of their entries.  For two proper polygons `classify_pair` computes
+each corner's signed distance to the other polygon's plane once, and the
+one-side exit, the corner checks and the interval test all read those
+ints.  Each polygon meets the other's plane in an interval of t = dr.x
+along the planes' common line (dr the cross product of the normals); its
+ends come from the corners on that plane and the edges whose corners lie
+on opposite sides, as int (num, den) pairs compared by
+cross-multiplication.  `Fraction`s are built only where the two intervals
+meet, for the common interval's midpoint probe and touch witnesses, and by
+the point/segment cases.
 
 Each polygon has one record, its `PolygonProperties`: the validity flags
 and the frame (supporting plane, drop axis, ccw 2D corners), derived once
@@ -24,9 +29,9 @@ corner of the other.  `verify.KernelScene` reads the match off its
 per-scene point ids; without one, `classify_pair` compares the corners
 pairwise.  Either way a shared corner is located as "corner" and any other
 corner goes straight to the plane test, so `point_eq` scans are left only
-for points derived inside a pair (chord ends, midpoints).  A shared corner
-fixes a pair's kind, so chord ends are sought as touch points only when
-no corner is shared.
+for points derived inside a pair (interval ends, midpoints).  A shared
+corner fixes a pair's kind, so interval ends are sought as touch points
+only when no corner is shared.
 
 The contact model implemented by `classify_pair` treats polygons as *open*
 filled regions:
@@ -47,7 +52,7 @@ interior-overlap violations and returns touch points.
 Only convex polygons (plus single points and degenerate corner lists, taken
 as the segment between their extreme corners) are supported by
 `classify_pair`; that covers every construction in this package and keeps
-the chord logic exact and simple.
+the interval and chord logic exact and simple.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional, Sequence
 
 Point3 = tuple  # (x, y, z) of Fraction or float
@@ -417,14 +423,16 @@ def _locate_point(poly: Polygon3, f: Optional[PolygonProperties], q: Point3,
     return "boundary"
 
 
-def _chord(f: PolygonProperties, p0: Point3, dr: Point3, ctx: ArithmeticContext, w=1):
-    """Clip the line p0/w + t*dr (known to lie in f's plane), w > 0.
+def _chord(f: PolygonProperties, p0: Point3, dr: Point3, ctx: ArithmeticContext):
+    """Clip the line p0 + t*dr (known to lie in f's plane) against f's polygon.
 
     Returns (t_lo, t_hi, through_interior) or None when the line misses.
     through_interior is False when the chord runs along an edge, in which
     case the whole chord belongs to the boundary.  In exact mode each bound
-    is kept as a (num, den) pair with den > 0 of t*w, compared by
+    is kept as a (num, den) pair with den > 0, compared by
     cross-multiplication; only the two winning bounds become Fractions.
+    Only a segment lying in a polygon's plane is clipped this way; two
+    proper polygons in crossing planes use `_cut` instead.
     """
     a0 = project2d(p0, f.axis)
     d2 = project2d(dr, f.axis)
@@ -436,8 +444,8 @@ def _chord(f: PolygonProperties, p0: Point3, dr: Point3, ctx: ArithmeticContext,
     for i in range(n):
         a, b = pts[i], pts[(i + 1) % n]
         ex, ey = b[0] - a[0], b[1] - a[1]
-        # inward halfplane for ccw polygon: cross(edge, x - a) >= 0, times w
-        num = ex * (a0[1] - w * a[1]) - ey * (a0[0] - w * a[0])
+        # inward halfplane for ccw polygon: cross(edge, x - a) >= 0
+        num = ex * (a0[1] - a[1]) - ey * (a0[0] - a[0])
         den = ex * d2[1] - ey * d2[0]
         sden = ctx.sign(den)
         if sden == 0:
@@ -465,7 +473,7 @@ def _chord(f: PolygonProperties, p0: Point3, dr: Point3, ctx: ArithmeticContext,
     if exact:
         if hi[0] * lo[1] < lo[0] * hi[1]:
             return None
-        return Fraction(lo[0], lo[1] * w), Fraction(hi[0], hi[1] * w), through
+        return Fraction(*lo), Fraction(*hi), through
     if ctx.sign(hi - lo) < 0:
         return None
     return lo, hi, through
@@ -475,10 +483,14 @@ def _line_point(p0, dr, t):
     return vadd(p0, vscale(dr, t))
 
 
-def _corner_incursions(p: Polygon3, q: Polygon3, fq, ctx, out, p_shared):
-    """Corners of p lying on q but not at q's corners are violations."""
-    for c, shared in zip(p.corners, p_shared):
-        if shared:
+def _corner_incursions(p: Polygon3, q: Polygon3, fq, ctx, out, p_shared, p_sign=None):
+    """Corners of p lying on q but not at q's corners are violations.
+
+    `p_sign`, when given, holds the sign of each corner's distance to q's
+    plane; a corner off that plane is outside q and is skipped.
+    """
+    for c, shared, side in zip(p.corners, p_shared, p_sign or repeat(0)):
+        if shared or side:
             continue
         loc = _locate_point(q, fq, c, ctx, False)
         if loc == "interior":
@@ -487,16 +499,18 @@ def _corner_incursions(p: Polygon3, q: Polygon3, fq, ctx, out, p_shared):
             out.append(("corner-on-boundary", c))
 
 
-def _one_side(plane, corners) -> bool:
-    """Every corner lies strictly on one side of the plane (exact)."""
-    (a, b, c), d = plane
-    side = None
-    for x, y, z in corners:
-        s = a * x + b * y + c * z - d
-        if s == 0 or (side is not None and (s > 0) != side):
-            return False
-        side = s > 0
-    return True
+def _plane_sides(plane, corners, ctx):
+    """Each corner's signed distance vdot(n, c) - d to the plane, and its
+    sign; ints on the kernel's int corners."""
+    n, d = plane
+    dist = [vdot(n, c) - d for c in corners]
+    return dist, [ctx.sign(x) for x in dist]
+
+
+def _one_side(side) -> bool:
+    """Every corner lies strictly on one side of the plane: the signs
+    (`_plane_sides`) are all +1 or all -1."""
+    return side[0] != 0 and side.count(side[0]) == len(side)
 
 
 def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
@@ -521,19 +535,25 @@ def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
     shared, else BoundaryTouch if there are touch points, else Disjoint.  A
     shared corner thus fixes the kind without touch points, so proper
     polygons seek them only when no corner is shared, and `touch_witnesses`
-    is empty except on BoundaryTouch.  Two proper polygons are Disjoint at
-    once when, in exact mode, either lies strictly on one side of the
-    other's plane, and in float mode when they lie in distinct parallel
-    planes.
+    is empty except on BoundaryTouch.
+
+    For two proper polygons each one's corner distances to the other's
+    plane are computed once, with their signs, and every later step reads
+    them.  The pair is Disjoint at once when, in exact mode, either polygon
+    lies strictly on one side of the other's plane, and in both modes when
+    they lie in distinct parallel planes.  A corner off the other's plane is
+    not located on it, and crossing planes get the interval test.
     """
     fp = fp or polygon_properties(p, ctx)
     fq = fq or polygon_properties(q, ctx)
+    sp = sq = None  # p's corners against q's plane, and q's against p's
     if fp.plane is not None and fq.plane is not None:
-        if ctx.exact and (_one_side(fp.plane, q.corners) or _one_side(fq.plane, p.corners)):
+        sp, sq = _plane_sides(fq.plane, p.corners, ctx), _plane_sides(fp.plane, q.corners, ctx)
+        if ctx.exact and (_one_side(sp[1]) or _one_side(sq[1])):
             return PairClassification(kind=DISJOINT)
         dr = vcross(fp.plane[0], fq.plane[0])
         crossing = not is_zero_vec(dr, ctx)
-        if not crossing and not plane_contains(fp.plane, q.corners[0], ctx):
+        if not crossing and sq[1][0]:
             return PairClassification(kind=DISJOINT)  # distinct parallel planes
     if match is None:
         eq = [[ctx.point_eq(c, d) for d in q.corners] for c in p.corners]
@@ -543,17 +563,17 @@ def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
     # A missing plane means a point or collinear corner list; it goes first.
     if fp.plane is not None and fq.plane is None:
         p, q, fp, fq, match = q, p, fq, fp, match[::-1]
-    _corner_incursions(p, q, fq, ctx, res.violations, match[0])
-    _corner_incursions(q, p, fp, ctx, res.violations, match[1])
-
     out = res.violations
+    _corner_incursions(p, q, fq, ctx, out, match[0], sp and sp[1])
+    _corner_incursions(q, p, fp, ctx, out, match[1], sq and sq[1])
+
     seek_touch = not res.shared_corners
     if fp.plane is None and fq.plane is None:
         touch = _degenerate_pair(p, q, ctx, out)
     elif fp.plane is None:
         touch = _degenerate_vs_polygon(p, q, fq, ctx, out)
     elif crossing:
-        touch = _transversal(p, q, fp, fq, dr, ctx, out, seek_touch)
+        touch = _transversal(p, q, fp, fq, sp, sq, dr, ctx, out, seek_touch)
     else:
         touch = _coplanar(p, q, fp, fq, ctx, out, seek_touch)
 
@@ -569,8 +589,8 @@ def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
 
 def _coplanar(p, q, fp, fq, ctx, out, seek_touch) -> list:
     """Two proper polygons in one plane: interior overlap by separating
-    axes (edge normals of both), and, when sought, a touch witness unless
-    an axis separates them."""
+    axes (edge normals of both), and, when sought in float mode, a touch
+    witness unless an axis separates them."""
     def axes(pts):
         n = len(pts)
         return [(-(pts[(i + 1) % n][1] - pts[i][1]),
@@ -595,7 +615,10 @@ def _coplanar(p, q, fp, fq, ctx, out, seek_touch) -> list:
             break
     if not separated and not touching_axis:
         out.append(("interior-overlap", p.corners[0]))
-    if separated or not seek_touch:
+    # Exact closures of two coplanar convex polygons meet only where edges
+    # cross (an interior overlap) or a corner lies on the other polygon (an
+    # incursion), so an exact pair that reaches here has no touch point.
+    if separated or not seek_touch or ctx.exact:
         return []
     return _boundary_touch_points(p, q, fp.axis, ctx)
 
@@ -614,57 +637,37 @@ def _boundary_touch_points(p, q, axis, ctx) -> list:
     return []
 
 
-def _transversal(p, q, fp, fq, dr, ctx, out, seek_touch) -> list:
-    """Two polygons in crossing planes, clipped to the planes' common line;
-    the chord's ends are touch points when sought."""
-    n1, d1 = fp.plane
-    n2, d2 = fq.plane
-    # |n1|^2 |n2|^2 - (n1.n2)^2 = |n1 x n2|^2; taken from dr it does not
-    # cancel to zero for nearly parallel planes in float mode.
-    det = vdot(dr, dr)
-    n1n1 = vdot(n1, n1)
-    n2n2 = vdot(n2, n2)
-    n1n2 = vdot(n1, n2)
-    c1 = (d1 * n2n2 - d2 * n1n2)
-    c2 = (d2 * n1n1 - d1 * n1n2)
-    if ctx.exact:
-        # the line is h0/w + t*dr; with int planes h0, w and dr are ints,
-        # each reduced by its gcd, and no Fraction is built until a chord
-        # bound or a witness is needed
-        h0, w = vadd(vscale(n1, c1), vscale(n2, c2)), det
-        if type(w) is int and all(type(c) is int for c in h0):
-            *h0, w = _primitive((*h0, w))
-            dr = _primitive(dr)
-    else:
-        dr = vscale(dr, 1.0 / math.sqrt(det))
-        h0, w = vadd(vscale(n1, c1 / det), vscale(n2, c2 / det)), 1
+def _transversal(p, q, fp, fq, sp, sq, dr, ctx, out, seek_touch) -> list:
+    """Two polygons in crossing planes, by the interval test.
 
-    ip = _chord(fp, h0, dr, ctx, w)
-    iq = _chord(fq, h0, dr, ctx, w)
-    if ip is None or iq is None:
+    Each polygon meets the other's plane in an interval of t = dr.x on the
+    planes' common line (`_cut`).  The midpoint of an open common interval
+    witnesses an interior overlap when it is interior to both polygons; the
+    common interval's ends are touch points when sought.
+    """
+    if not ctx.exact:
+        dr = vscale(dr, 1.0 / math.sqrt(vdot(dr, dr)))  # t in units of length
+    cp = _cut(p.corners, sp, dr, ctx)
+    cq = cp and _cut(q.corners, sq, dr, ctx)
+    if cq is None:
         return []
-    lo = max(ip[0], iq[0])
-    hi = min(ip[1], iq[1])
-    s = ctx.sign(hi - lo)
+    (lp, hp), (lq, hq) = cp, cq
+    lo = lq if _earlier(lp, lq) else lp
+    hi = hq if _earlier(hq, hp) else hp
+    s = ctx.sign(hi[0] * lo[1] - lo[0] * hi[1])
     if s < 0:
         return []
-
-    p0 = tuple(Fraction(c, w) for c in h0) if ctx.exact else h0
-    if s > 0 and ip[2] and iq[2]:
-        # The open part of a convex polygon's chord is interior whenever the
-        # chord does not run along an edge; when that holds for both, the
-        # shared open segment witnesses an interior-interior intersection.
-        mid = _line_point(p0, dr, (lo + hi) / 2)
-        in_p = _locate_point(p, fp, mid, ctx)
-        in_q = _locate_point(q, fq, mid, ctx)
-        if in_p == "interior" and in_q == "interior":
+    ends = [_end_point(lo, ctx), _end_point(hi, ctx)]
+    if s > 0:
+        mid = tuple(_div(x + y, 2, ctx) for x, y in zip(*ends))
+        if (_locate_point(p, fp, mid, ctx) == "interior"
+                and _locate_point(q, fq, mid, ctx) == "interior"):
             out.append(("interior-overlap", mid))
     if not seek_touch:
         return []
 
     touch = []
-    for t in ((lo,) if lo == hi else (lo, hi)):
-        pt = _line_point(p0, dr, t)
+    for pt in ends[:1] if s == 0 else ends:
         loc_p = _locate_point(p, fp, pt, ctx)
         loc_q = _locate_point(q, fq, pt, ctx)
         if loc_p == "corner" and loc_q == "corner":
@@ -674,6 +677,57 @@ def _transversal(p, q, fp, fq, dr, ctx, out, seek_touch) -> list:
         if loc_p != "outside" and loc_q != "outside":
             touch.append(pt)
     return touch
+
+
+def _cut(corners, side, dr, ctx):
+    """A polygon's cut with the other polygon's plane, as the least and
+    greatest t = vdot(dr, x) over its corners on that plane and its edges'
+    sign-changing crossings of it; None when it misses the plane.
+
+    `side` is the corners' (distances, signs) from `_plane_sides`.  An end
+    is (num, den, a, da, b, db): t = num/den with den > 0 (den = 1 in float
+    mode), compared by cross-multiplication, at corner a when b is None and
+    else where edge ab, at distances da and db, crosses the plane.
+    """
+    dist, sign = side
+    n = len(corners)
+    lo = hi = None
+    for i in range(n):
+        j = (i + 1) % n
+        a, da = corners[i], dist[i]
+        if sign[i] == 0:
+            end = (vdot(dr, a), 1, a, da, None, None)
+        elif sign[i] == -sign[j]:
+            b, db = corners[j], dist[j]
+            num, den = da * vdot(dr, b) - db * vdot(dr, a), da - db
+            if sign[i] < 0:
+                num, den = -num, -den
+            end = (num, den, a, da, b, db) if ctx.exact else (num / den, 1, a, da, b, db)
+        else:
+            continue
+        if lo is None or _earlier(end, lo):
+            lo = end
+        if hi is None or _earlier(hi, end):
+            hi = end
+    return None if lo is None else (lo, hi)
+
+
+def _earlier(e, f) -> bool:
+    """End e's t is below end f's: num/den pairs with den > 0."""
+    return e[0] * f[1] < f[0] * e[1]
+
+
+def _end_point(end, ctx) -> Point3:
+    """The point of a `_cut` end: its corner, or its edge's crossing
+    (da*b - db*a) / (da - db)."""
+    _, _, a, da, b, db = end
+    if b is None:
+        return a
+    return tuple(_div(da * y - db * x, da - db, ctx) for x, y in zip(a, b))
+
+
+def _div(x, y, ctx):
+    return Fraction(x, y) if ctx.exact else x / y
 
 
 def _degenerate_vs_polygon(seg: Polygon3, poly: Polygon3, fpoly, ctx, out) -> list:
@@ -705,7 +759,7 @@ def _degenerate_vs_polygon(seg: Polygon3, poly: Polygon3, fpoly, ctx, out) -> li
     denom = vdot(n, dr)
     if sa * sb > 0 or ctx.is_zero(denom):
         return []
-    t = Fraction(-da, denom) if ctx.exact else -da / denom
+    t = _div(-da, denom, ctx)
     x = _line_point(a, dr, t)
     loc = _locate_point(poly, fpoly, x, ctx)
     if loc == "outside":
@@ -734,11 +788,10 @@ def _degenerate_pair(p: Polygon3, q: Polygon3, ctx, out) -> list:
         lo = max(min(t0, t1), 0 * uu)
         hi = min(max(t0, t1), uu)
         if ctx.sign(hi - lo) > 0:
-            x = _line_point(a, u, Fraction(lo + hi, 2 * uu) if ctx.exact
-                            else (lo + hi) / 2 / uu)
+            x = _line_point(a, u, _div(lo + hi, 2 * uu, ctx))
             out.append(("interior-overlap", x))
         elif ctx.sign(hi - lo) == 0:
-            return [_line_point(a, u, Fraction(lo, uu) if ctx.exact else lo / uu)]
+            return [_line_point(a, u, _div(lo, uu, ctx))]
         return []
     if not ctx.is_zero(vdot(w, n)):
         return []
@@ -746,10 +799,7 @@ def _degenerate_pair(p: Polygon3, q: Polygon3, ctx, out) -> list:
     nn = vdot(n, n)
     t = vdot(vcross(w, v), n)
     s = vdot(vcross(w, u), n)
-    if ctx.exact:
-        t, s = Fraction(t, nn), Fraction(s, nn)
-    else:
-        t, s = t / nn, s / nn
+    t, s = _div(t, nn, ctx), _div(s, nn, ctx)
     if not (0 <= t <= 1 and 0 <= s <= 1):
         return []
     x = _line_point(a, u, t)

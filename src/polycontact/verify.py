@@ -94,14 +94,17 @@ class KernelScene:
     Polygons and contact points with a non-finite coordinate are set aside
     (`nonfinite_polygons`, `nonfinite_contacts`) and take no further part.
     Exact scenes are scaled once by L, the lcm of every coordinate's
-    denominator, so each corner and contact point becomes a tuple of ints.
+    denominator, so each corner and contact point becomes a tuple of ints:
+    a coordinate n/d (an int, `Fraction` or float) becomes n * (L // d).
     Every predicate is a sign test, and positive scaling keeps signs.  Float
     scenes are taken as they are (L = 1).  Each polygon's frame (plane with
     a primitive int normal, drop axis, ccw 2D corners) is part of its
     `polygon_properties` record, which `verify_scene` builds once per
     polygon on these coordinates.
 
-    Each distinct corner and contact point is interned once: `ids[label]`
+    Each distinct corner and contact point is interned once, exact ones
+    as their int tuples (scaling by L > 0 is one-to-one, so equal points
+    and only those share an id): `ids[label]`
     holds a polygon's corner ids (`corner_sets[label]` as a set),
     `contact_ids[key]` a contact's id, and `near[i]` the ids of every point
     that `ctx.point_eq` holds equal to point i, i itself included.  In exact
@@ -111,10 +114,10 @@ class KernelScene:
     a ~ b and b ~ c need not give a ~ c.
     `match` turns these into `classify_pair`'s shared-corner match.
 
-    On the ints the polygon checks, point location and transversal chord
-    clipping divide nothing.  `Fraction`s are built for the two winning
-    chord bounds of a transversal pair and the midpoint and touch witnesses
-    derived from them, by the point/segment classifiers, and by `unscale`.
+    On the ints the polygon checks, point location and the interval test
+    of transversal pairs divide nothing.  `Fraction`s are built where a
+    transversal pair's two intervals meet, for the midpoint and touch
+    witnesses, by the point/segment classifiers, and by `unscale`.
     """
 
     def __init__(self, scene: Scene, ctx: ArithmeticContext):
@@ -128,18 +131,25 @@ class KernelScene:
                          if label not in self.nonfinite_polygons}
         self.contacts = {k: tuple(p) for k, p in scene.contacts.items()
                          if k not in self.nonfinite_contacts}
-        index = {}  # point -> id, in first-seen order
-        for poly in self.polygons.values():
-            for c in poly.corners:
-                index.setdefault(tuple(c), len(index))
-        for p in self.contacts.values():
-            index.setdefault(p, len(index))
-        self.ids = {label: tuple(index[tuple(c)] for c in poly.corners)
-                    for label, poly in self.polygons.items()}
-        self.contact_ids = {k: index[p] for k, p in self.contacts.items()}
+        points = [c for poly in self.polygons.values() for c in poly.corners]
+        points += self.contacts.values()
         if ctx.exact:
-            self.scale = math.lcm(*{Fraction(x).denominator for p in index for x in p})
-            scaled = [tuple(int(Fraction(x) * self.scale) for x in p) for p in index]
+            ratios = [tuple(map(_ratio, p)) for p in points]
+            dens = {den for r in ratios for _, den in r}
+            self.scale = math.lcm(*dens)
+            factor = {den: self.scale // den for den in dens}
+            keys = [tuple(num * factor[den] for num, den in r) for r in ratios]
+        else:
+            keys = [tuple(p) for p in points]
+        index = {}  # point -> id, in first-seen order
+        for k in keys:
+            index.setdefault(k, len(index))
+        ids = iter([index[k] for k in keys])
+        self.ids = {label: tuple(next(ids) for _ in poly.corners)
+                    for label, poly in self.polygons.items()}
+        self.contact_ids = {k: next(ids) for k in self.contacts}
+        if ctx.exact:
+            scaled = list(index)
             self.polygons = {label: Polygon3(tuple(scaled[i] for i in self.ids[label]))
                              for label in self.polygons}
             self.contacts = {k: scaled[self.contact_ids[k]] for k in self.contacts}
@@ -165,6 +175,15 @@ class KernelScene:
         if not self.ctx.exact:
             return tuple(p)
         return tuple(Fraction(x, self.scale) for x in p)
+
+
+def _ratio(x) -> tuple:
+    """An exact-scene coordinate (int, Fraction or float) as its normalised
+    (numerator, denominator) pair, so equal values give equal pairs; a
+    non-finite float stays itself."""
+    if type(x) is float and not math.isfinite(x):
+        return x
+    return x.as_integer_ratio()
 
 
 def _finite(p) -> bool:
@@ -444,15 +463,17 @@ def grid_extent(scene: Scene, eps: Optional[float] = None) -> GridExtent:
     """Per-axis count of distinct coordinate values over all corners.
 
     This is the grid-line counting convention (a drawing in the xy-plane
-    has z-extent 1).  Exact scenes count exactly; float scenes snap values
-    within eps and are flagged approximate.
+    has z-extent 1).  Exact scenes count the distinct (numerator,
+    denominator) pairs on each axis; float scenes snap values within eps and
+    are flagged approximate.
     """
+    if scene.is_exact:
+        pts = list(scene.all_points())
+        counts = [len({_ratio(p[i]) for p in pts}) for i in range(3)]
+        return GridExtent(*counts, approximate=False)
     pts = list({tuple(p) for p in scene.all_points()})
     if not pts:
         return GridExtent(0, 0, 0)
-    if scene.is_exact:
-        counts = [len({p[i] for p in pts}) for i in range(3)]
-        return GridExtent(*counts, approximate=False)
     if eps is None:
         eps = scene.meta.get("epsilon", 1e-9)
     counts = []

@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 
 import hypothesis
@@ -6,8 +7,11 @@ import pytest
 
 from polycontact import Graph, OnePlaneEmbedding, Polygon3, edge_key, graph_scene
 
+# HYPOTHESIS_PROFILE=ci runs more examples in a fixed order
 hypothesis.settings.register_profile("suite", deadline=None, max_examples=60)
-hypothesis.settings.load_profile("suite")
+hypothesis.settings.register_profile("ci", deadline=None, max_examples=500,
+                                     derandomize=True)
+hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
 
 
 def ek(u, v):

@@ -101,7 +101,7 @@ class TestIntegerGrid:
         ext = grid_extent(scene)
         # span from the proof's formula: 4*3 (stack) + 4*3+2 (core) = 26
         assert ext.gx <= 26
-        assert (ext.gx, ext.gy, ext.gz) <= (32, 8, 8)
+        assert all(got <= cap for got, cap in zip(ext[:3], (32, 8, 8)))
 
     def test_k44_exact_integers(self):
         scene = represent_bipartite_grid(complete_bipartite(4, 4))

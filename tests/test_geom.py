@@ -5,7 +5,8 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from polycontact.geom import (ArithmeticContext, Polygon3, _one_side,
+from polycontact import geom
+from polycontact.geom import (ArithmeticContext, Polygon3, _one_side, _plane_sides,
                               classify_pair, polygon_properties,
                               CORNER_CONTACT, DISJOINT, VIOLATION, BOUNDARY_TOUCH)
 
@@ -13,10 +14,15 @@ from oracle_geom import oracle_classify
 
 F = Fraction
 EX = ArithmeticContext(exact=True)
+FL = ArithmeticContext(exact=False, eps=1e-9)
 
 
 def P(*corners):
     return Polygon3(corners=tuple(tuple(map(F, c)) for c in corners))
+
+
+def _floats(poly):
+    return Polygon3(tuple(tuple(float(x) for x in c) for c in poly.corners))
 
 
 class TestPolygonProperties:
@@ -125,8 +131,8 @@ class TestClassifyPair:
         # classification decides
         a = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
         b = P((5, 1, 0), (6, 1, 1), (4, 1, 1))
-        assert not _one_side(polygon_properties(a).plane, b.corners)
-        assert not _one_side(polygon_properties(b).plane, a.corners)
+        assert not _one_side(_plane_sides(polygon_properties(a).plane, b.corners, EX)[1])
+        assert not _one_side(_plane_sides(polygon_properties(b).plane, a.corners, EX)[1])
         assert classify_pair(a, b).kind == DISJOINT
         assert classify_pair(b, a).kind == DISJOINT
 
@@ -161,6 +167,24 @@ class TestClassifyPair:
             assert res.kind == CORNER_CONTACT
             assert res.shared_corners == [(0, 0, 0)]
             assert res.touch_witnesses == []
+
+    def test_coplanar_edge_on_edge_is_a_corner_violation(self, monkeypatch):
+        # b's edge runs along a's edge between two corners of b, and no
+        # corner is shared: b's corners on a's boundary make the pair a
+        # violation, not a boundary touch
+        a = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
+        b = P((1, 0, 0), (3, 0, 0), (2, -2, 0))
+
+        def check(x, y, ctx):
+            for p, q in ((x, y), (y, x)):
+                res = classify_pair(p, q, ctx)
+                assert res.kind == VIOLATION
+                assert [r for r, _ in res.violations] == ["corner-on-boundary"] * 2
+
+        check(_floats(a), _floats(b), FL)
+        # an exact pair is decided without the coplanar touch search
+        monkeypatch.setattr(geom, "_boundary_touch_points", None)
+        check(a, b, EX)
 
     def test_symmetry(self):
         a = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
@@ -289,26 +313,38 @@ def _hull2d(points):
 
 @st.composite
 def convex_polygon_pairs(draw):
-    """Two random convex polygons; half the time forced coplanar."""
-    def polygon(zmap):
-        pts2 = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=7))
-        hull = _hull2d(pts2)
-        if hull is None:
-            return None
-        return Polygon3(corners=tuple((F(x), F(y), zmap(x, y)) for x, y in hull))
+    """Two random convex polygons, each lifted to its own small-integer
+    plane.  b's plane is a's or one parallel to it, an independent one, or
+    a's plane tilted about a line through a corner of b or along an edge of
+    b, which puts that corner or edge exactly on a's plane."""
+    def hull():
+        return _hull2d(draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=7)))
 
-    coplanar = draw(st.booleans())
-    a = polygon(lambda x, y: F(0))
-    if coplanar:
-        dz = draw(st.integers(0, 1))
-        b = polygon(lambda x, y: F(dz))
-    else:
-        cx = draw(st.integers(-2, 2))
-        cy = draw(st.integers(-2, 2))
-        b = polygon(lambda x, y: F(x * cx + y * cy - 2))
-    if a is None or b is None:
+    def lift(pts, zmap):
+        return Polygon3(corners=tuple((F(x), F(y), F(zmap(x, y))) for x, y in pts))
+
+    tilt = st.integers(-2, 2)
+    ha, hb = hull(), hull()
+    if ha is None or hb is None:
         return None
-    return a, b
+    ax, ay = draw(tilt), draw(tilt)
+
+    def za(x, y):
+        return ax * x + ay * y
+
+    case = draw(st.sampled_from(("coplanar", "tilted", "corner", "edge")))
+    if case == "coplanar":
+        dz = draw(st.integers(0, 1))
+        return lift(ha, za), lift(hb, lambda x, y: za(x, y) + dz)
+    if case == "tilted":
+        bx, by, b0 = draw(tilt), draw(tilt), draw(tilt)
+        return lift(ha, za), lift(hb, lambda x, y: bx * x + by * y + b0)
+    i = draw(st.integers(0, len(hb) - 1))
+    (vx, vy), (wx, wy) = hb[i], hb[(i + 1) % len(hb)]
+    # the tilt vanishes along (ux, uy)'s normal line through corner v
+    ux, uy = (draw(tilt), draw(tilt)) if case == "corner" else (wy - vy, vx - wx)
+    k = draw(st.sampled_from((-2, -1, 1, 2)))
+    return lift(ha, za), lift(hb, lambda x, y: za(x, y) + k * (ux * (x - vx) + uy * (y - vy)))
 
 
 @given(convex_polygon_pairs())
@@ -358,3 +394,15 @@ def test_classify_symmetric_property(pair):
         return
     a, b = pair
     assert classify_pair(a, b, EX).kind == classify_pair(b, a, EX).kind
+
+
+@given(st.one_of(convex_polygon_pairs(), mixed_pairs()))
+def test_float_kind_matches_exact_on_small_integers(pair):
+    """Small integers and halves are exact floats, and every nonzero
+    quantity they give is far above eps, so the float classification
+    agrees with the exact one."""
+    if pair is None:
+        return
+    a, b = pair
+    want = classify_pair(a, b, EX).kind
+    assert classify_pair(_floats(a), _floats(b), FL).kind == want

@@ -306,6 +306,41 @@ class TestGridExtent:
         assert r1.reconstructed == r2.reconstructed
         assert r1.passed and r2.passed
 
+    def test_mixed_exact_coordinate_types(self):
+        # int, Fraction and float values in one exact scene: equal values
+        # are one point and one grid line, whatever their types
+        a = Polygon3(corners=((0, 0, 0), (F(1, 2), 0, 0), (0, 2, F(1, 3))))
+        b = Polygon3(corners=((0.5, 0.0, 0.0), (F(3, 2), 0, 0), (1, 1.25, 0)))
+        key = edge_key("a", "b")
+        scene = graph_scene(Graph.from_edges([("a", "b")]), {"a": a, "b": b},
+                            {key: (F(1, 2), F(0), 0.0)},
+                            {"construction": "test", "arithmetic": "exact"})
+        kernel = KernelScene(scene, scene.context())
+        assert kernel.scale == 12
+        assert kernel.ids == {"a": (0, 1, 2), "b": (1, 3, 4)}
+        assert kernel.contact_ids == {key: 1}
+        assert kernel.polygons["a"].corners == ((0, 0, 0), (6, 0, 0), (0, 24, 4))
+        assert kernel.polygons["b"].corners == ((6, 0, 0), (18, 0, 0), (12, 15, 0))
+        assert kernel.contacts == {key: (6, 0, 0)}
+        ext = grid_extent(scene)
+        assert ext == (4, 3, 2, False)
+        assert ext[:3] == tuple(len({F(p[i]) for p in scene.all_points()}) for i in range(3))
+        report = verify_scene(scene)
+        assert report.passed, report.to_text()
+        assert report.reconstructed == {key: (F(1, 2), F(0), F(0))}
+
+    def test_nan_in_exact_scene_with_grid_claim(self):
+        # the grid claim is still measured, and the nan corner still fails
+        scene = represent_complete(4)
+        scene.meta["claimed_grid"] = {"x": 100, "y": 100, "z": 100}
+        label = sorted(scene.polygons)[0]
+        corners = list(scene.polygons[label].corners)
+        corners[0] = (math.nan,) + tuple(corners[0][1:])
+        scene.polygons[label] = Polygon3(corners=tuple(corners))
+        report = verify_scene(scene)
+        assert ("non-finite", label) in {(f.code, f.where) for f in report.violations}
+        assert report.grid_extent is not None
+
 
 
 class TestGridClaim:
