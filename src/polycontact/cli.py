@@ -108,8 +108,7 @@ def cmd_represent(args) -> int:
         print(f"wrote {args.output}")
     else:
         from .sceneio import scene_to_json
-        json.dump(scene_to_json(scene), sys.stdout, indent=1)
-        print()
+        sys.stdout.write(json.dumps(scene_to_json(scene), indent=1) + "\n")
     return 0
 
 
@@ -126,8 +125,7 @@ def cmd_verify(args) -> int:
                "contacts": len(report.reconstructed),
                "grid_extent": [ext.gx, ext.gy, ext.gz],
                "grid_extent_approximate": ext.approximate}
-        json.dump(doc, sys.stdout, indent=1)
-        print()
+        sys.stdout.write(json.dumps(doc, indent=1) + "\n")
     else:
         print(report.to_text())
         print(f"grid extent: {ext.gx} x {ext.gy} x {ext.gz}"

@@ -33,7 +33,15 @@ tried in turn.  Polygons farther from the split keep the unit sides of the
 n-1 scene, so the shortest edge of the scene is 1.
 
 The relaxation takes damped minimum-norm Gauss-Newton steps, in the stdlib
-only and deterministically.  `represent_cycle_square` verifies every
+only and deterministically.  Each evaluation computes every row's value,
+each quad's diagonal normal and unit once for its four turn rows, and no
+gradient: a row's gradient, over its free contacts only, is built at the
+points a step is taken from.  Gram entries are summed only for rows that
+share a contact, and the Cholesky factor and both triangular solves use
+slice products.  Every float operation is the one, in the same order, of
+the plain version kept in tests/test_cyclesq.py (full rows at every
+point, a normal per turn, a dense Gram matrix), so the scenes are bit for
+bit the ones it builds.  `represent_cycle_square` verifies every
 candidate scene at the epsilon it records and raises `ConstructionError`
 naming n when none passes.  `meta` records the layout, the iteration count,
 the final residual and the smallest angle between adjacent polygons' planes.
@@ -43,6 +51,7 @@ from __future__ import annotations
 
 import math
 from math import cos, gcd, pi, sin, sqrt
+from operator import mul
 
 from .core import Graph, edge_key
 from .geom import Polygon3, vcross, vdot, vsub
@@ -156,13 +165,7 @@ def _even_layout(n: int):
         pts = _ring_layout(n, 1, 0.5, 0.15)
         meta = {"layout": "rhombus", "shape": "rhombus", "winding": 1}
 
-    def rows(p):
-        out = [_plane_row(p, c) for c in quads.values()]
-        for c in quads.values():
-            out.extend(_side_row(p, c[k - 1], c[k], 1.0) for k in range(4))
-        return out
-
-    steps, residual = _relax(pts, set(pts), rows)
+    steps, residual = _relax(pts, set(pts), _square_rows, list(quads.values()))
     meta["iterations"], meta["residual"] = steps, residual
     meta["max_diagonal_defect"] = max(
         abs(math.dist(pts[c[k]], pts[c[k + 2]]) - sqrt(2))
@@ -184,31 +187,12 @@ def _odd_layouts(n: int):
     seed[t], seed[b] = base[top], base[bottom]
     seed[x1] = _halfway(base[top], [base[k] for k in base_quads[1]])
     seed[x2] = _halfway(base[bottom], [base[k] for k in base_quads[m]])
-    lo, hi = _EDGE_RANGE
-
     for r in (2, 3, 4):
         freed = sorted({n, *range(1, r + 1), *range(m - r + 1, m + 1)})
         free = {k for k in seed if k[0] in freed and k[1] in freed}
-
-        def rows(p):
-            out = []
-            for i in freed:
-                c = quads[i]
-                out.append(_plane_row(p, c))
-                for k in range(4):
-                    if c[k - 1] in free or c[k] in free:
-                        side = _side_row(p, c[k - 1], c[k], lo)
-                        if side[0] < 0:
-                            out.append(side)
-                        elif side[0] > hi - lo:
-                            out.append((side[0] - (hi - lo), side[1]))
-                    turn = _turn_row(p, c, k)
-                    if turn[0] < _TURN_MARGIN:
-                        out.append((turn[0] - _TURN_MARGIN, turn[1]))
-            return out
-
         pts = dict(seed)
-        steps, residual = _relax(pts, free, rows)
+        steps, residual = _relax(pts, free, _split_rows,
+                                 [quads[i] for i in freed])
         lengths = [math.dist(pts[c[k - 1]], pts[c[k]])
                    for c in quads.values() for k in range(4)]
         yield pts, quads, {
@@ -223,61 +207,121 @@ def _halfway(corner, polygon):
     return tuple((corner[a] + center[a]) / 2 for a in range(3))
 
 
-# Residual rows: (value, {contact key: gradient}).
+# Residual rows: (value, gradient, args).  gradient(free, *args) is the
+# row's {free contact key: gradient vector}, keys in the row's corner
+# order; `_relax` calls it only at the points it takes a step from.
 
-def _side_row(p, a, b, target):
+def _square_rows(p, quads, free):
+    """Planarity of every quad, then every side at unit length."""
+    out = [_plane_row(p, c) for c in quads]
+    for c in quads:
+        for k in range(4):
+            length, d = _side(p, c[k - 1], c[k])
+            out.append((length - 1.0, _side_grad, (c[k - 1], c[k], d, length)))
+    return out
+
+
+def _split_rows(p, quads, free):
+    """Per freed quad: planarity, each side at a free contact while its
+    length is outside _EDGE_RANGE, each turn while below _TURN_MARGIN."""
+    lo, hi = _EDGE_RANGE
+    out = []
+    for c in quads:
+        out.append(_plane_row(p, c))
+        turns = _turns(p, c)
+        for k in range(4):
+            a, b = c[k - 1], c[k]
+            if a in free or b in free:
+                length, d = _side(p, a, b)
+                v = length - lo
+                if v < 0 or v > hi - lo:
+                    out.append((v if v < 0 else v - (hi - lo), _side_grad,
+                                (a, b, d, length)))
+            turn, args = turns[k]
+            if turn < _TURN_MARGIN:
+                out.append((turn - _TURN_MARGIN, _turn_grad, args))
+    return out
+
+
+def _side(p, a, b):
     d = vsub(p[a], p[b])
-    length = sqrt(vdot(d, d))
+    return sqrt(vdot(d, d)), d
+
+
+def _side_grad(free, a, b, d, length):
     g = (d[0] / length, d[1] / length, d[2] / length)
-    return length - target, {a: g, b: (-g[0], -g[1], -g[2])}
+    return {k: gk for k, gk in ((a, g), (b, (-g[0], -g[1], -g[2])))
+            if k in free}
 
 
 def _plane_row(p, c):
     """det(b - a, c - a, d - a), zero exactly when the quad is planar."""
     a = p[c[0]]
     u, v, w = vsub(p[c[1]], a), vsub(p[c[2]], a), vsub(p[c[3]], a)
-    gu, gv, gw = vcross(v, w), vcross(w, u), vcross(u, v)
-    ga = tuple(-(gu[x] + gv[x] + gw[x]) for x in range(3))
-    return vdot(u, gu), {c[0]: ga, c[1]: gu, c[2]: gv, c[3]: gw}
+    gu = vcross(v, w)
+    return vdot(u, gu), _plane_grad, (c, u, v, w, gu)
 
 
-def _turn_row(p, c, k):
-    """Turn at corner c[k]: ((c[k]-c[k-1]) x (c[k+1]-c[k])) . unit normal.
+def _plane_grad(free, c, u, v, w, gu):
+    gv, gw = vcross(w, u), vcross(u, v)
+    ga = (-(gu[0] + gv[0] + gw[0]), -(gu[1] + gv[1] + gw[1]),
+          -(gu[2] + gv[2] + gw[2]))
+    return {k: g for k, g in zip(c, (ga, gu, gv, gw)) if k in free}
 
-    The normal is the quad's diagonal cross product, held fixed in the
-    gradient.  All four turns positive means strictly convex.
+
+def _turns(p, c):
+    """Turn at each corner c[k]: ((c[k]-c[k-1]) x (c[k+1]-c[k])) . unit
+    normal, as (value, gradient args).  All four positive means strictly
+    convex.
+
+    The normal is the diagonal cross product (c[2]-c[0]) x (c[3]-c[1]),
+    held fixed in the gradient.  Taken at corner k as
+    (c[k+1]-c[k-1]) x (c[k+2]-c[k]) it is the same IEEE vector for every
+    k, since x - y = -(y - x) and (-a) * b = -(a * b) hold exactly, so it
+    and its unit are computed once per quad.  (Only the sign of an exactly
+    zero component could differ, and a zero's sign never changes a
+    nonzero sum.)
     """
-    a, b, d, e = (p[c[(k + s) % 4]] for s in (-1, 0, 1, 2))
-    normal = vcross(vsub(d, a), vsub(e, b))
+    q = [p[key] for key in c]
+    normal = vcross(vsub(q[2], q[0]), vsub(q[3], q[1]))
     size = sqrt(vdot(normal, normal))
     unit = (normal[0] / size, normal[1] / size, normal[2] / size)
-    u, v = vsub(b, a), vsub(d, b)
+    edges = [vsub(q[k], q[k - 1]) for k in range(4)]  # c[k] - c[k-1]
+    out = []
+    for k in range(4):
+        u, v = edges[k], edges[(k + 1) % 4]
+        out.append((vdot(vcross(u, v), unit),
+                    (c[k - 1], c[k], c[(k + 1) % 4], u, v, unit)))
+    return out
+
+
+def _turn_grad(free, a, b, d, u, v, unit):
     gu, gv = vcross(v, unit), vcross(unit, u)
-    return vdot(vcross(u, v), unit), {
-        c[k - 1]: (-gu[0], -gu[1], -gu[2]),
-        c[k]: (gu[0] - gv[0], gu[1] - gv[1], gu[2] - gv[2]),
-        c[(k + 1) % 4]: gv}
+    grads = ((a, (-gu[0], -gu[1], -gu[2])),
+             (b, (gu[0] - gv[0], gu[1] - gv[1], gu[2] - gv[2])), (d, gv))
+    return {k: g for k, g in grads if k in free}
 
 
-def _relax(pts: dict, free: set, rows_fn):
-    """Move the `free` points of `pts` until every row of rows_fn is zero.
+def _relax(pts: dict, free: set, rows_fn, quads):
+    """Move the `free` points of `pts` until every row of
+    rows_fn(pts, quads, free) is zero.
 
     Each step is the damped minimum-norm Gauss-Newton step -J^T y with
     (J J^T + ridge I) y = r, halved until the sum of squared residuals
-    drops.  Rows are recomputed at every step, so one-sided bounds enter
-    only while violated.  Returns (steps taken, largest residual).
+    drops.  Rows are recomputed at every trial point, so one-sided bounds
+    enter only while violated; their gradients are built only at the
+    points a step is taken from.  Returns (steps taken, largest residual).
     """
     def evaluate(p):
-        rows = [(v, {k: g for k, g in grads.items() if k in free})
-                for v, grads in rows_fn(p)]
-        return rows, sum(v * v for v, _ in rows)
+        rows = rows_fn(p, quads, free)
+        return rows, sum(row[0] * row[0] for row in rows)
 
     rows, cost = evaluate(pts)
     for steps in range(_MAX_STEPS + 1):
-        residual = max((abs(v) for v, _ in rows), default=0.0)
+        residual = max((abs(row[0]) for row in rows), default=0.0)
         if residual <= _TOL or steps == _MAX_STEPS:
             return steps, residual
-        step = _min_norm_step(rows)
+        step = _min_norm_step([(v, grad(free, *args)) for v, grad, args in rows])
         scale = 1.0
         while True:
             trial = dict(pts)
@@ -296,39 +340,55 @@ def _relax(pts: dict, free: set, rows_fn):
 
 
 def _min_norm_step(rows) -> dict:
+    """-J^T y with (J J^T + ridge I) y = r, for rows (value, {key: gradient}).
+
+    Gram entry (i, j), j <= i, is the sum of the dot products at the keys
+    the two rows share, in row i's key order; rows that share no key get
+    zero without a sum.
+    """
     size = len(rows)
+    grads = [g for _, g in rows]
     gram = [[0.0] * size for _ in range(size)]
-    for i, (_, gi) in enumerate(rows):
-        for j in range(i + 1):
-            gj = rows[j][1]
-            s = sum(vdot(g, gj[k]) for k, g in gi.items() if k in gj)
-            gram[i][j] = gram[j][i] = s
+    earlier = {}  # contact key -> (row, gradient) of the rows so far
+    for i, gi in enumerate(grads):
+        terms = {}  # j -> dot products at the keys rows i and j share
+        for k, g in gi.items():
+            seen = earlier.setdefault(k, [])
+            seen.append((i, g))
+            for j, h in seen:
+                terms.setdefault(j, []).append(
+                    g[0] * h[0] + g[1] * h[1] + g[2] * h[2])  # vdot
+        for j, t in terms.items():
+            gram[i][j] = gram[j][i] = sum(t)
         gram[i][i] += _RIDGE
     y = _cholesky_solve(gram, [v for v, _ in rows])
     step = {}
-    for (_, grads), yi in zip(rows, y):
-        for k, g in grads.items():
+    for gi, yi in zip(grads, y):
+        for k, g in gi.items():
             s = step.setdefault(k, [0.0, 0.0, 0.0])
-            for a in range(3):
-                s[a] -= yi * g[a]
+            s[0] -= yi * g[0]
+            s[1] -= yi * g[1]
+            s[2] -= yi * g[2]
     return step
 
 
 def _cholesky_solve(a, b):
-    size = len(b)
-    low = [[0.0] * size for _ in range(size)]
-    for i in range(size):
-        li = low[i]
-        for j in range(i + 1):
-            lj = low[j]
-            s = a[i][j] - sum(li[t] * lj[t] for t in range(j))
-            li[j] = sqrt(max(s, _RIDGE)) if i == j else s / lj[j]
-    y = [0.0] * size
-    for i in range(size):
-        y[i] = (b[i] - sum(low[i][t] * y[t] for t in range(i))) / low[i][i]
-    for i in reversed(range(size)):
-        y[i] = (y[i] - sum(low[t][i] * y[t]
-                           for t in range(i + 1, size))) / low[i][i]
+    """Solve a y = b by a Cholesky factor grown one row at a time; every
+    inner product is sum(map(mul, ...)) over the leading entries, in
+    increasing index order."""
+    low = []
+    for ai in a:
+        li = []
+        for aij, lj in zip(ai, low):
+            li.append((aij - sum(map(mul, li, lj))) / lj[-1])
+        li.append(sqrt(max(ai[len(li)] - sum(map(mul, li, li)), _RIDGE)))
+        low.append(li)
+    y = []
+    for li, bi in zip(low, b):
+        y.append((bi - sum(map(mul, li, y))) / li[-1])
+    for i in reversed(range(len(y))):
+        col = [lt[i] for lt in low[i + 1:]]
+        y[i] = (y[i] - sum(map(mul, col, y[i + 1:]))) / low[i][i]
     return y
 
 

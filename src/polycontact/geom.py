@@ -265,7 +265,8 @@ def _segments_intersect2d(p1, p2, q1, q2, ctx) -> bool:
     return False
 
 
-def polygon_properties(poly: Polygon3, ctx: ArithmeticContext = EXACT) -> PolygonProperties:
+def polygon_properties(poly: Polygon3, ctx: ArithmeticContext = EXACT,
+                       duplicates=None) -> PolygonProperties:
     """Planarity, simplicity, convexity and degeneracy flags for a polygon,
     and its frame.
 
@@ -273,6 +274,9 @@ def polygon_properties(poly: Polygon3, ctx: ArithmeticContext = EXACT) -> Polygo
     with duplicate or non-coplanar corners has a frame too.  A non-coplanar
     corner list yields planar=False and leaves the other flags False.
     Convexity allows straight angles; strict convexity does not.
+    `duplicates` lists the corner pairs (i, j), i < j, that `ctx.point_eq`
+    holds equal, in (i, j) order; it is found by comparing every pair of
+    corners when omitted.
     """
     props = PolygonProperties()
     cs = poly.corners
@@ -284,10 +288,10 @@ def polygon_properties(poly: Polygon3, ctx: ArithmeticContext = EXACT) -> Polygo
         area2 = sum(cross2(pts[0], pts[i], pts[i + 1]) for i in range(1, n - 1))
         props.flat = tuple(pts) if ctx.sign(area2) > 0 else tuple(reversed(pts))
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if ctx.point_eq(cs[i], cs[j]):
-                props.issues.append(f"duplicate corners {i} and {j}")
+    if duplicates is None:
+        duplicates = [(i, j) for i in range(n) for j in range(i + 1, n)
+                      if ctx.point_eq(cs[i], cs[j])]
+    props.issues += [f"duplicate corners {i} and {j}" for i, j in duplicates]
     if props.issues:
         props.planar = True
         return props
@@ -540,7 +544,8 @@ def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
     For two proper polygons each one's corner distances to the other's
     plane are computed once, with their signs, and every later step reads
     them.  The pair is Disjoint at once when, in exact mode, either polygon
-    lies strictly on one side of the other's plane, and in both modes when
+    lies strictly on one side of the other's plane (q's distances are not
+    computed when p's already say so), and in both modes when
     they lie in distinct parallel planes.  A corner off the other's plane is
     not located on it, and crossing planes get the interval test.
     """
@@ -548,8 +553,11 @@ def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
     fq = fq or polygon_properties(q, ctx)
     sp = sq = None  # p's corners against q's plane, and q's against p's
     if fp.plane is not None and fq.plane is not None:
-        sp, sq = _plane_sides(fq.plane, p.corners, ctx), _plane_sides(fp.plane, q.corners, ctx)
-        if ctx.exact and (_one_side(sp[1]) or _one_side(sq[1])):
+        sp = _plane_sides(fq.plane, p.corners, ctx)
+        if ctx.exact and _one_side(sp[1]):
+            return PairClassification(kind=DISJOINT)
+        sq = _plane_sides(fp.plane, q.corners, ctx)
+        if ctx.exact and _one_side(sq[1]):
             return PairClassification(kind=DISJOINT)
         dr = vcross(fp.plane[0], fq.plane[0])
         crossing = not is_zero_vec(dr, ctx)

@@ -137,8 +137,7 @@ def _scene_from_doc(doc: dict) -> Scene:
 
 def write_scene(path: str, scene: Scene):
     with open(path, "w") as fh:
-        json.dump(scene_to_json(scene), fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(scene_to_json(scene), indent=1) + "\n")
 
 
 def read_scene(path: str) -> Scene:

@@ -112,7 +112,8 @@ class KernelScene:
     found through a hash grid of cells at least 4*eps wide and confirmed
     with `point_eq`: the pairwise relation, never its transitive closure, so
     a ~ b and b ~ c need not give a ~ c.
-    `match` turns these into `classify_pair`'s shared-corner match.
+    `match` turns these into `classify_pair`'s shared-corner match, and
+    `duplicates` into `polygon_properties`' duplicate corner pairs.
 
     On the ints the polygon checks, point location and the interval test
     of transversal pairs divide nothing.  `Fraction`s are built where a
@@ -169,6 +170,16 @@ class KernelScene:
         sa, sb, near = self.corner_sets[a], self.corner_sets[b], self.near
         return (tuple(not sb.isdisjoint(near[i]) for i in ia),
                 tuple(not sa.isdisjoint(near[j]) for j in ib))
+
+    def duplicates(self, label: str) -> list:
+        """`polygon_properties`' duplicate corner pairs (i, j), i < j, of a
+        polygon, in (i, j) order: ids[j] is in near[ids[i]]."""
+        ids, near = self.ids[label], self.near
+        at = {}  # id -> the corner positions that have it
+        for j, pid in enumerate(ids):
+            at.setdefault(pid, []).append(j)
+        return sorted((i, j) for i, pid in enumerate(ids)
+                      for other in near[pid] for j in at.get(other, ()) if j > i)
 
     def unscale(self, p) -> tuple:
         """A point in the scene's own coordinates."""
@@ -262,7 +273,7 @@ def verify_scene(scene: Scene, eps: Optional[float] = None) -> VerificationRepor
             valid[label] = False
             continue
         poly = kernel.polygons[label]
-        props = polygon_properties(poly, ctx)
+        props = polygon_properties(poly, ctx, kernel.duplicates(label))
         report.polygon_properties[label] = props
         valid[label] = props.planar and (props.simple or props.degenerate)
         if not props.planar:

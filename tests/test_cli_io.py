@@ -1,5 +1,6 @@
 """Scene file round trips, exporters and the command-line interface."""
 
+import io
 import json
 
 import pytest
@@ -10,7 +11,7 @@ from polycontact import (InputError, graph_from_edge_list, represent_complete,
                          scene_to_json, verify_scene)
 from polycontact.cli import main
 from polycontact.export import scene_to_obj, scene_to_svg
-from polycontact.sceneio import read_scene
+from polycontact.sceneio import read_scene, write_scene
 from polycontact.verify import grid_extent
 
 _PETERSEN = "".join(f"{i} {(i + 1) % 5}\n{i} {i + 5}\n{i + 5} {(i + 2) % 5 + 5}\n"
@@ -38,6 +39,39 @@ class TestSceneRoundTrip:
         scene = represent_fano()
         back = scene_from_json(scene_to_json(scene))
         assert set(back.structure.blocks) == set(scene.structure.blocks)
+
+
+def _dumped(doc) -> str:
+    """What `json.dump(doc, fh, indent=1)` and a newline write, token by
+    token."""
+    buf = io.StringIO()
+    json.dump(doc, buf, indent=1)
+    buf.write("\n")
+    return buf.getvalue()
+
+
+class TestJsonBytes:
+    """Scene files, `represent` to stdout and `verify --json` are encoded
+    once and written once, with the bytes of a token-by-token json.dump."""
+
+    @pytest.mark.parametrize("build,args", [
+        (lambda: represent_complete(5), ["--class", "complete", "--n", "5"]),
+        (lambda: represent_cycle_square(7), ["--class", "cycle-square", "--n", "7"]),
+    ], ids=["exact", "float"])
+    def test_bytes(self, build, args, tmp_path, capsys):
+        scene = build()
+        doc = scene_to_json(scene)
+        path = tmp_path / "s.json"
+        write_scene(str(path), scene)
+        assert path.read_text() == _dumped(doc)
+
+        assert main(["represent", *args]) == 0
+        report = verify_scene(scene).to_text()
+        assert capsys.readouterr().out == report + "\n" + _dumped(doc)
+
+        assert main(["verify", str(path), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == _dumped(json.loads(out))
 
 
 class TestExport:

@@ -136,6 +136,25 @@ class TestClassifyPair:
         assert classify_pair(a, b).kind == DISJOINT
         assert classify_pair(b, a).kind == DISJOINT
 
+    def test_one_sided_first_polygon_needs_one_plane_pass(self, monkeypatch):
+        # a lies strictly above b's plane: an exact pair is Disjoint before
+        # b's corners are measured against a's plane
+        a = P((0, 0, 1), (4, 0, 2), (0, 4, 1))
+        b = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
+        calls = []
+        real = geom._plane_sides
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+        monkeypatch.setattr(geom, "_plane_sides", counted)
+        assert classify_pair(a, b).kind == DISJOINT
+        assert len(calls) == 1
+        # in float mode both passes run, and the kind is the same
+        calls.clear()
+        assert classify_pair(_floats(a), _floats(b), FL).kind == DISJOINT
+        assert len(calls) == 2
+
     def test_nearly_parallel_float_planes(self):
         # normals differ by ~1e-8: |n1|^2 |n2|^2 - (n1.n2)^2 cancels to 0.0
         # in floats although n1 x n2 is still above eps
@@ -185,6 +204,18 @@ class TestClassifyPair:
         # an exact pair is decided without the coplanar touch search
         monkeypatch.setattr(geom, "_boundary_touch_points", None)
         check(a, b, EX)
+
+    def test_segment_along_a_float_edge_is_a_touch(self):
+        # within eps 1e-9 the segment runs along the triangle's edge y = 0,
+        # so its clipped chord is on the boundary (`_chord`'s
+        # through_interior is False) and is not located; its midpoint,
+        # 1.3e-9 off the edge, would be located in the interior
+        seg = Polygon3(((-0.1, 0.9e-9, 0.0), (1.2, 1.8e-9, 0.0)))
+        tri = _floats(P((0, 0, 0), (1, 0, 0), (0, 1, 0)))
+        for p, q in ((seg, tri), (tri, seg)):
+            res = classify_pair(p, q, FL)
+            assert res.kind == BOUNDARY_TOUCH
+            assert res.violations == []
 
     def test_symmetry(self):
         a = P((0, 0, 0), (4, 0, 0), (0, 4, 0))

@@ -608,6 +608,36 @@ class TestDivisionFreeKernel:
             checked += 1
 
 
+class TestDuplicateCorners:
+    """`verify_scene` takes each polygon's duplicate corners from the
+    kernel's ids; the issues are those of the pairwise `point_eq` scan that
+    `polygon_properties` makes when called on its own."""
+
+    @pytest.mark.parametrize("corners,pairs", [
+        # corners 0.5 eps apart
+        (((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0 + 0.5e-9, 0.0, 0.0),
+          (1.0, 1.0, 0.0), (0.0, 1.0, 0.0)), [(1, 2)]),
+        # a ~ b and b ~ c, but not a ~ c; one corner repeated exactly
+        (((0.0, 0.0, 0.0), (0.9e-9, 0.0, 0.0), (1.8e-9, 0.0, 0.0),
+          (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (1.0, 1.0, 0.0)),
+         [(0, 1), (1, 2), (4, 5)]),
+        # exact repeats, not adjacent
+        (((0, 0, 0), (4, 0, 0), (0, 4, 0), (4, 0, 0), (0, 0, 0)),
+         [(0, 4), (1, 3)]),
+    ], ids=["half-eps", "chain", "exact"])
+    def test_same_issues_as_the_scan(self, corners, pairs):
+        exact = isinstance(corners[0][0], int)
+        poly = Polygon3(corners=tuple(tuple(map(F, c)) for c in corners)
+                        if exact else corners)
+        meta = ({"construction": "test", "arithmetic": "exact"} if exact else
+                {"construction": "test", "arithmetic": "float", "epsilon": 1e-9})
+        scene = graph_scene(Graph.from_edges([], vertices=["a"]), {"a": poly},
+                            {}, meta)
+        issues = verify_scene(scene).polygon_properties["a"].issues
+        scan = polygon_properties(poly, scene.context()).issues
+        assert issues == scan == [f"duplicate corners {i} and {j}" for i, j in pairs]
+
+
 class TestFloatNearCorner:
     def test_point_near_but_not_at_a_corner_is_on_the_boundary(self):
         # P is 1.9e-9 from q's corner (0,0,0), so `point_eq` at eps 1e-9
