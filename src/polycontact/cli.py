@@ -6,11 +6,16 @@ tool: the constructor's `certificate` is printed when it has one, and
 grid-claim check measured, and measures it only for scenes that claim
 none.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
 error, 3 construction precondition violation.
+
+The argument parser is built on the first `main` call and reused by every
+later call in the process; each call parses into a fresh namespace, and
+the commands look up the functions they call at call time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -26,7 +31,8 @@ from .cyclesq import represent_cycle_square
 from .export import scene_to_obj, scene_to_svg
 from .oneplanar import represent_oneplanar_cubic
 from .scene import ConstructionError
-from .sceneio import read_embedding, read_scene, write_scene
+from .sceneio import (_dumps, read_embedding, read_scene, scene_to_json,
+                      write_scene)
 from .steiner import (FanoParams, S239Params, counting_certificate,
                       coplanar_polygon_pairs, find_obstruction_pattern,
                       max_coplanar_vertices, represent_fano, represent_s239)
@@ -107,8 +113,7 @@ def cmd_represent(args) -> int:
         write_scene(args.output, scene)
         print(f"wrote {args.output}")
     else:
-        from .sceneio import scene_to_json
-        sys.stdout.write(json.dumps(scene_to_json(scene), indent=1) + "\n")
+        sys.stdout.write(_dumps(scene_to_json(scene)) + "\n")
     return 0
 
 
@@ -125,7 +130,7 @@ def cmd_verify(args) -> int:
                "contacts": len(report.reconstructed),
                "grid_extent": [ext.gx, ext.gy, ext.gz],
                "grid_extent_approximate": ext.approximate}
-        sys.stdout.write(json.dumps(doc, indent=1) + "\n")
+        sys.stdout.write(_dumps(doc) + "\n")
     else:
         print(report.to_text())
         print(f"grid extent: {ext.gx} x {ext.gy} x {ext.gz}"
@@ -198,7 +203,10 @@ def cmd_info(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call; callers share it
+    and must not change it."""
     ap = argparse.ArgumentParser(prog="polycontact")
     sub = ap.add_subparsers(dest="cmd", required=True)
 

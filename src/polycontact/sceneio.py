@@ -3,7 +3,11 @@
 Scene JSON: {kind, structure, points, polygons, contacts, meta}.  Exact
 scenes serialize every coordinate as a "num/den" string so a round trip
 is bit-identical; float scenes use repr() decimals.  Points are shared by
-id so corner coincidences survive the trip exactly.
+id so corner coincidences survive the trip exactly.  A scene file's bytes
+are `json.dumps(doc, indent=1)` and a newline, where `doc` is
+`scene_to_json(scene)`; `_dumps` writes that text without json's
+pure-Python indenting encoder.  The reader fails closed: a duplicate point
+id, polygon label or contact is an InputError, not a silent overwrite.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .core import (Graph, Hypergraph, InputError, OnePlaneEmbedding,
                    edge_key)
@@ -20,11 +25,11 @@ from .scene import GRAPH, HYPERGRAPH, Scene
 _SCENE_KEYS = {"kind", "points", "polygons", "contacts"}
 
 
-def _num_to_str(x, exact: bool) -> str:
-    if exact:
-        f = Fraction(x)
-        return f"{f.numerator}/{f.denominator}"
-    return repr(float(x))
+def _ratio(x) -> str:
+    """x as "num/den" in lowest terms: equal strings exactly for equal values."""
+    if not isinstance(x, (Fraction, int)):
+        x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _num_from_str(s: str, exact: bool):
@@ -44,15 +49,16 @@ def scene_to_json(scene: Scene) -> dict:
     point_ids = {}
     points = []
 
+    # an exact point is keyed by the strings it is written as; a float
+    # point by its values, so 0.0 and -0.0 share an id, spelled as first seen
     def pid(p):
-        key = tuple(p)
-        if key not in point_ids:
-            point_ids[key] = f"p{len(points)}"
-            points.append({"id": point_ids[key],
-                           "x": _num_to_str(p[0], exact),
-                           "y": _num_to_str(p[1], exact),
-                           "z": _num_to_str(p[2], exact)})
-        return point_ids[key]
+        key = tuple(map(_ratio, p)) if exact else tuple(p)
+        ident = point_ids.get(key)
+        if ident is None:
+            ident = point_ids[key] = f"p{len(points)}"
+            x, y, z = key if exact else map(repr, map(float, p))
+            points.append({"id": ident, "x": x, "y": y, "z": z})
+        return ident
 
     polygons = []
     for label in sorted(scene.polygons):
@@ -88,7 +94,8 @@ def scene_to_json(scene: Scene) -> dict:
 def scene_from_json(doc: dict) -> Scene:
     """The scene a JSON document describes; InputError if any part of it
     is malformed (a wrong type, a bad coordinate, a missing key or element,
-    a polygon without corners)."""
+    a polygon without corners, a second record for a point id, polygon
+    label or contact)."""
     if not isinstance(doc, dict) or not _SCENE_KEYS <= doc.keys():
         raise InputError("a scene is an object with keys "
                          + ", ".join(sorted(_SCENE_KEYS)))
@@ -109,9 +116,9 @@ def _scene_from_doc(doc: dict) -> Scene:
         raise InputError(f"epsilon must be a finite number >= 0, not {eps!r}")
     pts = {}
     for rec in doc["points"]:
-        pts[rec["id"]] = (_num_from_str(rec["x"], exact),
-                          _num_from_str(rec["y"], exact),
-                          _num_from_str(rec["z"], exact))
+        _add(pts, rec["id"], (_num_from_str(rec["x"], exact),
+                              _num_from_str(rec["y"], exact),
+                              _num_from_str(rec["z"], exact)), "point id")
     if kind == GRAPH:
         structure = Graph.from_edges(doc["structure"]["edges"],
                                      vertices=doc["structure"]["vertices"])
@@ -123,21 +130,68 @@ def _scene_from_doc(doc: dict) -> Scene:
     polygons = {}
     for rec in doc["polygons"]:
         corners = tuple(pts[c] for c in rec["corners"])
-        polygons[rec["label"]] = Polygon3(corners=corners)
+        _add(polygons, rec["label"], Polygon3(corners=corners), "polygon label")
     contacts = {}
     for rec in doc["contacts"]:
         el = rec["elements"]
         if len(el) != (2 if kind == GRAPH else 1):
             raise InputError(f"contact elements {el!r} do not fit a {kind} scene")
         key = edge_key(el[0], el[1]) if kind == GRAPH else el[0]
-        contacts[key] = pts[rec["point"]]
+        _add(contacts, key, pts[rec["point"]], "contact")
     return Scene(kind=kind, structure=structure, polygons=polygons,
                  contacts=contacts, meta=meta)
 
 
+def _add(table: dict, key, value, what: str):
+    """table[key] = value; InputError if an earlier record set that key."""
+    if key in table:
+        shown = sorted(key) if isinstance(key, frozenset) else key
+        raise InputError(f"duplicate {what} {shown!r}")
+    table[key] = value
+
+
+def _dumps(doc) -> str:
+    """`json.dumps(doc, indent=1)`, without json's pure-Python encoder."""
+    out = []
+    _encode(doc, "\n", out.append)
+    return "".join(out)
+
+
+def _encode(o, pad: str, put):
+    """Put o's indent-1 JSON text, at the depth `pad` ("\n" and the
+    indent) gives.  Strings, lists, tuples and str-keyed dicts are written
+    here; every other value (numbers, bools, None, other dicts, subclasses)
+    is json's own text, indented to that depth.  A scalar or an empty
+    container has no line break to indent, so its text comes from json's C
+    encoder: the indenting one leaves reference cycles behind."""
+    t = type(o)
+    if t is str:
+        put(_quote(o))
+    elif (t is list or t is tuple) and o:
+        inner = pad + " "
+        sep = "[" + inner
+        for x in o:
+            put(sep)
+            _encode(x, inner, put)
+            sep = "," + inner
+        put(pad + "]")
+    elif t is dict and o and all(type(k) is str for k in o):
+        inner = pad + " "
+        sep = "{" + inner
+        for k, v in o.items():
+            put(sep + _quote(k) + ": ")
+            _encode(v, inner, put)
+            sep = "," + inner
+        put(pad + "}")
+    elif isinstance(o, (list, tuple, dict)) and o:
+        put(json.dumps(o, indent=1).replace("\n", pad))
+    else:
+        put(json.dumps(o))
+
+
 def write_scene(path: str, scene: Scene):
     with open(path, "w") as fh:
-        fh.write(json.dumps(scene_to_json(scene), indent=1) + "\n")
+        fh.write(_dumps(scene_to_json(scene)) + "\n")
 
 
 def read_scene(path: str) -> Scene:

@@ -1,21 +1,45 @@
 """Scene file round trips, exporters and the command-line interface."""
 
+import gc
 import io
 import json
+import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from polycontact import (InputError, graph_from_edge_list, represent_complete,
-                         represent_cycle_square, represent_fano,
-                         represent_min_degree3, scene_from_json,
+from polycontact import (Graph, InputError, Polygon3, edge_key, graph_from_edge_list,
+                         graph_scene, represent_complete, represent_cycle_square,
+                         represent_fano, represent_min_degree3, scene_from_json,
                          scene_to_json, verify_scene)
 from polycontact.cli import main
 from polycontact.export import scene_to_obj, scene_to_svg
-from polycontact.sceneio import read_scene, write_scene
+from polycontact.sceneio import _dumps, read_scene, write_scene
 from polycontact.verify import grid_extent
 
 _PETERSEN = "".join(f"{i} {(i + 1) % 5}\n{i} {i + 5}\n{i + 5} {(i + 2) % 5 + 5}\n"
                     for i in range(5))
+
+# K4 drawn as a square with crossing diagonals, as a 1-plane embedding file
+_K4_CROSSED = {
+    "vertices": [
+        {"id": "1", "rotation": ["e12", "e13", "e14"]},
+        {"id": "2", "rotation": ["e23", "e24", "e12"]},
+        {"id": "3", "rotation": ["e34", "e13", "e23"]},
+        {"id": "4", "rotation": ["e34", "e14", "e24"]},
+    ],
+    "edges": [
+        {"id": "e12", "endpoints": ["1", "2"]},
+        {"id": "e13", "endpoints": ["1", "3"]},
+        {"id": "e14", "endpoints": ["1", "4"]},
+        {"id": "e23", "endpoints": ["2", "3"]},
+        {"id": "e24", "endpoints": ["2", "4"]},
+        {"id": "e34", "endpoints": ["3", "4"]},
+    ],
+    "crossings": [["e13", "e24"]],
+    "outer_face": ["e12", "e23", "e34", "e14"],
+}
 
 
 class TestSceneRoundTrip:
@@ -72,6 +96,104 @@ class TestJsonBytes:
         assert main(["verify", str(path), "--json"]) == 0
         out = capsys.readouterr().out
         assert out == _dumped(json.loads(out))
+
+
+_json_text = st.text() | st.sampled_from(
+    ['"', "\\", "\n\t\x00\x1f\x7f", "é", "\u2028", "\U0001f600", ""])
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _json_text,
+    lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                  | st.dictionaries(_json_text, kids)
+                  | st.dictionaries(st.integers() | _json_text, kids)),
+    max_leaves=30)
+
+
+class TestDumps:
+    """`_dumps` is `json.dumps(indent=1)` byte for byte."""
+
+    @given(_json_values)
+    def test_matches_json(self, value):
+        assert _dumps(value) == json.dumps(value, indent=1)
+
+    def test_specials(self):
+        value = {"a": [-0.0, math.nan, math.inf, -math.inf, 1e300, True, None],
+                 "": {}, "b": [[], (), {1: "x", 2.5: ["y"]}], "\u00e9\"": "\\\n"}
+        assert _dumps(value) == json.dumps(value, indent=1)
+
+    def test_leaves_no_reference_cycles(self):
+        # json's indenting encoder leaves cycles behind, and they hold the
+        # encoded text until the next collection
+        doc = scene_to_json(represent_fano())
+        doc["meta"]["empty"] = []
+        gc.collect()
+        gc.disable()
+        try:
+            _dumps(doc)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+_MAXDEG3 = "0 1\n1 2\n1 3\n3 4\n"
+
+
+@pytest.mark.parametrize("args", [
+    *(["--class", "cycle-square", "--n", str(n)] for n in range(6, 14)),
+    ["--class", "fano"], ["--class", "s239"], ["--class", "k33"],
+    ["--class", "bipartite-toroidal", "--a", "3", "--b", "4"],
+    ["--class", "bipartite-grid", "--a", "3", "--b", "4"],
+    ["--class", "cubic", "--input", "{petersen}"],
+    ["--class", "cubic-2ec", "--input", "{petersen}"],
+    ["--class", "oneplanar-cubic", "--input", "{k4x}"],
+    ["--class", "complete", "--n", "5"],
+    ["--class", "mindeg3", "--input", "{petersen}"],
+    ["--class", "maxdeg3", "--input", "{maxdeg3}"],
+], ids=lambda a: "-".join(x.strip("{}") for x in a[1::2]))
+def test_every_class_writes_json_bytes(args, tmp_path, monkeypatch):
+    # the scene the command builds is written as json.dumps(indent=1) writes it
+    import polycontact.cli as cli
+    files = {"petersen": _PETERSEN, "maxdeg3": _MAXDEG3, "k4x": json.dumps(_K4_CROSSED)}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    built = []
+    monkeypatch.setattr(cli, "_build_scene",
+                        lambda a, build=cli._build_scene: built.append(build(a)) or built[-1])
+    out = tmp_path / "scene.json"
+    argv = [a.format(**{k: tmp_path / k for k in files}) for a in args]
+    assert main(["represent", *argv, "-o", str(out)]) == 0
+    assert out.read_text() == json.dumps(scene_to_json(built[0]), indent=1) + "\n"
+
+
+def _triangle_pair(a_corners, b_corners, contact, arithmetic):
+    polygons = {"a": Polygon3(corners=a_corners), "b": Polygon3(corners=b_corners)}
+    return graph_scene(Graph.from_edges([("a", "b")]), polygons,
+                       {edge_key("a", "b"): contact},
+                       {"construction": "test", "arithmetic": arithmetic})
+
+
+class TestPointIds:
+    """A point's id follows its value, not how the value is spelled; the
+    first spelling is the one written."""
+
+    def test_float_signed_zero_shares_an_id(self):
+        scene = _triangle_pair(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+                               ((-0.0, 0.0, 0.0), (0.0, -1.0, 0.0), (-1.0, 0.0, 0.0)),
+                               (0.0, -0.0, 0.0), "float")
+        doc = scene_to_json(scene)
+        assert len(doc["points"]) == 5
+        assert doc["points"][0] == {"id": "p0", "x": "0.0", "y": "0.0", "z": "0.0"}
+        assert doc["polygons"][1]["corners"][0] == "p0"
+        assert doc["contacts"][0]["point"] == "p0"
+
+    def test_exact_spellings_of_one_share_an_id(self):
+        scene = _triangle_pair(((1, 0, 0), (2, 0, 0), (1, 1, 0)),
+                               ((Fraction(1), 0, 0), (1, -1, 0), (0, 0, 0)),
+                               (1.0, 0.0, Fraction(0)), "exact")
+        doc = scene_to_json(scene)
+        assert len(doc["points"]) == 5
+        assert doc["points"][0] == {"id": "p0", "x": "1/1", "y": "0/1", "z": "0/1"}
+        assert doc["polygons"][1]["corners"][0] == "p0"
+        assert doc["contacts"][0]["point"] == "p0"
 
 
 class TestExport:
@@ -220,26 +342,8 @@ class TestCli:
                      "-o", str(out)]) == 0
 
     def test_oneplanar_embedding_file(self, tmp_path):
-        doc = {
-            "vertices": [
-                {"id": "1", "rotation": ["e12", "e13", "e14"]},
-                {"id": "2", "rotation": ["e23", "e24", "e12"]},
-                {"id": "3", "rotation": ["e34", "e13", "e23"]},
-                {"id": "4", "rotation": ["e34", "e14", "e24"]},
-            ],
-            "edges": [
-                {"id": "e12", "endpoints": ["1", "2"]},
-                {"id": "e13", "endpoints": ["1", "3"]},
-                {"id": "e14", "endpoints": ["1", "4"]},
-                {"id": "e23", "endpoints": ["2", "3"]},
-                {"id": "e24", "endpoints": ["2", "4"]},
-                {"id": "e34", "endpoints": ["3", "4"]},
-            ],
-            "crossings": [["e13", "e24"]],
-            "outer_face": ["e12", "e23", "e34", "e14"],
-        }
         emb = tmp_path / "k4x.json"
-        emb.write_text(json.dumps(doc))
+        emb.write_text(json.dumps(_K4_CROSSED))
         out = tmp_path / "k4x.scene.json"
         assert main(["represent", "--class", "oneplanar-cubic",
                      "--input", str(emb), "-o", str(out)]) == 0
@@ -284,6 +388,47 @@ class TestCli:
     def test_info(self, capsys):
         assert main(["info"]) == 0
         assert "cycle-square" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    """One parser serves every `main` call of a process; no call leaves
+    anything behind for the next."""
+
+    def test_built_once(self, tmp_path, capsys):
+        import polycontact.cli as cli
+        cli.build_parser.cache_clear()
+        out = tmp_path / "k4.json"
+        for argv in (["info"], ["represent", "--class", "complete", "--n", "4", "-o", str(out)],
+                     ["verify", str(out)], ["verify", str(out), "--json"], ["bogus"]):
+            main(argv)
+        assert cli.build_parser.cache_info().misses == 1
+        assert cli.build_parser.cache_info().hits == 4
+
+    def test_failed_calls_leave_next_call_unaffected(self, tmp_path, capsys):
+        import polycontact.cli as cli
+        out = tmp_path / "fano.json"
+        assert main(["represent", "--class", "fano", "-o", str(out)]) == 0
+        capsys.readouterr()
+        cli.build_parser.cache_clear()
+        verify = ["verify", str(out), "--json"]
+        assert main(verify) == 0
+        fresh = capsys.readouterr()
+        for argv, code in ((["represent", "--class", "nope"], 2), (["info"], 0),
+                           (["verify", str(out), "--epsilon", "-1"], 2), (verify, 0),
+                           (["verify", str(out)], 0)):
+            assert main(argv) == code
+            capsys.readouterr()
+            assert main(verify) == 0
+            assert capsys.readouterr() == fresh
+
+    def test_option_value_is_not_the_next_default(self, tmp_path, capsys):
+        import polycontact.cli as cli
+        tilted, default = tmp_path / "fano80.json", tmp_path / "fano.json"
+        assert main(["represent", "--class", "fano", "--alpha", "80", "-o", str(tilted)]) == 0
+        assert cli.build_parser().parse_args(["represent", "--class", "fano"]).alpha == 85.0
+        assert main(["represent", "--class", "fano", "-o", str(default)]) == 0
+        assert default.read_text() == json.dumps(scene_to_json(represent_fano()), indent=1) + "\n"
+        assert tilted.read_text() != default.read_text()
 
 
 def _two_triangle_doc(coords, arithmetic):
@@ -375,3 +520,33 @@ class TestMalformedScene:
         path = tmp_path / "pierced.json"
         path.write_text(json.dumps(_float_corner("2.0")))
         assert main(["verify", str(path)]) == 1
+
+
+def _duplicated(where, record):
+    """The complete-K4 document with `record(doc)` put first in `where`."""
+    doc = _valid_exact_doc()
+    doc[where].insert(0, record(doc))
+    return doc
+
+
+class TestDuplicateRecords:
+    """A record that repeats a point id, polygon label or contact is an
+    input error; the reader does not keep one of them silently."""
+
+    @pytest.mark.parametrize("doc", [
+        lambda: _duplicated("points", lambda d: {"id": "p0", "x": "99/1", "y": "0/1",
+                                                 "z": "0/1"}),
+        lambda: _duplicated("polygons", lambda d: {
+            "label": d["polygons"][0]["label"], "corners": d["polygons"][1]["corners"]}),
+        lambda: _duplicated("contacts", lambda d: {
+            "point": d["contacts"][1]["point"],
+            "elements": d["contacts"][0]["elements"][::-1]}),
+    ], ids=["point", "polygon", "contact"])
+    def test_exit_two(self, doc, tmp_path, capsys):
+        doc = doc()
+        with pytest.raises(InputError, match="duplicate"):
+            scene_from_json(doc)
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path), "--json"]) == 2
+        assert "duplicate" in capsys.readouterr().err
