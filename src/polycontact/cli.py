@@ -6,16 +6,11 @@ tool: the constructor's `certificate` is printed when it has one, and
 grid-claim check measured, and measures it only for scenes that claim
 none.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
 error, 3 construction precondition violation.
-
-The argument parser is built on the first `main` call and reused by every
-later call in the process; each call parses into a fresh namespace, and
-the commands look up the functions they call at call time.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -203,10 +198,7 @@ def cmd_info(args) -> int:
     return 0
 
 
-@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on the first call; callers share it
-    and must not change it."""
     ap = argparse.ArgumentParser(prog="polycontact")
     sub = ap.add_subparsers(dest="cmd", required=True)
 

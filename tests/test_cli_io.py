@@ -390,47 +390,6 @@ class TestCli:
         assert "cycle-square" in capsys.readouterr().out
 
 
-class TestParserReuse:
-    """One parser serves every `main` call of a process; no call leaves
-    anything behind for the next."""
-
-    def test_built_once(self, tmp_path, capsys):
-        import polycontact.cli as cli
-        cli.build_parser.cache_clear()
-        out = tmp_path / "k4.json"
-        for argv in (["info"], ["represent", "--class", "complete", "--n", "4", "-o", str(out)],
-                     ["verify", str(out)], ["verify", str(out), "--json"], ["bogus"]):
-            main(argv)
-        assert cli.build_parser.cache_info().misses == 1
-        assert cli.build_parser.cache_info().hits == 4
-
-    def test_failed_calls_leave_next_call_unaffected(self, tmp_path, capsys):
-        import polycontact.cli as cli
-        out = tmp_path / "fano.json"
-        assert main(["represent", "--class", "fano", "-o", str(out)]) == 0
-        capsys.readouterr()
-        cli.build_parser.cache_clear()
-        verify = ["verify", str(out), "--json"]
-        assert main(verify) == 0
-        fresh = capsys.readouterr()
-        for argv, code in ((["represent", "--class", "nope"], 2), (["info"], 0),
-                           (["verify", str(out), "--epsilon", "-1"], 2), (verify, 0),
-                           (["verify", str(out)], 0)):
-            assert main(argv) == code
-            capsys.readouterr()
-            assert main(verify) == 0
-            assert capsys.readouterr() == fresh
-
-    def test_option_value_is_not_the_next_default(self, tmp_path, capsys):
-        import polycontact.cli as cli
-        tilted, default = tmp_path / "fano80.json", tmp_path / "fano.json"
-        assert main(["represent", "--class", "fano", "--alpha", "80", "-o", str(tilted)]) == 0
-        assert cli.build_parser().parse_args(["represent", "--class", "fano"]).alpha == 85.0
-        assert main(["represent", "--class", "fano", "-o", str(default)]) == 0
-        assert default.read_text() == json.dumps(scene_to_json(represent_fano()), indent=1) + "\n"
-        assert tilted.read_text() != default.read_text()
-
-
 def _two_triangle_doc(coords, arithmetic):
     """Triangles a and b of an edgeless graph, as a scene document."""
     return {"kind": "graph",
