@@ -6,6 +6,10 @@ tool: the constructor's `certificate` is printed when it has one, and
 grid-claim check measured, and measures it only for scenes that claim
 none.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
 error, 3 construction precondition violation.
+
+Each call builds the argument parser for the subcommand it names only
+(`build_parser([name])`); help, no arguments and an unknown command get
+every subcommand.  The output is the same either way.
 """
 
 from __future__ import annotations
@@ -198,11 +202,7 @@ def cmd_info(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="polycontact")
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    rep = sub.add_parser("represent", help="construct a scene and verify it")
+def _represent_args(rep):
     rep.add_argument("--class", dest="cls", choices=CLASSES, required=True)
     rep.add_argument("--n", type=int)
     rep.add_argument("--a", type=int)
@@ -211,15 +211,15 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--alpha", type=float, default=85.0)
     rep.add_argument("--beta", type=float, default=45.0)
     rep.add_argument("--output", "-o")
-    rep.set_defaults(func=cmd_represent)
 
-    ver = sub.add_parser("verify", help="verify a scene file")
+
+def _verify_args(ver):
     ver.add_argument("file")
     ver.add_argument("--epsilon", type=float, default=None)
     ver.add_argument("--json", action="store_true")
-    ver.set_defaults(func=cmd_verify)
 
-    ana = sub.add_parser("analyze", help="combinatorial and coplanarity analyses")
+
+def _analyze_args(ana):
     ana.add_argument("what", choices=ANALYSES)
     ana.add_argument("--input")
     ana.add_argument("--builtin")
@@ -227,22 +227,48 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--t", type=int)
     ana.add_argument("--k", type=int)
     ana.add_argument("--n", type=int)
-    ana.set_defaults(func=cmd_analyze)
 
-    exp = sub.add_parser("export", help="export a scene to OBJ or SVG")
+
+def _export_args(exp):
     exp.add_argument("file")
     exp.add_argument("--format", choices=["obj", "svg"], required=True)
     exp.add_argument("--view", choices=["xy", "xz", "yz"], default="xy")
     exp.add_argument("--output", "-o")
-    exp.set_defaults(func=cmd_export)
 
-    info = sub.add_parser("info", help="list classes and built-ins")
-    info.set_defaults(func=cmd_info)
+
+# name -> (help, argument adder, command)
+COMMANDS = {
+    "represent": ("construct a scene and verify it", _represent_args, cmd_represent),
+    "verify": ("verify a scene file", _verify_args, cmd_verify),
+    "analyze": ("combinatorial and coplanarity analyses", _analyze_args, cmd_analyze),
+    "export": ("export a scene to OBJ or SVG", _export_args, cmd_export),
+    "info": ("list classes and built-ins", lambda p: None, cmd_info),
+}
+
+
+def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
+    """The parser with the subcommands `names` (all by default).
+
+    A subcommand's prog, usage and errors do not depend on its siblings.
+    With fewer than all, the root's usage still names every command, so the
+    one error the root can then report (unrecognized arguments) reads the
+    same; with all of them, a missing command is still called "cmd".
+    """
+    ap = argparse.ArgumentParser(prog="polycontact")
+    every = "{" + ",".join(COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="cmd", required=True,
+                            metavar=every if len(names) < len(COMMANDS) else None)
+    for name in names:
+        help_, add_arguments, func = COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

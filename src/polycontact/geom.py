@@ -274,6 +274,13 @@ def polygon_properties(poly: Polygon3, ctx: ArithmeticContext = EXACT,
     with duplicate or non-coplanar corners has a frame too.  A non-coplanar
     corner list yields planar=False and leaves the other flags False.
     Convexity allows straight angles; strict convexity does not.
+
+    In exact mode an O(k) walk (`_winds_once`) certifies most polygons
+    simple and convex from their turn signs; only a polygon it cannot
+    certify goes through the O(k^2) scan of non-adjacent edge pairs, which
+    finds and names the fault.  Float mode always scans: its touching test
+    flags a thin convex sliver whose opposite edges come within eps, which
+    no turn sign shows.
     `duplicates` lists the corner pairs (i, j), i < j, that `ctx.point_eq`
     holds equal, in (i, j) order; it is found by comparing every pair of
     corners when omitted.
@@ -313,6 +320,13 @@ def polygon_properties(poly: Polygon3, ctx: ArithmeticContext = EXACT,
             return props
     props.planar = True
 
+    turns = [ctx.sign(cross2(pts[i - 1], pts[i], pts[(i + 1) % n]))
+             for i in range(n)]
+    if ctx.exact and _winds_once(pts, turns):
+        props.simple = props.convex = True
+        props.strictly_convex = 0 not in turns
+        return props
+
     # Simplicity: no two non-adjacent edges meet; adjacent edges meet only
     # at their shared corner (no spikes folding back).
     simple = True
@@ -345,13 +359,29 @@ def polygon_properties(poly: Polygon3, ctx: ArithmeticContext = EXACT,
     if not simple:
         return props
 
-    turns = [ctx.sign(cross2(pts[(i - 1) % n], pts[i], pts[(i + 1) % n]))
-             for i in range(n)]
     pos = sum(1 for t in turns if t > 0)
     neg = sum(1 for t in turns if t < 0)
     props.convex = pos == 0 or neg == 0
     props.strictly_convex = props.convex and 0 not in turns
     return props
+
+
+def _winds_once(pts, turns) -> bool:
+    """Whether a closed 2D corner list with exact turn signs `turns` is
+    simple and convex, by one walk (Schorn and Fisher 1994, "Testing the
+    convexity of a polygon"): the turns have one sign, zeros allowed; every
+    zero turn continues forward, not back (a spike); and the edges' nonzero
+    x-components change sign exactly twice around the cycle, so the edges
+    turn once around.  A pentagram turns twice and changes sign four times.
+    Corners are distinct and not all collinear."""
+    if 1 in turns and -1 in turns:
+        return False
+    edges = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(pts, pts[1:] + pts[:1])]
+    if any(edges[i - 1][0] * edges[i][0] + edges[i - 1][1] * edges[i][1] <= 0
+           for i, t in enumerate(turns) if t == 0):
+        return False
+    east = [ex > 0 for ex, _ in edges if ex]
+    return sum(a != b for a, b in zip(east, east[1:] + east[:1])) == 2
 
 
 # ---------------------------------------------------------------------------

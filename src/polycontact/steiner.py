@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Optional
 
@@ -275,10 +276,17 @@ def counting_certificate(h: Hypergraph, d: SteinerDescriptor) -> ObstructionCert
 
 
 def max_coplanar_vertices(scene: Scene, eps: Optional[float] = None):
-    """Largest number of contact points on one plane, by exhaustive triples.
+    """Largest number of contact points on one plane.
 
-    Returns (count, plane, vertex names).  Exact for exact scenes;
-    eps-tolerant otherwise.
+    Returns (count, plane, vertex names): the plane, from `_plane_of`, is
+    that of the first contact triple (in `combinations` order) reaching the
+    count, and the names follow the contacts' sorted order.  Exact scenes
+    take one pass over the triples, O(m^3): each plane, keyed by its
+    primitive int normal (leading entry positive) and offset on the
+    contacts scaled to ints, collects its triples' contacts, and every
+    contact on a plane is in a triple with two of the plane's first
+    triple.  Float scenes test every contact against every triple's plane,
+    O(m^4), because eps-coplanarity is not transitive.
     """
     ctx = scene.context(eps=eps)
     items = sorted(scene.contacts.items(), key=lambda kv: str(kv[0]))
@@ -287,13 +295,31 @@ def max_coplanar_vertices(scene: Scene, eps: Optional[float] = None):
     if len(pts) < 3:
         raise InputError("need at least 3 contact points")
     best = (0, None, [])
-    for (_, pa), (_, pb), (_, pc) in combinations(pts, 3):
-        plane = _plane_of((pa, pb, pc), ctx)
+    if not ctx.exact:
+        for (_, pa), (_, pb), (_, pc) in combinations(pts, 3):
+            plane = _plane_of((pa, pb, pc), ctx)
+            if plane is None:
+                continue
+            members = [name for name, p in pts if plane_contains(plane, p, ctx)]
+            if len(members) > best[0]:
+                best = (len(members), plane, members)
+        return best
+    coords = [tuple(map(Fraction, p)) for _, p in pts]
+    scale = math.lcm(*(x.denominator for p in coords for x in p))
+    ints = [tuple(int(x * scale) for x in p) for p in coords]
+    planes = {}  # (normal, offset) -> (first triple, member indices)
+    for t in combinations(range(len(pts)), 3):
+        plane = _plane_of([ints[i] for i in t], ctx)
         if plane is None:
             continue
-        members = [name for name, p in pts if plane_contains(plane, p, ctx)]
+        n, d = plane
+        if next(c for c in n if c) < 0:
+            n, d = tuple(-c for c in n), -d
+        planes.setdefault((n, d), (t, set()))[1].update(t)
+    for t, members in planes.values():
         if len(members) > best[0]:
-            best = (len(members), plane, members)
+            best = (len(members), _plane_of([pts[i][1] for i in t], ctx),
+                    [pts[i][0] for i in sorted(members)])
     return best
 
 

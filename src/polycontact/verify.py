@@ -159,8 +159,10 @@ class KernelScene:
         else:
             self.near = _near_within_eps(list(index), ctx)
         self.corner_sets = {label: frozenset(ids) for label, ids in self.ids.items()}
-        self._reach = {label: frozenset().union(*(self.near[i] for i in ids))
-                       for label, ids in self.ids.items()}
+        # the ids within eps of some corner; exact: the corners themselves
+        self._reach = self.corner_sets if ctx.eps == 0 else {
+            label: frozenset().union(*(self.near[i] for i in ids))
+            for label, ids in self.ids.items()}
 
     def match(self, a: str, b: str):
         """`classify_pair`'s match for polygons a and b, from the ids."""

@@ -4,6 +4,9 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -388,6 +391,71 @@ class TestCli:
     def test_info(self, capsys):
         assert main(["info"]) == 0
         assert "cycle-square" in capsys.readouterr().out
+
+
+_PARSER_CASES = [
+    ["-h"], ["represent", "-h"], ["verify", "-h"], ["analyze", "-h"],
+    ["export", "-h"], ["info", "-h"], [], ["nope"], ["represent"],
+    ["represent", "--class", "nope"], ["verify"],
+    ["verify", "scene.json", "--epsilon", "-1"],
+    ["represent", "--class", "complete", "--n", "4", "--no-verify"],
+]
+
+
+def _run_main(argv, capsys):
+    code = main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestParser:
+    """Each call builds only the subcommand it names; every text stays the
+    one a parser with every subcommand gives."""
+
+    @pytest.mark.parametrize("columns", ["40", "200"])
+    @pytest.mark.parametrize("argv", _PARSER_CASES, ids=" ".join)
+    def test_same_text_as_every_subcommand(self, argv, columns, capsys, monkeypatch):
+        import polycontact.cli as cli
+        monkeypatch.setenv("COLUMNS", columns)
+        got = _run_main(argv, capsys)
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda names: build())
+        assert _run_main(argv, capsys) == got
+        assert got[0] == (0 if "-h" in argv else 2)
+
+    def test_root_texts(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        usage = "usage: polycontact [-h] {represent,verify,analyze,export,info} ...\n"
+        assert _run_main([], capsys) == (
+            2, "", usage + "polycontact: error: the following arguments are required: cmd\n")
+        assert _run_main(["info", "x"], capsys) == (
+            2, "", usage + "polycontact: error: unrecognized arguments: x\n")
+
+    def test_builds_only_the_called_subcommand(self, capsys, monkeypatch):
+        import polycontact.cli as cli
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda names: built.append(list(names)) or build(names))
+        for argv in (["info"], ["verify", "-h"], ["-h"], [], ["nope"]):
+            main(argv)
+        every = list(cli.COMMANDS)
+        assert built == [["info"], ["verify"], every, every, every]
+
+    def test_no_parser_built_at_import(self):
+        code = ("import argparse, sys\n"
+                "made = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counted(self, *a, **k):\n"
+                "    made.append(k)\n"
+                "    init(self, *a, **k)\n"
+                "argparse.ArgumentParser.__init__ = counted\n"
+                "import polycontact.cli\n"
+                "assert 'polycontact.cli' in sys.modules\n"
+                "sys.exit(len(made))\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def _two_triangle_doc(coords, arithmetic):

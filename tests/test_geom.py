@@ -1,8 +1,10 @@
 """Polygon properties and pair classification."""
 
+import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from polycontact import geom
@@ -64,6 +66,79 @@ class TestPolygonProperties:
             assert props.axis == 2 and props.plane == ((0, 0, -1), 0)
             assert props.flat == tuple(c[:2] for c in reversed(poly.corners))
         assert polygon_properties(P((0, 0, 0), (1, 1, 1), (2, 2, 2))).flat is None
+
+
+def _flat(*corners):
+    return P(*((x, y, 0) for x, y in corners))
+
+
+def _scanned(poly):
+    """`polygon_properties` with the exact walk switched off, so every
+    polygon goes through the O(k^2) scan."""
+    walk = geom._winds_once
+    geom._winds_once = lambda pts, turns: False
+    try:
+        return polygon_properties(poly)
+    finally:
+        geom._winds_once = walk
+
+
+def _with_scan_calls(poly, ctx=EX):
+    """`polygon_properties(poly, ctx)` and the scan's segment tests it ran."""
+    calls = []
+    test = geom._segments_intersect2d
+    geom._segments_intersect2d = lambda *args: calls.append(args) or test(*args)
+    try:
+        return polygon_properties(poly, ctx), calls
+    finally:
+        geom._segments_intersect2d = test
+
+
+class TestExactCertificate:
+    """The exact O(k) walk certifies simple convex polygons; anything else
+    goes through the scan, whose findings stay as they were."""
+
+    @pytest.mark.parametrize("corners, simple, convex, strict, issues", [
+        # {5/2}: every turn has one sign, but the edges turn around twice
+        (((0, 2), (-2, -1), (2, 1), (-2, 1), (2, -1)), False, False, False,
+         ["edges 0 and 2 intersect"]),
+        # left turns and one zero turn that folds back at (1, 1): the two
+        # vertical edges there hide two of the x sign changes
+        (((0, 0), (1, 0), (1, 1), (1, -1), (2, -1), (2, 1), (0, 1)),
+         False, False, False, ["edges 0 and 2 intersect"]),
+        # a straight angle at (1, 0)
+        (((0, 0), (1, 0), (2, 0), (2, 2), (0, 2)), True, True, False, []),
+        # a reflex corner at (1, 1)
+        (((0, 0), (4, 0), (1, 1), (0, 4)), True, False, False, []),
+        (((0, 0), (1, 1), (1, 0), (0, 1)), False, False, False,
+         ["edges 0 and 2 intersect"]),
+        # a spike on a triangle: the edge after the fold meets edge 0
+        (((0, 0), (4, 0), (2, 0), (0, 3)), False, False, False,
+         ["edges 0 and 2 intersect"]),
+    ], ids=["pentagram", "folded-spike", "straight-angle", "reflex-quad",
+            "bow-tie", "spike"])
+    def test_named_cases(self, corners, simple, convex, strict, issues):
+        for poly in (_flat(*corners), _flat(*reversed(corners))):
+            props = polygon_properties(poly)
+            assert (props.simple, props.convex, props.strictly_convex) == (
+                simple, convex, strict)
+            assert props == _scanned(poly)
+        assert polygon_properties(_flat(*corners)).issues == issues
+
+    def test_convex_polygon_never_scanned(self):
+        hexagon = _flat((0, 0), (2, 0), (3, 1), (3, 2), (1, 2), (0, 1))
+        props, calls = _with_scan_calls(hexagon)
+        assert props.strictly_convex and calls == []
+        _, calls = _with_scan_calls(_floats(hexagon), FL)
+        assert calls  # float mode keeps the scan
+
+    def test_float_keeps_the_thin_sliver_verdict(self):
+        # opposite edges of this convex quadrilateral come within 1e-12,
+        # which the float scan calls touching
+        sliver = Polygon3(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0),
+                           (2.0, 1e-12, 0.0), (1.0, 2e-12, 0.0)))
+        assert not polygon_properties(sliver, FL).simple
+        assert polygon_properties(sliver, EX).convex
 
 
 class TestClassifyPair:
@@ -437,3 +512,60 @@ def test_float_kind_matches_exact_on_small_integers(pair):
     a, b = pair
     want = classify_pair(a, b, EX).kind
     assert classify_pair(_floats(a), _floats(b), FL).kind == want
+
+
+# ---------------------------------------------------------------------------
+# Exact certificate against the scan on random polygons
+# ---------------------------------------------------------------------------
+
+
+def _with_edge_points(hull):
+    """A convex hull with every lattice point of its edges as a corner, so
+    straight angles occur."""
+    out = []
+    for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1]):
+        g = math.gcd(bx - ax, by - ay)
+        out += [(ax + (bx - ax) * t // g, ay + (by - ay) * t // g) for t in range(g)]
+    return out
+
+
+@st.composite
+def exact_polygons(draw):
+    """Random int corner lists, or convex ones with straight angles from a
+    grid of radius 2 or 3, on a tilted plane with any axis dropped, in
+    either orientation from any start corner, as ints or Fractions."""
+    radius = draw(st.sampled_from((2, 3, 20)))
+    grid = st.integers(-radius, radius)
+    pts = draw(st.lists(st.tuples(grid, grid), min_size=3, max_size=9))
+    shape = draw(st.sampled_from(("random", "hull", "edge-points")))
+    if shape != "random":
+        pts = _hull2d(pts)
+        if pts is None:
+            return None
+        if shape == "edge-points":
+            pts = _with_edge_points(pts)
+    tilt = st.integers(-3, 3)
+    a, b, c = draw(tilt), draw(tilt), draw(tilt)
+    corners = [(x, y, a * x + b * y + c) for x, y in pts]
+    order = draw(st.permutations((0, 1, 2)))
+    corners = [tuple(p[k] for k in order) for p in corners]
+    if draw(st.booleans()):
+        corners.reverse()
+    start = draw(st.integers(0, len(corners) - 1))
+    corners = corners[start:] + corners[:start]
+    den = draw(st.sampled_from((1, 3)))
+    if den != 1:
+        corners = [tuple(F(x, den) for x in p) for p in corners]
+    return Polygon3(tuple(corners))
+
+
+@given(exact_polygons())
+def test_exact_certificate_matches_scan(poly):
+    """Every field equals the scan's, and a convex polygon is never
+    scanned."""
+    if poly is None:
+        return
+    props, calls = _with_scan_calls(poly)
+    assert props == _scanned(poly), poly.corners
+    if props.convex:
+        assert calls == []

@@ -1,7 +1,9 @@
 """Steiner drawings, the obstruction pattern and counting certificates."""
 
 import math
-from itertools import combinations
+import random
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -13,6 +15,7 @@ from polycontact import (ConstructionError, FanoParams, InputError,
                          represent_fano, represent_s239, validate_steiner,
                          verify_scene)
 from polycontact.core import Hypergraph
+from polycontact.geom import _plane_of, plane_contains
 from polycontact.steiner import (ANY_QUAD_OBSTRUCTION,
                                  CONVEX_QUAD_OBSTRUCTION, KNOWN_CASE_S348)
 
@@ -258,3 +261,62 @@ class TestCoplanarity:
                             {edge_key("a", "b"): tri.corners[0]},
                             {"construction": "t", "arithmetic": arithmetic})
         assert coplanar_polygon_pairs(scene) == [("a", "b")]
+
+
+def _coplanar_by_every_triple(scene):
+    """`max_coplanar_vertices` as it was: every contact against the plane
+    of every contact triple, O(m^4)."""
+    ctx = scene.context()
+    items = sorted(scene.contacts.items(), key=lambda kv: str(kv[0]))
+    pts = [(str(k) if isinstance(k, str) else "-".join(sorted(k)), tuple(p))
+           for k, p in items]
+    best = (0, None, [])
+    for (_, pa), (_, pb), (_, pc) in combinations(pts, 3):
+        plane = _plane_of((pa, pb, pc), ctx)
+        if plane is None:
+            continue
+        members = [name for name, p in pts if plane_contains(plane, p, ctx)]
+        if len(members) > best[0]:
+            best = (len(members), plane, members)
+    return best
+
+
+def _exact_points_scene(points):
+    from polycontact import Graph, Polygon3, graph_scene
+    tri = Polygon3(corners=tuple(tuple(map(Fraction, c))
+                                 for c in ((0, 0, 0), (1, 0, 0), (0, 1, 0))))
+    scene = graph_scene(Graph.from_edges([("a", "b")]), {"a": tri, "b": tri}, {},
+                        {"construction": "t", "arithmetic": "exact"})
+    scene.contacts = {f"p{i:02d}": tuple(map(Fraction, p)) for i, p in enumerate(points)}
+    return scene
+
+
+class TestCoplanarPointsExact:
+    """The exact one-pass grouping against the every-triple scan."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_complete_graphs(self, n):
+        from polycontact import represent_complete
+        scene = represent_complete(n)
+        assert max_coplanar_vertices(scene) == _coplanar_by_every_triple(scene)
+
+    def test_two_contacts_on_one_point(self):
+        # a cube's corners with the origin twice: the three faces through
+        # the origin tie at five contacts, and the first triple wins
+        cube = list(product((0, 1), repeat=3))
+        scene = _exact_points_scene(cube + [(0, 0, 0)])
+        got = max_coplanar_vertices(scene)
+        assert got == _coplanar_by_every_triple(scene)
+        assert got[0] == 5 and got[2] == ["p00", "p01", "p02", "p03", "p08"]
+
+    def test_all_collinear(self):
+        scene = _exact_points_scene([(i, 2 * i, 0) for i in range(4)])
+        assert max_coplanar_vertices(scene) == (0, None, [])
+
+    def test_random_grid_points(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            pts = [tuple(Fraction(rng.randint(0, 2), rng.choice((1, 2)))
+                         for _ in range(3)) for _ in range(rng.randint(3, 9))]
+            scene = _exact_points_scene(pts)
+            assert max_coplanar_vertices(scene) == _coplanar_by_every_triple(scene)
