@@ -10,32 +10,59 @@ error, 3 construction precondition violation.
 Each call builds the argument parser for the subcommand it names only
 (`build_parser([name])`); help, no arguments and an unknown command get
 every subcommand.  The output is the same either way.
+
+Loading `cli` imports `core`, `geom`, `scene`, `sceneio` and `verify`,
+which every scene-handling subcommand runs.  The constructions, the
+Steiner analyses and the exporters are imported on first use through the
+module `__getattr__` over `_LAZY`, so `verify` compiles none of them and
+`represent --class complete` only `arrangement`.  Call sites read those
+names off the module (`_m.represent_complete`), so a function set on
+`polycontact.cli` before or after the first call is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
 
-from .arrangement import represent_complete, represent_min_degree3
-from .bipartite import (complete_bipartite, represent_bipartite_grid,
-                        represent_bipartite_toroidal, represent_k33_unit_triangles)
 from .core import (BUILTIN_SYSTEMS, InputError, SteinerDescriptor,
                    blocks_from_text, builtin_system, graph_from_edge_list,
                    validate_steiner)
-from .cubic import represent_2ec_cubic, represent_cubic, represent_max_degree3
-from .cyclesq import represent_cycle_square
-from .export import scene_to_obj, scene_to_svg
-from .oneplanar import represent_oneplanar_cubic
 from .scene import ConstructionError
 from .sceneio import (_dumps, read_embedding, read_scene, scene_to_json,
                       write_scene)
-from .steiner import (FanoParams, S239Params, counting_certificate,
-                      coplanar_polygon_pairs, find_obstruction_pattern,
-                      max_coplanar_vertices, represent_fano, represent_s239)
 from .verify import grid_extent, verify_scene
+
+# module -> the names this module imports from it on first use (`__getattr__`)
+_LAZY = {
+    "arrangement": ("represent_complete", "represent_min_degree3"),
+    "bipartite": ("complete_bipartite", "represent_bipartite_grid",
+                  "represent_bipartite_toroidal", "represent_k33_unit_triangles"),
+    "cubic": ("represent_2ec_cubic", "represent_cubic", "represent_max_degree3"),
+    "cyclesq": ("represent_cycle_square",),
+    "export": ("scene_to_obj", "scene_to_svg"),
+    "oneplanar": ("represent_oneplanar_cubic",),
+    "steiner": ("FanoParams", "S239Params", "counting_certificate",
+                "coplanar_polygon_pairs", "find_obstruction_pattern",
+                "max_coplanar_vertices", "represent_fano", "represent_s239"),
+}
+_SOURCE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(
+        importlib.import_module(f"{__package__}.{module}"), name)
+    return value
+
+
+# call sites read the lazy names off this module, so they see what was set on it
+_m = sys.modules[__name__]
 
 CLASSES = ["complete", "mindeg3", "bipartite-toroidal", "bipartite-grid",
            "k33", "oneplanar-cubic", "cubic-2ec", "cubic", "maxdeg3",
@@ -54,38 +81,38 @@ def _build_scene(args):
     cls = args.cls
     if cls == "complete":
         _need(args.n is not None, "--n is required for complete")
-        return represent_complete(args.n)
+        return _m.represent_complete(args.n)
     if cls == "cycle-square":
         _need(args.n is not None, "--n is required for cycle-square")
-        return represent_cycle_square(args.n)
+        return _m.represent_cycle_square(args.n)
     if cls == "k33":
-        return represent_k33_unit_triangles()
+        return _m.represent_k33_unit_triangles()
     if cls == "fano":
-        return represent_fano(FanoParams(alpha=args.alpha))
+        return _m.represent_fano(_m.FanoParams(alpha=args.alpha))
     if cls == "s239":
-        return represent_s239(S239Params(beta=args.beta))
+        return _m.represent_s239(_m.S239Params(beta=args.beta))
     if cls in ("bipartite-toroidal", "bipartite-grid"):
         if args.a is not None and args.b is not None:
-            g = complete_bipartite(args.a, args.b)
+            g = _m.complete_bipartite(args.a, args.b)
         else:
             _need(args.input is not None, "--a/--b or --input required")
             g = graph_from_edge_list(_read_text(args.input))
-        fn = (represent_bipartite_toroidal if cls == "bipartite-toroidal"
-              else represent_bipartite_grid)
+        fn = (_m.represent_bipartite_toroidal if cls == "bipartite-toroidal"
+              else _m.represent_bipartite_grid)
         return fn(g)
     if cls == "oneplanar-cubic":
         _need(args.input is not None, "--input embedding.json required")
-        return represent_oneplanar_cubic(read_embedding(args.input))
+        return _m.represent_oneplanar_cubic(read_embedding(args.input))
     _need(args.input is not None, f"--input edge list required for {cls}")
     g = graph_from_edge_list(_read_text(args.input))
     if cls == "mindeg3":
-        return represent_min_degree3(g)
+        return _m.represent_min_degree3(g)
     if cls == "cubic-2ec":
-        return represent_2ec_cubic(g)
+        return _m.represent_2ec_cubic(g)
     if cls == "cubic":
-        return represent_cubic(g)
+        return _m.represent_cubic(g)
     if cls == "maxdeg3":
-        return represent_max_degree3(g)
+        return _m.represent_max_degree3(g)
     raise AssertionError(cls)
 
 
@@ -148,7 +175,7 @@ def cmd_analyze(args) -> int:
     what = args.what
     if what == "f-pattern":
         h = _load_blocks(args)
-        found = find_obstruction_pattern(h)
+        found = _m.find_obstruction_pattern(h)
         if found is None:
             print("no obstruction pattern")
             return 0
@@ -158,7 +185,7 @@ def cmd_analyze(args) -> int:
     if what == "counting":
         h = _load_blocks(args)
         _need(args.n is not None, "--n required (with --t 3 --k 4 implied)")
-        cert = counting_certificate(h, SteinerDescriptor(3, 4, args.n))
+        cert = _m.counting_certificate(h, SteinerDescriptor(3, 4, args.n))
         print(cert)
         return 0
     if what == "steiner-check":
@@ -170,10 +197,10 @@ def cmd_analyze(args) -> int:
         return 0 if ok else 1
     scene = read_scene(args.file)
     if what == "coplanar-points":
-        count, _, members = max_coplanar_vertices(scene)
+        count, _, members = _m.max_coplanar_vertices(scene)
         print(f"max coplanar contact points: {count} ({', '.join(members)})")
         return 0
-    pairs = coplanar_polygon_pairs(scene)
+    pairs = _m.coplanar_polygon_pairs(scene)
     print(f"coplanar polygon pairs: {len(pairs)}")
     for a, b in pairs:
         print(f"  {a} / {b}")
@@ -183,9 +210,9 @@ def cmd_analyze(args) -> int:
 def cmd_export(args) -> int:
     scene = read_scene(args.file)
     if args.format == "obj":
-        text = scene_to_obj(scene)
+        text = _m.scene_to_obj(scene)
     else:
-        text = scene_to_svg(scene, view=args.view)
+        text = _m.scene_to_svg(scene, view=args.view)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)

@@ -92,6 +92,10 @@ class PlaneGraph:
     def neighbors(self, v):
         return [self.head(d) for d in self.rotation[v]]
 
+    def adjacent(self, u, v) -> bool:
+        """Whether an edge u-v has a dart in u's rotation; O(deg u)."""
+        return any(self.head(d) == v for d in self.rotation[u])
+
     def edge_between(self, u, v):
         for eid, (a, b) in self.endpoints.items():
             if {a, b} == {u, v}:
@@ -219,7 +223,7 @@ def triangulate_face(pg: PlaneGraph, walk, counter):
                 a, b = tails[i], tails[j]
                 if a == b:
                     continue
-                if pg.edge_between(a, b) is not None:
+                if pg.adjacent(a, b):
                     continue
                 lo, hi = min(i, j), max(i, j)
                 _, wa, wb = add_chord(pg, w, lo, hi)
@@ -267,7 +271,7 @@ def triangulate(pg: PlaneGraph, outer_walk):
             for i in range(m):
                 j = (i + 2) % m
                 a, b = tails[i], tails[j]
-                if a == b or work.edge_between(a, b) is not None:
+                if a == b or work.adjacent(a, b):
                     continue
                 lo, hi = min(i, j), max(i, j)
                 if (hi - lo) != 2:

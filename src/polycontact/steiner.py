@@ -280,7 +280,9 @@ def max_coplanar_vertices(scene: Scene, eps: Optional[float] = None):
 
     Returns (count, plane, vertex names): the plane, from `_plane_of`, is
     that of the first contact triple (in `combinations` order) reaching the
-    count, and the names follow the contacts' sorted order.  Exact scenes
+    count, and the names are sorted.  A graph contact is named by its two
+    vertices, sorted and joined by "-" (`a-b`), and contacts are ordered
+    by that name, so neither depends on `PYTHONHASHSEED`.  Exact scenes
     take one pass over the triples, O(m^3): each plane, keyed by its
     primitive int normal (leading entry positive) and offset on the
     contacts scaled to ints, collects its triples' contacts, and every
@@ -289,9 +291,8 @@ def max_coplanar_vertices(scene: Scene, eps: Optional[float] = None):
     O(m^4), because eps-coplanarity is not transitive.
     """
     ctx = scene.context(eps=eps)
-    items = sorted(scene.contacts.items(), key=lambda kv: str(kv[0]))
-    pts = [(str(k) if isinstance(k, str) else "-".join(sorted(k)), tuple(p))
-           for k, p in items]
+    pts = sorted(((k if isinstance(k, str) else "-".join(sorted(k)), tuple(p))
+                  for k, p in scene.contacts.items()), key=lambda np: np[0])
     if len(pts) < 3:
         raise InputError("need at least 3 contact points")
     best = (0, None, [])

@@ -1,7 +1,10 @@
 """Steiner drawings, the obstruction pattern and counting certificates."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -267,9 +270,8 @@ def _coplanar_by_every_triple(scene):
     """`max_coplanar_vertices` as it was: every contact against the plane
     of every contact triple, O(m^4)."""
     ctx = scene.context()
-    items = sorted(scene.contacts.items(), key=lambda kv: str(kv[0]))
-    pts = [(str(k) if isinstance(k, str) else "-".join(sorted(k)), tuple(p))
-           for k, p in items]
+    pts = sorted(((k if isinstance(k, str) else "-".join(sorted(k)), tuple(p))
+                  for k, p in scene.contacts.items()), key=lambda np: np[0])
     best = (0, None, [])
     for (_, pa), (_, pb), (_, pc) in combinations(pts, 3):
         plane = _plane_of((pa, pb, pc), ctx)
@@ -320,3 +322,24 @@ class TestCoplanarPointsExact:
                          for _ in range(3)) for _ in range(rng.randint(3, 9))]
             scene = _exact_points_scene(pts)
             assert max_coplanar_vertices(scene) == _coplanar_by_every_triple(scene)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--class", "complete", "--n", "6"], "5 (1-2, 1-3, 1-4, 1-5, 1-6)"),
+    (["--class", "k33"], "4 (a1-b1, a1-b2, a3-b1, a3-b2)"),
+], ids=["K6", "k33"])
+def test_coplanar_points_independent_of_hash_seed(argv, expected, tmp_path):
+    # graph contacts are keyed by frozensets, whose order follows the hash seed
+    from polycontact.cli import main
+    scene = tmp_path / "scene.json"
+    assert main(["represent", *argv, "-o", str(scene)]) == 0
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = []
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "polycontact.cli", "analyze", "coplanar-points",
+             "--file", str(scene)], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs == [f"max coplanar contact points: {expected}\n"] * 2
