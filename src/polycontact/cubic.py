@@ -17,7 +17,9 @@ triangle between its foot's two apex slots and the bridge vertex on the
 floor.  The floorplans join into one plane graph through the bridge
 vertices and are drawn by the Schnyder grid algorithm.
 
-Perfect matchings come from networkx's blossom implementation; exact
+Perfect matchings come from a stdlib Edmonds blossom search
+(`_max_matching`); in the bridged case, when a matching gives no workable
+plan or its chord lift fails, other matchings are tried.  Exact
 verification of every emitted scene is the correctness gate.
 """
 
@@ -148,37 +150,107 @@ def _cycles_after_matching(vertices, edges, matching):
     return cycles
 
 
-def _perfect_matching(vertices, edges, forced=()):
-    """Perfect matching via blossom; forced edges are included if possible.
+def _max_matching(vertices, edges):
+    """Maximum-cardinality matching as {vertex: mate}, Edmonds' blossoms.
 
-    Nodes and edges go to networkx sorted, so the matching does not depend
-    on the hash seed.  networkx is imported here because nothing else in
-    the package needs it.
+    One alternating-tree search from each free vertex (`_augment`).  A root
+    that finds no augmenting path never will, so one pass suffices; O(V^3)
+    overall (Edmonds 1965, Gabow 1976).  Vertices and neighbour lists are
+    sorted, so the result does not depend on the hash seed.
     """
-    import networkx as nx
+    vs = sorted(vertices)
+    index = {v: i for i, v in enumerate(vs)}
+    adj = [set() for _ in vs]
+    for e in edges:
+        u, v = tuple(e)
+        adj[index[u]].add(index[v])
+        adj[index[v]].add(index[u])
+    adj = [sorted(a) for a in adj]
+    mate = [-1] * len(vs)
+    for root in range(len(vs)):
+        if mate[root] < 0:
+            _augment(adj, mate, root)
+    return {vs[i]: vs[j] for i, j in enumerate(mate) if j >= 0}
 
+
+def _augment(adj, mate, root):
+    """BFS an alternating tree from free `root`; flip the first augmenting
+    path found.  An edge between two outer vertices closes an odd cycle,
+    which contracts into the lowest common base of its two tree paths."""
+    n = len(adj)
+    parent = [-1] * n
+    base = list(range(n))
+    outer = [False] * n
+    outer[root] = True
+    queue = [root]
+
+    def lca(a, b):
+        seen = set()
+        while True:
+            a = base[a]
+            seen.add(a)
+            if mate[a] < 0:
+                break
+            a = parent[mate[a]]
+        while base[b] not in seen:
+            b = parent[mate[base[b]]]
+        return base[b]
+
+    def mark(v, b, child, blossom):
+        while base[v] != b:
+            blossom.add(base[v])
+            blossom.add(base[mate[v]])
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    for v in queue:  # grows while it is read
+        for w in adj[v]:
+            if base[v] == base[w] or mate[v] == w:
+                continue
+            if w == root or (mate[w] >= 0 and parent[mate[w]] >= 0):
+                # w is outer too: contract the odd cycle through v-w
+                b = lca(v, w)
+                blossom = set()
+                mark(v, b, w, blossom)
+                mark(w, b, v, blossom)
+                for i in range(n):
+                    if base[i] in blossom:
+                        base[i] = b
+                        if not outer[i]:
+                            outer[i] = True
+                            queue.append(i)
+            elif parent[w] < 0:
+                parent[w] = v
+                if mate[w] < 0:  # augmenting path root..v-w: flip it
+                    while w >= 0:
+                        v = parent[w]
+                        w_next = mate[v]
+                        mate[w], mate[v] = v, w
+                        w = w_next
+                    return True
+                outer[mate[w]] = True
+                queue.append(mate[w])
+    return False
+
+
+def _perfect_matching(vertices, edges, forced=()):
+    """A perfect matching (edge keys) containing `forced`, or None.
+
+    Forced edges take their endpoints out; a maximum matching of the rest
+    completes them when it is perfect.
+    """
     forced = set(forced)
     used = set()
     for e in forced:
-        u, v = tuple(e)
-        if u in used or v in used:
+        if used & e:
             return None
-        used |= {u, v}
-    gx = nx.Graph()
-    gx.add_nodes_from(v for v in sorted(vertices) if v not in used)
-    for e in sorted(edges, key=sorted):
-        u, v = sorted(e)
-        if u in used or v in used:
-            continue
-        gx.add_edge(u, v)
-    mate = nx.max_weight_matching(gx, maxcardinality=True)
-    matching = set(forced) | {edge_key(u, v) for u, v in mate}
-    covered = set()
-    for e in matching:
-        covered |= set(e)
-    if covered != set(vertices):
+        used |= e
+    rest = [v for v in vertices if v not in used]
+    mate = _max_matching(rest, [e for e in edges if not used & e])
+    if len(mate) < len(rest):
         return None
-    return matching
+    return forced | {edge_key(u, v) for u, v in mate.items()}
 
 
 def petersen_decompose(g: Graph) -> PetersenDecomposition:
@@ -283,10 +355,10 @@ def _point_in_polygon(pt, poly):
         cr = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
         if cr == 0 and min(x1, x2) <= x <= max(x1, x2) and min(y1, y2) <= y <= max(y1, y2):
             return False
-        if (y1 > y) != (y2 > y):
-            xi = x1 + Fraction((y - y1) * (x2 - x1), (y2 - y1))
-            if xi > x:
-                inside = not inside
+        # the edge crosses the horizontal through pt right of it; cr is
+        # (crossing x - x) * (y2 - y1)
+        if (y1 > y) != (y2 > y) and cr * (y2 - y1) > 0:
+            inside = not inside
     return inside
 
 
@@ -439,10 +511,15 @@ class _VertexPlan:
     kind: str = "vertex"
 
 
-def _component_plan(g: Graph, idx, comp, bridges):
+def _component_plans(g: Graph, idx, comp, bridges):
+    """Workable plans for one component, best first (a generator).
+
+    Raises ConstructionError before yielding anything if there is none.
+    """
     comp_edges = [e for e in g.edges if e <= comp]
     if len(comp) == 1:
-        return _VertexPlan(index=idx, vertex=next(iter(comp)))
+        yield _VertexPlan(index=idx, vertex=next(iter(comp)))
+        return
     cut = {}
     for v in sorted(comp):
         mine = [b for b in bridges if v in b]
@@ -451,7 +528,8 @@ def _component_plan(g: Graph, idx, comp, bridges):
     core = set(comp) - set(cut)
     if not core:
         (order,) = _cycles_after_matching(comp, comp_edges, set())
-        return _CyclePlan(index=idx, order=order)
+        yield _CyclePlan(index=idx, order=order)
+        return
 
     feet = {}
     reduced_edges = {e for e in comp_edges if not (set(e) & set(cut))}
@@ -468,29 +546,67 @@ def _component_plan(g: Graph, idx, comp, bridges):
     # cycle edges and their cut vertex returns by splitting the shared rim
     # corner.  Cycle feet are walled off by drawn chords in multi-cycle
     # components and cannot sit on a chord-lifted corner, so search foot
-    # subsets by decreasing size until a workable decomposition appears.
-    subsets = sorted(_subsets(sorted(foot_set, key=sorted)),
-                     key=len, reverse=True)
+    # subsets by decreasing size, and matchings per subset, for workable
+    # decompositions.
     reasons = []
-    for forced in subsets:
-        matching = _perfect_matching(sorted(core), reduced_edges,
-                                     forced=forced)
+    seen = set()
+    workable = False
+    for forced in _subsets_by_size(sorted(foot_set, key=sorted)):
+        for matching in _matchings(sorted(core), reduced_edges, forced):
+            if frozenset(matching) in seen:
+                continue  # a matching makes the same plan whatever was forced
+            seen.add(frozenset(matching))
+            plan = _try_wheel_plan(idx, cut, feet, core, reduced_edges,
+                                   matching, reasons)
+            if plan is not None:
+                workable = True
+                yield plan
+    if not workable:
+        raise ConstructionError(
+            "no workable matching for the bridge feet: "
+            + (reasons[0] if reasons else "component admits no perfect matching"))
+
+
+def _subsets_by_size(items):
+    """Subsets of items, largest first; within a size in increasing order of
+    their bitmask (item i is bit i), generated one at a time."""
+    k = len(items)
+    for size in range(k, -1, -1):
+        mask = (1 << size) - 1
+        while mask < 1 << k:
+            yield {x for i, x in enumerate(items) if mask >> i & 1}
+            if not mask:
+                break
+            low = mask & -mask  # next mask with as many bits (Gosper)
+            up = mask + low
+            mask = (((up ^ mask) >> 2) // low) | up
+
+
+_MATCHINGS_PER_SUBSET = 8
+
+
+def _matchings(vertices, edges, forced):
+    """Distinct perfect matchings containing `forced`, the blossom's first.
+
+    The rest come from Lawler's partition: once a matching M is found, the
+    other matchings of its subproblem split into those that keep M's first
+    i free edges and drop the next one.  Subproblems are tried breadth
+    first, and at most _MATCHINGS_PER_SUBSET matchings are yielded.
+    """
+    queue = [(frozenset(forced), frozenset())]
+    found = 0
+    for keep, drop in queue:
+        matching = _perfect_matching(
+            vertices, [e for e in edges if e not in drop], keep)
         if matching is None:
             continue
-        plan = _try_wheel_plan(idx, cut, feet, core, reduced_edges,
-                               matching, reasons)
-        if plan is not None:
-            return plan
-    raise ConstructionError(
-        "no workable matching for the bridge feet: "
-        + (reasons[0] if reasons else "component admits no perfect matching"))
-
-
-def _subsets(items):
-    out = [[]]
-    for x in items:
-        out += [s + [x] for s in out]
-    return [set(s) for s in out]
+        yield matching
+        found += 1
+        if found == _MATCHINGS_PER_SUBSET:
+            return
+        free = sorted(matching - keep, key=sorted)
+        queue += [(keep | set(free[:i]), drop | {e})
+                  for i, e in enumerate(free)]
 
 
 def _try_wheel_plan(idx, cut, feet, core, reduced_edges, matching, reasons):
@@ -518,10 +634,13 @@ def _try_wheel_plan(idx, cut, feet, core, reduced_edges, matching, reasons):
                       cycles=rotated, slots=slots, apex=apex)
 
 
-def _build_floorplan(g: Graph, bbt: BridgeBlockTree):
-    """Assemble the global plane graph H and per-component bookkeeping."""
+def _build_floorplan(g: Graph, bbt: BridgeBlockTree, plans=None):
+    """Assemble the global plane graph H and per-component bookkeeping.
+
+    `plans` holds one plan per component; by default each component's
+    first workable plan.
+    """
     H = PlaneGraph()
-    plans = []
     vb_label = {}
     for bi, b in enumerate(sorted(bbt.bridges, key=lambda e: tuple(sorted(e)))):
         vb_label[b] = f"vb{bi}"
@@ -529,9 +648,9 @@ def _build_floorplan(g: Graph, bbt: BridgeBlockTree):
         H.add_vertex(lbl)
     vb_sides = {lbl: {} for lbl in vb_label.values()}  # label -> {comp: [darts]}
 
-    for idx, comp in enumerate(bbt.components):
-        plan = _component_plan(g, idx, comp, bbt.bridges)
-        plans.append(plan)
+    if plans is None:
+        plans = [next(_component_plans(g, idx, comp, bbt.bridges))
+                 for idx, comp in enumerate(bbt.components)]
 
     for plan in plans:
         if plan.kind == "vertex":
@@ -759,6 +878,35 @@ def represent_cubic(g: Graph) -> Scene:
         return represent_2ec_cubic(g)
 
     H, plans, vb_label = _build_floorplan(g, bbt)
+    searches = {}
+    while True:
+        scene, lifted = _draw_floorplan(g, H, plans, vb_label)
+        if scene is not None:
+            return scene
+        # the chord lift failed: move a lifted component, or else another
+        # one, on to its next workable plan; a component's search starts on
+        # first need and skips the plan drawn first
+        first = sorted({idx for idx, _ in lifted})
+        for i in first + [i for i in range(len(plans)) if i not in first]:
+            if i not in searches:
+                searches[i] = _component_plans(g, i, bbt.components[i],
+                                               bbt.bridges)
+                next(searches[i])
+            plan = next(searches[i], None)
+            if plan is not None:
+                plans[i] = plan
+                break
+        else:
+            raise ConstructionError("chord lift backoff failed")
+        H, plans, vb_label = _build_floorplan(g, bbt, plans)
+
+
+def _draw_floorplan(g: Graph, H, plans, vb_label):
+    """Schnyder-draw the floorplan and build the scene: (scene, lifted).
+
+    scene is None when a chord lift is needed and no backoff step verifies;
+    lifted holds the (component, cycle) pairs whose chord was lifted.
+    """
     H.check_planar()
     if len(H.rotation) > len(g.edges):
         raise ConstructionError(f"floorplan has {len(H.rotation)} vertices, "
@@ -813,16 +961,16 @@ def represent_cubic(g: Graph) -> Scene:
         return graph_scene(g, polygons, contacts, meta)
 
     if not lifted:
-        return build(Fraction(0))
+        return build(Fraction(0)), lifted
     delta = Fraction(1, 4)
     for _ in range(24):
         scene = build(delta)
         report = verify_scene(scene)
         if report.passed:
             scene.certificate = report
-            return scene
+            return scene, lifted
         delta /= 2
-    raise ConstructionError("chord lift backoff failed")  # pragma: no cover
+    return None, lifted
 
 
 def _wheel_scene_part(plan: _WheelPlan, vb_label, pt, polygons, contacts,

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from polycontact.cli import main
+from conftest import gadget_chain
 from test_cli_io import _K4_CROSSED, _PETERSEN
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -105,6 +106,19 @@ class TestImportFootprint:
                      "complete", "--n", "5", "-o", tmp_path / "k5.json")
         assert got["rc"] == 0
         assert got["loaded"] == sorted(_CLI_BASE + ["polycontact.arrangement"])
+        assert not got["networkx"]
+
+    @pytest.mark.parametrize("cls", ["cubic-2ec", "cubic", "maxdeg3"])
+    def test_cubic_classes_load_no_networkx(self, tmp_path, cls):
+        edges = {"cubic-2ec": _PETERSEN,
+                 "cubic": "".join(f"{u} {v}\n" for u, v in
+                                  sorted(map(sorted, gadget_chain(3).edges))),
+                 "maxdeg3": "1 2\n2 3\n3 4\n4 5\n5 1\n"}[cls]
+        (tmp_path / "g.txt").write_text(edges)
+        got = _fresh(_FOOTPRINT, "polycontact.cli", "represent", "--class", cls,
+                     "--input", tmp_path / "g.txt", "-o", tmp_path / "g.json")
+        assert got["rc"] == 0
+        assert "polycontact.cubic" in got["loaded"]
         assert not got["networkx"]
 
 
