@@ -433,49 +433,38 @@ def represent_2ec_cubic(g: Graph) -> Scene:
 
 
 def _place_hub(n, boundary, seq, cycles, mate):
-    """Choose a rotation offset and hub with at most one benign enclosure."""
-    height = n // 2
-    hubs = [(1, y) for y in range(1, height - 1)]
+    """Choose a rotation offset and hub with at most one benign enclosure:
+    the first (offset, hub) that no arc encloses, else the first that one
+    arc encloses benignly, in order of offset, then hub height."""
+    hubs = [(1, y) for y in range(1, n // 2 - 1)]
     nb = len(boundary)
-    best = None
+    # the enclosed chord moves to z=-1 with its matched partner; that
+    # partner must not be another cycle's chord
+    chords = {cyc[-1] for cyc in cycles}
+    benign = [not (set(mate[cyc[-1]]) - {cyc[-1]}) & chords for cyc in cycles]
+    first = None
     for offset in range(nb):
         pos = {v: boundary[(t + offset) % nb] for t, v in enumerate(seq)}
+        arcs = [[pos[v] for v in cyc] for cyc in cycles]
         for hub in hubs:
-            ok = True
             enclosing = None
-            for ci, cyc in enumerate(cycles):
-                a = pos[cyc[0]]
-                b = pos[cyc[-1]]
+            for ci, arc in enumerate(arcs):
+                (ax, ay), (bx, by) = arc[0], arc[-1]
                 # hub on the chord line makes the chord triangle degenerate
-                if (b[0] - a[0]) * (hub[1] - a[1]) - (b[1] - a[1]) * (hub[0] - a[0]) == 0:
-                    ok = False
+                if (bx - ax) * (hub[1] - ay) - (by - ay) * (hub[0] - ax) == 0:
                     break
-                arc_poly = [pos[v] for v in cyc]
-                if _point_in_polygon(hub, arc_poly):
-                    if enclosing is not None:
-                        ok = False
+                if _point_in_polygon(hub, arc):
+                    # only the first placement with an enclosure is kept
+                    if enclosing is not None or first is not None or not benign[ci]:
                         break
                     enclosing = ci
-            if not ok:
-                continue
-            if enclosing is not None:
-                # the enclosed chord moves to z=-1 with its matched partner;
-                # that partner must not be another cycle's chord
-                cv = cycles[enclosing][-1]
-                e = mate[cv]
-                (other,) = set(e) - {cv}
-                if any(ci != enclosing and cyc[-1] == other
-                       for ci, cyc in enumerate(cycles)):
-                    continue
-            score = (0 if enclosing is None else 1, offset, hub[1])
-            if best is None or score < best[0]:
-                best = (score, hub, offset, enclosing)
-        if best is not None and best[0][0] == 0:
-            break
-    if best is None:
+            else:
+                if enclosing is None:
+                    return hub, offset, None
+                first = hub, offset, enclosing
+    if first is None:
         raise ConstructionError("no valid hub placement found")
-    _, hub, offset, enclosing = best
-    return hub, offset, enclosing
+    return first
 
 
 # ---------------------------------------------------------------------------

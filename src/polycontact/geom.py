@@ -14,9 +14,10 @@ ints.  Each polygon meets the other's plane in an interval of t = dr.x
 along the planes' common line (dr the cross product of the normals); its
 ends come from the corners on that plane and the edges whose corners lie
 on opposite sides, as int (num, den) pairs compared by
-cross-multiplication.  `Fraction`s are built only where the two intervals
-meet, for the common interval's midpoint probe and touch witnesses, and by
-the point/segment cases.
+cross-multiplication.  An exact pair whose intervals meet is decided on
+that line, with no point located (`_on_common_line`); `Fraction`s are
+built only for its overlap and touch witnesses, and by the point/segment
+cases.
 
 Each polygon has one record, its `PolygonProperties`: the validity flags
 and the frame (supporting plane, drop axis, ccw 2D corners), derived once
@@ -29,9 +30,9 @@ corner of the other.  `verify.KernelScene` reads the match off its
 per-scene point ids; without one, `classify_pair` compares the corners
 pairwise.  Either way a shared corner is located as "corner" and any other
 corner goes straight to the plane test, so `point_eq` scans are left only
-for points derived inside a pair (interval ends, midpoints).  A shared
-corner fixes a pair's kind, so interval ends are sought as touch points
-only when no corner is shared.
+for points derived inside a float or degenerate pair (interval ends,
+midpoints).  A shared corner fixes a pair's kind, so interval ends are
+sought as touch points only when no corner is shared.
 
 The contact model implemented by `classify_pair` treats polygons as *open*
 filled regions:
@@ -44,10 +45,12 @@ filled regions:
   shared corners) is tolerated and reported as a boundary touch.
 
 `classify_pair` is the one place that applies this model and decides a
-pair's kind.  It finds the shared corners, runs the corner checks of both
-polygons, and then hands the pair to one geometric case (coplanar,
-transversal, degenerate against a polygon, two degenerate), which only adds
-interior-overlap violations and returns touch points.
+pair's kind.  It first tries to separate two proper polygons; then it finds
+the shared corners.  Exact polygons in crossing planes are decided on their
+common line; any other pair gets the corner checks of both polygons and
+then one geometric case (coplanar, transversal, degenerate against a
+polygon, two degenerate), which only adds interior-overlap violations and
+returns touch points.
 
 Only convex polygons (plus single points and degenerate corner lists, taken
 as the segment between their extreme corners) are supported by
@@ -439,8 +442,12 @@ def _locate_point(poly: Polygon3, f: Optional[PolygonProperties], q: Point3,
             if s < 0:
                 return "outside"
             if s == 0:
-                if not all(ctx.sign(q2[k] - min(a[k], b[k])) >= 0
-                           and ctx.sign(max(a[k], b[k]) - q2[k]) >= 0 for k in (0, 1)):
+                # a convex polygon is the meet of its edges' inner half
+                # planes, so an exact q2 on an edge's line is on the
+                # boundary, also beyond that edge along a straight angle
+                if not ctx.exact and not all(
+                        ctx.sign(q2[k] - min(a[k], b[k])) >= 0
+                        and ctx.sign(max(a[k], b[k]) - q2[k]) >= 0 for k in (0, 1)):
                     return "outside"
                 on_edge = True
         return "boundary" if on_edge else "interior"
@@ -562,26 +569,35 @@ def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
     of q (of p); it is built from a pairwise `point_eq` scan when omitted.
 
     This is the only place that decides a kind.  The shared corners are p's,
-    in p's order.  Each polygon's unshared corners are located on the other
-    (a point or collinear list first), then the pair's geometric case adds
-    its interior-overlap violations and returns its touch points.  The kind
+    in p's order.  The violations come in one order: p's unshared corners
+    on q, in p's order, then q's on p, then an interior overlap.  The kind
     is Violation if there are violations, else CornerContact if a corner is
     shared, else BoundaryTouch if there are touch points, else Disjoint.  A
     shared corner thus fixes the kind without touch points, so proper
     polygons seek them only when no corner is shared, and `touch_witnesses`
     is empty except on BoundaryTouch.
 
-    For two proper polygons each one's corner distances to the other's
-    plane are computed once, with their signs, and every later step reads
-    them.  The pair is Disjoint at once when, in exact mode, either polygon
-    lies strictly on one side of the other's plane (q's distances are not
-    computed when p's already say so), and in both modes when
-    they lie in distinct parallel planes.  A corner off the other's plane is
-    not located on it, and crossing planes get the interval test.
+    Two proper polygons are separated first, before the match is read:
+    1. each corner's distance to the other's plane is computed once, with
+       its sign; in exact mode the pair is Disjoint when either polygon lies
+       strictly on one side of the other's plane (q's distances are not
+       computed when p's already say so), and in both modes when the planes
+       are distinct and parallel;
+    2. in exact mode, crossing planes get both `_cut` intervals on the
+       planes' common line, and the pair is Disjoint when they miss;
+       otherwise `_on_common_line` decides it there, locating no point;
+    3. one plane gets the separating-axis test (`_separation`), and in
+       exact mode a strict separation makes the pair Disjoint.
+    Every other pair, and every float pair that crosses or shares a plane,
+    has each polygon's unshared corners on the other's plane (or, for a
+    point or collinear list, anywhere) located on the other (a point or
+    collinear list first); then its geometric case adds the interior
+    overlap and returns the touch points.
     """
     fp = fp or polygon_properties(p, ctx)
     fq = fq or polygon_properties(q, ctx)
     sp = sq = None  # p's corners against q's plane, and q's against p's
+    cuts = sep = None  # exact crossing planes' `_cut`s; coplanar `_separation`
     if fp.plane is not None and fq.plane is not None:
         sp = _plane_sides(fq.plane, p.corners, ctx)
         if ctx.exact and _one_side(sp[1]):
@@ -593,6 +609,15 @@ def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
         crossing = not is_zero_vec(dr, ctx)
         if not crossing and sq[1][0]:
             return PairClassification(kind=DISJOINT)  # distinct parallel planes
+        if crossing and ctx.exact:
+            cuts = _cut(p.corners, sp, dr, ctx), _cut(q.corners, sq, dr, ctx)
+            (lp, hp), (lq, hq) = cuts
+            if _earlier(hp, lq) or _earlier(hq, lp):
+                return PairClassification(kind=DISJOINT)
+        elif not crossing:
+            sep = _separation(fp.flat, fq.flat, ctx)
+            if ctx.exact and sep > 0:
+                return PairClassification(kind=DISJOINT)
     if match is None:
         eq = [[ctx.point_eq(c, d) for d in q.corners] for c in p.corners]
         match = [any(row) for row in eq], [any(col) for col in zip(*eq)]
@@ -602,18 +627,21 @@ def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
     if fp.plane is not None and fq.plane is None:
         p, q, fp, fq, match = q, p, fq, fp, match[::-1]
     out = res.violations
-    _corner_incursions(p, q, fq, ctx, out, match[0], sp and sp[1])
-    _corner_incursions(q, p, fp, ctx, out, match[1], sq and sq[1])
-
     seek_touch = not res.shared_corners
-    if fp.plane is None and fq.plane is None:
-        touch = _degenerate_pair(p, q, ctx, out)
-    elif fp.plane is None:
-        touch = _degenerate_vs_polygon(p, q, fq, ctx, out)
-    elif crossing:
-        touch = _transversal(p, q, fp, fq, sp, sq, dr, ctx, out, seek_touch)
+    if cuts is not None:
+        touch = _on_common_line(p.corners, q.corners, sp[1], sq[1], dr, cuts, match,
+                                out, seek_touch)
     else:
-        touch = _coplanar(p, q, fp, fq, ctx, out, seek_touch)
+        _corner_incursions(p, q, fq, ctx, out, match[0], sp and sp[1])
+        _corner_incursions(q, p, fp, ctx, out, match[1], sq and sq[1])
+        if fp.plane is None and fq.plane is None:
+            touch = _degenerate_pair(p, q, ctx, out)
+        elif fp.plane is None:
+            touch = _degenerate_vs_polygon(p, q, fq, ctx, out)
+        elif crossing:
+            touch = _transversal(p, q, fp, fq, sp, sq, dr, ctx, out, seek_touch)
+        else:
+            touch = _coplanar(p, q, fp.axis, sep, ctx, out, seek_touch)
 
     if res.violations:
         res.kind = VIOLATION
@@ -625,40 +653,36 @@ def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
     return res
 
 
-def _coplanar(p, q, fp, fq, ctx, out, seek_touch) -> list:
-    """Two proper polygons in one plane: interior overlap by separating
-    axes (edge normals of both), and, when sought in float mode, a touch
-    witness unless an axis separates them."""
-    def axes(pts):
-        n = len(pts)
-        return [(-(pts[(i + 1) % n][1] - pts[i][1]),
-                 pts[(i + 1) % n][0] - pts[i][0]) for i in range(n)]
-
-    def interval(pts, ax):
-        vals = [ax[0] * pt[0] + ax[1] * pt[1] for pt in pts]
-        return min(vals), max(vals)
-
-    separated = False
+def _separation(a, b, ctx) -> int:
+    """Two convex flat corner lists on one plane, by separating axes (the
+    edge normals of both): 1 when an axis separates them strictly, else 0
+    when on some axis their projections only touch, else -1 (their
+    interiors overlap)."""
     touching_axis = False
-    for flat in (fp.flat, fq.flat):
-        for ax in axes(flat):
-            p_lo, p_hi = interval(fp.flat, ax)
-            q_lo, q_hi = interval(fq.flat, ax)
-            if ctx.sign(q_lo - p_hi) > 0 or ctx.sign(p_lo - q_hi) > 0:
-                separated = True
-                break
-            if ctx.is_zero(q_lo - p_hi) or ctx.is_zero(p_lo - q_hi):
-                touching_axis = True
-        if separated:
-            break
-    if not separated and not touching_axis:
+    for flat in (a, b):
+        for u, v in zip(flat, flat[1:] + flat[:1]):
+            ax, ay = u[1] - v[1], v[0] - u[0]
+            a_vals = [ax * x + ay * y for x, y in a]
+            b_vals = [ax * x + ay * y for x, y in b]
+            gaps = ctx.sign(min(b_vals) - max(a_vals)), ctx.sign(min(a_vals) - max(b_vals))
+            if 1 in gaps:
+                return 1
+            touching_axis = touching_axis or 0 in gaps
+    return 0 if touching_axis else -1
+
+
+def _coplanar(p, q, axis, sep, ctx, out, seek_touch) -> list:
+    """Two proper polygons in one plane, with their `_separation` `sep`:
+    an interior overlap when no axis separates or touches, and, when
+    sought in float mode, a touch witness unless an axis separates them."""
+    if sep < 0:
         out.append(("interior-overlap", p.corners[0]))
     # Exact closures of two coplanar convex polygons meet only where edges
     # cross (an interior overlap) or a corner lies on the other polygon (an
     # incursion), so an exact pair that reaches here has no touch point.
-    if separated or not seek_touch or ctx.exact:
+    if sep > 0 or not seek_touch or ctx.exact:
         return []
-    return _boundary_touch_points(p, q, fp.axis, ctx)
+    return _boundary_touch_points(p, q, axis, ctx)
 
 
 def _boundary_touch_points(p, q, axis, ctx) -> list:
@@ -676,15 +700,15 @@ def _boundary_touch_points(p, q, axis, ctx) -> list:
 
 
 def _transversal(p, q, fp, fq, sp, sq, dr, ctx, out, seek_touch) -> list:
-    """Two polygons in crossing planes, by the interval test.
+    """Two float polygons in crossing planes, by the interval test.
 
     Each polygon meets the other's plane in an interval of t = dr.x on the
     planes' common line (`_cut`).  The midpoint of an open common interval
-    witnesses an interior overlap when it is interior to both polygons; the
-    common interval's ends are touch points when sought.
+    witnesses an interior overlap when it is located in the interior of
+    both polygons; the common interval's ends are touch points when sought.
+    Exact pairs are decided without locating (`_on_common_line`).
     """
-    if not ctx.exact:
-        dr = vscale(dr, 1.0 / math.sqrt(vdot(dr, dr)))  # t in units of length
+    dr = vscale(dr, 1.0 / math.sqrt(vdot(dr, dr)))  # t in units of length
     cp = _cut(p.corners, sp, dr, ctx)
     cq = cp and _cut(q.corners, sq, dr, ctx)
     if cq is None:
@@ -715,6 +739,45 @@ def _transversal(p, q, fp, fq, sp, sq, dr, ctx, out, seek_touch) -> list:
         if loc_p != "outside" and loc_q != "outside":
             touch.append(pt)
     return touch
+
+
+def _on_common_line(pc, qc, p_sign, q_sign, dr, cuts, match, out, seek_touch) -> list:
+    """Two exact proper polygons in crossing planes whose `_cut` intervals
+    `cuts` meet, decided on the planes' common line L with no point located.
+
+    A convex polygon meets L in exactly its closed `_cut` interval; if it
+    straddles the other's plane (has corners strictly on both sides), L
+    meets its interior and the open interval lies in that interior, and
+    otherwise it meets L on its boundary only.  An unshared corner on the
+    other's plane, at t = dr.c, is thus outside the other polygon off its
+    interval, in its interior strictly inside the interval of a straddling
+    polygon, and on its boundary otherwise.  The interiors overlap when the
+    common interval is open and both straddle, witnessed by its midpoint;
+    its ends (one when it is a point) are the touch points.
+    """
+    (lp, hp), (lq, hq) = cuts
+    p_across, q_across = (1 in sign and -1 in sign for sign in (p_sign, q_sign))
+    for corners, sign, shared, (lo, hi), across in (
+            (pc, p_sign, match[0], cuts[1], q_across),
+            (qc, q_sign, match[1], cuts[0], p_across)):
+        for c, side, m in zip(corners, sign, shared):
+            if side or m:
+                continue
+            t = (vdot(dr, c), 1)
+            if _earlier(t, lo) or _earlier(hi, t):
+                continue
+            inside = across and _earlier(lo, t) and _earlier(t, hi)
+            out.append(("corner-inside" if inside else "corner-on-boundary", c))
+    lo = lq if _earlier(lp, lq) else lp
+    hi = hq if _earlier(hq, hp) else hp
+    is_open = _earlier(lo, hi)
+    overlap = is_open and p_across and q_across
+    if not (seek_touch or overlap):
+        return []
+    ends = [_end_point(lo, EXACT), _end_point(hi, EXACT)]
+    if overlap:
+        out.append(("interior-overlap", tuple(Fraction(x + y, 2) for x, y in zip(*ends))))
+    return ends if is_open else ends[:1]
 
 
 def _cut(corners, side, dr, ctx):

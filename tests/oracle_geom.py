@@ -28,8 +28,11 @@ def dot(a, b):
 
 
 def fan(poly):
+    """Triangles from the first corner, less the zero-area ones a straight
+    angle makes: their zero normal would pass every containment test."""
     cs = poly.corners
-    return [(cs[0], cs[i], cs[i + 1]) for i in range(1, len(cs) - 1)]
+    return [(cs[0], cs[i], cs[i + 1]) for i in range(1, len(cs) - 1)
+            if cross(sub(cs[i], cs[0]), sub(cs[i + 1], cs[0])) != (0, 0, 0)]
 
 
 def seg_triangle_points(p0, p1, tri):
@@ -221,12 +224,13 @@ def oracle_classify(p, q):
     # interior-interior: candidate = centroid of the witness hull
     pl = sorted(pts)
     denom = len(pl)
-    centroid = tuple(sum(x[k] for x in pl) / denom for k in range(3))
+    # Fractions, so that int corners give no float round-off
+    centroid = tuple(Fraction(sum(x[k] for x in pl), denom) for k in range(3))
     if strictly_inside(centroid, p) and strictly_inside(centroid, q):
         return "Violation"
     if len(pl) >= 2:
         for a, b in combinations(pl, 2):
-            mid = tuple((a[k] + b[k]) / 2 for k in range(3))
+            mid = tuple(Fraction(a[k] + b[k], 2) for k in range(3))
             if strictly_inside(mid, p) and strictly_inside(mid, q):
                 return "Violation"
     if shared:

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polycontact import geom
-from polycontact.geom import (ArithmeticContext, Polygon3, _one_side, _plane_sides,
-                              classify_pair, polygon_properties,
+from polycontact.geom import (ArithmeticContext, PairClassification, Polygon3,
+                              _one_side, _plane_sides, classify_pair, polygon_properties,
                               CORNER_CONTACT, DISJOINT, VIOLATION, BOUNDARY_TOUCH)
 
 from oracle_geom import oracle_classify
@@ -291,6 +291,79 @@ class TestClassifyPair:
             res = classify_pair(p, q, FL)
             assert res.kind == BOUNDARY_TOUCH
             assert res.violations == []
+
+    # b's plane y = 1 crosses a's interior: a's chord on it runs from
+    # (0, 1, 0) to (3, 1, 0); b straddles a's plane and meets it in one
+    # corner, at one end of that chord or the other
+    @pytest.mark.parametrize("b", [
+        P((3, 1, 0), (5, 1, 2), (5, 1, -2)),
+        P((0, 1, 0), (-2, 1, 2), (-2, 1, -2)),
+    ], ids=["high-end", "low-end"])
+    def test_corner_at_a_chord_end_is_on_the_boundary(self, b):
+        a = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
+        for x, y in ((a, b), (b, a)):
+            res = classify_pair(x, y)
+            assert res.kind == VIOLATION
+            assert res.violations == [("corner-on-boundary", b.corners[0])]
+
+    def test_chord_along_an_edge_is_on_the_boundary(self):
+        # b's plane y = 0 meets a along its edge from (0, 0, 0) to (4, 0, 0):
+        # b's corner strictly inside that chord is on a's boundary, since a
+        # does not straddle b's plane
+        a = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
+        b = P((2, 0, 0), (3, 0, 2), (1, 0, 2))
+        for x, y in ((a, b), (b, a)):
+            res = classify_pair(x, y)
+            assert res.violations == [("corner-on-boundary", (2, 0, 0))]
+
+    def test_overlap_witness_is_the_common_intervals_midpoint(self):
+        # on the common line y = 1, z = 0 a spans x in [0, 4] and b spans
+        # [1, 11/2]; both straddle, so the midpoint of [1, 4] is interior
+        # to both
+        a = P((0, 0, 0), (4, 0, 0), (4, 4, 0), (0, 4, 0))
+        b = P((1, 1, -1), (7, 1, -1), (1, 1, 3))
+        for x, y in ((a, b), (b, a)):
+            res = classify_pair(x, y)
+            assert res.violations == [("interior-overlap", (F(5, 2), F(1), F(0)))]
+
+    def test_touch_witnesses_in_order(self):
+        # b straddles a's plane and meets it in [3/2, 5/2] on a's edge
+        # y = 0: an open common interval, but a does not straddle b's
+        # plane, so both ends are touch points, in the order of t along the
+        # common line, which the swapped pair runs the other way
+        a = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
+        b = P((1, 0, -1), (3, 0, -1), (2, 0, 1))
+        ends = [(F(3, 2), F(0), F(0)), (F(5, 2), F(0), F(0))]
+        assert classify_pair(a, b) == PairClassification(BOUNDARY_TOUCH, touch_witnesses=ends)
+        assert classify_pair(b, a).touch_witnesses == ends[::-1]
+        # a common interval that is one point gives one witness
+        a = P((0, 0, 0), (2, 0, 1), (0, -2, 0))
+        b = P((0, 0, 1), (2, 0, 0), (0, 2, 0))
+        for x, y in ((a, b), (b, a)):
+            assert classify_pair(x, y).touch_witnesses == [(F(1), F(0), F(1, 2))]
+
+    def test_coplanar_touch_on_an_axis_is_not_disjoint(self):
+        # b lies below a's edge line y = 0 and touches it at a corner on
+        # a's edge: no axis separates them strictly
+        a = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
+        b = P((2, 0, 0), (3, -2, 0), (1, -2, 0))
+        for x, y in ((a, b), (b, a)):
+            res = classify_pair(x, y)
+            assert res.violations == [("corner-on-boundary", (2, 0, 0))]
+        # moved down by one, an axis separates them
+        b = P((2, -1, 0), (3, -3, 0), (1, -3, 0))
+        assert classify_pair(a, b) == PairClassification(DISJOINT)
+
+    @pytest.mark.parametrize("b", [
+        P((3, 0, 0), (3, -2, 1), (3, -2, -1)),
+        P((3, 0, 0), (5, -2, 0), (3, -2, 0)),
+    ], ids=["crossing", "coplanar"])
+    def test_corner_on_a_straight_angle_edge(self, b):
+        # b's corner (3, 0, 0) lies on a's edge from (2, 0, 0) to (4, 0, 0),
+        # beyond the end of the edge before it, which runs on the same line
+        a = P((0, 0, 0), (2, 0, 0), (4, 0, 0), (4, 4, 0), (0, 4, 0))
+        for x, y in ((a, b), (b, a)):
+            assert classify_pair(x, y).violations == [("corner-on-boundary", (3, 0, 0))]
 
     def test_symmetry(self):
         a = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
