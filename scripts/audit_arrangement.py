@@ -29,9 +29,9 @@ def main():
     print(f"{'n':>3} {'build s':>8} {'coord bits':>10} {'audit':>6}")
     dirty = False
     for n in range(3, args.max_n + 1):
-        t0 = time.time()
+        t0 = time.perf_counter()
         arr = build_line_arrangement(n)
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         clean = audit_arrangement(arr) == []
         dirty |= not clean
         print(f"{n:>3} {dt:>8.3f} {bits(arr):>10} {'clean' if clean else 'DIRTY':>6}")

@@ -22,11 +22,11 @@ _EXPORTS = {
                   "represent_bipartite_toroidal", "represent_k33_unit_triangles"),
     "core": ("Graph", "Hypergraph", "InputError", "OnePlaneEmbedding",
              "SteinerDescriptor", "block_label", "blocks_from_text",
-             "builtin_descriptor", "builtin_system", "edge_key",
+             "builtin_descriptor", "builtin_system", "edge_key", "find_bridges",
              "graph_from_edge_list", "validate_steiner"),
     "cubic": ("BridgeBlockTree", "PetersenDecomposition", "bridge_block_tree",
-              "find_bridges", "petersen_decompose", "represent_2ec_cubic",
-              "represent_cubic", "represent_max_degree3"),
+              "petersen_decompose", "represent_2ec_cubic", "represent_cubic",
+              "represent_max_degree3"),
     "cyclesq": ("cycle_square_graph", "represent_cycle_square"),
     "geom": ("ArithmeticContext", "GeometryError", "PairClassification",
              "Polygon3", "classify_pair", "polygon_properties"),

@@ -15,10 +15,11 @@ at s_i = sum(4**-k for 1 <= k < i).  Why it has both properties:
 - The slopes 2 s_i are distinct, so no two lines are parallel; tangents at
   a, b, c are never concurrent, since that needs (c - a)(c - b) = 0.
 
-As s_i has denominator 4**(i-1), every coordinate is a rational with a
-power-of-two denominator and at most 4n bits.  One exact `arrangement_ok`
-on the built arrangement is its certificate; the build raises if it
-fails.
+Every s_i is S_i / D, for D = 4**(n-1) and the int
+S_i = (4**(i-1) - 1) / 3 * 4**(n-i), so the build makes each coordinate
+as one `Fraction` of two ints, with a power-of-two denominator and at
+most 4n bits.  One `arrangement_ok`, run on ints too, is its
+certificate; the build raises if it fails.
 
 Lifting intersection point p(i,j) to z = min(i,j) makes the convex hull of
 each line's lifted points a polygon in a vertical plane; polygons of lines
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from .core import Graph, edge_key
 from .geom import Polygon3
 from .scene import ConstructionError, Scene, graph_scene
@@ -68,17 +70,19 @@ def arrangement_ok(arr: Arrangement) -> bool:
     Along each line, intersections with the other lines must appear in
     index order (one direction or the other), and every consecutive gap
     must be at most half the previous one.  The crossings are compared on
-    their x-coordinates: line i has direction (1, 2 s_i), so x is an
-    increasing affine function of the position along it, which keeps both
-    the order and the gap ratios.  `audit_arrangement` is the independent
-    check, which assumes no direction.
+    their x-coordinates, as ints over the line's least common denominator:
+    line i has direction (1, 2 s_i), so x is an increasing affine function
+    of the position along it, which keeps both the order and the gap
+    ratios.  `audit_arrangement` is the independent check, which assumes
+    no direction.
     """
     for i in range(1, arr.n + 1):
         try:
-            ts = [arr.point(i, j)[0] for j in range(1, arr.n + 1) if j != i]
+            xs = [arr.point(i, j)[0] for j in range(1, arr.n + 1) if j != i]
         except KeyError:
             return False
-        if not _monotone_halving(ts):
+        d = lcm(*(x.denominator for x in xs))
+        if not _monotone_halving([x.numerator * (d // x.denominator) for x in xs]):
             return False
     return True
 
@@ -121,9 +125,11 @@ def build_line_arrangement(n: int) -> Arrangement:
     the tangents to y = x**2 at s_i = (1 - 4**(1-i)) / 3 (module docstring)."""
     if n < 3:
         raise ConstructionError("need at least 3 lines")
-    s = {i: Fraction(4 ** (i - 1) - 1, 3 * 4 ** (i - 1)) for i in range(1, n + 1)}
-    arr = Arrangement(n=n, points={frozenset((i, j)): ((s[i] + s[j]) / 2, s[i] * s[j])
-                                   for i in s for j in s if i < j})
+    d = 4 ** (n - 1)
+    s = {i: (4 ** (i - 1) - 1) // 3 * 4 ** (n - i) for i in range(1, n + 1)}
+    arr = Arrangement(n=n, points={
+        frozenset((i, j)): (Fraction(s[i] + s[j], 2 * d), Fraction(s[i] * s[j], d * d))
+        for i in s for j in range(i + 1, n + 1)})
     if not arrangement_ok(arr):
         raise ConstructionError(f"arrangement of {n} lines failed its exact re-check")
     return arr

@@ -97,6 +97,40 @@ class Graph:
         return len(seen) == self.n
 
 
+def find_bridges(g: Graph) -> set:
+    """All bridges of g (edge keys), by iterative DFS lowpoints."""
+    disc = {}
+    low = {}
+    bridges = set()
+    counter = [0]
+    for root in g.vertices:
+        if root in disc:
+            continue
+        stack = [(root, None, iter(g.neighbors(root)))]
+        disc[root] = low[root] = counter[0]
+        counter[0] += 1
+        while stack:
+            v, parent, it = stack[-1]
+            advanced = False
+            for w in it:
+                if w not in disc:
+                    disc[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append((w, v, iter(g.neighbors(w))))
+                    advanced = True
+                    break
+                elif w != parent:
+                    low[v] = min(low[v], disc[w])
+            if not advanced:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] > disc[u]:
+                        bridges.add(edge_key(u, v))
+    return bridges
+
+
 def graph_from_edge_list(text: str) -> Graph:
     """Parse a whitespace-separated edge list ('#' starts a comment).
 

@@ -436,7 +436,7 @@ def _locate_point(poly: Polygon3, f: Optional[PolygonProperties], q: Point3,
         if not plane_contains(f.plane, q, ctx):
             return "outside"
         q2, pts = project2d(q, f.axis), f.flat
-        on_edge = False
+        on_edge = beyond = False
         for a, b in zip(pts, pts[1:] + pts[:1]):
             s = ctx.sign(cross2(a, b, q2))
             if s < 0:
@@ -444,13 +444,14 @@ def _locate_point(poly: Polygon3, f: Optional[PolygonProperties], q: Point3,
             if s == 0:
                 # a convex polygon is the meet of its edges' inner half
                 # planes, so an exact q2 on an edge's line is on the
-                # boundary, also beyond that edge along a straight angle
-                if not ctx.exact and not all(
-                        ctx.sign(q2[k] - min(a[k], b[k])) >= 0
-                        and ctx.sign(max(a[k], b[k]) - q2[k]) >= 0 for k in (0, 1)):
-                    return "outside"
-                on_edge = True
-        return "boundary" if on_edge else "interior"
+                # boundary, also beyond that edge along a straight angle;
+                # a float one is outside unless some edge's box holds it
+                held = ctx.exact or all(
+                    ctx.sign(q2[k] - min(a[k], b[k])) >= 0
+                    and ctx.sign(max(a[k], b[k]) - q2[k]) >= 0 for k in (0, 1))
+                on_edge |= held
+                beyond |= not held
+        return "boundary" if on_edge else "outside" if beyond else "interior"
     if len(poly.corners) == 1:
         return "outside"
     a, b = _segment_ends(poly.corners)

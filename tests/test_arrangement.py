@@ -1,5 +1,6 @@
 """Line arrangement and the lifted complete-graph construction."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from polycontact import (ConstructionError, Polygon3, arrangement_ok,
                          represent_complete, represent_min_degree3, strictify,
                          verify_scene)
 from polycontact.arrangement import audit_arrangement
+from polycontact.cli import main
 
 
 class TestArrangement:
@@ -28,6 +30,34 @@ class TestArrangement:
         # at most 4n bits per coordinate, which rules out quadratic growth
         assert all(max(c.numerator.bit_length(), c.denominator.bit_length()) <= 4 * n
                    for p in arr.points.values() for c in p)
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_points_are_the_closed_form(self, n):
+        # p(i,j) = ((s_i + s_j)/2, s_i s_j) with s_i = (1 - 4**(1-i)) / 3,
+        # in Fraction arithmetic
+        s = {i: F(4 ** (i - 1) - 1, 3 * 4 ** (i - 1)) for i in range(1, n + 1)}
+        assert build_line_arrangement(n).points == {
+            frozenset((i, j)): ((s[i] + s[j]) / 2, s[i] * s[j])
+            for i in s for j in s if i < j}
+
+    def test_non_dyadic_points_are_checked_exactly(self):
+        # line 1 meets lines 3, 4, 5 at x = 5/32, 21/128, 85/512
+        arr = build_line_arrangement(6)
+        p14 = arr.point(1, 4)
+        # in order, but the gap before p(1,4) (1/192) is less than twice
+        # the one after it (5/512 - 1/192 = 7/1536)
+        arr.points[frozenset((1, 4))] = (F(5, 32) + F(1, 192), p14[1])
+        assert not arrangement_ok(arr)
+        # p(1,6) at x = 1/6, a third of the way past p(1,5) = 85/512 (the
+        # last gap may be at most half of 1/512), still holds on lines 1 and 6
+        arr.points[frozenset((1, 4))] = p14
+        arr.points[frozenset((1, 6))] = (F(1, 6), F(0))
+        assert arrangement_ok(arr)
+
+    def test_missing_point_rejected(self):
+        arr = build_line_arrangement(5)
+        del arr.points[frozenset((2, 4))]
+        assert not arrangement_ok(arr)
 
     @pytest.mark.parametrize("broken", ["swapped", "no-halving"])
     def test_broken_arrangement_rejected_by_both_checks(self, broken):
@@ -74,6 +104,15 @@ class TestComplete:
     def test_too_small(self):
         with pytest.raises(ConstructionError):
             represent_complete(2)
+
+    @pytest.mark.parametrize("n, sha256", [
+        (10, "d2361e6171ac155081ee13d8cc33dcab31cf902d3ac17badd506288a2f81c5da"),
+        (12, "914115f71f2287278004cea94788a9cdcf49ee1be240ad46516714c50a3dbe99"),
+    ])
+    def test_scene_file_bytes_are_pinned(self, tmp_path, n, sha256):
+        out = tmp_path / "k.json"
+        assert main(["represent", "--class", "complete", "--n", str(n), "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     def test_vertical_planes(self):
         # every polygon's corners project onto its arrangement line

@@ -365,6 +365,18 @@ class TestClassifyPair:
         for x, y in ((a, b), (b, a)):
             assert classify_pair(x, y).violations == [("corner-on-boundary", (3, 0, 0))]
 
+    @pytest.mark.parametrize("b", [
+        P((3, 0, 0), (3, -2, 1), (3, -2, -1)),
+        P((3, 0, 0), (5, -2, 0), (3, -2, 0)),
+    ], ids=["crossing", "coplanar"])
+    def test_float_corner_on_a_straight_angle_edge(self, b):
+        # with eps > 0, (3, 0, 0) is beyond the first straight-angle edge's
+        # box; the next edge still puts it on a's boundary
+        a = _floats(P((0, 0, 0), (2, 0, 0), (4, 0, 0), (4, 4, 0), (0, 4, 0)))
+        for x, y in ((a, _floats(b)), (_floats(b), a)):
+            assert classify_pair(x, y, FL).violations == [
+                ("corner-on-boundary", (3.0, 0.0, 0.0))]
+
     def test_symmetry(self):
         a = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
         b = P((1, 1, 0), (5, 1, 0), (1, 5, 0))

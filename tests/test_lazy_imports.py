@@ -86,6 +86,12 @@ class TestImportFootprint:
         assert got["loaded"] == ["polycontact"]
         assert not got["networkx"]
 
+    def test_find_bridges_loads_core_only(self):
+        got = _fresh("import json, sys\nfrom polycontact import find_bridges\n"
+                     "print(json.dumps(sorted(m for m in sys.modules"
+                     " if m.split('.')[0] == 'polycontact')))")
+        assert got == ["polycontact", "polycontact.core"]
+
     def test_cli_loads_the_verifier_only(self):
         got = _fresh(_FOOTPRINT, "polycontact.cli")
         assert got["loaded"] == _CLI_BASE
