@@ -2,19 +2,20 @@
 
 Coordinates are either exact (`fractions.Fraction`, or ints once
 `verify.KernelScene` has scaled a scene) or `float` (epsilon mode).  All
-predicates go through an `ArithmeticContext`, so the same code path serves
-both modes; only the sign test differs.
+predicates take the eps of an `ArithmeticContext` (0 in exact mode) and
+test x > eps and x < -eps, so the same code path serves both modes and
+NaN counts as zero; the hot loops write that test out inline.
 
 On int coordinates the polygon checks, the plane tests and the interval
 test of transversal pairs are division-free.  Plane normals are divided by
 the gcd of their entries.  For two proper polygons `classify_pair` computes
 each corner's signed distance to the other polygon's plane once, and the
-one-side exit, the corner checks and the interval test all read those
-ints.  Each polygon meets the other's plane in an interval of t = dr.x
-along the planes' common line (dr the cross product of the normals); its
-ends come from the corners on that plane and the edges whose corners lie
-on opposite sides, as int (num, den) pairs compared by
-cross-multiplication.  An exact pair whose intervals meet is decided on
+one-side exit, the lone-corner exit, the corner checks and the interval
+test all read those ints.  Each polygon meets the other's plane in an
+interval of t = dr.x along the planes' common line (dr the cross product
+of the normals); its ends come from the corners on that plane and the
+edges whose corners lie on opposite sides, as int (num, den) pairs
+compared by cross-multiplication.  An exact pair whose intervals meet is decided on
 that line, with no point located (`_on_common_line`); `Fraction`s are
 built only for its overlap and touch witnesses, and by the point/segment
 cases.
@@ -64,6 +65,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
+from operator import itemgetter
 from typing import Optional, Sequence
 
 Point3 = tuple  # (x, y, z) of Fraction or float
@@ -93,12 +95,11 @@ class ArithmeticContext:
         self.eps = 0 if exact else eps
 
     def sign(self, x) -> int:
-        if not self.exact and abs(x) <= self.eps:
-            return 0
-        return (x > 0) - (x < 0)
+        eps = self.eps
+        return (x > eps) - (x < -eps)
 
     def is_zero(self, x) -> bool:
-        return self.sign(x) == 0
+        return not (x > self.eps or x < -self.eps)  # NaN is zero, as for `sign`
 
     def point_eq(self, p: Point3, q: Point3) -> bool:
         if self.exact:
@@ -142,7 +143,9 @@ def vcross(a, b):
 
 
 def is_zero_vec(v, ctx: ArithmeticContext) -> bool:
-    return all(ctx.is_zero(c) for c in v)
+    x, y, z = v
+    eps, neg = ctx.eps, -ctx.eps
+    return not (x > eps or x < neg or y > eps or y < neg or z > eps or z < neg)
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +234,21 @@ def _drop_axis(normal) -> int:
     return max(range(3), key=lambda k: abs(normal[k]))
 
 
+_PROJECT = (itemgetter(1, 2), itemgetter(2, 0), itemgetter(0, 1))  # by dropped axis
+
+
 def project2d(p: Point3, axis: int):
-    if axis == 0:
-        return (p[1], p[2])
-    if axis == 1:
-        return (p[2], p[0])
-    return (p[0], p[1])
+    return _PROJECT[axis](p)
 
 
 def cross2(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _on_seg(a, b, c) -> bool:
+    """Whether c, collinear with ab, lies in ab's box."""
+    return (min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
 
 
 def _segments_intersect2d(p1, p2, q1, q2, ctx) -> bool:
@@ -251,19 +259,13 @@ def _segments_intersect2d(p1, p2, q1, q2, ctx) -> bool:
     d4 = ctx.sign(cross2(p1, p2, q2))
     if d1 * d2 < 0 and d3 * d4 < 0:
         return True
-
-    def on_seg(a, b, c):
-        # c collinear with ab assumed
-        return (min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-                and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
-
-    if d1 == 0 and on_seg(q1, q2, p1):
+    if d1 == 0 and _on_seg(q1, q2, p1):
         return True
-    if d2 == 0 and on_seg(q1, q2, p2):
+    if d2 == 0 and _on_seg(q1, q2, p2):
         return True
-    if d3 == 0 and on_seg(p1, p2, q1):
+    if d3 == 0 and _on_seg(p1, p2, q1):
         return True
-    if d4 == 0 and on_seg(p1, p2, q2):
+    if d4 == 0 and _on_seg(p1, p2, q2):
         return True
     return False
 
@@ -291,12 +293,15 @@ def polygon_properties(poly: Polygon3, ctx: ArithmeticContext = EXACT,
     props = PolygonProperties()
     cs = poly.corners
     n = len(cs)
+    eps, neg = ctx.eps, -ctx.eps
     props.plane = plane = _plane_of(cs, ctx)
     if plane is not None:
         props.axis = axis = _drop_axis(plane[0])
-        pts = [project2d(p, axis) for p in cs]
-        area2 = sum(cross2(pts[0], pts[i], pts[i + 1]) for i in range(1, n - 1))
-        props.flat = tuple(pts) if ctx.sign(area2) > 0 else tuple(reversed(pts))
+        pts = list(map(_PROJECT[axis], cs))
+        ox, oy = pts[0]
+        area2 = sum((ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+                    for (ax, ay), (bx, by) in zip(pts[1:-1], pts[2:]))
+        props.flat = tuple(pts) if area2 > eps else tuple(reversed(pts))
 
     if duplicates is None:
         duplicates = [(i, j) for i in range(n) for j in range(i + 1, n)
@@ -317,14 +322,17 @@ def polygon_properties(poly: Polygon3, ctx: ArithmeticContext = EXACT,
         props.degenerate = True
         props.issues.append("all corners collinear")
         return props
-    for p in cs:
-        if not plane_contains(plane, p, ctx):
+    (nx, ny, nz), d = plane
+    for x, y, z in cs:
+        h = nx * x + ny * y + nz * z - d
+        if h > eps or h < neg:
             props.issues.append("corners not coplanar")
             return props
     props.planar = True
 
-    turns = [ctx.sign(cross2(pts[i - 1], pts[i], pts[(i + 1) % n]))
-             for i in range(n)]
+    turns = [(t > eps) - (t < neg) for t in (
+        (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+        for (ox, oy), (ax, ay), (bx, by) in zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1]))]
     if ctx.exact and _winds_once(pts, turns):
         props.simple = props.convex = True
         props.strictly_convex = 0 not in turns
@@ -544,15 +552,29 @@ def _corner_incursions(p: Polygon3, q: Polygon3, fq, ctx, out, p_shared, p_sign=
 def _plane_sides(plane, corners, ctx):
     """Each corner's signed distance vdot(n, c) - d to the plane, and its
     sign; ints on the kernel's int corners."""
-    n, d = plane
-    dist = [vdot(n, c) - d for c in corners]
-    return dist, [ctx.sign(x) for x in dist]
+    (a, b, c), d = plane
+    eps, neg = ctx.eps, -ctx.eps
+    dist = [a * x + b * y + c * z - d for x, y, z in corners]
+    return dist, [(h > eps) - (h < neg) for h in dist]
 
 
 def _one_side(side) -> bool:
     """Every corner lies strictly on one side of the plane: the signs
     (`_plane_sides`) are all +1 or all -1."""
     return side[0] != 0 and side.count(side[0]) == len(side)
+
+
+def _lone_corner(sign, corners, others, shared, ctx):
+    """A proper polygon's one corner on the other's plane when the others
+    lie strictly on one side (`sign`, from `_plane_sides`) and it is shared
+    (`shared`, its match row, else by `ctx.point_eq` on `others`); else None."""
+    if sign.count(0) != 1 or len(set(sign)) != 2:
+        return None
+    i = sign.index(0)
+    c = corners[i]
+    if shared[i] if shared is not None else any(ctx.point_eq(c, d) for d in others):
+        return c
+    return None
 
 
 def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
@@ -581,9 +603,12 @@ def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
     Two proper polygons are separated first, before the match is read:
     1. each corner's distance to the other's plane is computed once, with
        its sign; in exact mode the pair is Disjoint when either polygon lies
-       strictly on one side of the other's plane (q's distances are not
-       computed when p's already say so), and in both modes when the planes
-       are distinct and parallel;
+       strictly on one side of the other's plane, and CornerContact when
+       either has exactly one corner on that plane, shared, and every other
+       corner strictly on one side (such a polygon meets the other only at
+       that corner); q's distances are not computed when p's already say
+       so; in both modes the pair is Disjoint when the planes are distinct
+       and parallel;
     2. in exact mode, crossing planes get both `_cut` intervals on the
        planes' common line, and the pair is Disjoint when they miss;
        otherwise `_on_common_line` decides it there, locating no point;
@@ -601,11 +626,20 @@ def classify_pair(p: Polygon3, q: Polygon3, ctx: ArithmeticContext = EXACT,
     cuts = sep = None  # exact crossing planes' `_cut`s; coplanar `_separation`
     if fp.plane is not None and fq.plane is not None:
         sp = _plane_sides(fq.plane, p.corners, ctx)
-        if ctx.exact and _one_side(sp[1]):
-            return PairClassification(kind=DISJOINT)
+        if ctx.exact:
+            if _one_side(sp[1]):
+                return PairClassification(kind=DISJOINT)
+            c = _lone_corner(sp[1], p.corners, q.corners, match and match[0], ctx)
+            if c is not None:
+                return PairClassification(kind=CORNER_CONTACT, shared_corners=[c])
         sq = _plane_sides(fp.plane, q.corners, ctx)
-        if ctx.exact and _one_side(sq[1]):
-            return PairClassification(kind=DISJOINT)
+        if ctx.exact:
+            if _one_side(sq[1]):
+                return PairClassification(kind=DISJOINT)
+            c = _lone_corner(sq[1], q.corners, p.corners, match and match[1], ctx)
+            if c is not None:
+                return PairClassification(kind=CORNER_CONTACT,
+                                          shared_corners=[x for x in p.corners if x == c])
         dr = vcross(fp.plane[0], fq.plane[0])
         crossing = not is_zero_vec(dr, ctx)
         if not crossing and sq[1][0]:

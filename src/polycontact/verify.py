@@ -84,10 +84,6 @@ class GridExtent(NamedTuple):
     approximate: bool = False
 
 
-def _pair_label(a: str, b: str):
-    return tuple(sorted((a, b)))
-
-
 class KernelScene:
     """A scene's polygons and contacts as the predicates see them.
 
@@ -118,7 +114,9 @@ class KernelScene:
     On the ints the polygon checks, point location and the interval test
     of transversal pairs divide nothing.  `Fraction`s are built where a
     transversal pair's two intervals meet, for the midpoint and touch
-    witnesses, by the point/segment classifiers, and by `unscale`.
+    witnesses, and by the point/segment classifiers.  `unscale` turns a
+    kernel point back into its scene coordinates, as `Fraction`s, and
+    divides only other points (midpoints, interval ends) by L.
     """
 
     def __init__(self, scene: Scene, ctx: ArithmeticContext):
@@ -135,11 +133,13 @@ class KernelScene:
         points = [c for poly in self.polygons.values() for c in poly.corners]
         points += self.contacts.values()
         if ctx.exact:
-            ratios = [tuple(map(_ratio, p)) for p in points]
+            ratios = [(x.as_integer_ratio(), y.as_integer_ratio(), z.as_integer_ratio())
+                      for x, y, z in points]
             dens = {den for r in ratios for _, den in r}
             self.scale = math.lcm(*dens)
             factor = {den: self.scale // den for den in dens}
-            keys = [tuple(num * factor[den] for num, den in r) for r in ratios]
+            keys = [(x * factor[dx], y * factor[dy], z * factor[dz])
+                    for (x, dx), (y, dy), (z, dz) in ratios]
         else:
             keys = [tuple(p) for p in points]
         index = {}  # point -> id, in first-seen order
@@ -150,6 +150,7 @@ class KernelScene:
                     for label, poly in self.polygons.items()}
         self.contact_ids = {k: next(ids) for k in self.contacts}
         if ctx.exact:
+            self._own = dict(zip(keys, points))  # int point -> a scene point of it
             scaled = list(index)
             self.polygons = {label: Polygon3(tuple(scaled[i] for i in self.ids[label]))
                              for label in self.polygons}
@@ -184,9 +185,13 @@ class KernelScene:
                       for other in near[pid] for j in at.get(other, ()) if j > i)
 
     def unscale(self, p) -> tuple:
-        """A point in the scene's own coordinates."""
+        """A point in the scene's own coordinates: a kernel point's own, as
+        `Fraction`s, and any other exact point (a midpoint) divided by L."""
         if not self.ctx.exact:
             return tuple(p)
+        own = self._own.get(p)
+        if own is not None:
+            return tuple(x if type(x) is Fraction else Fraction(x) for x in own)
         return tuple(Fraction(x, self.scale) for x in p)
 
 
@@ -310,7 +315,7 @@ def verify_scene(scene: Scene, eps: Optional[float] = None) -> VerificationRepor
         cls = classify_pair(kernel.polygons[a], kernel.polygons[b], ctx,
                             report.polygon_properties[a], report.polygon_properties[b],
                             match)
-        key = _pair_label(a, b)
+        key = a, b  # labels are sorted
         report.pair_kinds[key] = cls.kind
         if cls.kind == VIOLATION:
             for reason, witness in cls.violations:
@@ -354,7 +359,7 @@ def _reconstruct(scene: Scene, kernel: KernelScene, shared: dict,
         recon = {}
         for e in sorted(g.edges, key=sorted):
             u, v = sorted(e)
-            pts = shared.get(_pair_label(u, v), [])
+            pts = shared.get((u, v), [])
             if not pts:
                 report.violations.append(Finding("missing-contact", f"{u} / {v}",
                                                  "polygons do not share a corner"))

@@ -27,6 +27,51 @@ def _floats(poly):
     return Polygon3(tuple(tuple(float(x) for x in c) for c in poly.corners))
 
 
+_EPS = FL.eps
+_NAN, _INF = float("nan"), float("inf")
+# (x, sign in exact mode, sign in float mode with eps 1e-9); NaN counts as
+# zero in both, as does anything within eps in float mode
+SIGNS = [
+    (0, 0, 0),
+    (-0.0, 0, 0),
+    (_EPS, 1, 0),
+    (-_EPS, -1, 0),
+    (math.nextafter(_EPS, _INF), 1, 1),
+    (math.nextafter(-_EPS, -_INF), -1, -1),
+    (5e-324, 1, 0),
+    (F(-1, 2 ** 200), -1, 0),
+    (_NAN, 0, 0),
+    (_INF, 1, 1),
+    (-_INF, -1, -1),
+    (F(1, 3), 1, 1),
+    (F(-1, 10 ** 12), -1, 0),
+    (2 ** 200 + 1, 1, 1),
+    (-(2 ** 200), -1, -1),
+]
+
+
+class TestSignSemantics:
+    """`sign`, `is_zero`, `is_zero_vec` and the coplanarity check agree on
+    one threshold: |x| <= eps is zero, and so is NaN."""
+
+    @pytest.mark.parametrize("x, exact, fl", SIGNS)
+    def test_context_predicates(self, x, exact, fl):
+        for ctx, want in ((EX, exact), (FL, fl)):
+            assert ctx.sign(x) == want, (ctx, x)
+            assert ctx.is_zero(x) is (want == 0), (ctx, x)
+            for v in ((x, 0, 0), (0, x, 0), (0, 0, x)):
+                assert geom.is_zero_vec(v, ctx) is (want == 0), (ctx, v)
+
+    @pytest.mark.parametrize("x, exact, fl", SIGNS)
+    def test_coplanarity(self, x, exact, fl):
+        # the last corner is off the z = 0 plane of the first three by x
+        poly = Polygon3(((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, x)))
+        for ctx, want in ((EX, exact), (FL, fl)):
+            props = polygon_properties(poly, ctx)
+            assert props.planar is (want == 0), (ctx, x)
+            assert ("corners not coplanar" in props.issues) is (want != 0)
+
+
 class TestPolygonProperties:
     def test_unit_square(self):
         props = polygon_properties(P((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)))

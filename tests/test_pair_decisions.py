@@ -1,8 +1,10 @@
 """Exact proper pairs: `classify_pair` against the point-locating classifier.
 
 `classify_pair` decides two exact proper polygons in crossing planes on
-their common line, and drops strictly separated coplanar pairs before any
-corner is located.  `reference_classify` below is the earlier path, which
+their common line, drops strictly separated coplanar pairs before any
+corner is located, and calls a pair a corner contact from the plane-side
+signs alone when one polygon meets the other's plane only at a shared
+corner.  `reference_classify` below is the earlier path, which
 locates every unshared corner on the other's plane in the other polygon,
 and the common interval's midpoint and ends in both.  The two must agree
 on everything: kind, shared corners, violations with their witnesses in
@@ -18,8 +20,10 @@ straight angle; the earlier locator called it outside (see
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, strategies as st
 
+from polycontact import geom
 from polycontact.geom import (BOUNDARY_TOUCH, CORNER_CONTACT, DISJOINT, VIOLATION,
                               PairClassification, Polygon3, _cut, _earlier,
                               _end_point, _one_side, _plane_sides, classify_pair,
@@ -228,12 +232,21 @@ def kgon_pairs(draw):
     return place(a), place(b)
 
 
+def _match(p, q):
+    """The shared-corner match `verify_scene` passes for exact polygons:
+    corner equality."""
+    return (tuple(c in q.corners for c in p.corners),
+            tuple(c in p.corners for c in q.corners))
+
+
 def _same_as_reference(pair):
     if pair is None:
         return
     a, b = pair
     for p, q in ((a, b), (b, a)):
-        assert classify_pair(p, q) == reference_classify(p, q), (p.corners, q.corners)
+        ref = reference_classify(p, q)
+        assert classify_pair(p, q) == ref, (p.corners, q.corners)
+        assert classify_pair(p, q, match=_match(p, q)) == ref, (p.corners, q.corners)
 
 
 @given(convex_polygon_pairs())
@@ -250,3 +263,78 @@ def test_kgon_decisions_match_point_location(pair):
 def test_kinds_match_the_oracle(pair):
     a, b = pair
     assert classify_pair(a, b).kind == oracle_classify(a, b), (a.corners, b.corners)
+
+
+# ---------------------------------------------------------------------------
+# A lone corner on the other's plane
+# ---------------------------------------------------------------------------
+
+Q = Polygon3(((0, 0, 0), (4, 0, 0), (0, 4, 0)))  # on the plane z = 0
+
+
+def _decided(p, q, monkeypatch):
+    """`classify_pair(p, q)`, without and with a match, checked against the
+    reference; also whether it ran `_cut`, which every exact crossing pair
+    past the plane-side exits does."""
+    cuts = []
+    real = geom._cut
+
+    def counted(*args):
+        cuts.append(1)
+        return real(*args)
+    monkeypatch.setattr(geom, "_cut", counted)
+    ref = reference_classify(p, q)
+    res = classify_pair(p, q)
+    assert res == ref, (p.corners, q.corners)
+    assert classify_pair(p, q, match=_match(p, q)) == ref, (p.corners, q.corners)
+    return res, bool(cuts)
+
+
+def test_lone_shared_corner_of_the_first_polygon(monkeypatch):
+    # p meets Q's plane only at Q's corner (0, 0, 0), and lies above it
+    p = Polygon3(((-1, 0, 1), (0, 0, 0), (0, -1, 1)))
+    res, cut = _decided(p, Q, monkeypatch)
+    assert res.kind == CORNER_CONTACT and res.shared_corners == [(0, 0, 0)]
+    assert not res.violations and not res.touch_witnesses and not cut
+
+
+def test_lone_shared_corner_of_the_second_polygon(monkeypatch):
+    # p, a square on z = 0, straddles q's plane x = y and has two corners
+    # on it; q meets p's plane only at p's corner (2, 2, 0)
+    p = Polygon3(((-2, -2, 0), (2, -2, 0), (2, 2, 0), (-2, 2, 0)))
+    q = Polygon3(((0, 0, 2), (2, 2, 0), (3, 3, 2)))
+    res, cut = _decided(p, q, monkeypatch)
+    assert res.kind == CORNER_CONTACT and res.shared_corners == [(2, 2, 0)]
+    assert not cut
+    res, cut = _decided(q, p, monkeypatch)
+    assert res.kind == CORNER_CONTACT and res.shared_corners == [(2, 2, 0)]
+    assert not cut
+
+
+@pytest.mark.parametrize("p, reason", [
+    (Polygon3(((1, 1, 0), (2, 1, 1), (1, 2, 1))), "corner-inside"),
+    (Polygon3(((2, 0, 0), (2, 1, 1), (3, -1, 1))), "corner-on-boundary"),
+    (Polygon3(((2, 2, 0), (2, 3, 1), (3, 2, 1))), "corner-on-boundary"),
+])
+def test_lone_unshared_corner_on_the_other(p, reason, monkeypatch):
+    # p's one corner on Q's plane is no corner of Q but lies on Q
+    for a, b in ((p, Q), (Q, p)):
+        res, cut = _decided(a, b, monkeypatch)
+        assert res.kind == VIOLATION and res.violations == [(reason, p.corners[0])]
+        assert not res.shared_corners and cut
+
+
+def test_lone_unshared_corner_off_the_other(monkeypatch):
+    p = Polygon3(((5, 1, 0), (6, 1, 1), (5, 2, 1)))
+    for a, b in ((p, Q), (Q, p)):
+        res, _ = _decided(a, b, monkeypatch)
+        assert res.kind == DISJOINT
+
+
+def test_two_shared_corners_take_the_full_path(monkeypatch):
+    # p shares Q's edge from (0, 0, 0) to (4, 0, 0)
+    p = Polygon3(((0, 0, 0), (4, 0, 0), (2, -1, 1)))
+    for a, b in ((p, Q), (Q, p)):
+        res, cut = _decided(a, b, monkeypatch)
+        assert res.kind == CORNER_CONTACT and res.shared_corners == list(a.corners[:2])
+        assert cut

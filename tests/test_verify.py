@@ -433,6 +433,40 @@ class TestIntegerKernel:
         assert report.reconstructed == {edge_key("a", "b"): contact}
         assert all(type(x) is F for x in report.reconstructed[edge_key("a", "b")])
 
+    def test_mixed_coordinate_types_unscale_to_fractions(self):
+        # int, Fraction and finite float coordinates in one exact scene: a
+        # and b share (3/4, 0, 0), written as a float in a; c rests a corner
+        # inside a; d cuts through a's interior
+        a = Polygon3(((0, 0, 0), (0.75, 0, 0), (0, F(5, 7), 0)))
+        b = Polygon3(((F(3, 4), 0, 0), (F(3, 4), F(1, 7), F(1, 3)),
+                      (0.75, -0.125, F(1, 3))))
+        c = Polygon3(((F(1, 7), 0.25, 0), (F(1, 7), 0.25, F(2, 3)), (F(2, 7), 0.25, 0.5)))
+        d = Polygon3(((F(1, 7), 0.375, -0.5), (F(1, 7), 0.375, 0.5), (F(3, 7), 0.375, 0)))
+        polygons = {"a": a, "b": b, "c": c, "d": d}
+        g = Graph.from_edges([("a", "b")], vertices=list(polygons))
+        scene = graph_scene(g, polygons, {edge_key("a", "b"): (0.75, 0, 0)},
+                            {"construction": "test", "arithmetic": "exact"})
+        kernel = KernelScene(scene, scene.context())
+        assert kernel.scale > 1
+
+        def unscaled(p):
+            return tuple(F(x, kernel.scale) for x in p)
+
+        report = verify_scene(scene)
+        found = {(f.code, f.where): f.witness for f in report.violations}
+        as_fractions = {k: Polygon3(tuple(tuple(map(F, p)) for p in poly.corners))
+                        for k, poly in polygons.items()}
+        (overlap, mid), = classify_pair(as_fractions["a"], as_fractions["d"]).violations
+        assert overlap == "interior-overlap"
+        assert found == {("corner-inside", "a / c"): unscaled(kernel.polygons["c"].corners[0]),
+                         ("interior-overlap", "a / d"): mid}
+        assert found["corner-inside", "a / c"] == (F(1, 7), F(1, 4), 0)
+        assert report.reconstructed == {edge_key("a", "b"): unscaled(
+            kernel.contacts[edge_key("a", "b")])}
+        assert report.reconstructed[edge_key("a", "b")] == (F(3, 4), 0, 0)
+        for p in [*found.values(), *report.reconstructed.values()]:
+            assert all(type(x) is F for x in p), p
+
     def test_touch_witness_order_independent_of_scaling(self):
         # b's edge runs through a's interior: a boundary touch whose two
         # witnesses are the ends of a's chord along that edge
