@@ -98,8 +98,7 @@ def main():
         if not report.passed:
             failures += 1
         print(f"{name:28s} {status:6s} polygons={len(scene.polygons):3d} "
-              f"extent={ext.gx}x{ext.gy}x{ext.gz}"
-              f"{'~' if ext.approximate else ''}")
+              f"extent={ext.gx}x{ext.gy}x{ext.gz}")
         write_scene(out / f"{name}.scene.json", scene)
         (out / f"{name}.obj").write_text(scene_to_obj(scene))
         (out / f"{name}.svg").write_text(scene_to_svg(scene))

@@ -2,8 +2,8 @@
 
 Constructions for complete, min-degree-3, bipartite, 1-plane cubic, cubic
 and cycle-square graphs plus the two smallest Steiner triple systems, an
-exact (or epsilon) scene verifier, and combinatorial non-realizability
-certificates for Steiner quadruple systems.
+exact scene verifier, and combinatorial non-realizability certificates for
+Steiner quadruple systems.
 
 `import polycontact` loads no submodule.  Each name in `_EXPORTS`, and
 each submodule in `__all__`, is imported on first access (PEP 562) and
@@ -28,7 +28,7 @@ _EXPORTS = {
               "petersen_decompose", "represent_2ec_cubic", "represent_cubic",
               "represent_max_degree3"),
     "cyclesq": ("cycle_square_graph", "represent_cycle_square"),
-    "geom": ("ArithmeticContext", "GeometryError", "PairClassification",
+    "geom": ("GeometryError", "PairClassification",
              "Polygon3", "classify_pair", "polygon_properties"),
     "oneplanar": ("ModifiedMedialGraph", "build_modified_medial",
                   "represent_oneplanar_cubic"),

@@ -230,8 +230,6 @@ def strictify(scene: Scene) -> Scene:
     formerly straight chains outward; delta is halved until the perturbed
     scene passes verification with every polygon strictly convex.
     """
-    if not scene.is_exact:
-        raise ConstructionError("strictify needs an exact scene")
     g: Graph = scene.structure
     order = scene.meta.get("order") or list(g.vertices)
     index = {v: i + 1 for i, v in enumerate(order)}

@@ -6,7 +6,12 @@ corners, which preserves planes and convexity).
 
 Toroidal: every B-polygon is a rotated copy (around the z-axis) of a lead
 polygon whose corners sit evenly spaced on a half circle; A-polygons are
-horizontal |B|-gons, one per height.  Float coordinates.
+horizontal |B|-gons, one per height.  Angles are taken as rational points
+((1 - t^2)/(1 + t^2), 2t/(1 + t^2)) of the unit circle, t = tan(angle/2)
+rounded to a multiple of 2^-40, both for the rotations and for the lead
+chain.  So every A-polygon lies on one horizontal circle and every
+B-polygon on a circle in a vertical plane through the z-axis, exactly:
+both are planar and convex, and verification is exact.
 
 Integer grid: A-polygons are horizontally stretched copies of a core
 convex |B|-gon stacked at integer heights, stretching the two y-monotone
@@ -21,8 +26,9 @@ import math
 from fractions import Fraction
 
 from .core import Graph
-from .geom import Polygon3
+from .geom import ROUND_BITS, Polygon3, round_point
 from .scene import ConstructionError, Scene, graph_scene
+from .verify import certify
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -76,40 +82,49 @@ def represent_bipartite_toroidal(g: Graph, parts=None) -> Scene:
     if any(g.degree(v) == 0 for v in g.vertices):
         raise ConstructionError("isolated vertices have no touching points")
 
-    radius, dist = 1.0, 2.0  # mountain chain stays clear of the z-axis
+    # the lead chain, a half circle of radius 1 about x = 2, stays clear
+    # of the z-axis
     lead = []
     for k in range(a):
-        phi = math.pi * k / (a - 1)
-        lead.append((dist - radius * math.sin(phi), -radius * math.cos(phi)))
+        cos, sin = _circle_point(math.pi * k / (a - 1))
+        lead.append((2 - sin, -cos))
+    turns = [_circle_point(2.0 * math.pi * m / b) for m in range(b)]
 
-    def corner(k, m):
-        x, z = lead[k]
-        theta = 2.0 * math.pi * m / b
-        return (x * math.cos(theta), x * math.sin(theta), z)
-
-    polygons = {}
+    corner = {}  # (k, m) -> the contact of A-polygon k and B-polygon m
     contacts = {}
-    for m, bv in enumerate(part_b):
-        ks = [k for k in range(a) if g.adjacent(part_a[k], bv)]
-        polygons[bv] = Polygon3(corners=tuple(corner(k, m) for k in ks))
     for k, av in enumerate(part_a):
-        ms = [m for m in range(b) if g.adjacent(av, part_b[m])]
-        polygons[av] = Polygon3(corners=tuple(corner(k, m) for m in ms))
-    for k, av in enumerate(part_a):
+        x, z = lead[k]
         for m, bv in enumerate(part_b):
             if g.adjacent(av, bv):
-                contacts[frozenset((av, bv))] = corner(k, m)
+                cos, sin = turns[m]
+                corner[k, m] = contacts[frozenset((av, bv))] = (x * cos, x * sin, z)
+    polygons = {bv: Polygon3(corners=tuple(corner[k, m] for k in range(a) if (k, m) in corner))
+                for m, bv in enumerate(part_b)}
+    for k, av in enumerate(part_a):
+        polygons[av] = Polygon3(corners=tuple(corner[k, m] for m in range(b) if (k, m) in corner))
 
     degenerate = any(len(p.corners) < 3 for p in polygons.values())
     meta = {
         "construction": "bipartite-toroidal",
-        "arithmetic": "float",
-        "epsilon": 1e-9,
+        "arithmetic": "exact",
         "parts": (list(part_a), list(part_b)),
         "toroidal_grid": (b, 2 * a - 2),
         "degenerate": degenerate,
     }
     return graph_scene(g, polygons, contacts, meta)
+
+
+def _circle_point(angle: float):
+    """(cos, sin) of `angle` as an exact rational point of the unit circle,
+    ((1 - t^2)/(1 + t^2), 2t/(1 + t^2)) with t = tan(angle/2) rounded to a
+    multiple of 2^-ROUND_BITS.  Angles with a negative cosine are taken as
+    the antipode of angle - pi, so |t| <= 1."""
+    flip = math.cos(angle) < 0
+    t = round(math.tan((angle - math.pi) / 2 if flip else angle / 2) * 2 ** ROUND_BITS)
+    one = 1 << 2 * ROUND_BITS
+    den = one + t * t
+    cos, sin = Fraction(one - t * t, den), Fraction(t << ROUND_BITS + 1, den)
+    return (-cos, -sin) if flip else (cos, sin)
 
 
 def core_polygon(b: int):
@@ -209,7 +224,9 @@ def represent_k33_unit_triangles() -> Scene:
     Three horizontal triangles at heights 0, 1/2, 1 centered on the z-axis
     (top directly above bottom, middle rotated by 120 deg - arccos(-1/8)),
     and three vertical ones, each using one bottom, one top and one middle
-    corner.
+    corner.  Corners are rounded to multiples of 2^-40 (`round_point`),
+    which keeps every triangle planar; sides stay within 1e-12 of 1.  The
+    scene is verified (`certify`).
     """
     beta = math.radians(120.0) - math.acos(-1.0 / 8.0)
     r = math.tan(math.radians(30.0))
@@ -218,7 +235,7 @@ def represent_k33_unit_triangles() -> Scene:
         pts = []
         for j in range(3):
             ang = math.radians(90.0 + 120.0 * j) + angle_offset
-            pts.append((r * math.cos(ang), r * math.sin(ang), z))
+            pts.append(round_point((r * math.cos(ang), r * math.sin(ang), z)))
         return pts
 
     bottom = ring(0.0, 0.0)
@@ -242,10 +259,9 @@ def represent_k33_unit_triangles() -> Scene:
         contacts[frozenset(("a2", bv))] = mid
     meta = {
         "construction": "k33-unit-triangles",
-        "arithmetic": "float",
-        "epsilon": 1e-9,
+        "arithmetic": "exact",
         "parts": (part_a, part_b),
         "beta_degrees": math.degrees(beta),
         "circle_radius": r,
     }
-    return graph_scene(g, polygons, contacts, meta)
+    return certify(graph_scene(g, polygons, contacts, meta))

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import math
 import sys
 
 from .core import (BUILTIN_SYSTEMS, InputError, SteinerDescriptor,
@@ -144,23 +143,19 @@ def cmd_represent(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _need(args.epsilon is None or (math.isfinite(args.epsilon) and args.epsilon >= 0),
-          "--epsilon must be finite and >= 0")
     scene = read_scene(args.file)
-    report = verify_scene(scene, eps=args.epsilon)
-    ext = report.grid_extent or grid_extent(scene, eps=args.epsilon)
+    report = verify_scene(scene)
+    ext = report.grid_extent or grid_extent(scene)
     if args.json:
         doc = {"pass": report.passed,
                "violations": [str(f) for f in report.violations],
                "warnings": [str(f) for f in report.warnings],
                "contacts": len(report.reconstructed),
-               "grid_extent": [ext.gx, ext.gy, ext.gz],
-               "grid_extent_approximate": ext.approximate}
+               "grid_extent": [ext.gx, ext.gy, ext.gz]}
         sys.stdout.write(_dumps(doc) + "\n")
     else:
         print(report.to_text())
-        print(f"grid extent: {ext.gx} x {ext.gy} x {ext.gz}"
-              + (" (approximate)" if ext.approximate else ""))
+        print(f"grid extent: {ext.gx} x {ext.gy} x {ext.gz}")
     return 0 if report.passed else 1
 
 
@@ -242,7 +237,6 @@ def _represent_args(rep):
 
 def _verify_args(ver):
     ver.add_argument("file")
-    ver.add_argument("--epsilon", type=float, default=None)
     ver.add_argument("--json", action="store_true")
 
 

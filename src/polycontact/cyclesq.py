@@ -41,20 +41,32 @@ share a contact, and the Cholesky factor and both triangular solves use
 slice products.  Every float operation is the one, in the same order, of
 the plain version kept in tests/test_cyclesq.py (full rows at every
 point, a normal per turn, a dense Gram matrix), so the scenes are bit for
-bit the ones it builds.  `represent_cycle_square` verifies every
-candidate scene at the epsilon it records and raises `ConstructionError`
-naming n when none passes.  `meta` records the layout, the iteration count,
-the final residual and the smallest angle between adjacent polygons' planes.
+bit the ones it builds.
+
+The float layout is then made exact plane first (S. Fortune, "Polyhedral
+modelling with multiprecision integer arithmetic", 1997), on ints: each
+quadrilateral's plane gets an int normal, its float one scaled to a
+largest entry of 2^40 and rounded, and each contact goes on the line where
+its two polygons' planes meet, at its float coordinate rounded to a
+multiple of 2^-40 on the axis that line follows most closely.  So every
+quadrilateral is planar, and corners move by about 1e-12.  An odd scene
+keeps the exact corners of the n-1 scene for every contact it does not
+relax, and its relaxed polygons' planes pass through them.
+`represent_cycle_square` verifies every candidate scene and raises
+`ConstructionError` naming n when none passes.  `meta` records the layout,
+the iteration count, the final residual and the smallest angle between
+adjacent polygons' planes.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from math import cos, gcd, pi, sin, sqrt
 from operator import mul
 
 from .core import Graph, edge_key
-from .geom import Polygon3, vcross, vdot, vsub
+from .geom import ROUND_BITS, Polygon3, vcross, vdot, vsub
 from .scene import ConstructionError, Scene, graph_scene
 from .verify import verify_scene
 
@@ -103,14 +115,14 @@ def represent_cycle_square(n: int) -> Scene:
         raise ConstructionError("n = 5 is the complete graph; unsupported here")
     if n < 6:
         raise ConstructionError("need n >= 6")
-    layouts = [_even_layout(n)] if n % 2 == 0 else _odd_layouts(n)
+    layouts = [(*_even_layout(n), {})] if n % 2 == 0 else _odd_layouts(n)
     g = cycle_square_graph(n)
-    for pts, quads, meta in layouts:
-        polygons = {str(i): Polygon3(corners=tuple(pts[k] for k in quads[i]))
+    for pts, quads, meta, fixed in layouts:
+        exact = _round_planes(pts, quads, fixed)
+        polygons = {str(i): Polygon3(corners=tuple(exact[k] for k in quads[i]))
                     for i in sorted(quads)}
-        contacts = {edge_key(str(a), str(b)): pts[(a, b)] for a, b in pts}
-        meta = {"construction": "cycle-square", "arithmetic": "float",
-                "epsilon": 1e-9, "n": n, **meta,
+        contacts = {edge_key(str(a), str(b)): exact[(a, b)] for a, b in pts}
+        meta = {"construction": "cycle-square", "arithmetic": "exact", "n": n, **meta,
                 "min_dihedral_deg": _min_dihedral(pts, quads)}
         scene = graph_scene(g, polygons, contacts, meta)
         report = verify_scene(scene)
@@ -174,9 +186,11 @@ def _even_layout(n: int):
 
 
 def _odd_layouts(n: int):
-    """Relaxed splits of the n-1 scene, freeing 5, 7, then 9 polygons."""
+    """Relaxed splits of the n-1 scene, freeing 5, 7, then 9 polygons, each
+    with the exact n-1 corners of the contacts it keeps."""
     m = n - 1
     base, base_quads, base_meta = _even_layout(m)
+    base_exact = _round_planes(base, base_quads, {})
     top, bottom = (1, m - 1), (2, m)
     x1, t, x2, b = (1, n), (m - 1, n), (m, n), (2, n)
     renamed = {1: {top: x1}, m - 1: {top: t}, m: {bottom: x2}, 2: {bottom: b}}
@@ -199,7 +213,56 @@ def _odd_layouts(n: int):
             "layout": "split", "shape": "quadrilateral",
             "base_layout": base_meta["layout"], "relaxed_polygons": len(freed),
             "iterations": steps, "residual": residual,
-            "shortest_edge": min(lengths), "longest_edge": max(lengths)}
+            "shortest_edge": min(lengths), "longest_edge": max(lengths)}, {
+            k: base_exact[k] for k in seed if k not in free}
+
+
+def _round_planes(pts: dict, quads: dict, fixed: dict) -> dict:
+    """Exact corners for the float contacts `pts`, plane first.
+
+    Quad i's plane n.x = d has the int normal round(2^40 * f / max|f|) of
+    its float normal f.  Through the quad's `fixed` corners (exact points
+    kept from another scene): d = n.f for one; for two, n loses its
+    component along their difference first.  Without one, d is n.c
+    rounded, c the float centroid.  Then n and d are scaled to coprime
+    ints.  Contact (i, j) goes on the line where planes i and j meet: on
+    the axis k of the largest entry of their normals' cross product its
+    coordinate is the float one rounded to a multiple of 2^-40, and
+    Cramer's rule gives the other two.
+    """
+    one = 1 << ROUND_BITS
+    planes = {}
+    for i, c in quads.items():
+        q = [pts[k] for k in c]
+        f = vcross(vsub(q[2], q[0]), vsub(q[3], q[1]))
+        top = max(map(abs, f))
+        n = tuple(round(x / top * one) for x in f)
+        kept = [fixed[k] for k in c if k in fixed]
+        if len(kept) == 2:
+            e = vsub(kept[1], kept[0])
+            s = Fraction(vdot(n, e)) / vdot(e, e)
+            n = tuple(a - s * b for a, b in zip(n, e))
+        d = vdot(n, kept[0]) if kept else round(sum(vdot(n, x) for x in q) / 4)
+        scale = math.lcm(*(Fraction(x).denominator for x in (*n, d)))
+        n, d = [int(x * scale) for x in n], int(d * scale)
+        g = math.gcd(*n, d)
+        planes[i] = tuple(x // g for x in n), d // g
+    out = {}
+    for key, p in pts.items():
+        if key in fixed:
+            out[key] = fixed[key]
+            continue
+        (ni, di), (nj, dj) = planes[key[0]], planes[key[1]]
+        u = vcross(ni, nj)
+        k = max(range(3), key=lambda axis: abs(u[axis]))
+        a, b = (k + 1) % 3, (k + 2) % 3
+        xk = round(p[k] * one)
+        ri, rj = di * one - ni[k] * xk, dj * one - nj[k] * xk
+        corner = [Fraction(xk, one)] * 3
+        corner[a] = Fraction(ri * nj[b] - rj * ni[b], u[k] * one)
+        corner[b] = Fraction(ni[a] * rj - nj[a] * ri, u[k] * one)
+        out[key] = tuple(corner)
+    return out
 
 
 def _halfway(corner, polygon):

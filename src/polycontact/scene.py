@@ -2,9 +2,10 @@
 
 A graph scene has one polygon per vertex and one contact point per edge
 (keyed by the edge).  A hypergraph scene has one polygon per block and one
-contact point per hypergraph vertex (keyed by the vertex label).  `meta`
-carries the construction name, arithmetic mode ('exact' or 'float'),
-claimed grid bounds and any construction-specific parameters.
+contact point per hypergraph vertex (keyed by the vertex label).
+Coordinates are exact: ints and `Fraction`s.  `meta` carries the
+construction name, `"arithmetic": "exact"`, claimed grid bounds and any
+construction-specific parameters.
 
 `certificate` is the passing `VerificationReport` a constructor certified
 this very scene object with, or None.  It is not part of the scene: it is
@@ -15,10 +16,8 @@ It goes stale if the scene is changed afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .core import Graph, Hypergraph, block_label
-from .geom import ArithmeticContext
 
 GRAPH = "graph"
 HYPERGRAPH = "hypergraph"
@@ -36,16 +35,6 @@ class Scene:
     contacts: dict  # graph: edge key -> point; hypergraph: vertex -> point
     meta: dict = field(default_factory=dict)
     certificate: object = field(default=None, compare=False, repr=False)  # VerificationReport
-
-    def context(self, eps: Optional[float] = None) -> ArithmeticContext:
-        exact = self.meta.get("arithmetic", "exact") == "exact"
-        if eps is None:
-            eps = self.meta.get("epsilon", 1e-9)
-        return ArithmeticContext(exact=exact, eps=eps)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.meta.get("arithmetic", "exact") == "exact"
 
     def expected_contact_keys(self):
         if self.kind == GRAPH:

@@ -1,19 +1,19 @@
 """Scene files and the other text formats.
 
-Scene JSON: {kind, structure, points, polygons, contacts, meta}.  Exact
-scenes serialize every coordinate as a "num/den" string so a round trip
-is bit-identical; float scenes use repr() decimals.  Points are shared by
-id so corner coincidences survive the trip exactly.  A scene file's bytes
-are `json.dumps(doc, indent=1)` and a newline, where `doc` is
-`scene_to_json(scene)`; `_dumps` writes that text without json's
-pure-Python indenting encoder.  The reader fails closed: a duplicate point
-id, polygon label or contact is an InputError, not a silent overwrite.
+Scene JSON: {kind, structure, points, polygons, contacts, meta}.  Every
+coordinate is a "num/den" string in lowest terms, so a round trip is
+bit-identical.  Points are shared by id so corner coincidences survive the
+trip exactly.  A scene file's bytes are `json.dumps(doc, indent=1)` and a
+newline, where `doc` is `scene_to_json(scene)`; `_dumps` writes that text
+without json's pure-Python indenting encoder.  The reader fails closed: a
+`meta.arithmetic` other than "exact", a coordinate that is not "num/den",
+or a duplicate point id, polygon label or contact is an InputError, not a
+silent misreading.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -32,31 +32,31 @@ def _ratio(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _num_from_str(s: str, exact: bool):
-    if exact:
-        num, den = map(int, s.split("/"))
-        if den == 0:
-            raise InputError(f"zero denominator in coordinate {s!r}")
-        return Fraction(num, den)
-    x = float(s)
-    if not math.isfinite(x):
-        raise InputError(f"non-finite coordinate {s!r}")
-    return x
+def _coordinate(rec: dict, axis: str) -> Fraction:
+    """Coordinate `axis` of a point record, a "num/den" string."""
+    s = rec[axis]
+    try:
+        num, den = s.split("/")
+        num, den = int(num), int(den)
+    except (AttributeError, ValueError):
+        raise InputError(f"point {rec['id']!r}: coordinate {axis} is {s!r}, "
+                         "not \"num/den\"") from None
+    if den == 0:
+        raise InputError(f"zero denominator in coordinate {s!r}")
+    return Fraction(num, den)
 
 
 def scene_to_json(scene: Scene) -> dict:
-    exact = scene.is_exact
     point_ids = {}
     points = []
 
-    # an exact point is keyed by the strings it is written as; a float
-    # point by its values, so 0.0 and -0.0 share an id, spelled as first seen
+    # a point is keyed by the strings it is written as
     def pid(p):
-        key = tuple(map(_ratio, p)) if exact else tuple(p)
+        key = tuple(map(_ratio, p))
         ident = point_ids.get(key)
         if ident is None:
             ident = point_ids[key] = f"p{len(points)}"
-            x, y, z = key if exact else map(repr, map(float, p))
+            x, y, z = key
             points.append({"id": ident, "x": x, "y": y, "z": z})
         return ident
 
@@ -93,9 +93,9 @@ def scene_to_json(scene: Scene) -> dict:
 
 def scene_from_json(doc: dict) -> Scene:
     """The scene a JSON document describes; InputError if any part of it
-    is malformed (a wrong type, a bad coordinate, a missing key or element,
-    a polygon without corners, a second record for a point id, polygon
-    label or contact)."""
+    is malformed (a wrong type, an arithmetic other than exact, a coordinate
+    that is not "num/den", a missing key or element, a polygon without
+    corners, a second record for a point id, polygon label or contact)."""
     if not isinstance(doc, dict) or not _SCENE_KEYS <= doc.keys():
         raise InputError("a scene is an object with keys "
                          + ", ".join(sorted(_SCENE_KEYS)))
@@ -110,15 +110,12 @@ def scene_from_json(doc: dict) -> Scene:
 def _scene_from_doc(doc: dict) -> Scene:
     kind = doc["kind"]
     meta = dict(doc.get("meta", {}))
-    exact = meta.get("arithmetic", "exact") == "exact"
-    eps = meta.get("epsilon", 0)
-    if not exact and not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps >= 0):
-        raise InputError(f"epsilon must be a finite number >= 0, not {eps!r}")
+    if meta.get("arithmetic", "exact") != "exact":
+        raise InputError(f"meta.arithmetic is {meta['arithmetic']!r}; "
+                         "only \"exact\" scenes are read")
     pts = {}
     for rec in doc["points"]:
-        _add(pts, rec["id"], (_num_from_str(rec["x"], exact),
-                              _num_from_str(rec["y"], exact),
-                              _num_from_str(rec["z"], exact)), "point id")
+        _add(pts, rec["id"], tuple(_coordinate(rec, axis) for axis in "xyz"), "point id")
     if kind == GRAPH:
         structure = Graph.from_edges(doc["structure"]["edges"],
                                      vertices=doc["structure"]["vertices"])

@@ -4,7 +4,11 @@ The two smallest triple systems get explicit triangle drawings: the Fano
 plane from two stacked unit equilateral triangles (the upper one rotated
 by alpha) plus a center vertex, and S(2,3,9) from a unit triangle, a
 shrunk rotated copy one unit up, two axis vertices and a ninth vertex
-computed as a plane-intersection point lifted slightly.
+computed as a plane-intersection point lifted slightly.  Both are laid
+out in floats and their vertices rounded to multiples of 2^-40
+(`round_point`); a triangle stays planar whatever its corners.  Both
+constructors verify their scene (`verify.certify`) and raise
+`ConstructionError` if it fails.
 
 For quadruple systems the obstructions are combinatorial: a seven-block
 pattern that forbids all-convex and all-non-convex quadrilateral drawings,
@@ -21,8 +25,9 @@ from itertools import combinations, permutations
 from typing import Optional
 
 from .core import Hypergraph, InputError, SteinerDescriptor, block_label, validate_steiner
-from .geom import Polygon3, _plane_of, plane_contains, vcross, vdot, vsub
+from .geom import Polygon3, _plane_of, round_point, vcross, vdot, vscale, vsub
 from .scene import ConstructionError, Scene, hypergraph_scene
+from .verify import certify
 from .core import builtin_system
 
 
@@ -72,14 +77,15 @@ def represent_fano(params: FanoParams = FanoParams()) -> Scene:
     pos.update(_unit_triangle(["6", "4", "2"], 0.0))
     pos.update(_unit_triangle(["3", "5", "7"], 1.0, angle_offset=params.alpha))
     pos["1"] = (0.0, 0.0, 0.5)
+    pos = {v: round_point(p) for v, p in pos.items()}
 
     polygons = {}
     contacts = {v: pos[v] for v in h.vertices}
     for b in h.blocks:
         polygons[block_label(b)] = Polygon3(corners=tuple(pos[v] for v in sorted(b)))
-    meta = {"construction": "fano", "arithmetic": "float", "epsilon": 1e-6,
+    meta = {"construction": "fano", "arithmetic": "exact",
             "alpha_degrees": params.alpha}
-    return hypergraph_scene(h, polygons, contacts, meta)
+    return certify(hypergraph_scene(h, polygons, contacts, meta))
 
 
 def _plane_from(points):
@@ -127,15 +133,16 @@ def represent_s239(params: S239Params = S239Params()) -> Scene:
     if side_seven * side_origin <= 0:
         raise ConstructionError("lift places vertex 7 above the top plane")
     pos["7"] = seven
+    pos = {v: round_point(p) for v, p in pos.items()}
 
     polygons = {}
     contacts = {v: pos[v] for v in h.vertices}
     for b in h.blocks:
         polygons[block_label(b)] = Polygon3(corners=tuple(pos[v] for v in sorted(b)))
-    meta = {"construction": "s239", "arithmetic": "float", "epsilon": 1e-6,
+    meta = {"construction": "s239", "arithmetic": "exact",
             "beta_degrees": params.beta, "scale": params.scale,
             "lift": params.lift, "cut_point": p}
-    return hypergraph_scene(h, polygons, contacts, meta)
+    return certify(hypergraph_scene(h, polygons, contacts, meta))
 
 
 # ---------------------------------------------------------------------------
@@ -275,42 +282,30 @@ def counting_certificate(h: Hypergraph, d: SteinerDescriptor) -> ObstructionCert
 # ---------------------------------------------------------------------------
 
 
-def max_coplanar_vertices(scene: Scene, eps: Optional[float] = None):
+def max_coplanar_vertices(scene: Scene):
     """Largest number of contact points on one plane.
 
     Returns (count, plane, vertex names): the plane, from `_plane_of`, is
     that of the first contact triple (in `combinations` order) reaching the
     count, and the names are sorted.  A graph contact is named by its two
     vertices, sorted and joined by "-" (`a-b`), and contacts are ordered
-    by that name, so neither depends on `PYTHONHASHSEED`.  Exact scenes
-    take one pass over the triples, O(m^3): each plane, keyed by its
-    primitive int normal (leading entry positive) and offset on the
-    contacts scaled to ints, collects its triples' contacts, and every
-    contact on a plane is in a triple with two of the plane's first
-    triple.  Float scenes test every contact against every triple's plane,
-    O(m^4), because eps-coplanarity is not transitive.
+    by that name, so neither depends on `PYTHONHASHSEED`.  One pass over
+    the triples, O(m^3): each plane, keyed by its primitive int normal
+    (leading entry positive) and offset on the contacts scaled to ints,
+    collects its triples' contacts, and every contact on a plane is in a
+    triple with two of the plane's first triple.
     """
-    ctx = scene.context(eps=eps)
     pts = sorted(((k if isinstance(k, str) else "-".join(sorted(k)), tuple(p))
                   for k, p in scene.contacts.items()), key=lambda np: np[0])
     if len(pts) < 3:
         raise InputError("need at least 3 contact points")
     best = (0, None, [])
-    if not ctx.exact:
-        for (_, pa), (_, pb), (_, pc) in combinations(pts, 3):
-            plane = _plane_of((pa, pb, pc), ctx)
-            if plane is None:
-                continue
-            members = [name for name, p in pts if plane_contains(plane, p, ctx)]
-            if len(members) > best[0]:
-                best = (len(members), plane, members)
-        return best
     coords = [tuple(map(Fraction, p)) for _, p in pts]
     scale = math.lcm(*(x.denominator for p in coords for x in p))
     ints = [tuple(int(x * scale) for x in p) for p in coords]
     planes = {}  # (normal, offset) -> (first triple, member indices)
     for t in combinations(range(len(pts)), 3):
-        plane = _plane_of([ints[i] for i in t], ctx)
+        plane = _plane_of([ints[i] for i in t])
         if plane is None:
             continue
         n, d = plane
@@ -319,34 +314,22 @@ def max_coplanar_vertices(scene: Scene, eps: Optional[float] = None):
         planes.setdefault((n, d), (t, set()))[1].update(t)
     for t, members in planes.values():
         if len(members) > best[0]:
-            best = (len(members), _plane_of([pts[i][1] for i in t], ctx),
+            best = (len(members), _plane_of([pts[i][1] for i in t]),
                     [pts[i][0] for i in sorted(members)])
     return best
 
 
-def coplanar_polygon_pairs(scene: Scene, eps: Optional[float] = None):
-    """Unordered polygon pairs whose supporting planes coincide."""
-    ctx = scene.context(eps=eps)
+def coplanar_polygon_pairs(scene: Scene):
+    """Unordered polygon pairs whose supporting planes coincide: parallel
+    normals na, nb and offsets with da * nb == db * na."""
     planes = {}
     for label in sorted(scene.polygons):
-        plane = _plane_of(scene.polygons[label].corners, ctx)
+        plane = _plane_of(scene.polygons[label].corners)
         if plane is not None:
             planes[label] = plane
     out = []
-    labels = sorted(planes)
-    for a, b in combinations(labels, 2):
-        na, da = planes[a]
-        nb, db = planes[b]
-        cx = vcross(na, nb)
-        if not all(ctx.is_zero(c) for c in cx):
-            continue
-        # same plane: nb = s*na with matching offset
-        s = None
-        for k in range(3):
-            if not ctx.is_zero(na[k]):
-                s = nb[k] / na[k]
-                break
-        if s is None or not ctx.is_zero(db - s * da):
-            continue
-        out.append((a, b))
+    for a, b in combinations(sorted(planes), 2):
+        (na, da), (nb, db) = planes[a], planes[b]
+        if not any(vcross(na, nb)) and vscale(nb, da) == vscale(na, db):
+            out.append((a, b))
     return out

@@ -15,8 +15,7 @@ compares it with what the scene's combinatorial structure demands:
 * a `claimed_grid` in the scene's meta bounds its grid extent on each axis.
 
 Boundary touches and degenerate (point/segment) polygons are warnings, not
-failures.  Everything is exact in exact mode; float scenes use the scene
-epsilon.
+failures.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -27,9 +26,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional
 
-from .geom import (ArithmeticContext, Polygon3, classify_pair, polygon_properties,
+from .geom import (Polygon3, classify_pair, polygon_properties,
                    BOUNDARY_TOUCH, DISJOINT, VIOLATION)
-from .scene import GRAPH, Scene
+from .scene import GRAPH, ConstructionError, Scene
 
 
 @dataclass
@@ -81,7 +80,6 @@ class GridExtent(NamedTuple):
     gx: int
     gy: int
     gz: int
-    approximate: bool = False
 
 
 class KernelScene:
@@ -89,39 +87,29 @@ class KernelScene:
 
     Polygons and contact points with a non-finite coordinate are set aside
     (`nonfinite_polygons`, `nonfinite_contacts`) and take no further part.
-    Exact scenes are scaled once by L, the lcm of every coordinate's
+    The scene is scaled once by L, the lcm of every coordinate's
     denominator, so each corner and contact point becomes a tuple of ints:
     a coordinate n/d (an int, `Fraction` or float) becomes n * (L // d).
-    Every predicate is a sign test, and positive scaling keeps signs.  Float
-    scenes are taken as they are (L = 1).  Each polygon's frame (plane with
-    a primitive int normal, drop axis, ccw 2D corners) is part of its
-    `polygon_properties` record, which `verify_scene` builds once per
-    polygon on these coordinates.
+    Every predicate is a sign test, and positive scaling keeps signs.  Each
+    polygon's frame (plane with a primitive int normal, drop axis, ccw 2D
+    corners) is part of its `polygon_properties` record, which
+    `verify_scene` builds once per polygon on these coordinates.
 
-    Each distinct corner and contact point is interned once, exact ones
-    as their int tuples (scaling by L > 0 is one-to-one, so equal points
-    and only those share an id): `ids[label]`
-    holds a polygon's corner ids (`corner_sets[label]` as a set),
-    `contact_ids[key]` a contact's id, and `near[i]` the ids of every point
-    that `ctx.point_eq` holds equal to point i, i itself included.  In exact
-    mode that is (i,).  In float mode it is every point within eps (L-inf),
-    found through a hash grid of cells at least 4*eps wide and confirmed
-    with `point_eq`: the pairwise relation, never its transitive closure, so
-    a ~ b and b ~ c need not give a ~ c.
-    `match` turns these into `classify_pair`'s shared-corner match, and
-    `duplicates` into `polygon_properties`' duplicate corner pairs.
+    Each distinct corner and contact point is interned once as its int
+    tuple (scaling by L > 0 is one-to-one, so equal points and only those
+    share an id and a tuple): `index[point]` is its id, `ids[label]` holds a
+    polygon's corner ids (`corner_sets[label]` as a set) and
+    `contact_ids[key]` a contact's id.
 
     On the ints the polygon checks, point location and the interval test
-    of transversal pairs divide nothing.  `Fraction`s are built where a
-    transversal pair's two intervals meet, for the midpoint and touch
-    witnesses, and by the point/segment classifiers.  `unscale` turns a
-    kernel point back into its scene coordinates, as `Fraction`s, and
-    divides only other points (midpoints, interval ends) by L.
+    of crossing pairs divide nothing.  `Fraction`s are built where two
+    `_cut` intervals meet, for the midpoint and touch witnesses, and by the
+    point/segment classifiers.  `unscale` turns a kernel point back into its
+    scene coordinates, as `Fraction`s, and divides only other points
+    (midpoints, interval ends) by L.
     """
 
-    def __init__(self, scene: Scene, ctx: ArithmeticContext):
-        self.ctx = ctx
-        self.scale = 1
+    def __init__(self, scene: Scene):
         self.nonfinite_polygons = {label for label, poly in scene.polygons.items()
                                    if not all(map(_finite, poly.corners))}
         self.nonfinite_contacts = {k for k, p in scene.contacts.items()
@@ -132,63 +120,30 @@ class KernelScene:
                          if k not in self.nonfinite_contacts}
         points = [c for poly in self.polygons.values() for c in poly.corners]
         points += self.contacts.values()
-        if ctx.exact:
-            ratios = [(x.as_integer_ratio(), y.as_integer_ratio(), z.as_integer_ratio())
-                      for x, y, z in points]
-            dens = {den for r in ratios for _, den in r}
-            self.scale = math.lcm(*dens)
-            factor = {den: self.scale // den for den in dens}
-            keys = [(x * factor[dx], y * factor[dy], z * factor[dz])
-                    for (x, dx), (y, dy), (z, dz) in ratios]
-        else:
-            keys = [tuple(p) for p in points]
-        index = {}  # point -> id, in first-seen order
+        ratios = [(x.as_integer_ratio(), y.as_integer_ratio(), z.as_integer_ratio())
+                  for x, y, z in points]
+        dens = {den for r in ratios for _, den in r}
+        self.scale = math.lcm(*dens)
+        factor = {den: self.scale // den for den in dens}
+        keys = [(x * factor[dx], y * factor[dy], z * factor[dz])
+                for (x, dx), (y, dy), (z, dz) in ratios]
+        self.index = index = {}  # point -> id, in first-seen order
         for k in keys:
             index.setdefault(k, len(index))
         ids = iter([index[k] for k in keys])
         self.ids = {label: tuple(next(ids) for _ in poly.corners)
                     for label, poly in self.polygons.items()}
         self.contact_ids = {k: next(ids) for k in self.contacts}
-        if ctx.exact:
-            self._own = dict(zip(keys, points))  # int point -> a scene point of it
-            scaled = list(index)
-            self.polygons = {label: Polygon3(tuple(scaled[i] for i in self.ids[label]))
-                             for label in self.polygons}
-            self.contacts = {k: scaled[self.contact_ids[k]] for k in self.contacts}
-        if ctx.eps == 0:
-            self.near = [(i,) for i in range(len(index))]
-        else:
-            self.near = _near_within_eps(list(index), ctx)
+        self._own = dict(zip(keys, points))  # int point -> a scene point of it
+        scaled = list(index)
+        self.polygons = {label: Polygon3(tuple(scaled[i] for i in self.ids[label]))
+                         for label in self.polygons}
+        self.contacts = {k: scaled[self.contact_ids[k]] for k in self.contacts}
         self.corner_sets = {label: frozenset(ids) for label, ids in self.ids.items()}
-        # the ids within eps of some corner; exact: the corners themselves
-        self._reach = self.corner_sets if ctx.eps == 0 else {
-            label: frozenset().union(*(self.near[i] for i in ids))
-            for label, ids in self.ids.items()}
-
-    def match(self, a: str, b: str):
-        """`classify_pair`'s match for polygons a and b, from the ids."""
-        ia, ib = self.ids[a], self.ids[b]
-        if self._reach[a].isdisjoint(self.corner_sets[b]):
-            return (False,) * len(ia), (False,) * len(ib)
-        sa, sb, near = self.corner_sets[a], self.corner_sets[b], self.near
-        return (tuple(not sb.isdisjoint(near[i]) for i in ia),
-                tuple(not sa.isdisjoint(near[j]) for j in ib))
-
-    def duplicates(self, label: str) -> list:
-        """`polygon_properties`' duplicate corner pairs (i, j), i < j, of a
-        polygon, in (i, j) order: ids[j] is in near[ids[i]]."""
-        ids, near = self.ids[label], self.near
-        at = {}  # id -> the corner positions that have it
-        for j, pid in enumerate(ids):
-            at.setdefault(pid, []).append(j)
-        return sorted((i, j) for i, pid in enumerate(ids)
-                      for other in near[pid] for j in at.get(other, ()) if j > i)
 
     def unscale(self, p) -> tuple:
         """A point in the scene's own coordinates: a kernel point's own, as
-        `Fraction`s, and any other exact point (a midpoint) divided by L."""
-        if not self.ctx.exact:
-            return tuple(p)
+        `Fraction`s, and any other point (a midpoint) divided by L."""
         own = self._own.get(p)
         if own is not None:
             return tuple(x if type(x) is Fraction else Fraction(x) for x in own)
@@ -196,7 +151,7 @@ class KernelScene:
 
 
 def _ratio(x) -> tuple:
-    """An exact-scene coordinate (int, Fraction or float) as its normalised
+    """A scene coordinate (int, Fraction or float) as its normalised
     (numerator, denominator) pair, so equal values give equal pairs; a
     non-finite float stays itself."""
     if type(x) is float and not math.isfinite(x):
@@ -208,39 +163,10 @@ def _finite(p) -> bool:
     return all(math.isfinite(x) for x in p if isinstance(x, float))
 
 
-def _near_within_eps(points: list, ctx: ArithmeticContext) -> list:
-    """near[i] for float points: the ids j with point_eq(points[i], points[j]).
-
-    Points within eps lie in the same or neighbouring cells of a grid at
-    least 4*eps wide.  Cells are widened on far-out scenes so that
-    coordinate / width stays well inside float precision.
-    """
-    top = max((abs(x) for p in points for x in p), default=0.0)
-    width = max(4 * ctx.eps, top * 2.0 ** -40)
-    cells = [tuple(math.floor(x / width) for x in p) for p in points]
-    grid = {}
-    for i, cell in enumerate(cells):
-        grid.setdefault(cell, []).append(i)
-    steps = (-1, 0, 1)
-    near = []
-    for i, (x, y, z) in enumerate(cells):
-        p = points[i]
-        near.append(tuple(
-            j for dx in steps for dy in steps for dz in steps
-            for j in grid.get((x + dx, y + dy, z + dz), ())
-            if j == i or ctx.point_eq(p, points[j])))
-    return near
-
-
 def _box_overlaps(kernel: KernelScene, labels: list) -> set:
     """The label pairs (a, b), a < b, whose closed axis-aligned corner boxes
-    meet: sweep over the boxes sorted by low x, test y and z.
-
-    Exact scenes only, where the kernel's corners are ints and the box test
-    is exact.  Float predicates call a point on an edge when a cross product
-    is within eps, a distance that grows as the edge gets shorter, so no
-    eps-widened box bounds what they may call a contact.
-    """
+    meet: sweep over the boxes sorted by low x, test y and z, exactly on
+    the kernel's int corners."""
     boxes = []
     for label in labels:
         xs, ys, zs = zip(*kernel.polygons[label].corners)
@@ -257,11 +183,10 @@ def _box_overlaps(kernel: KernelScene, labels: list) -> set:
     return meet
 
 
-def verify_scene(scene: Scene, eps: Optional[float] = None) -> VerificationReport:
+def verify_scene(scene: Scene) -> VerificationReport:
     """Certify a scene; all findings are collected into the report."""
-    ctx = scene.context(eps=eps)
     report = VerificationReport()
-    kernel = KernelScene(scene, ctx)
+    kernel = KernelScene(scene)
 
     expected = scene.expected_polygon_labels()
     for label in sorted(expected - scene.polygons.keys()):
@@ -280,7 +205,7 @@ def verify_scene(scene: Scene, eps: Optional[float] = None) -> VerificationRepor
             valid[label] = False
             continue
         poly = kernel.polygons[label]
-        props = polygon_properties(poly, ctx, kernel.duplicates(label))
+        props = polygon_properties(poly)
         report.polygon_properties[label] = props
         valid[label] = props.planar and (props.simple or props.degenerate)
         if not props.planar:
@@ -299,22 +224,18 @@ def verify_scene(scene: Scene, eps: Optional[float] = None) -> VerificationRepor
                                          "contact point with a non-finite coordinate"))
 
     # Pairwise classification; shared corners, as (id, point) pairs, feed
-    # the reconstruction.  Exact scenes skip pairs whose closed boxes are
-    # disjoint: such a pair shares no point, so it is Disjoint.
-    meet = None
-    if ctx.exact:
-        meet = _box_overlaps(kernel, [label for label in labels if valid[label]])
+    # the reconstruction.  Pairs whose closed boxes are disjoint share no
+    # point, so they are Disjoint unclassified.
+    meet = _box_overlaps(kernel, [label for label in labels if valid[label]])
     shared = {}
     for a, b in combinations(labels, 2):
         if not (valid[a] and valid[b]):
             continue
-        if meet is not None and (a, b) not in meet:
+        if (a, b) not in meet:
             report.pair_kinds[a, b] = DISJOINT
             continue
-        match = kernel.match(a, b)
-        cls = classify_pair(kernel.polygons[a], kernel.polygons[b], ctx,
-                            report.polygon_properties[a], report.polygon_properties[b],
-                            match)
+        cls = classify_pair(kernel.polygons[a], kernel.polygons[b],
+                            report.polygon_properties[a], report.polygon_properties[b])
         key = a, b  # labels are sorted
         report.pair_kinds[key] = cls.kind
         if cls.kind == VIOLATION:
@@ -325,12 +246,11 @@ def verify_scene(scene: Scene, eps: Optional[float] = None) -> VerificationRepor
             report.warnings.append(Finding("boundary-touch", f"{a} / {b}",
                                            witness=tuple(w) if w else None))
         if cls.shared_corners:
-            ids = [i for i, s in zip(kernel.ids[a], match[0]) if s]
-            shared[key] = list(zip(ids, cls.shared_corners))
+            shared[key] = [(kernel.index[c], c) for c in cls.shared_corners]
 
     _reconstruct(scene, kernel, shared, report)
     if "claimed_grid" in scene.meta:
-        _check_grid_claim(scene, ctx, report)
+        _check_grid_claim(scene, report)
 
     for f in report.violations + report.warnings:
         if f.witness is not None:
@@ -340,14 +260,25 @@ def verify_scene(scene: Scene, eps: Optional[float] = None) -> VerificationRepor
     return report
 
 
+def certify(scene: Scene) -> Scene:
+    """`scene` with its passing `verify_scene` report as its `certificate`;
+    ConstructionError naming the first violation if it fails."""
+    report = verify_scene(scene)
+    if not report.passed:
+        raise ConstructionError(f"{scene.meta['construction']} scene fails "
+                                f"verification: {report.violations[0]}")
+    scene.certificate = report
+    return scene
+
+
 def _reconstruct(scene: Scene, kernel: KernelScene, shared: dict,
                  report: VerificationReport):
     """Compare geometric corner sharing with the structure-implied contacts.
 
-    Points are matched by id (`kernel.near`); `report.reconstructed` maps
-    each contact key to an (id, point) pair.
+    Points are matched by id; `report.reconstructed` maps each contact key
+    to an (id, point) pair.
     """
-    contacts, near = kernel.contacts, kernel.near
+    contacts = kernel.contacts
     if scene.kind == GRAPH:
         g = scene.structure
         for key, pts in sorted(shared.items()):
@@ -370,7 +301,7 @@ def _reconstruct(scene: Scene, kernel: KernelScene, shared: dict,
             else:
                 recon[e] = pts[0]
         report.reconstructed = recon
-        _check_distinct(recon, near, report)
+        _check_distinct(recon, report)
         _check_declared(scene, kernel, recon, report)
         return
 
@@ -388,7 +319,7 @@ def _reconstruct(scene: Scene, kernel: KernelScene, shared: dict,
         p, pid = contacts[v], kernel.contact_ids[v]
         ok = True
         for label in sorted(kernel.polygons):
-            is_corner = not kernel.corner_sets[label].isdisjoint(near[pid])
+            is_corner = pid in kernel.corner_sets[label]
             if label in want and not is_corner:
                 report.violations.append(Finding(
                     "missing-contact", f"{v} in {label}",
@@ -409,15 +340,15 @@ def _reconstruct(scene: Scene, kernel: KernelScene, shared: dict,
         common = ba & bb
         expect = {kernel.contact_ids[v] for v in common if v in contacts}
         for i, p in pts:
-            if expect.isdisjoint(near[i]):
+            if i not in expect:
                 report.violations.append(Finding(
                     "shared-corner-without-edge", f"{la} / {lb}",
                     "blocks share a corner that is no common vertex", witness=p))
     report.reconstructed = recon
-    _check_distinct(recon, near, report)
+    _check_distinct(recon, report)
 
 
-def _check_distinct(recon: dict, near: list, report: VerificationReport):
+def _check_distinct(recon: dict, report: VerificationReport):
     """A merged-contacts finding for each two contacts on one point, in
     `_key_str` order; contacts are grouped by id, not compared pairwise."""
     items = sorted(recon.items(), key=lambda kv: _key_str(kv[0]))
@@ -425,7 +356,7 @@ def _check_distinct(recon: dict, near: list, report: VerificationReport):
     for pos, (_, (i, _)) in enumerate(items):
         at.setdefault(i, []).append(pos)
     for pos, (k1, (i, p1)) in enumerate(items):
-        for other in sorted(q for j in near[i] for q in at.get(j, ()) if q > pos):
+        for other in (q for q in at[i] if q > pos):
             report.violations.append(Finding(
                 "merged-contacts", f"{_key_str(k1)} / {_key_str(items[other][0])}",
                 "two contacts share one point", witness=p1))
@@ -447,7 +378,7 @@ def _check_declared(scene: Scene, kernel: KernelScene, recon: dict,
                 "declared-mismatch", _key_str(key), "no declared contact"))
             continue
         got = recon.get(key)
-        if got is not None and got[0] not in kernel.near[kernel.contact_ids[key]]:
+        if got is not None and got[0] != kernel.contact_ids[key]:
             report.violations.append(Finding(
                 "declared-mismatch", _key_str(key),
                 "declared point differs from reconstruction", witness=declared))
@@ -458,8 +389,7 @@ def _check_declared(scene: Scene, kernel: KernelScene, recon: dict,
                 "declared contact for a non-element"))
 
 
-def _check_grid_claim(scene: Scene, ctx: ArithmeticContext,
-                      report: VerificationReport):
+def _check_grid_claim(scene: Scene, report: VerificationReport):
     """Compare each axis of the grid extent with the scene's claim, and keep
     the extent on the report."""
     claim = scene.meta["claimed_grid"]
@@ -469,7 +399,7 @@ def _check_grid_claim(scene: Scene, ctx: ArithmeticContext,
             "grid-claim-malformed", "claimed_grid",
             f"{claim!r} is not x, y, z mapped to non-negative ints"))
         return
-    ext = report.grid_extent = grid_extent(scene, eps=None if ctx.exact else ctx.eps)
+    ext = report.grid_extent = grid_extent(scene)
     for axis, got in zip("xyz", ext):
         if got > claim[axis]:
             report.violations.append(Finding(
@@ -477,29 +407,12 @@ def _check_grid_claim(scene: Scene, ctx: ArithmeticContext,
                 f"extent {got} exceeds the claimed {claim[axis]}"))
 
 
-def grid_extent(scene: Scene, eps: Optional[float] = None) -> GridExtent:
+def grid_extent(scene: Scene) -> GridExtent:
     """Per-axis count of distinct coordinate values over all corners.
 
     This is the grid-line counting convention (a drawing in the xy-plane
-    has z-extent 1).  Exact scenes count the distinct (numerator,
-    denominator) pairs on each axis; float scenes snap values within eps and
-    are flagged approximate.
+    has z-extent 1).  Each axis counts the distinct (numerator,
+    denominator) pairs of its values.
     """
-    if scene.is_exact:
-        pts = list(scene.all_points())
-        counts = [len({_ratio(p[i]) for p in pts}) for i in range(3)]
-        return GridExtent(*counts, approximate=False)
-    pts = list({tuple(p) for p in scene.all_points()})
-    if not pts:
-        return GridExtent(0, 0, 0)
-    if eps is None:
-        eps = scene.meta.get("epsilon", 1e-9)
-    counts = []
-    for i in range(3):
-        vals = sorted(float(p[i]) for p in pts)
-        groups = 1
-        for a, b in zip(vals, vals[1:]):
-            if b - a > eps:
-                groups += 1
-        counts.append(groups)
-    return GridExtent(*counts, approximate=True)
+    pts = list(scene.all_points())
+    return GridExtent(*(len({_ratio(p[i]) for p in pts}) for i in range(3)))

@@ -1,12 +1,12 @@
-"""Pairwise reference for `verify_scene`: points are compared by `point_eq` only.
+"""Pairwise reference for `verify_scene`: points are compared as tuples only.
 
 It makes the checks `verify_scene` makes, in the same order and with the
-same findings, but without a point index: pairs go through a 3-argument
-`classify_pair` (its corner match comes from a p x q `point_eq` scan), and
-shared corners, contacts and declared points are compared with `point_eq`
-pair by pair.  A `claimed_grid` is held against `grid_extent` axis by axis.  Only `KernelScene`'s int scaling of exact scenes is reused,
-for speed; witnesses are reported in scene coordinates.  Differential tests
-hold the indexed verifier to it.
+same findings, but without a point index or a broad phase: every pair goes
+through `classify_pair`, and shared corners, contacts and declared points
+are compared pair by pair.  A `claimed_grid` is held against `grid_extent`
+axis by axis.  Only `KernelScene`'s int scaling is reused, for speed;
+witnesses are reported in scene coordinates.  Differential tests hold the
+indexed verifier to it.
 """
 
 import math
@@ -26,10 +26,9 @@ def _key_str(k):
     return "-".join(sorted(k)) if isinstance(k, frozenset) else str(k)
 
 
-def reference_verify(scene, eps=None):
+def reference_verify(scene):
     """(violations, warnings, pair kinds, shared corners per pair,
     reconstructed contacts); findings as (code, where, detail, witness)."""
-    ctx = scene.context(eps=eps)
     viol, warn = [], []
     expected = scene.expected_polygon_labels()
     for label in sorted(expected - scene.polygons.keys()):
@@ -37,7 +36,7 @@ def reference_verify(scene, eps=None):
     for label in sorted(scene.polygons.keys() - expected):
         viol.append(Finding("foreign-polygon", label, "polygon of no element"))
 
-    kernel = KernelScene(scene, ctx)
+    kernel = KernelScene(scene)
     polygons = {label: kernel.polygons[label] for label, poly in scene.polygons.items()
                 if all(map(_finite, poly.corners))}
     contacts = {k: kernel.contacts[k] for k, p in scene.contacts.items() if _finite(p)}
@@ -49,7 +48,7 @@ def reference_verify(scene, eps=None):
             valid[label] = False
             continue
         poly = polygons[label]
-        props = polygon_properties(poly, ctx)
+        props = polygon_properties(poly)
         valid[label] = props.planar and (props.simple or props.degenerate)
         if not props.planar:
             viol.append(Finding("nonplanar", label, "; ".join(props.issues)))
@@ -70,7 +69,7 @@ def reference_verify(scene, eps=None):
     for a, b in combinations(labels, 2):
         if not (valid[a] and valid[b]):
             continue
-        cls = classify_pair(polygons[a], polygons[b], ctx)
+        cls = classify_pair(polygons[a], polygons[b])
         kinds[(a, b)] = cls.kind
         if cls.kind == VIOLATION:
             for reason, witness in cls.violations:
@@ -112,7 +111,7 @@ def reference_verify(scene, eps=None):
                 continue
             p, ok = contacts[v], True
             for label in sorted(polygons):
-                is_corner = any(ctx.point_eq(p, c) for c in polygons[label].corners)
+                is_corner = p in polygons[label].corners
                 if label in want and not is_corner:
                     viol.append(Finding("missing-contact", f"{v} in {label}",
                                         "vertex point is not a corner of its block polygon",
@@ -129,14 +128,14 @@ def reference_verify(scene, eps=None):
             common = frozenset(la.split(",")) & frozenset(lb.split(","))
             expect = [contacts[v] for v in common if v in contacts]
             for p in pts:
-                if not any(ctx.point_eq(p, q) for q in expect):
+                if p not in expect:
                     viol.append(Finding("shared-corner-without-edge", f"{la} / {lb}",
                                         "blocks share a corner that is no common vertex",
                                         witness=p))
 
     items = sorted(recon.items(), key=lambda kv: _key_str(kv[0]))
     for (k1, p1), (k2, p2) in combinations(items, 2):
-        if ctx.point_eq(p1, p2):
+        if p1 == p2:
             viol.append(Finding("merged-contacts", f"{_key_str(k1)} / {_key_str(k2)}",
                                 "two contacts share one point", witness=p1))
 
@@ -149,7 +148,7 @@ def reference_verify(scene, eps=None):
             if declared is None:
                 viol.append(Finding("declared-mismatch", _key_str(key),
                                     "no declared contact"))
-            elif key in recon and not ctx.point_eq(declared, recon[key]):
+            elif key in recon and declared != recon[key]:
                 viol.append(Finding("declared-mismatch", _key_str(key),
                                     "declared point differs from reconstruction",
                                     witness=declared))
@@ -166,7 +165,7 @@ def reference_verify(scene, eps=None):
             viol.append(Finding("grid-claim-malformed", "claimed_grid",
                                 f"{claim!r} is not x, y, z mapped to non-negative ints"))
         else:
-            ext = grid_extent(scene, eps=None if ctx.exact else ctx.eps)
+            ext = grid_extent(scene)
             for axis, got in (("x", ext.gx), ("y", ext.gy), ("z", ext.gz)):
                 if got > claim[axis]:
                     viol.append(Finding("grid-claim-exceeded", f"axis {axis}",

@@ -116,7 +116,7 @@ def test_criterion_05_k33():
             assert abs(math.dist(cs[i], cs[(i + 1) % 3]) - 1.0) <= 1e-9
     beta = scene.meta["beta_degrees"]
     assert abs(beta - (120.0 - math.degrees(math.acos(-1 / 8)))) <= 1e-6
-    report = verify_scene(scene, eps=1e-9)
+    report = verify_scene(scene)
     assert report.passed, report.to_text()
 
 
@@ -175,7 +175,7 @@ def test_criterion_08_cycle_squares():
         except ConstructionError as exc:
             problems.append(f"n={n}: {exc}")
             continue
-        report = verify_scene(scene, eps=1e-9)
+        report = verify_scene(scene)
         if not report.passed:
             problems.append(f"n={n}: verification failed")
             continue
@@ -189,7 +189,7 @@ def test_criterion_08_cycle_squares():
             problems.append("n=6: ring height differs from sqrt(2/3)")
     for n in (7, 9, 11):
         scene = represent_cycle_square(n)
-        report = verify_scene(scene, eps=1e-9)
+        report = verify_scene(scene)
         if not report.passed:
             problems.append(f"n={n}: verification failed")
             continue
@@ -208,10 +208,10 @@ def test_criterion_08_cycle_squares():
 def test_criterion_09_steiner_drawings():
     fano = represent_fano()
     assert fano.meta["alpha_degrees"] == 85.0
-    assert verify_scene(fano, eps=1e-6).passed
+    assert verify_scene(fano).passed
 
     s239 = represent_s239()
-    report = verify_scene(s239, eps=1e-6)
+    report = verify_scene(s239)
     assert report.passed, report.to_text()
     pts = [c for p in s239.polygons.values() for c in p.corners]
     for axis, bound in ((0, 1.0), (1, 1.0), (2, 1.5)):

@@ -164,9 +164,8 @@ class TestMinDegree3:
 class TestStrictify:
     def test_strictifies_k6(self):
         scene = strictify(represent_complete(6))
-        ctx = scene.context()
         for poly in scene.polygons.values():
-            assert polygon_properties(poly, ctx).strictly_convex
+            assert polygon_properties(poly).strictly_convex
         assert verify_scene(scene).passed
         assert scene.certificate.to_text() == verify_scene(scene).to_text()
 

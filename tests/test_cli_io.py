@@ -60,7 +60,8 @@ class TestSceneRoundTrip:
     def test_float_round_trip(self):
         scene = represent_fano()
         back = scene_from_json(scene_to_json(scene))
-        assert verify_scene(back, eps=1e-6).passed
+        assert back.contacts == scene.contacts
+        assert verify_scene(back).passed
 
     def test_hypergraph_structure_survives(self):
         scene = represent_fano()
@@ -140,7 +141,7 @@ class TestDumps:
 _MAXDEG3 = "0 1\n1 2\n1 3\n3 4\n"
 
 
-@pytest.mark.parametrize("args", [
+_EVERY_CLASS = [
     *(["--class", "cycle-square", "--n", str(n)] for n in range(6, 14)),
     ["--class", "fano"], ["--class", "s239"], ["--class", "k33"],
     ["--class", "bipartite-toroidal", "--a", "3", "--b", "4"],
@@ -151,20 +152,45 @@ _MAXDEG3 = "0 1\n1 2\n1 3\n3 4\n"
     ["--class", "complete", "--n", "5"],
     ["--class", "mindeg3", "--input", "{petersen}"],
     ["--class", "maxdeg3", "--input", "{maxdeg3}"],
-], ids=lambda a: "-".join(x.strip("{}") for x in a[1::2]))
-def test_every_class_writes_json_bytes(args, tmp_path, monkeypatch):
-    # the scene the command builds is written as json.dumps(indent=1) writes it
-    import polycontact.cli as cli
+]
+_CLASS_IDS = ["-".join(x.strip("{}") for x in a[1::2]) for a in _EVERY_CLASS]
+
+
+def _input_files(tmp_path):
     files = {"petersen": _PETERSEN, "maxdeg3": _MAXDEG3, "k4x": json.dumps(_K4_CROSSED)}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
+    return {k: tmp_path / k for k in files}
+
+
+@pytest.mark.parametrize("args", _EVERY_CLASS, ids=_CLASS_IDS)
+def test_every_class_writes_json_bytes(args, tmp_path, monkeypatch):
+    # the scene the command builds is written as json.dumps(indent=1) writes it
+    import polycontact.cli as cli
+    files = _input_files(tmp_path)
     built = []
     monkeypatch.setattr(cli, "_build_scene",
                         lambda a, build=cli._build_scene: built.append(build(a)) or built[-1])
     out = tmp_path / "scene.json"
-    argv = [a.format(**{k: tmp_path / k for k in files}) for a in args]
+    argv = [a.format(**files) for a in args]
     assert main(["represent", *argv, "-o", str(out)]) == 0
     assert out.read_text() == json.dumps(scene_to_json(built[0]), indent=1) + "\n"
+
+
+@pytest.mark.parametrize("args", _EVERY_CLASS, ids=_CLASS_IDS)
+def test_every_class_writes_exact_coordinates(args, tmp_path, capsys):
+    # every coordinate is "num/den" in lowest terms, and the file verifies
+    out = tmp_path / "scene.json"
+    argv = [a.format(**_input_files(tmp_path)) for a in args]
+    assert main(["represent", *argv, "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["meta"]["arithmetic"] == "exact" and "epsilon" not in doc["meta"]
+    for point in doc["points"]:
+        for axis in "xyz":
+            num, den = point[axis].split("/")
+            x = Fraction(int(num), int(den))
+            assert point[axis] == f"{x.numerator}/{x.denominator}"
+    assert main(["verify", str(out), "--json"]) == 0
 
 
 def _triangle_pair(a_corners, b_corners, contact, arithmetic):
@@ -181,10 +207,10 @@ class TestPointIds:
     def test_float_signed_zero_shares_an_id(self):
         scene = _triangle_pair(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
                                ((-0.0, 0.0, 0.0), (0.0, -1.0, 0.0), (-1.0, 0.0, 0.0)),
-                               (0.0, -0.0, 0.0), "float")
+                               (0.0, -0.0, 0.0), "exact")
         doc = scene_to_json(scene)
         assert len(doc["points"]) == 5
-        assert doc["points"][0] == {"id": "p0", "x": "0.0", "y": "0.0", "z": "0.0"}
+        assert doc["points"][0] == {"id": "p0", "x": "0/1", "y": "0/1", "z": "0/1"}
         assert doc["polygons"][1]["corners"][0] == "p0"
         assert doc["contacts"][0]["point"] == "p0"
 
@@ -254,22 +280,12 @@ class TestCli:
 
     @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
     def test_bad_epsilon_exit_two(self, eps, tmp_path, capsys):
+        # verification is exact: `verify` has no --epsilon option at all
         out = tmp_path / "fano.json"
         assert main(["represent", "--class", "fano", "-o", str(out)]) == 0
         capsys.readouterr()
         assert main(["verify", str(out), "--epsilon", eps]) == 2
         assert "--epsilon" in capsys.readouterr().err
-
-    def test_verify_grid_extent_at_given_epsilon(self, tmp_path, capsys):
-        out = tmp_path / "cycle-square-7.json"
-        assert main(["represent", "--class", "cycle-square", "--n", "7",
-                     "-o", str(out)]) == 0
-        capsys.readouterr()
-        main(["verify", str(out), "--epsilon", "0.3", "--json"])
-        doc = json.loads(capsys.readouterr().out)
-        ext = grid_extent(read_scene(str(out)), eps=0.3)
-        assert doc["grid_extent"] == [ext.gx, ext.gy, ext.gz]
-        assert ext != grid_extent(read_scene(str(out)))
 
     def test_verify_measures_the_grid_once(self, tmp_path, capsys, monkeypatch):
         # the grid-claim check's extent is printed; only a scene that claims
@@ -297,15 +313,6 @@ class TestCli:
         assert main(["represent", "--class", "complete", "--n", "4",
                      "--no-verify", "-o", str(tmp_path / "k4.json")]) == 2
         assert not (tmp_path / "k4.json").exists()
-
-    def test_zero_epsilon_accepted(self, tmp_path, capsys):
-        # eps = 0 compares float coordinates literally: fano's rounded
-        # corners are no longer coplanar
-        out = tmp_path / "fano.json"
-        assert main(["represent", "--class", "fano", "-o", str(out)]) == 0
-        capsys.readouterr()
-        assert main(["verify", str(out), "--epsilon", "0"]) == 1
-        assert "[nonplanar]" in capsys.readouterr().out
 
     @pytest.mark.parametrize("cls, args, build", [
         ("complete", ["--n", "6"], lambda: represent_complete(6)),
@@ -492,15 +499,20 @@ def _coordinate(value):
 
 def _float_corner(value):
     # b's edge at x = y = 1 runs through a's interior whatever its third
-    # corner is; that corner carries the non-finite coordinate
+    # corner is; that corner's x coordinate is `value`
     return _two_triangle_doc(
-        [("0.0", "0.0", "0.0"), ("4.0", "0.0", "0.0"), ("0.0", "4.0", "0.0"),
-         ("1.0", "1.0", "-1.0"), ("1.0", "1.0", "1.0"), (value, "1.0", "0.0")],
-        "float")
+        [("0/1", "0/1", "0/1"), ("4/1", "0/1", "0/1"), ("0/1", "4/1", "0/1"),
+         ("1/1", "1/1", "-1/1"), ("1/1", "1/1", "1/1"), (value, "1/1", "0/1")],
+        "exact")
 
 
 def _float_epsilon(value):
-    doc = _float_corner("2.0")
+    # a float scene as the earlier writer wrote it: decimal coordinates,
+    # "arithmetic": "float" and an epsilon
+    doc = _two_triangle_doc(
+        [("0.0", "0.0", "0.0"), ("4.0", "0.0", "0.0"), ("0.0", "4.0", "0.0"),
+         ("1.0", "1.0", "-1.0"), ("1.0", "1.0", "1.0"), ("2.0", "1.0", "0.0")],
+        "float")
     doc["meta"]["epsilon"] = value
     return doc
 
@@ -545,8 +557,59 @@ class TestMalformedScene:
         # the same scene with a finite third corner is read, and its
         # piercing edge is a violation
         path = tmp_path / "pierced.json"
-        path.write_text(json.dumps(_float_corner("2.0")))
+        path.write_text(json.dumps(_float_corner("2/1")))
         assert main(["verify", str(path)]) == 1
+
+
+# The Fano scene as the earlier float writer wrote it: repr() decimals,
+# "arithmetic": "float" and an epsilon.
+_FLOAT_FANO = (
+    '{"kind":"hypergraph","structure":{"vertices":["1","2","3","4","7","5","6"],'
+    '"blocks":[["1","2","3"],["1","4","7"],["1","5","6"],["2","4","6"],["2","5","7"],'
+    '["3","4","5"],["3","6","7"]]},"points":['
+    '{"id":"p0","x":"0.0","y":"0.0","z":"0.5"},'
+    '{"id":"p1","x":"0.4999999999999999","y":"-0.2886751345948132","z":"0.0"},'
+    '{"id":"p2","x":"-0.5751532771085474","y":"0.05031939153678224","z":"1.0"},'
+    '{"id":"p3","x":"-0.5","y":"-0.288675134594813","z":"0.0"},'
+    '{"id":"p4","x":"0.33115450992810297","y":"0.47293765327748155","z":"1.0"},'
+    '{"id":"p5","x":"0.24399876718044466","y":"-0.5232570448142639","z":"1.0"},'
+    '{"id":"p6","x":"3.53525079574969e-17","y":"0.5773502691896258","z":"0.0"}],'
+    '"polygons":[{"label":"1,2,3","corners":["p0","p1","p2"]},'
+    '{"label":"1,4,7","corners":["p0","p3","p4"]},{"label":"1,5,6","corners":["p0","p5","p6"]},'
+    '{"label":"2,4,6","corners":["p1","p3","p6"]},{"label":"2,5,7","corners":["p1","p5","p4"]},'
+    '{"label":"3,4,5","corners":["p2","p3","p5"]},{"label":"3,6,7","corners":["p2","p6","p4"]}],'
+    '"contacts":[{"point":"p0","elements":["1"]},{"point":"p1","elements":["2"]},'
+    '{"point":"p2","elements":["3"]},{"point":"p3","elements":["4"]},'
+    '{"point":"p5","elements":["5"]},{"point":"p6","elements":["6"]},'
+    '{"point":"p4","elements":["7"]}],'
+    '"meta":{"construction":"fano","arithmetic":"float","epsilon":1e-06,"alpha_degrees":85.0}}')
+
+
+class TestFloatSceneRejected:
+    """The reader takes exact scenes only, and names what it refuses."""
+
+    def test_float_scene_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "fano.json"
+        path.write_text(_FLOAT_FANO)
+        assert main(["verify", str(path), "--json"]) == 2
+        assert capsys.readouterr() == ("", "input error: meta.arithmetic is 'float'; "
+                                           'only "exact" scenes are read\n')
+
+    def test_decimal_coordinate_exits_two(self, tmp_path, capsys):
+        doc = json.loads(_FLOAT_FANO)
+        doc["meta"]["arithmetic"] = "exact"
+        path = tmp_path / "fano.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "input error: point 'p0': coordinate x is '0.0', not \"num/den\"\n")
+
+    @pytest.mark.parametrize("value", ["1/2/3", "0.5/1", "1/", " ", 0.5, None, ["1/2"]])
+    def test_coordinate_not_num_den(self, value):
+        doc = _valid_exact_doc()
+        doc["points"][2]["z"] = value
+        with pytest.raises(InputError, match="^point 'p2': coordinate z is .*, not \"num/den\"$"):
+            scene_from_json(doc)
 
 
 def _duplicated(where, record):

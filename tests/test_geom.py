@@ -7,16 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from polycontact import geom
-from polycontact.geom import (ArithmeticContext, PairClassification, Polygon3,
+from polycontact import Graph, geom, graph_scene, verify_scene
+from polycontact.geom import (PairClassification, Polygon3,
                               _one_side, _plane_sides, classify_pair, polygon_properties,
                               CORNER_CONTACT, DISJOINT, VIOLATION, BOUNDARY_TOUCH)
 
 from oracle_geom import oracle_classify
 
 F = Fraction
-EX = ArithmeticContext(exact=True)
-FL = ArithmeticContext(exact=False, eps=1e-9)
 
 
 def P(*corners):
@@ -27,10 +25,20 @@ def _floats(poly):
     return Polygon3(tuple(tuple(float(x) for x in c) for c in poly.corners))
 
 
-_EPS = FL.eps
+def _verified_pair(a, b):
+    """The kind `verify_scene` gives polygons a and b, and its findings as
+    (code, witness): a scene's float coordinates are read exactly."""
+    scene = graph_scene(Graph.from_edges([], vertices=["a", "b"]), {"a": a, "b": b}, {},
+                        {"construction": "test", "arithmetic": "exact"})
+    report = verify_scene(scene)
+    return (report.pair_kinds[("a", "b")],
+            [(f.code, f.witness) for f in report.violations])
+
+
+_EPS = 1e-9
 _NAN, _INF = float("nan"), float("inf")
-# (x, sign in exact mode, sign in float mode with eps 1e-9); NaN counts as
-# zero in both, as does anything within eps in float mode
+# (x, its exact sign, the sign a threshold of eps = 1e-9 would give); NaN
+# counts as zero, and a float is the binary rational it is, however small
 SIGNS = [
     (0, 0, 0),
     (-0.0, 0, 0),
@@ -51,25 +59,26 @@ SIGNS = [
 
 
 class TestSignSemantics:
-    """`sign`, `is_zero`, `is_zero_vec` and the coplanarity check agree on
-    one threshold: |x| <= eps is zero, and so is NaN."""
+    """`_sign`, `is_zero_vec`, the plane sides and the coplanarity check
+    take the exact sign: only 0 (and NaN) is zero, also where a threshold
+    of eps = 1e-9 would have made x zero (the rows whose third column is 0
+    and second is not)."""
 
     @pytest.mark.parametrize("x, exact, fl", SIGNS)
     def test_context_predicates(self, x, exact, fl):
-        for ctx, want in ((EX, exact), (FL, fl)):
-            assert ctx.sign(x) == want, (ctx, x)
-            assert ctx.is_zero(x) is (want == 0), (ctx, x)
-            for v in ((x, 0, 0), (0, x, 0), (0, 0, x)):
-                assert geom.is_zero_vec(v, ctx) is (want == 0), (ctx, v)
+        assert fl in (0, exact)
+        assert geom._sign(x) == exact, x
+        assert _plane_sides(((1, 0, 0), 0), [(x, 0, 0)])[1] == [exact], x
+        for v in ((x, 0, 0), (0, x, 0), (0, 0, x)):
+            assert geom.is_zero_vec(v) is (exact == 0), v
 
     @pytest.mark.parametrize("x, exact, fl", SIGNS)
     def test_coplanarity(self, x, exact, fl):
         # the last corner is off the z = 0 plane of the first three by x
         poly = Polygon3(((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, x)))
-        for ctx, want in ((EX, exact), (FL, fl)):
-            props = polygon_properties(poly, ctx)
-            assert props.planar is (want == 0), (ctx, x)
-            assert ("corners not coplanar" in props.issues) is (want != 0)
+        props = polygon_properties(poly)
+        assert props.planar is (exact == 0), x
+        assert ("corners not coplanar" in props.issues) is (exact != 0)
 
 
 class TestPolygonProperties:
@@ -128,13 +137,13 @@ def _scanned(poly):
         geom._winds_once = walk
 
 
-def _with_scan_calls(poly, ctx=EX):
-    """`polygon_properties(poly, ctx)` and the scan's segment tests it ran."""
+def _with_scan_calls(poly):
+    """`polygon_properties(poly)` and the scan's segment tests it ran."""
     calls = []
     test = geom._segments_intersect2d
     geom._segments_intersect2d = lambda *args: calls.append(args) or test(*args)
     try:
-        return polygon_properties(poly, ctx), calls
+        return polygon_properties(poly), calls
     finally:
         geom._segments_intersect2d = test
 
@@ -174,16 +183,6 @@ class TestExactCertificate:
         hexagon = _flat((0, 0), (2, 0), (3, 1), (3, 2), (1, 2), (0, 1))
         props, calls = _with_scan_calls(hexagon)
         assert props.strictly_convex and calls == []
-        _, calls = _with_scan_calls(_floats(hexagon), FL)
-        assert calls  # float mode keeps the scan
-
-    def test_float_keeps_the_thin_sliver_verdict(self):
-        # opposite edges of this convex quadrilateral come within 1e-12,
-        # which the float scan calls touching
-        sliver = Polygon3(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0),
-                           (2.0, 1e-12, 0.0), (1.0, 2e-12, 0.0)))
-        assert not polygon_properties(sliver, FL).simple
-        assert polygon_properties(sliver, EX).convex
 
 
 class TestClassifyPair:
@@ -251,14 +250,14 @@ class TestClassifyPair:
         # classification decides
         a = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
         b = P((5, 1, 0), (6, 1, 1), (4, 1, 1))
-        assert not _one_side(_plane_sides(polygon_properties(a).plane, b.corners, EX)[1])
-        assert not _one_side(_plane_sides(polygon_properties(b).plane, a.corners, EX)[1])
+        assert not _one_side(_plane_sides(polygon_properties(a).plane, b.corners)[1])
+        assert not _one_side(_plane_sides(polygon_properties(b).plane, a.corners)[1])
         assert classify_pair(a, b).kind == DISJOINT
         assert classify_pair(b, a).kind == DISJOINT
 
     def test_one_sided_first_polygon_needs_one_plane_pass(self, monkeypatch):
-        # a lies strictly above b's plane: an exact pair is Disjoint before
-        # b's corners are measured against a's plane
+        # a lies strictly above b's plane: the pair is Disjoint before b's
+        # corners are measured against a's plane
         a = P((0, 0, 1), (4, 0, 2), (0, 4, 1))
         b = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
         calls = []
@@ -270,21 +269,15 @@ class TestClassifyPair:
         monkeypatch.setattr(geom, "_plane_sides", counted)
         assert classify_pair(a, b).kind == DISJOINT
         assert len(calls) == 1
-        # in float mode both passes run, and the kind is the same
-        calls.clear()
-        assert classify_pair(_floats(a), _floats(b), FL).kind == DISJOINT
-        assert len(calls) == 2
 
     def test_nearly_parallel_float_planes(self):
         # normals differ by ~1e-8: |n1|^2 |n2|^2 - (n1.n2)^2 cancels to 0.0
-        # in floats although n1 x n2 is still above eps
-        ctx = ArithmeticContext(exact=False, eps=1e-9)
+        # in floats; read exactly, b lies strictly above a's plane
         a = Polygon3(corners=((0.0, 0.0, 0.0), (1.0, 0.0, 0.0),
                               (0.0, 1.0, 0.0)))
         b = Polygon3(corners=((0.2, 0.2, 0.5), (1.2, 0.2, 0.5 + 1e-8),
                               (0.2, 1.2, 0.5)))
-        assert classify_pair(a, b, ctx).kind == DISJOINT
-        assert classify_pair(b, a, ctx).kind == DISJOINT
+        assert _verified_pair(a, b) == _verified_pair(b, a) == (DISJOINT, [])
 
     def test_edge_edge_touch_tolerated(self):
         # two lifted edges cross over the same floor segment at z = 1/2,
@@ -307,35 +300,16 @@ class TestClassifyPair:
             assert res.shared_corners == [(0, 0, 0)]
             assert res.touch_witnesses == []
 
-    def test_coplanar_edge_on_edge_is_a_corner_violation(self, monkeypatch):
+    def test_coplanar_edge_on_edge_is_a_corner_violation(self):
         # b's edge runs along a's edge between two corners of b, and no
         # corner is shared: b's corners on a's boundary make the pair a
         # violation, not a boundary touch
         a = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
         b = P((1, 0, 0), (3, 0, 0), (2, -2, 0))
-
-        def check(x, y, ctx):
-            for p, q in ((x, y), (y, x)):
-                res = classify_pair(p, q, ctx)
-                assert res.kind == VIOLATION
-                assert [r for r, _ in res.violations] == ["corner-on-boundary"] * 2
-
-        check(_floats(a), _floats(b), FL)
-        # an exact pair is decided without the coplanar touch search
-        monkeypatch.setattr(geom, "_boundary_touch_points", None)
-        check(a, b, EX)
-
-    def test_segment_along_a_float_edge_is_a_touch(self):
-        # within eps 1e-9 the segment runs along the triangle's edge y = 0,
-        # so its clipped chord is on the boundary (`_chord`'s
-        # through_interior is False) and is not located; its midpoint,
-        # 1.3e-9 off the edge, would be located in the interior
-        seg = Polygon3(((-0.1, 0.9e-9, 0.0), (1.2, 1.8e-9, 0.0)))
-        tri = _floats(P((0, 0, 0), (1, 0, 0), (0, 1, 0)))
-        for p, q in ((seg, tri), (tri, seg)):
-            res = classify_pair(p, q, FL)
-            assert res.kind == BOUNDARY_TOUCH
-            assert res.violations == []
+        for p, q in ((a, b), (b, a)):
+            res = classify_pair(p, q)
+            assert res.kind == VIOLATION
+            assert [r for r, _ in res.violations] == ["corner-on-boundary"] * 2
 
     # b's plane y = 1 crosses a's interior: a's chord on it runs from
     # (0, 1, 0) to (3, 1, 0); b straddles a's plane and meets it in one
@@ -415,12 +389,12 @@ class TestClassifyPair:
         P((3, 0, 0), (5, -2, 0), (3, -2, 0)),
     ], ids=["crossing", "coplanar"])
     def test_float_corner_on_a_straight_angle_edge(self, b):
-        # with eps > 0, (3, 0, 0) is beyond the first straight-angle edge's
-        # box; the next edge still puts it on a's boundary
+        # float corners are read exactly, so (3.0, 0.0, 0.0) is on a's
+        # boundary as (3, 0, 0) is
         a = _floats(P((0, 0, 0), (2, 0, 0), (4, 0, 0), (4, 4, 0), (0, 4, 0)))
         for x, y in ((a, _floats(b)), (_floats(b), a)):
-            assert classify_pair(x, y, FL).violations == [
-                ("corner-on-boundary", (3.0, 0.0, 0.0))]
+            assert _verified_pair(x, y) == (VIOLATION, [
+                ("corner-on-boundary", (3.0, 0.0, 0.0))])
 
     def test_symmetry(self):
         a = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
@@ -588,7 +562,7 @@ def test_classify_matches_bruteforce_oracle(pair):
     if pair is None:
         return
     a, b = pair
-    got = classify_pair(a, b, EX).kind
+    got = classify_pair(a, b).kind
     want = oracle_classify(a, b)
     assert got == want, f"classify={got} oracle={want}\nA={a.corners}\nB={b.corners}"
 
@@ -629,19 +603,18 @@ def test_classify_symmetric_property(pair):
     if pair is None:
         return
     a, b = pair
-    assert classify_pair(a, b, EX).kind == classify_pair(b, a, EX).kind
+    assert classify_pair(a, b).kind == classify_pair(b, a).kind
 
 
 @given(st.one_of(convex_polygon_pairs(), mixed_pairs()))
 def test_float_kind_matches_exact_on_small_integers(pair):
-    """Small integers and halves are exact floats, and every nonzero
-    quantity they give is far above eps, so the float classification
-    agrees with the exact one."""
+    """Small integers and halves are exact floats, and `verify_scene` reads
+    float corners as the binary rationals they are, so the pair's float
+    copy gets the kind of its `Fraction` one."""
     if pair is None:
         return
     a, b = pair
-    want = classify_pair(a, b, EX).kind
-    assert classify_pair(_floats(a), _floats(b), FL).kind == want
+    assert _verified_pair(_floats(a), _floats(b))[0] == classify_pair(a, b).kind
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,10 @@ _SPANS = str(_ROOT / "perfbench" / "spans.py")
 CLI_WRAPS = sorted({attr for module, attr, _ in runpy.run_path(_SPANS)["WRAPS"]
                     if module == "polycontact.cli"})
 
-# `polycontact.__all__` as it was when the package imported every submodule
+# `polycontact.__all__` as it was when the package imported every submodule,
+# less `ArithmeticContext`, removed with the float arithmetic
 _ALL = [
-    "ArithmeticContext", "Arrangement", "BridgeBlockTree", "ConstructionError",
+    "Arrangement", "BridgeBlockTree", "ConstructionError",
     "DrawingError", "FanoParams", "GeometryError", "Graph", "GridExtent",
     "Hypergraph", "InputError", "ModifiedMedialGraph", "ObstructionCertificate",
     "OnePlaneEmbedding", "PairClassification", "PetersenDecomposition",

@@ -30,7 +30,7 @@ from polycontact.geom import (BOUNDARY_TOUCH, CORNER_CONTACT, DISJOINT, VIOLATIO
                               cross2, polygon_properties, project2d, vcross, vdot)
 
 from oracle_geom import oracle_classify
-from test_geom import EX, _hull2d, convex_polygon_pairs
+from test_geom import _hull2d, convex_polygon_pairs
 
 F = Fraction
 
@@ -53,13 +53,13 @@ def _locate(poly, f, x, is_corner=None):
 
 
 def _transversal(p, q, fp, fq, sp, sq, dr, out, seek_touch):
-    (lp, hp), (lq, hq) = _cut(p.corners, sp, dr, EX), _cut(q.corners, sq, dr, EX)
+    (lp, hp), (lq, hq) = _cut(p.corners, sp, dr), _cut(q.corners, sq, dr)
     lo = lq if _earlier(lp, lq) else lp
     hi = hq if _earlier(hq, hp) else hp
     if _earlier(hi, lo):
         return []
     is_open = _earlier(lo, hi)
-    ends = [_end_point(lo, EX), _end_point(hi, EX)]
+    ends = [_end_point(lo), _end_point(hi)]
     if is_open:
         mid = tuple(F(x + y, 2) for x, y in zip(*ends))
         if _locate(p, fp, mid) == "interior" and _locate(q, fq, mid) == "interior":
@@ -90,10 +90,10 @@ def reference_classify(p, q):
     """`classify_pair(p, q)` for two exact proper convex polygons, by point
     location."""
     fp, fq = polygon_properties(p), polygon_properties(q)
-    sp = _plane_sides(fq.plane, p.corners, EX)
+    sp = _plane_sides(fq.plane, p.corners)
     if _one_side(sp[1]):
         return PairClassification(kind=DISJOINT)
-    sq = _plane_sides(fp.plane, q.corners, EX)
+    sq = _plane_sides(fp.plane, q.corners)
     if _one_side(sq[1]):
         return PairClassification(kind=DISJOINT)
     dr = vcross(fp.plane[0], fq.plane[0])
@@ -232,13 +232,6 @@ def kgon_pairs(draw):
     return place(a), place(b)
 
 
-def _match(p, q):
-    """The shared-corner match `verify_scene` passes for exact polygons:
-    corner equality."""
-    return (tuple(c in q.corners for c in p.corners),
-            tuple(c in p.corners for c in q.corners))
-
-
 def _same_as_reference(pair):
     if pair is None:
         return
@@ -246,7 +239,6 @@ def _same_as_reference(pair):
     for p, q in ((a, b), (b, a)):
         ref = reference_classify(p, q)
         assert classify_pair(p, q) == ref, (p.corners, q.corners)
-        assert classify_pair(p, q, match=_match(p, q)) == ref, (p.corners, q.corners)
 
 
 @given(convex_polygon_pairs())
@@ -273,9 +265,9 @@ Q = Polygon3(((0, 0, 0), (4, 0, 0), (0, 4, 0)))  # on the plane z = 0
 
 
 def _decided(p, q, monkeypatch):
-    """`classify_pair(p, q)`, without and with a match, checked against the
-    reference; also whether it ran `_cut`, which every exact crossing pair
-    past the plane-side exits does."""
+    """`classify_pair(p, q)`, checked against the reference; also whether
+    it ran `_cut`, which every crossing pair past the plane-side exits
+    does."""
     cuts = []
     real = geom._cut
 
@@ -286,7 +278,6 @@ def _decided(p, q, monkeypatch):
     ref = reference_classify(p, q)
     res = classify_pair(p, q)
     assert res == ref, (p.corners, q.corners)
-    assert classify_pair(p, q, match=_match(p, q)) == ref, (p.corners, q.corners)
     return res, bool(cuts)
 
 

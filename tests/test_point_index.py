@@ -1,11 +1,11 @@
-"""The verifier's point index against a pairwise `point_eq` reference.
+"""The verifier's point index against a pairwise reference.
 
 `verify.KernelScene` interns each scene point once and matches corners and
-contacts by id; in float mode two ids match when their points lie within
-eps, a relation that need not be transitive.  Every report here must equal
+contacts by id: two points match exactly when they are equal, however
+close two unequal ones are.  Every report here must equal
 `reference_verify`'s, which compares points pair by pair.  The reference
-also classifies every pair, so exact scenes with far-apart polygons hold
-the verifier's broad phase to it as well.
+also classifies every pair, so scenes with far-apart polygons hold the
+verifier's broad phase to it as well.
 """
 
 import random
@@ -16,55 +16,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycontact import (Graph, Polygon3, Scene, classify_pair,
-                         complete_bipartite, edge_key, graph_scene,
+from polycontact import (Graph, Polygon3, Scene, complete_bipartite, edge_key, graph_scene,
                          represent_2ec_cubic, represent_bipartite_toroidal,
                          represent_complete, represent_cubic,
                          represent_cycle_square, represent_fano, verify_scene)
-from polycontact.verify import KernelScene
-
 from conftest import gadget_chain, merged_fan
 from oracle_geom import oracle_classify
 from reference_verify import reference_verify
 
-EPS = 2.0 ** -20  # offsets of 0.5, 1, 1.5 and 3 eps are exact floats
+EPS = 2.0 ** -20  # offsets of 0.5, 1, 1.5 and 3 EPS are exact floats
 
 
 def _rows(findings):
     return [(f.code, f.where, f.detail, f.witness) for f in findings]
 
 
-def assert_matches_reference(scene, eps=None):
-    """Findings, pair kinds, reconstructed contacts and every pair's shared
-    corners equal the pairwise reference's."""
-    report = verify_scene(scene, eps=eps)
-    viol, warn, kinds, shared, recon = reference_verify(scene, eps)
+def assert_matches_reference(scene):
+    """Findings, pair kinds and reconstructed contacts equal the pairwise
+    reference's."""
+    report = verify_scene(scene)
+    viol, warn, kinds, shared, recon = reference_verify(scene)
     assert _rows(report.violations) == viol
     assert _rows(report.warnings) == warn
     assert report.pair_kinds == kinds
     assert report.reconstructed == recon
-    ctx = scene.context(eps=eps)
-    kernel = KernelScene(scene, ctx)
-    indexed = {}
-    for a, b in kinds:
-        cls = classify_pair(kernel.polygons[a], kernel.polygons[b], ctx,
-                            match=kernel.match(a, b))
-        if cls.shared_corners:
-            indexed[(a, b)] = [kernel.unscale(c) for c in cls.shared_corners]
-    assert indexed == shared
     return report
 
 
-def _float_scene(triangles, edges, contacts, eps=EPS):
+def _float_scene(triangles, edges, contacts):
+    """A scene of float triangles, which are read exactly."""
     g = Graph.from_edges(edges, vertices=sorted(triangles))
     polygons = {label: Polygon3(corners=tuple(cs)) for label, cs in triangles.items()}
     return graph_scene(g, polygons, {edge_key(*e): p for e, p in contacts.items()},
-                       {"construction": "test", "arithmetic": "float", "epsilon": eps})
+                       {"construction": "test", "arithmetic": "exact"})
 
 
 def _offset_scene():
-    """Triangle pairs whose near-shared corners straddle x = 0, a cell
-    boundary of any floor-based grid, at 0.5, 1, 1.5 and 3 eps apart."""
+    """Triangle pairs whose nearly shared corners straddle x = 0 at 0.5,
+    1, 1.5 and 3 EPS apart."""
     triangles, edges, contacts = {}, [], {}
     for k, f in enumerate((0.5, 1.0, 1.5, 3.0)):
         y, d = 3.0 * k, f * EPS / 2
@@ -77,7 +66,7 @@ def _offset_scene():
 
 
 def _chain_scene():
-    """Corners a ~ b and b ~ c within eps, with a and c 1.2 eps apart."""
+    """Corners a, b, c 0.6 EPS apart in a row."""
     a, b, c = (-0.6 * EPS, 0.0, 0.0), (0.0, 0.0, 0.0), (0.6 * EPS, 0.0, 0.0)
     triangles = {
         "A": [a, (-1.0, -0.5, 0.0), (-1.0, 0.5, 0.0)],
@@ -89,25 +78,25 @@ def _chain_scene():
 
 
 class TestToleranceBoundary:
+    """No tolerance: points a tiny distance apart are distinct."""
+
     def test_offsets_across_a_cell_boundary(self):
         report = assert_matches_reference(_offset_scene())
         kinds = report.pair_kinds
-        assert [kinds[(f"u{k}", f"v{k}")] for k in range(4)][:2] == [
-            "CornerContact", "CornerContact"]
+        assert [kinds[(f"u{k}", f"v{k}")] for k in range(4)] == ["Disjoint"] * 4
         assert [(f.code, f.where) for f in report.violations if f.code == "missing-contact"] == [
-            ("missing-contact", "u2 / v2"), ("missing-contact", "u3 / v3")]
+            ("missing-contact", f"u{k} / v{k}") for k in range(4)]
 
     def test_chain_is_not_closed(self):
+        # no two of a, b, c are one point, so no contact is merged
         report = assert_matches_reference(_chain_scene())
-        assert report.pair_kinds[("A", "B")] == "CornerContact"
-        assert report.pair_kinds[("B", "C")] == "CornerContact"
-        assert report.pair_kinds[("A", "C")] != "CornerContact"
-        assert ("merged-contacts", "A-B / B-C") in {
-            (f.code, f.where) for f in report.violations}
+        assert "CornerContact" not in report.pair_kinds.values()
+        assert [(f.code, f.where) for f in report.violations] == [
+            ("missing-contact", "A / B"), ("missing-contact", "B / C")]
 
     @pytest.mark.parametrize("build", [_offset_scene, _chain_scene])
     def test_zero_epsilon_is_tuple_identity(self, build):
-        report = assert_matches_reference(build(), eps=0.0)
+        report = assert_matches_reference(build())
         assert "CornerContact" not in report.pair_kinds.values()
 
     def test_exact_scenes(self):
@@ -204,10 +193,7 @@ def _mutate(scene, data):
         poly = scene.polygons[label]
         i = data.draw(st.integers(0, len(poly.corners) - 1))
         axis = data.draw(st.integers(0, 2))
-        if scene.is_exact:
-            step = data.draw(st.sampled_from((F(1, 3), F(-1, 2), F(1, 1000), F(-2))))
-        else:
-            step = data.draw(st.sampled_from((0.5, -1.0, 1.5, 3.0, -1e6))) * scene.context().eps
+        step = data.draw(st.sampled_from((F(1, 3), F(-1, 2), F(1, 1000), F(-2))))
         c = list(poly.corners[i])
         c[axis] += step
         cs = list(poly.corners)
@@ -226,8 +212,6 @@ class TestMutationFuzz:
         for _ in range(data.draw(st.integers(1, 2))):
             _mutate(scene, data)
         report = assert_matches_reference(scene)
-        if not scene.is_exact:
-            return
         changed = {label for label, poly in scene.polygons.items()
                    if poly != base.polygons[label]}
         for (a, b), kind in report.pair_kinds.items():

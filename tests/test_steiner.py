@@ -18,7 +18,7 @@ from polycontact import (ConstructionError, FanoParams, InputError,
                          represent_fano, represent_s239, validate_steiner,
                          verify_scene)
 from polycontact.core import Hypergraph
-from polycontact.geom import _plane_of, plane_contains
+from polycontact.geom import _plane_of, vdot
 from polycontact.steiner import (ANY_QUAD_OBSTRUCTION,
                                  CONVEX_QUAD_OBSTRUCTION, KNOWN_CASE_S348)
 
@@ -26,7 +26,7 @@ from polycontact.steiner import (ANY_QUAD_OBSTRUCTION,
 class TestFano:
     def test_default_verifies(self):
         scene = represent_fano()
-        report = verify_scene(scene, eps=1e-6)
+        report = verify_scene(scene)
         assert report.passed
         assert len(report.reconstructed) == 7
 
@@ -49,7 +49,7 @@ class TestFano:
         with pytest.raises(ConstructionError):
             represent_fano(FanoParams(alpha=130.0))
         scene = represent_fano(FanoParams(alpha=30.0))
-        assert verify_scene(scene, eps=1e-6).passed
+        assert verify_scene(scene).passed
 
     def test_vertex_degree_matches_corners(self):
         scene = represent_fano()
@@ -64,7 +64,7 @@ class TestFano:
 class TestS239:
     def test_default_verifies(self):
         scene = represent_s239()
-        report = verify_scene(scene, eps=1e-6)
+        report = verify_scene(scene)
         assert report.passed
         assert len(report.reconstructed) == 9
         assert len(scene.polygons) == 12
@@ -199,8 +199,7 @@ class TestCoplanarity:
         g = Graph.from_edges([("a", "b")])
         scene = graph_scene(g, {"a": sq, "b": tri},
                             {edge_key("a", "b"): (1.0, 0.0, 0.0)},
-                            {"construction": "t", "arithmetic": "float",
-                             "epsilon": 1e-9})
+                            {"construction": "t", "arithmetic": "exact"})
         # treat the four square corners as contact stand-ins
         scene.contacts = {f"p{i}": c for i, c in enumerate(sq.corners)}
         count, _, members = max_coplanar_vertices(scene)
@@ -208,7 +207,7 @@ class TestCoplanarity:
 
     def test_fano_planes(self):
         scene = represent_fano()
-        count, _, members = max_coplanar_vertices(scene, eps=1e-6)
+        count, _, members = max_coplanar_vertices(scene)
         assert count == 3
 
     def test_tetrahedron_points(self):
@@ -219,8 +218,7 @@ class TestCoplanarity:
                                 (5.0, 6.0, 5.0)))
         g = Graph.from_edges([("a", "b")])
         scene = graph_scene(g, {"a": tri, "b": far}, {},
-                            {"construction": "t", "arithmetic": "float",
-                             "epsilon": 1e-9})
+                            {"construction": "t", "arithmetic": "exact"})
         scene.contacts = {"1": (0.0, 0.0, 0.0), "2": (1.0, 0.0, 0.0),
                           "3": (0.0, 1.0, 0.0), "4": (0.0, 0.0, 1.0)}
         count, _, _ = max_coplanar_vertices(scene)
@@ -235,13 +233,12 @@ class TestCoplanarity:
         g = Graph.from_edges([("a", "b")])
         scene = graph_scene(g, {"a": t1, "b": t2},
                             {edge_key("a", "b"): (1.0, 0.0, 0.0)},
-                            {"construction": "t", "arithmetic": "float",
-                             "epsilon": 1e-9})
+                            {"construction": "t", "arithmetic": "exact"})
         assert coplanar_polygon_pairs(scene) == [("a", "b")]
 
     def test_fano_pairs(self):
         scene = represent_fano()
-        pairs = coplanar_polygon_pairs(scene, eps=1e-6)
+        pairs = coplanar_polygon_pairs(scene)
         # for the default angle no two block triangles share a plane
         assert pairs == []
 
@@ -269,15 +266,14 @@ class TestCoplanarity:
 def _coplanar_by_every_triple(scene):
     """`max_coplanar_vertices` as it was: every contact against the plane
     of every contact triple, O(m^4)."""
-    ctx = scene.context()
     pts = sorted(((k if isinstance(k, str) else "-".join(sorted(k)), tuple(p))
                   for k, p in scene.contacts.items()), key=lambda np: np[0])
     best = (0, None, [])
     for (_, pa), (_, pb), (_, pc) in combinations(pts, 3):
-        plane = _plane_of((pa, pb, pc), ctx)
+        plane = _plane_of((pa, pb, pc))
         if plane is None:
             continue
-        members = [name for name, p in pts if plane_contains(plane, p, ctx)]
+        members = [name for name, p in pts if vdot(plane[0], p) == plane[1]]
         if len(members) > best[0]:
             best = (len(members), plane, members)
     return best

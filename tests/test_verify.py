@@ -18,7 +18,7 @@ from polycontact import (Graph, Polygon3, Scene, classify_pair,
                          represent_cubic, represent_fano,
                          represent_min_degree3, represent_oneplanar_cubic,
                          scene_from_json, verify_scene)
-from polycontact.geom import EXACT, _plane_of, vcross, vdot, vsub
+from polycontact.geom import _plane_of, vcross, vdot, vsub
 from polycontact.scene import GRAPH
 from polycontact.verify import KernelScene
 
@@ -266,14 +266,16 @@ class TestBroadPhase:
         assert list(report.pair_kinds) == pairs
         assert len(calls) < len(pairs)
 
-    def test_float_scene_classifies_every_pair(self, monkeypatch):
+    def test_toroidal_scene_skips_box_disjoint_pairs(self, monkeypatch):
+        # every scene is exact and gets the box sweep: the horizontal
+        # A-polygons at distinct heights have disjoint boxes
         scene = represent_bipartite_toroidal(complete_bipartite(4, 4))
-        assert not scene.is_exact
         calls = _counting_classify_pair(monkeypatch)
         report = verify_scene(scene)
         assert report.passed
-        assert len(calls) == len(report.pair_kinds) == len(scene.polygons) * (
-            len(scene.polygons) - 1) // 2
+        pairs = list(combinations(sorted(scene.polygons), 2))
+        assert list(report.pair_kinds) == pairs
+        assert len(calls) < len(pairs)
 
 
 class TestGridExtent:
@@ -285,19 +287,7 @@ class TestGridExtent:
                             {edge_key("a", "b"): (F(2), F(0), F(0))},
                             {"construction": "test", "arithmetic": "exact"})
         ext = grid_extent(scene)
-        assert ext.gz == 1 and not ext.approximate
-
-    def test_float_extent_flagged(self):
-        tri = Polygon3(corners=((0.0, 0.0, 0.0), (1.0, 0.0, 0.0),
-                                (0.0, 1.0, 0.0)))
-        tri2 = Polygon3(corners=((1.0, 0.0, 0.0), (2.0, 0.0, 0.0),
-                                 (2.0, 1.0, 0.0)))
-        g = Graph.from_edges([("a", "b")])
-        scene = graph_scene(g, {"a": tri, "b": tri2},
-                            {edge_key("a", "b"): (1.0, 0.0, 0.0)},
-                            {"construction": "test", "arithmetic": "float",
-                             "epsilon": 1e-9})
-        assert grid_extent(scene).approximate
+        assert ext.gz == 1
 
     def test_report_deterministic(self):
         scene = represent_complete(5)
@@ -315,7 +305,7 @@ class TestGridExtent:
         scene = graph_scene(Graph.from_edges([("a", "b")]), {"a": a, "b": b},
                             {key: (F(1, 2), F(0), 0.0)},
                             {"construction": "test", "arithmetic": "exact"})
-        kernel = KernelScene(scene, scene.context())
+        kernel = KernelScene(scene)
         assert kernel.scale == 12
         assert kernel.ids == {"a": (0, 1, 2), "b": (1, 3, 4)}
         assert kernel.contact_ids == {key: 1}
@@ -323,7 +313,7 @@ class TestGridExtent:
         assert kernel.polygons["b"].corners == ((6, 0, 0), (18, 0, 0), (12, 15, 0))
         assert kernel.contacts == {key: (6, 0, 0)}
         ext = grid_extent(scene)
-        assert ext == (4, 3, 2, False)
+        assert ext == (4, 3, 2)
         assert ext[:3] == tuple(len({F(p[i]) for p in scene.all_points()}) for i in range(3))
         report = verify_scene(scene)
         assert report.passed, report.to_text()
@@ -446,7 +436,7 @@ class TestIntegerKernel:
         g = Graph.from_edges([("a", "b")], vertices=list(polygons))
         scene = graph_scene(g, polygons, {edge_key("a", "b"): (0.75, 0, 0)},
                             {"construction": "test", "arithmetic": "exact"})
-        kernel = KernelScene(scene, scene.context())
+        kernel = KernelScene(scene)
         assert kernel.scale > 1
 
         def unscaled(p):
@@ -480,9 +470,8 @@ class TestIntegerKernel:
         plain = classify_pair(a, b)
         assert plain.kind == "BoundaryTouch"
         assert plain.touch_witnesses == ends
-        ctx = scene.context()
-        kernel = KernelScene(scene, ctx)
-        scaled = classify_pair(kernel.polygons["a"], kernel.polygons["b"], ctx)
+        kernel = KernelScene(scene)
+        scaled = classify_pair(kernel.polygons["a"], kernel.polygons["b"])
         assert [kernel.unscale(w) for w in scaled.touch_witnesses] == ends
         report = verify_scene(scene)
         assert [(f.code, f.witness) for f in report.warnings] == [("boundary-touch", ends[0])]
@@ -504,7 +493,7 @@ class TestIntegerKernel:
             "cubic-2ec", "cubic"])
     def test_pair_kinds_match_plain_classifier(self, build):
         scene = build()
-        assert scene.is_exact
+        assert scene.meta["arithmetic"] == "exact"
         report = verify_scene(scene)
         assert report.passed
         plain = {(a, b): classify_pair(scene.polygons[a], scene.polygons[b]).kind
@@ -585,12 +574,11 @@ class TestDivisionFreeKernel:
 
     @staticmethod
     def _assert_same_classification(scene):
-        ctx = scene.context()
-        kernel = KernelScene(scene, ctx)
+        kernel = KernelScene(scene)
         kinds = []
         for a, b in combinations(sorted(scene.polygons), 2):
             plain = classify_pair(scene.polygons[a], scene.polygons[b])
-            fast = classify_pair(kernel.polygons[a], kernel.polygons[b], ctx)
+            fast = classify_pair(kernel.polygons[a], kernel.polygons[b])
             assert fast.kind == plain.kind, (a, b)
             assert [kernel.unscale(c) for c in fast.shared_corners] == [
                 tuple(c) for c in plain.shared_corners]
@@ -624,7 +612,7 @@ class TestDivisionFreeKernel:
         checked = 0
         while checked < 40:
             corners = [_rand_point(rng) for _ in range(3)]
-            plane = _plane_of(corners, EXACT)
+            plane = _plane_of(corners)
             if plane is None:
                 continue
             a, b, c = corners
@@ -633,7 +621,7 @@ class TestDivisionFreeKernel:
                               vdot(vcross(vsub(b, a), vsub(c, a)), a))
             scale = math.lcm(*(x.denominator for p in corners for x in p))
             ints = [tuple(int(x * scale) for x in p) for p in corners]
-            m, e = _plane_of(ints, EXACT)
+            m, e = _plane_of(ints)
             assert all(type(x) is int for x in m) and math.gcd(*m) == 1
             ratio = next(F(mk, nk) for mk, nk in zip(m, n) if nk)
             assert ratio > 0
@@ -643,18 +631,19 @@ class TestDivisionFreeKernel:
 
 
 class TestDuplicateCorners:
-    """`verify_scene` takes each polygon's duplicate corners from the
-    kernel's ids; the issues are those of the pairwise `point_eq` scan that
-    `polygon_properties` makes when called on its own."""
+    """`verify_scene` finds each polygon's duplicate corners on the
+    kernel's int corners; the issues are those `polygon_properties` finds
+    on the scene's own corners.  Corners are duplicates only when equal,
+    however close they are."""
 
     @pytest.mark.parametrize("corners,pairs", [
-        # corners 0.5 eps apart
+        # corners 0.5e-9 apart
         (((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0 + 0.5e-9, 0.0, 0.0),
-          (1.0, 1.0, 0.0), (0.0, 1.0, 0.0)), [(1, 2)]),
-        # a ~ b and b ~ c, but not a ~ c; one corner repeated exactly
+          (1.0, 1.0, 0.0), (0.0, 1.0, 0.0)), []),
+        # a chain of corners 0.9e-9 apart; one corner repeated exactly
         (((0.0, 0.0, 0.0), (0.9e-9, 0.0, 0.0), (1.8e-9, 0.0, 0.0),
           (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (1.0, 1.0, 0.0)),
-         [(0, 1), (1, 2), (4, 5)]),
+         [(4, 5)]),
         # exact repeats, not adjacent
         (((0, 0, 0), (4, 0, 0), (0, 4, 0), (4, 0, 0), (0, 0, 0)),
          [(0, 4), (1, 3)]),
@@ -663,30 +652,11 @@ class TestDuplicateCorners:
         exact = isinstance(corners[0][0], int)
         poly = Polygon3(corners=tuple(tuple(map(F, c)) for c in corners)
                         if exact else corners)
-        meta = ({"construction": "test", "arithmetic": "exact"} if exact else
-                {"construction": "test", "arithmetic": "float", "epsilon": 1e-9})
         scene = graph_scene(Graph.from_edges([], vertices=["a"]), {"a": poly},
-                            {}, meta)
+                            {}, {"construction": "test", "arithmetic": "exact"})
         issues = verify_scene(scene).polygon_properties["a"].issues
-        scan = polygon_properties(poly, scene.context()).issues
+        scan = polygon_properties(poly).issues
         assert issues == scan == [f"duplicate corners {i} and {j}" for i, j in pairs]
-
-
-class TestFloatNearCorner:
-    def test_point_near_but_not_at_a_corner_is_on_the_boundary(self):
-        # P is 1.9e-9 from q's corner (0,0,0), so `point_eq` at eps 1e-9
-        # says it is not that corner, yet it lies on q's boundary within eps
-        P = (9e-10, 0.0, -1.9e-9)
-        q = Polygon3(corners=((0.0, 0.0, 0.0), (1.0, 0.0, -0.75), (0.0, 1.0, 0.0)))
-        p = Polygon3(corners=(P, (P[0], P[1] - 1.0, P[2]),
-                              (P[0] - 0.714, P[1], P[2] + 0.7)))
-        scene = graph_scene(Graph.from_edges([], vertices=["p", "q"]),
-                            {"p": p, "q": q}, {},
-                            {"construction": "test", "arithmetic": "float",
-                             "epsilon": 1e-9})
-        report = verify_scene(scene)
-        assert not report.passed
-        assert [f.code for f in report.violations] == ["corner-on-boundary"] * 2
 
 
 def _pierced_float_scene(x):
@@ -695,7 +665,7 @@ def _pierced_float_scene(x):
     a = Polygon3(corners=((0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (0.0, 4.0, 0.0)))
     b = Polygon3(corners=((1.0, 1.0, -1.0), (1.0, 1.0, 1.0), (x, 5.0, 0.0)))
     return graph_scene(Graph.from_edges([], vertices=["a", "b"]), {"a": a, "b": b}, {},
-                       {"construction": "test", "arithmetic": "float", "epsilon": 1e-9})
+                       {"construction": "test", "arithmetic": "exact"})
 
 
 class TestNonFinite:
@@ -717,8 +687,7 @@ class TestNonFinite:
         b = Polygon3(corners=((1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (2.0, 1.0, 0.0)))
         scene = graph_scene(Graph.from_edges([("a", "b")]), {"a": a, "b": b},
                             {edge_key("a", "b"): (math.inf, 0.0, 0.0)},
-                            {"construction": "test", "arithmetic": "float",
-                             "epsilon": 1e-9})
+                            {"construction": "test", "arithmetic": "exact"})
         report = verify_scene(scene)
         assert [(f.code, f.where) for f in report.violations] == [("non-finite", "a-b")]
         assert report.reconstructed == {edge_key("a", "b"): (1.0, 0.0, 0.0)}
@@ -742,7 +711,8 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-9])
     def test_bad_epsilon_rejected(self, eps):
-        with pytest.raises(ValueError):
+        # verification is exact: `verify_scene` takes no epsilon at all
+        with pytest.raises(TypeError):
             verify_scene(represent_fano(), eps=eps)
 
 
