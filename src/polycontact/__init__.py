@@ -1,9 +1,10 @@
 """Contact representations of graphs and hypergraphs by touching polygons in 3D.
 
-Constructions for complete, min-degree-3, bipartite, 1-plane cubic, cubic
-and cycle-square graphs plus the two smallest Steiner triple systems, an
-exact scene verifier, and combinatorial non-realizability certificates for
-Steiner quadruple systems.
+Constructions for every graph (a line-arrangement lift), for bipartite,
+1-plane cubic, cubic, max-degree-3 and cycle-square graphs plus the two
+smallest Steiner triple systems, an exact scene verifier, and
+combinatorial non-realizability certificates for Steiner quadruple
+systems.
 
 `import polycontact` loads no submodule.  Each name in `_EXPORTS`, and
 each submodule in `__all__`, is imported on first access (PEP 562) and

@@ -1,4 +1,4 @@
-"""Contact representations for complete and min-degree-3 graphs.
+"""Contact representations of every graph, by lifting a line arrangement.
 
 The construction lifts an arrangement of n lines in the xy-plane whose
 intersections appear along every line in index order, with each
@@ -23,7 +23,10 @@ certificate; the build raises if it fails.
 
 Lifting intersection point p(i,j) to z = min(i,j) makes the convex hull of
 each line's lifted points a polygon in a vertical plane; polygons of lines
-i and j then meet exactly in the lifted p(i,j).  Every perturbation
+i and j then meet exactly in the lifted p(i,j).  This needs minimum degree
+3, so a graph with lower degrees is padded first: each vertex of degree
+d < 3 is joined to 3 - d vertices of a dummy K4, and the lifted scene is
+retracted to the graph (`scene.retract`).  Every perturbation
 ("slightly reduce", strictification) is a power-of-two rational chosen by
 halving until `verify_scene` passes the whole scene.  That report is the
 only contact check here: the returned scene carries it as its
@@ -34,10 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
+
 from .core import Graph, edge_key
 from .geom import Polygon3
-from .scene import ConstructionError, Scene, graph_scene
+from .scene import ConstructionError, Scene, dummy_labels, graph_scene, retract
 from .verify import verify_scene
 
 _MAX_HALVINGS = 128
@@ -158,19 +163,20 @@ def _scene_from_contacts(g: Graph, order: list, contacts: dict, meta: dict) -> S
     return graph_scene(g, polygons, contacts, meta)
 
 
-def _lift_scene(g: Graph, arr: Arrangement, delta: Fraction) -> Scene:
-    """Lift contacts of g over the arrangement; delta lowers flat polygons."""
-    order = list(g.vertices)
+def _lift_scene(g: Graph, padded: Graph, arr: Arrangement, delta: Fraction) -> Scene:
+    """Lift contacts of `padded` over the arrangement and retract the
+    scene to g; delta lowers flat polygons."""
+    order = list(padded.vertices)
     index = {v: i + 1 for i, v in enumerate(order)}
     contacts = {}
-    for e in g.edges:
+    for e in padded.edges:
         i, j = sorted(index[v] for v in e)
         x, y = arr.point(i, j)
         contacts[e] = (x, y, Fraction(i))
     # a polygon whose neighbours all come later would lie flat at z = i:
     # lower its contact with the first of them
     for v in order:
-        j = min((index[w] for w in g.neighbors(v)), default=0)
+        j = min((index[w] for w in padded.neighbors(v)), default=0)
         if j > index[v]:
             e = edge_key(v, order[j - 1])
             x, y, z = contacts[e]
@@ -181,18 +187,32 @@ def _lift_scene(g: Graph, arr: Arrangement, delta: Fraction) -> Scene:
         "arithmetic": "exact",
         "order": order,
         "delta": str(delta),
-        "degenerate": any(g.degree(v) < 3 for v in order),
     }
-    return _scene_from_contacts(g, order, contacts, meta)
+    return retract(g, _scene_from_contacts(padded, order, contacts, {}), meta)
 
 
-def _represent_lifted(g: Graph) -> Scene:
-    """Lift g over an arrangement of g.n lines, halving delta until
-    `verify_scene` certifies the scene."""
-    arr = build_line_arrangement(g.n)
+def _pad_to_min_degree3(g: Graph) -> Graph:
+    """g plus a dummy K4, each vertex of degree d < 3 joined to 3 - d of
+    its vertices; g itself when its minimum degree is 3."""
+    low = [v for v in g.vertices if g.degree(v) < 3]
+    if not low:
+        return g
+    k4 = dummy_labels(g, 4)
+    pads = [(v, d) for v in low for d in k4[:3 - g.degree(v)]]
+    return Graph(vertices=g.vertices + tuple(k4), edges=g.edges | frozenset(
+        edge_key(u, v) for u, v in list(combinations(k4, 2)) + pads))
+
+
+def represent_min_degree3(g: Graph) -> Scene:
+    """Contact representation of any graph by convex polygons: g, padded
+    to minimum degree 3, is lifted over an arrangement of lines, halving
+    delta until `verify_scene` certifies the retracted scene.  A vertex of
+    degree below 3 gets a triangle."""
+    padded = _pad_to_min_degree3(g)
+    arr = build_line_arrangement(padded.n)
     delta = Fraction(1, 2)
     for _ in range(_MAX_HALVINGS):
-        scene = _lift_scene(g, arr, delta)
+        scene = _lift_scene(g, padded, arr, delta)
         report = verify_scene(scene)
         if report.passed:
             scene.certificate = report
@@ -201,23 +221,15 @@ def _represent_lifted(g: Graph) -> Scene:
     raise ConstructionError("perturbation backoff failed")  # pragma: no cover
 
 
-def represent_min_degree3(g: Graph) -> Scene:
-    """Contact representation by convex polygons for min-degree-3 graphs."""
-    bad = [v for v in g.vertices if g.degree(v) < 3]
-    if bad:
-        raise ConstructionError(f"vertices of degree < 3: {bad}")
-    return _represent_lifted(g)
-
-
 def represent_complete(n: int) -> Scene:
-    """Contact representation of the complete graph on n >= 3 vertices.
+    """Contact representation of the complete graph on n >= 1 vertices.
 
-    Every polygon has at most n-1 corners; for n = 3 the polygons are
-    segments and the scene is flagged degenerate.
+    For n >= 4 every polygon has n-1 corners; for n <= 3 the graph is
+    padded and every polygon is a triangle.
     """
-    if n < 3:
-        raise ConstructionError("need n >= 3")
-    return _represent_lifted(Graph.from_edges(
+    if n < 1:
+        raise ConstructionError("need n >= 1")
+    return represent_min_degree3(Graph.from_edges(
         [(str(i), str(j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)],
         vertices=[str(i) for i in range(1, n + 1)]))
 
@@ -228,9 +240,13 @@ def strictify(scene: Scene) -> Scene:
     Each contact's z drops by delta divided by its position along the
     governing line (measured from that line's first contact), which bows
     formerly straight chains outward; delta is halved until the perturbed
-    scene passes verification with every polygon strictly convex.
+    scene passes verification with every polygon strictly convex.  A
+    vertex of degree below 3 (a padded lift) is a ConstructionError.
     """
     g: Graph = scene.structure
+    low = [v for v in g.vertices if g.degree(v) < 3]
+    if low:
+        raise ConstructionError(f"strictify needs minimum degree 3; degree < 3: {low}")
     order = scene.meta.get("order") or list(g.vertices)
     index = {v: i + 1 for i, v in enumerate(order)}
 
@@ -257,9 +273,8 @@ def strictify(scene: Scene) -> Scene:
             contacts[e] = (x, y, z)
         candidate = _scene_from_contacts(g, order, contacts, dict(scene.meta))
         report = verify_scene(candidate)
-        if report.passed and all(
-                props.strictly_convex or len(candidate.polygons[v].corners) < 3
-                for v, props in report.polygon_properties.items()):
+        if report.passed and all(props.strictly_convex
+                                 for props in report.polygon_properties.values()):
             candidate.meta["strictified"] = True
             candidate.certificate = report
             return candidate

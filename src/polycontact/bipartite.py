@@ -1,8 +1,10 @@
 """Bipartite contact representations: toroidal-grid, integer-grid, K33.
 
-Both general constructions realize the complete bipartite graph and drop
-the touching points of non-edges (polygons are rebuilt from the surviving
-corners, which preserves planes and convexity).
+Both general constructions pad each part with dummy vertices up to 3,
+realize the complete bipartite graph K_{A',B'} on the padded parts, and
+retract it to the graph (`scene.retract`): the dummy polygons go, and each
+polygon keeps the corners of its edges' contacts, pulling dropped ones in
+when it keeps fewer than 3.
 
 Toroidal: every B-polygon is a rotated copy (around the z-axis) of a lead
 polygon whose corners sit evenly spaced on a half circle; A-polygons are
@@ -25,9 +27,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import Graph
+from .core import Graph, edge_key
 from .geom import ROUND_BITS, Polygon3, round_point
-from .scene import ConstructionError, Scene, graph_scene
+from .scene import ConstructionError, Scene, dummy_labels, graph_scene, retract
 from .verify import certify
 
 
@@ -64,6 +66,8 @@ def _check_parts(g: Graph, parts):
         return bipartition(g)
     part_a, part_b = parts
     sa, sb = set(part_a), set(part_b)
+    if len(sa) != len(part_a) or len(sb) != len(part_b):
+        raise ConstructionError("a part repeats a label")
     if sa | sb != set(g.vertices) or sa & sb:
         raise ConstructionError("parts must partition the vertices")
     for e in g.edges:
@@ -73,14 +77,34 @@ def _check_parts(g: Graph, parts):
     return list(part_a), list(part_b)
 
 
+def _padded_parts(g: Graph, part_a: list, part_b: list):
+    """The parts, each padded with dummy vertices up to 3."""
+    dummies = iter(dummy_labels(g, 6))
+    return ([*part_a, *(next(dummies) for _ in range(3 - len(part_a)))],
+            [*part_b, *(next(dummies) for _ in range(3 - len(part_b)))])
+
+
+def _retract_complete(g: Graph, pa: list, pb: list, corner, meta: dict) -> Scene:
+    """g's scene retracted from K_{pa,pb}, whose A-polygon k and B-polygon
+    m touch at corner[k, m]: A-polygons in B order, B-polygons in A order."""
+    a, b = len(pa), len(pb)
+    polygons = {bv: Polygon3(corners=tuple(corner[k, m] for k in range(a)))
+                for m, bv in enumerate(pb)}
+    for k, av in enumerate(pa):
+        polygons[av] = Polygon3(corners=tuple(corner[k, m] for m in range(b)))
+    contacts = {edge_key(av, bv): corner[k, m]
+                for k, av in enumerate(pa) for m, bv in enumerate(pb)}
+    padded = graph_scene(Graph(vertices=tuple(pa + pb), edges=frozenset(contacts)),
+                         polygons, contacts, {})
+    return retract(g, padded, meta)
+
+
 def represent_bipartite_toroidal(g: Graph, parts=None) -> Scene:
-    """Toroidal-grid representation: |B| rotations x (2|A|-2) circle steps."""
+    """Toroidal-grid representation: |B'| rotations x (2|A'|-2) circle
+    steps, for parts padded to |A'|, |B'| >= 3."""
     part_a, part_b = _check_parts(g, parts)
-    a, b = len(part_a), len(part_b)
-    if a < 2 or b < 1:
-        raise ConstructionError("need |A| >= 2 and |B| >= 1")
-    if any(g.degree(v) == 0 for v in g.vertices):
-        raise ConstructionError("isolated vertices have no touching points")
+    pa, pb = _padded_parts(g, part_a, part_b)
+    a, b = len(pa), len(pb)
 
     # the lead chain, a half circle of radius 1 about x = 2, stays clear
     # of the z-axis
@@ -89,29 +113,15 @@ def represent_bipartite_toroidal(g: Graph, parts=None) -> Scene:
         cos, sin = _circle_point(math.pi * k / (a - 1))
         lead.append((2 - sin, -cos))
     turns = [_circle_point(2.0 * math.pi * m / b) for m in range(b)]
-
-    corner = {}  # (k, m) -> the contact of A-polygon k and B-polygon m
-    contacts = {}
-    for k, av in enumerate(part_a):
-        x, z = lead[k]
-        for m, bv in enumerate(part_b):
-            if g.adjacent(av, bv):
-                cos, sin = turns[m]
-                corner[k, m] = contacts[frozenset((av, bv))] = (x * cos, x * sin, z)
-    polygons = {bv: Polygon3(corners=tuple(corner[k, m] for k in range(a) if (k, m) in corner))
-                for m, bv in enumerate(part_b)}
-    for k, av in enumerate(part_a):
-        polygons[av] = Polygon3(corners=tuple(corner[k, m] for m in range(b) if (k, m) in corner))
-
-    degenerate = any(len(p.corners) < 3 for p in polygons.values())
+    corner = {(k, m): (x * cos, x * sin, z)
+              for k, (x, z) in enumerate(lead) for m, (cos, sin) in enumerate(turns)}
     meta = {
         "construction": "bipartite-toroidal",
         "arithmetic": "exact",
-        "parts": (list(part_a), list(part_b)),
+        "parts": (part_a, part_b),
         "toroidal_grid": (b, 2 * a - 2),
-        "degenerate": degenerate,
     }
-    return graph_scene(g, polygons, contacts, meta)
+    return _retract_complete(g, pa, pb, corner, meta)
 
 
 def _circle_point(angle: float):
@@ -176,46 +186,25 @@ def _stack_offsets(a: int):
 
 
 def represent_bipartite_grid(g: Graph, parts=None) -> Scene:
-    """Integer-grid representation within |A| x 2ceil(|B|/4) x (...) lines."""
+    """Integer-grid representation within |A'| x 2ceil(|B'|/4) x (...)
+    lines, plus one per pulled corner, for parts padded to |A'|, |B'| >= 3."""
     part_a, part_b = _check_parts(g, parts)
-    a, b = len(part_a), len(part_b)
-    if a < 1 or b < 3:
-        raise ConstructionError("need |B| >= 3")
-    if any(g.degree(v) == 0 for v in g.vertices):
-        raise ConstructionError("isolated vertices have no touching points")
-
+    pa, pb = _padded_parts(g, part_a, part_b)
+    a, b = len(pa), len(pb)
     corners, sides = core_polygon(b)
     offsets = _stack_offsets(a)
-
-    def corner3(t, j):
-        # height index t (1..a), core corner index j
-        x, y = corners[j]
-        return (Fraction(x + sides[j] * offsets[t - 1]), Fraction(y), Fraction(t))
-
-    polygons = {}
-    contacts = {}
-    for t, av in enumerate(part_a, start=1):
-        js = [j for j in range(b) if g.adjacent(av, part_b[j])]
-        polygons[av] = Polygon3(corners=tuple(corner3(t, j) for j in js))
-    for j, bv in enumerate(part_b):
-        ts = [t for t in range(1, a + 1) if g.adjacent(part_a[t - 1], bv)]
-        polygons[bv] = Polygon3(corners=tuple(corner3(t, j) for t in ts))
-    for t, av in enumerate(part_a, start=1):
-        for j, bv in enumerate(part_b):
-            if g.adjacent(av, bv):
-                contacts[frozenset((av, bv))] = corner3(t, j)
-
-    degenerate = any(len(p.corners) < 3 for p in polygons.values())
+    # height t (1..a) over core corner j
+    corner = {(t - 1, j): (Fraction(x + sides[j] * offsets[t - 1]), Fraction(y), Fraction(t))
+              for t in range(1, a + 1) for j, (x, y) in enumerate(corners)}
     ca2 = (a + 1) // 2
     cb4 = (b + 3) // 4
     meta = {
         "construction": "bipartite-grid",
         "arithmetic": "exact",
-        "parts": (list(part_a), list(part_b)),
+        "parts": (part_a, part_b),
         "claimed_grid": {"x": ca2 * ca2 + cb4 * cb4, "y": 2 * cb4, "z": a},
-        "degenerate": degenerate,
     }
-    return graph_scene(g, polygons, contacts, meta)
+    return _retract_complete(g, pa, pb, corner, meta)
 
 
 def represent_k33_unit_triangles() -> Scene:

@@ -32,7 +32,7 @@ from itertools import combinations
 from .core import Graph, edge_key, find_bridges
 from .geom import Polygon3
 from .planar import PlaneGraph
-from .scene import ConstructionError, Scene, graph_scene
+from .scene import ConstructionError, Scene, dummy_labels, graph_scene, retract
 from .schnyder import schnyder_draw
 from .verify import verify_scene
 
@@ -986,18 +986,17 @@ def _wheel_scene_part(plan: _WheelPlan, vb_label, pt, polygons, contacts,
 
 
 # ---------------------------------------------------------------------------
-# Maximum degree 3 (segments and points allowed)
+# Maximum degree 3
 # ---------------------------------------------------------------------------
 
 
 def _augment_to_cubic(g: Graph):
-    """Dummy vertex (odd order) plus dummy edges making every degree 3."""
+    """g with a dummy vertex (odd order) and dummy edges making every
+    degree 3."""
     vertices = list(g.vertices)
     dummy = None
     if g.n % 2 == 1:
-        dummy = "_aux"
-        while dummy in set(vertices):
-            dummy += "_"
+        dummy = dummy_labels(g, 1)[0]
         vertices.append(dummy)
     deficit = {v: 3 - g.degree(v) for v in g.vertices}
     if dummy is not None:
@@ -1033,44 +1032,25 @@ def _augment_to_cubic(g: Graph):
     if not backtrack():
         raise ConstructionError("cannot augment to a cubic graph")
     edges = [(tuple(e)[0], tuple(e)[1]) for e in g.edges] + extra
-    return Graph.from_edges(edges, vertices=vertices), dummy, [edge_key(u, v) for u, v in extra]
+    return Graph.from_edges(edges, vertices=vertices)
 
 
 def represent_max_degree3(g: Graph) -> Scene:
-    """Triangles, segments and points for graphs of maximum degree 3.
+    """Triangles for graphs of maximum degree 3.
 
     The graph is padded to a cubic one with dummy edges (and a dummy
-    vertex when the order is odd); afterwards the dummy polygon is
-    removed and remaining polygons are rebuilt without dummy contacts, so
-    degree-2 vertices come out as segments and degree-1 as points.
+    vertex when the order is odd), and the cubic scene is retracted to it
+    (`scene.retract`): a vertex of degree below 3 keeps its real contacts
+    and pulls the others into its triangle.
     """
     bad = [v for v in g.vertices if g.degree(v) > 3]
     if bad:
         raise ConstructionError(f"vertices of degree > 3: {bad}")
-    if any(g.degree(v) == 0 for v in g.vertices):
-        raise ConstructionError("isolated vertices have no touching points")
     if g.is_regular(3):
         return represent_cubic(g)
-    aug, dummy, extra = _augment_to_cubic(g)
-    scene = represent_cubic(aug)
-
-    drop_points = set()
-    for e in extra:
-        drop_points.add(tuple(scene.contacts[e]))
-    if dummy is not None:
-        for e in scene.contacts:
-            if dummy in e:
-                drop_points.add(tuple(scene.contacts[e]))
-
-    polygons = {}
-    for v in g.vertices:
-        keep = tuple(c for c in scene.polygons[v].corners
-                     if tuple(c) not in drop_points)
-        polygons[v] = Polygon3(corners=keep)
-    contacts = {e: p for e, p in scene.contacts.items() if e in g.edges}
+    scene = represent_cubic(_augment_to_cubic(g))
     meta = dict(scene.meta)
     meta["construction"] = "max-degree-3"
     half = (g.n + 1) // 2
     meta["claimed_grid"] = {"x": 3 * half, "y": 3 * half, "z": half}
-    meta["degenerate"] = any(len(p.corners) < 3 for p in polygons.values())
-    return graph_scene(g, polygons, contacts, meta)
+    return retract(g, scene, meta)

@@ -7,17 +7,16 @@ inline in the hot loops; NaN counts as zero.
 
 On int coordinates the polygon checks, the plane tests and the interval
 test of crossing pairs are division-free.  Plane normals are divided by
-the gcd of their entries.  For two proper polygons `classify_pair` computes
-each corner's signed distance to the other polygon's plane once, and the
-one-side exit, the lone-corner exit, the corner checks and the interval
-test all read those ints.  Each polygon meets the other's plane in an
+the gcd of their entries.  `classify_pair` computes each corner's signed
+distance to the other polygon's plane once, and the one-side exit, the
+lone-corner exit, the corner checks and the interval test all read those
+ints.  Each polygon meets the other's plane in an
 interval of t = dr.x along the planes' common line (dr the cross product
 of the normals); its ends come from the corners on that plane and the
 edges whose corners lie on opposite sides, as int (num, den) pairs
 compared by cross-multiplication.  A pair whose intervals meet is decided
 on that line, with no point located (`_on_common_line`); `Fraction`s are
-built only for its overlap and touch witnesses, and by the point/segment
-cases.
+built only for its overlap and touch witnesses.
 
 Each polygon has one record, its `PolygonProperties`: the validity flags
 and the frame (supporting plane, drop axis, ccw 2D corners), derived once
@@ -35,7 +34,7 @@ corner is shared.
 The contact model implemented by `classify_pair` treats polygons as *open*
 filled regions:
 
-* interiors (relative interiors for segments) must be disjoint,
+* interiors must be disjoint,
 * a corner of one polygon may lie on another polygon only if it coincides
   with one of that polygon's corners,
 * any other closed-set intersection (edge crossing an edge, or an edge
@@ -43,17 +42,16 @@ filled regions:
   shared corners) is tolerated and reported as a boundary touch.
 
 `classify_pair` is the one place that applies this model and decides a
-pair's kind.  It first tries to separate two proper polygons; then it finds
+pair's kind.  It first tries to separate the two polygons; then it finds
 the shared corners.  Polygons in crossing planes are decided on their
-common line; any other pair gets the corner checks of both polygons and
-then one geometric case (coplanar, degenerate against a polygon, two
-degenerate), which only adds interior-overlap violations and returns touch
-points.
+common line; a coplanar pair gets the corner checks of both polygons and
+its separating-axis overlap.
 
-Only convex polygons (plus single points and degenerate corner lists, taken
-as the segment between their extreme corners) are supported by
-`classify_pair`; that covers every construction in this package and keeps
-the interval and chord logic exact and simple.
+Only convex polygons, each with at least 3 corners not all collinear, are
+supported by `classify_pair`; a corner list without a plane raises
+`GeometryError`.  That covers every construction in this package (a
+low-degree vertex gets a triangle through `scene.retract`) and keeps the
+interval logic exact and simple.
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -89,10 +86,6 @@ def round_point(p) -> Point3:
 
 def vsub(a, b):
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def vadd(a, b):
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 def vscale(a, s):
@@ -125,11 +118,11 @@ def is_zero_vec(v) -> bool:
 class Polygon3:
     """An ordered corner list in 3D.
 
-    One corner is a point "polygon", two make a degenerate segment; both
-    occur for low-degree vertices and are carried through verification with
-    a degeneracy warning.  Corners may contain straight angles (collinear
-    consecutive corners): contact points must stay corners even when a
-    convex hull would drop them.
+    A polygon has at least 3 corners that are not collinear.  A shorter or
+    collinear list can still be built (a scene file may hold one), and
+    `verify_scene` reports it as a degenerate-polygon violation.  Corners
+    may contain straight angles (collinear consecutive corners): contact
+    points must stay corners even when a convex hull would drop them.
     """
 
     corners: tuple
@@ -138,24 +131,18 @@ class Polygon3:
         if len(self.corners) < 1:
             raise GeometryError("polygon needs at least one corner")
 
-    @property
-    def kind(self) -> str:
-        n = len(self.corners)
-        return "point" if n == 1 else ("segment" if n == 2 else "polygon")
-
 
 @dataclass
 class PolygonProperties:
     """One polygon's validity flags and the frame the pair classifier
-    reads: its supporting plane (None for points and collinear corner
-    lists), the axis dropped for 2D work, and `flat`, the corners projected
+    reads: its supporting plane (None for fewer than 3 corners or collinear
+    ones), the axis dropped for 2D work, and `flat`, the corners projected
     along that axis in ccw order."""
 
     planar: bool = False
     simple: bool = False
     convex: bool = False
     strictly_convex: bool = False
-    degenerate: bool = False
     issues: list = field(default_factory=list)
     plane: Optional[tuple] = None
     axis: Optional[int] = None
@@ -165,9 +152,9 @@ class PolygonProperties:
 def _plane_of(corners: Sequence[Point3]):
     """Supporting plane (normal, offset) from the first non-collinear triple.
 
-    Returns None when all corners are collinear (degenerate).  An all-int
-    normal is divided by the gcd of its entries: a positive factor keeps
-    every sign, the drop axis and the ccw orientation.
+    Returns None when there are fewer than 3 corners or all are collinear.
+    An all-int normal is divided by the gcd of its entries: a positive
+    factor keeps every sign, the drop axis and the ccw orientation.
     """
     if len(corners) < 3:
         return None
@@ -234,12 +221,13 @@ def _segments_intersect2d(p1, p2, q1, q2) -> bool:
 
 
 def polygon_properties(poly: Polygon3) -> PolygonProperties:
-    """Planarity, simplicity, convexity and degeneracy flags for a polygon,
-    and its frame.
+    """Planarity, simplicity and convexity flags for a polygon, and its
+    frame.
 
     The plane comes from the first non-collinear corner triple, so a list
     with duplicate or non-coplanar corners has a frame too.  A non-coplanar
-    corner list yields planar=False and leaves the other flags False.
+    corner list yields planar=False and leaves the other flags False, and
+    so does one without a plane (fewer than 3 corners, or all collinear).
     Convexity allows straight angles; strict convexity does not.
 
     An O(k) walk (`_winds_once`) certifies most polygons simple and convex
@@ -266,16 +254,8 @@ def polygon_properties(poly: Polygon3) -> PolygonProperties:
         props.planar = True
         return props
 
-    if n < 3:
-        props.planar = props.simple = props.convex = True
-        props.degenerate = True
-        return props
-
     if plane is None:
-        # >= 3 collinear corners
-        props.planar = True
-        props.degenerate = True
-        props.issues.append("all corners collinear")
+        props.issues.append("fewer than 3 corners" if n < 3 else "all corners collinear")
         return props
     (nx, ny, nz), d = plane
     for x, y, z in cs:
@@ -354,109 +334,30 @@ class PairClassification:
     violations: list = field(default_factory=list)  # (reason, witness point)
 
 
-def _segment_ends(corners):
-    """The two extreme corners of a plane-less list of two or more corners.
-
-    A segment's corners come in list order.  A longer (collinear) list is
-    ordered along the axis on which its corners spread most.
-    """
-    if len(corners) == 2:
-        return corners
-    spread = [max(xs) - min(xs) for xs in zip(*corners)]
-    k = spread.index(max(spread))
-    return min(corners, key=lambda c: c[k]), max(corners, key=lambda c: c[k])
-
-
-def _locate_point(poly: Polygon3, f: Optional[PolygonProperties], q: Point3,
-                  is_corner: Optional[bool] = None) -> str:
-    """Classify q against a polygon of any degeneracy, in 3D.
-
-    `f` is poly's `polygon_properties` record (None for a plane-less poly).
-    Without a plane, poly is a point or a collinear corner list, whose
-    relative interior is the open segment between its extreme corners.
-    `is_corner` says whether q equals a corner of poly when the caller
-    knows it; otherwise q is compared with every corner.
-    """
-    if is_corner is None:
-        is_corner = tuple(q) in poly.corners
-    if is_corner:
-        return "corner"
-    if f is not None and f.plane is not None:
-        n, d = f.plane
-        h = vdot(n, q) - d
-        if h > 0 or h < 0:
-            return "outside"
-        q2, pts = project2d(q, f.axis), f.flat
-        on_edge = False
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            s = cross2(a, b, q2)
-            if s < 0:
-                return "outside"
-            # a convex polygon is the meet of its edges' inner half planes,
-            # so q2 on an edge's line is on the boundary, also beyond that
-            # edge along a straight angle
-            on_edge |= not s > 0
-        return "boundary" if on_edge else "interior"
-    if len(poly.corners) == 1:
-        return "outside"
-    a, b = _segment_ends(poly.corners)
-    d = vsub(b, a)
-    w = vsub(q, a)
-    if not is_zero_vec(vcross(d, w)):
-        return "outside"
-    t = vdot(w, d)
-    if t < 0 or t > vdot(d, d):
-        return "outside"
-    return "boundary"
-
-
-def _chord(f: PolygonProperties, p0: Point3, dr: Point3):
-    """Clip the line p0 + t*dr (known to lie in f's plane) against f's polygon.
-
-    Returns (t_lo, t_hi) or None when the line misses.  Each bound is kept
-    as a (num, den) pair with den > 0, compared by cross-multiplication;
-    only the two winning bounds become Fractions.  Only a segment lying in
-    a polygon's plane is clipped this way; two proper polygons in crossing
-    planes use `_cut` instead.
-    """
-    a0 = project2d(p0, f.axis)
-    d2 = project2d(dr, f.axis)
-    pts = f.flat
-    lo, hi = None, None  # None = unbounded
+def _locate_point(f: PolygonProperties, q: Point3) -> str:
+    """Classify q, a point of the plane of the polygon whose
+    `polygon_properties` record is f and not one of its corners, against
+    that polygon: "outside", "boundary" or "interior"."""
+    q2, pts = project2d(q, f.axis), f.flat
+    on_edge = False
     for a, b in zip(pts, pts[1:] + pts[:1]):
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        # inward halfplane for ccw polygon: cross(edge, x - a) >= 0
-        num = ex * (a0[1] - a[1]) - ey * (a0[0] - a[0])
-        den = ex * d2[1] - ey * d2[0]
-        if den > 0:
-            if lo is None or -num * lo[1] > lo[0] * den:
-                lo = (-num, den)
-        elif den < 0:
-            if hi is None or num * hi[1] < hi[0] * -den:
-                hi = (num, -den)
-        elif num < 0:
-            return None
-    if lo is None or hi is None:
-        raise GeometryError("unbounded chord; polygon not convex?")
-    if hi[0] * lo[1] < lo[0] * hi[1]:
-        return None
-    return Fraction(*lo), Fraction(*hi)
+        s = cross2(a, b, q2)
+        if s < 0:
+            return "outside"
+        # a convex polygon is the meet of its edges' inner half planes,
+        # so q2 on an edge's line is on the boundary, also beyond that
+        # edge along a straight angle
+        on_edge |= not s > 0
+    return "boundary" if on_edge else "interior"
 
 
-def _line_point(p0, dr, t):
-    return vadd(p0, vscale(dr, t))
-
-
-def _corner_incursions(p: Polygon3, q: Polygon3, fq, out, p_shared, p_sign=None):
-    """Corners of p lying on q but not at q's corners are violations.
-
-    `p_sign`, when given, holds the sign of each corner's distance to q's
-    plane; a corner off that plane is outside q and is skipped.
-    """
-    for c, shared, side in zip(p.corners, p_shared, p_sign or repeat(0)):
-        if shared or side:
+def _corner_incursions(p: Polygon3, fq, out, p_shared):
+    """Corners of p lying on a coplanar polygon q (record fq) but not at
+    q's corners are violations."""
+    for c, shared in zip(p.corners, p_shared):
+        if shared:
             continue
-        loc = _locate_point(q, fq, c, False)
+        loc = _locate_point(fq, c)
         if loc == "interior":
             out.append(("corner-inside", c))
         elif loc == "boundary":
@@ -478,7 +379,7 @@ def _one_side(side) -> bool:
 
 
 def _lone_corner(sign, corners, others):
-    """A proper polygon's one corner on the other's plane when the others
+    """A polygon's one corner on the other's plane when the others
     lie strictly on one side (`sign`, from `_plane_sides`) and it is a
     corner of `others`; else None."""
     if sign.count(0) != 1 or len(set(sign)) != 2:
@@ -490,24 +391,26 @@ def _lone_corner(sign, corners, others):
 def classify_pair(p: Polygon3, q: Polygon3,
                   fp: Optional[PolygonProperties] = None,
                   fq: Optional[PolygonProperties] = None) -> PairClassification:
-    """Classify how two convex (or degenerate) polygons meet in 3D.
+    """Classify how two convex polygons meet in 3D.
 
     Returns a `PairClassification` whose kind is one of Disjoint,
     CornerContact, BoundaryTouch (tolerated) or Violation.  Violations carry
     (reason, witness) pairs with reasons 'interior-overlap', 'corner-inside'
     or 'corner-on-boundary'.  `fp`/`fq` are the polygons'
-    `polygon_properties` records, computed here when omitted.
+    `polygon_properties` records, computed here when omitted.  A polygon
+    without a plane (fewer than 3 corners, or all collinear) raises
+    `GeometryError`.
 
     This is the only place that decides a kind.  The shared corners are p's,
     in p's order.  The violations come in one order: p's unshared corners
     on q, in p's order, then q's on p, then an interior overlap.  The kind
     is Violation if there are violations, else CornerContact if a corner is
     shared, else BoundaryTouch if there are touch points, else Disjoint.  A
-    shared corner thus fixes the kind without touch points, so proper
-    polygons seek them only when no corner is shared, and `touch_witnesses`
-    is empty except on BoundaryTouch.
+    shared corner thus fixes the kind without touch points, so the polygons
+    seek them only when no corner is shared, and `touch_witnesses` is empty
+    except on BoundaryTouch.
 
-    Two proper polygons are separated first, before any corner is compared:
+    The polygons are separated first, before any corner is compared:
     1. each corner's distance to the other's plane is computed once, with
        its sign; the pair is Disjoint when either polygon lies strictly on
        one side of the other's plane, and CornerContact when either has
@@ -519,66 +422,56 @@ def classify_pair(p: Polygon3, q: Polygon3,
        line, and the pair is Disjoint when they miss; otherwise
        `_on_common_line` decides it there, locating no point;
     3. one plane gets the separating-axis test (`_separation`), and a
-       strict separation makes the pair Disjoint.
-    Every other pair has each polygon's unshared corners on the other's
-    plane (or, for a point or collinear list, anywhere) located on the
-    other (a point or collinear list first); then its geometric case adds
-    the interior overlap and returns the touch points.
+       strict separation makes the pair Disjoint.  Otherwise each
+       polygon's unshared corners are located on the other, and an
+       overlap on the separating axes adds the interior overlap.
     """
     fp = fp or polygon_properties(p)
     fq = fq or polygon_properties(q)
-    sp = sq = None  # p's corners against q's plane, and q's against p's
-    cuts = sep = None  # crossing planes' `_cut`s; coplanar `_separation`
-    if fp.plane is not None and fq.plane is not None:
-        sp = _plane_sides(fq.plane, p.corners)
-        if _one_side(sp[1]):
+    if fp.plane is None or fq.plane is None:
+        raise GeometryError("classify_pair needs two polygons with a plane")
+    sp = _plane_sides(fq.plane, p.corners)  # p's corners against q's plane
+    if _one_side(sp[1]):
+        return PairClassification(kind=DISJOINT)
+    c = _lone_corner(sp[1], p.corners, q.corners)
+    if c is not None:
+        return PairClassification(kind=CORNER_CONTACT, shared_corners=[c])
+    sq = _plane_sides(fp.plane, q.corners)
+    if _one_side(sq[1]):
+        return PairClassification(kind=DISJOINT)
+    c = _lone_corner(sq[1], q.corners, p.corners)
+    if c is not None:
+        return PairClassification(kind=CORNER_CONTACT,
+                                  shared_corners=[x for x in p.corners if x == c])
+    dr = vcross(fp.plane[0], fq.plane[0])
+    cuts = None
+    if not is_zero_vec(dr):
+        cuts = _cut(p.corners, sp, dr), _cut(q.corners, sq, dr)
+        (lp, hp), (lq, hq) = cuts
+        if _earlier(hp, lq) or _earlier(hq, lp):
             return PairClassification(kind=DISJOINT)
-        c = _lone_corner(sp[1], p.corners, q.corners)
-        if c is not None:
-            return PairClassification(kind=CORNER_CONTACT, shared_corners=[c])
-        sq = _plane_sides(fp.plane, q.corners)
-        if _one_side(sq[1]):
+    elif sq[1][0]:
+        return PairClassification(kind=DISJOINT)  # distinct parallel planes
+    else:
+        sep = _separation(fp.flat, fq.flat)
+        if sep > 0:
             return PairClassification(kind=DISJOINT)
-        c = _lone_corner(sq[1], q.corners, p.corners)
-        if c is not None:
-            return PairClassification(kind=CORNER_CONTACT,
-                                      shared_corners=[x for x in p.corners if x == c])
-        dr = vcross(fp.plane[0], fq.plane[0])
-        if not is_zero_vec(dr):
-            cuts = _cut(p.corners, sp, dr), _cut(q.corners, sq, dr)
-            (lp, hp), (lq, hq) = cuts
-            if _earlier(hp, lq) or _earlier(hq, lp):
-                return PairClassification(kind=DISJOINT)
-        elif sq[1][0]:
-            return PairClassification(kind=DISJOINT)  # distinct parallel planes
-        else:
-            sep = _separation(fp.flat, fq.flat)
-            if sep > 0:
-                return PairClassification(kind=DISJOINT)
     match = [c in q.corners for c in p.corners], [c in p.corners for c in q.corners]
     res = PairClassification(kind=DISJOINT, shared_corners=[
         c for c, shared in zip(p.corners, match[0]) if shared])
-    # A missing plane means a point or collinear corner list; it goes first.
-    if fp.plane is not None and fq.plane is None:
-        p, q, fp, fq, match = q, p, fq, fp, match[::-1]
     out = res.violations
     if cuts is not None:
         touch = _on_common_line(p.corners, q.corners, sp[1], sq[1], dr, cuts, match,
                                 out, not res.shared_corners)
     else:
-        _corner_incursions(p, q, fq, out, match[0], sp and sp[1])
-        _corner_incursions(q, p, fp, out, match[1], sq and sq[1])
-        if fp.plane is None and fq.plane is None:
-            touch = _degenerate_pair(p, q, out)
-        elif fp.plane is None:
-            touch = _degenerate_vs_polygon(p, q, fq, out)
-        else:
-            # Closures of two coplanar convex polygons meet only where edges
-            # cross (an interior overlap) or a corner lies on the other
-            # polygon (an incursion), so a coplanar pair has no touch point.
-            if sep < 0:
-                out.append(("interior-overlap", p.corners[0]))
-            touch = []
+        # Closures of two coplanar convex polygons meet only where edges
+        # cross (an interior overlap) or a corner lies on the other
+        # polygon (an incursion), so a coplanar pair has no touch point.
+        _corner_incursions(p, fq, out, match[0])
+        _corner_incursions(q, fp, out, match[1])
+        if sep < 0:
+            out.append(("interior-overlap", p.corners[0]))
+        touch = []
 
     if res.violations:
         res.kind = VIOLATION
@@ -609,7 +502,7 @@ def _separation(a, b) -> int:
 
 
 def _on_common_line(pc, qc, p_sign, q_sign, dr, cuts, match, out, seek_touch) -> list:
-    """Two proper polygons in crossing planes whose `_cut` intervals
+    """Two polygons in crossing planes whose `_cut` intervals
     `cuts` meet, decided on the planes' common line L with no point located.
 
     A convex polygon meets L in exactly its closed `_cut` interval; if it
@@ -692,82 +585,3 @@ def _end_point(end) -> Point3:
     if b is None:
         return a
     return tuple(Fraction(da * y - db * x, da - db) for x, y in zip(a, b))
-
-
-def _degenerate_vs_polygon(seg: Polygon3, poly: Polygon3, fpoly, out) -> list:
-    """A point or collinear corner list against a proper polygon.  A lone
-    point adds nothing to its corner checks."""
-    if len(seg.corners) == 1:
-        return []
-    a, b = _segment_ends(seg.corners)
-    dr = vsub(b, a)
-    n, d = fpoly.plane
-    da = vdot(n, a) - d
-    db = vdot(n, b) - d
-    if da == 0 and db == 0:
-        # coplanar segment: clip against the polygon
-        chord = _chord(fpoly, a, dr)
-        if chord is None:
-            return []
-        lo = max(chord[0], Fraction(0))
-        hi = min(chord[1], Fraction(1))
-        if hi < lo:
-            return []
-        if lo < hi:
-            mid = _line_point(a, dr, (lo + hi) / 2)
-            if _locate_point(poly, fpoly, mid) == "interior":
-                out.append(("interior-overlap", mid))
-        return [_line_point(a, dr, t) for t in ((lo,) if lo == hi else (lo, hi))]
-    denom = vdot(n, dr)
-    if (da > 0 and db > 0) or (da < 0 and db < 0) or denom == 0:
-        return []
-    x = _line_point(a, dr, Fraction(-da, denom))
-    loc = _locate_point(poly, fpoly, x)
-    if loc == "outside":
-        return []
-    if loc == "interior" and _locate_point(seg, None, x) == "boundary":
-        out.append(("interior-overlap", x))
-    return [x]
-
-
-def _degenerate_pair(p: Polygon3, q: Polygon3, out) -> list:
-    """Two points or collinear corner lists (possibly skew).  A lone point
-    adds nothing to its corner checks."""
-    if len(p.corners) == 1 or len(q.corners) == 1:
-        return []
-    a, b = _segment_ends(p.corners)
-    c, d = _segment_ends(q.corners)
-    u, v, w = vsub(b, a), vsub(d, c), vsub(c, a)
-    n = vcross(u, v)
-    if is_zero_vec(n):
-        # parallel: collinear overlap?
-        if not is_zero_vec(vcross(u, w)):
-            return []
-        uu = vdot(u, u)
-        t0 = vdot(w, u)
-        t1 = vdot(vsub(d, a), u)
-        lo = max(min(t0, t1), 0 * uu)
-        hi = min(max(t0, t1), uu)
-        if hi > lo:
-            x = _line_point(a, u, Fraction(lo + hi, 2 * uu))
-            out.append(("interior-overlap", x))
-        elif hi == lo:
-            return [_line_point(a, u, Fraction(lo, uu))]
-        return []
-    if vdot(w, n) != 0:
-        return []
-    # coplanar, non-parallel: solve intersection params
-    nn = vdot(n, n)
-    t = vdot(vcross(w, v), n)
-    s = vdot(vcross(w, u), n)
-    t, s = Fraction(t, nn), Fraction(s, nn)
-    if not (0 <= t <= 1 and 0 <= s <= 1):
-        return []
-    x = _line_point(a, u, t)
-    p_loc = _locate_point(p, None, x)
-    q_loc = _locate_point(q, None, x)
-    if p_loc == "boundary" and q_loc == "boundary":
-        out.append(("interior-overlap", x))
-    elif p_loc != "outside" and q_loc != "outside":
-        return [x]
-    return []

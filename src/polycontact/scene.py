@@ -16,8 +16,11 @@ It goes stale if the scene is changed afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import count, islice
 
 from .core import Graph, Hypergraph, block_label
+from .geom import Polygon3, is_zero_vec, vcross, vsub
 
 GRAPH = "graph"
 HYPERGRAPH = "hypergraph"
@@ -64,6 +67,76 @@ def graph_scene(graph: Graph, polygons: dict, contacts: dict, meta: dict) -> Sce
         raise ConstructionError(f"no polygon for vertices {missing}")
     return Scene(kind=GRAPH, structure=graph, polygons=polygons,
                  contacts=contacts, meta=meta)
+
+
+def dummy_labels(g: Graph, k: int) -> list:
+    """k vertex labels "_pad0", "_pad1", ... that are not vertices of g."""
+    taken = set(g.vertices)
+    return list(islice((x for x in map("_pad{}".format, count()) if x not in taken), k))
+
+
+def retract(g: Graph, padded: Scene, meta: dict) -> Scene:
+    """g's scene cut out of `padded`, a scene of a graph that contains g.
+
+    Only g's vertices keep their polygons.  Each keeps, in order, its
+    corners that are contacts of g's edges.  If those are fewer than 3 or
+    collinear, it also gets dropped corners off their line, in order,
+    pulled halfway to its corner centroid, until it has 3 corners that are
+    not collinear; a dropped corner off a line through corners of a convex
+    polygon stands outside their run, so the order stays convex.
+
+    A convex polygon replaced by one inside its closure, whose corners are
+    some of its corners plus points of its interior, loses exactly the
+    contacts at the dropped corners and gains no contact, touch or overlap;
+    so a valid `padded` gives a valid scene.  Each pulled corner adds at
+    most one coordinate value per axis, so a `claimed_grid` in `meta`
+    grows by their number.
+    """
+    contacts = {e: padded.contacts[e] for e in g.edges}
+    keep = set(map(_ratios, contacts.values()))
+    polygons, pulled = {}, 0
+    for v in g.vertices:
+        cs = padded.polygons[v].corners
+        real = [_ratios(c) in keep for c in cs]
+        if all(real):
+            polygons[v] = padded.polygons[v]
+            continue
+        kept = [c for c, r in zip(cs, real) if r]
+        extra = {}  # position in cs -> pulled corner
+        if _collinear(kept):
+            k = len(cs)
+            sums = [sum(xs) for xs in zip(*cs)]
+            for i, c in enumerate(cs):
+                chosen = kept + list(extra.values())
+                if not _collinear(chosen):
+                    break
+                if real[i] or len(kept) > 1 and _collinear(kept[:2] + [c]):
+                    continue
+                p = tuple(Fraction(k * x + s, 2 * k) for x, s in zip(c, sums))
+                if len(chosen) < 2 or not _collinear(chosen + [p]):
+                    extra[i] = p
+            if _collinear(kept + list(extra.values())):
+                raise ConstructionError(f"cannot retract the polygon of {v!r}")
+            pulled += len(extra)
+        polygons[v] = Polygon3(corners=tuple(
+            extra.get(i, c) for i, c in enumerate(cs) if real[i] or i in extra))
+    if pulled and "claimed_grid" in meta:
+        meta = dict(meta, claimed_grid={axis: n + pulled
+                                        for axis, n in meta["claimed_grid"].items()})
+    return graph_scene(g, polygons, contacts, meta)
+
+
+def _ratios(p) -> tuple:
+    """A point's coordinates as (numerator, denominator) pairs: equal points
+    give equal tuples, which hash faster than `Fraction`s do."""
+    x, y, z = p
+    return x.as_integer_ratio(), y.as_integer_ratio(), z.as_integer_ratio()
+
+
+def _collinear(points) -> bool:
+    """Whether distinct points lie on one line; fewer than 3 always do."""
+    return all(is_zero_vec(vcross(vsub(points[1], points[0]), vsub(c, points[0])))
+               for c in points[2:])
 
 
 def hypergraph_scene(h: Hypergraph, polygons: dict, contacts: dict, meta: dict) -> Scene:

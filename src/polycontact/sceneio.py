@@ -33,14 +33,15 @@ def _ratio(x) -> str:
 
 
 def _coordinate(rec: dict, axis: str) -> Fraction:
-    """Coordinate `axis` of a point record, a "num/den" string."""
+    """Coordinate `axis` of a point record, a "num/den" string of ASCII
+    digits with an optional leading minus and a positive denominator;
+    `int()` alone would also take spaces, "+", "_" and non-ASCII digits."""
     s = rec[axis]
-    try:
-        num, den = s.split("/")
-        num, den = int(num), int(den)
-    except (AttributeError, ValueError):
+    num, slash, den = s.partition("/") if isinstance(s, str) else ("", "", "")
+    if not (slash and s.isascii() and num.removeprefix("-").isdigit() and den.isdigit()):
         raise InputError(f"point {rec['id']!r}: coordinate {axis} is {s!r}, "
-                         "not \"num/den\"") from None
+                         "not \"num/den\"")
+    num, den = int(num), int(den)
     if den == 0:
         raise InputError(f"zero denominator in coordinate {s!r}")
     return Fraction(num, den)

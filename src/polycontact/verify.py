@@ -4,7 +4,8 @@
 compares it with what the scene's combinatorial structure demands:
 
 * there is one polygon per graph vertex or hypergraph block, and no other,
-* every polygon is planar and simple, and convex unless it is degenerate,
+* every polygon has at least 3 corners, not all collinear, and is planar,
+  simple and convex,
 * no pair of polygons violates the open-polygon contact model,
 * graph scenes: each edge's two polygons share exactly one corner, distinct
   across edges, and non-adjacent polygons share none,
@@ -14,8 +15,9 @@ compares it with what the scene's combinatorial structure demands:
 * every coordinate is finite,
 * a `claimed_grid` in the scene's meta bounds its grid extent on each axis.
 
-Boundary touches and degenerate (point/segment) polygons are warnings, not
-failures.  Everything is exact.
+A point, a segment or a collinear corner list is a degenerate-polygon
+violation; boundary touches are warnings, not failures.  Everything is
+exact.
 """
 
 from __future__ import annotations
@@ -103,10 +105,9 @@ class KernelScene:
 
     On the ints the polygon checks, point location and the interval test
     of crossing pairs divide nothing.  `Fraction`s are built where two
-    `_cut` intervals meet, for the midpoint and touch witnesses, and by the
-    point/segment classifiers.  `unscale` turns a kernel point back into its
-    scene coordinates, as `Fraction`s, and divides only other points
-    (midpoints, interval ends) by L.
+    `_cut` intervals meet, for the midpoint and touch witnesses.  `unscale`
+    turns a kernel point back into its scene coordinates, as `Fraction`s,
+    and divides only other points (midpoints, interval ends) by L.
     """
 
     def __init__(self, scene: Scene):
@@ -204,19 +205,19 @@ def verify_scene(scene: Scene) -> VerificationReport:
                                              "corner with a non-finite coordinate"))
             valid[label] = False
             continue
-        poly = kernel.polygons[label]
-        props = polygon_properties(poly)
+        props = polygon_properties(kernel.polygons[label])
         report.polygon_properties[label] = props
-        valid[label] = props.planar and (props.simple or props.degenerate)
-        if not props.planar:
+        valid[label] = props.planar and props.simple
+        if props.plane is None:
+            report.violations.append(Finding("degenerate-polygon", label,
+                                             "; ".join(props.issues)))
+        elif not props.planar:
             report.violations.append(Finding("nonplanar", label, "; ".join(props.issues)))
-        elif not props.simple and not props.degenerate:
+        elif not props.simple:
             report.violations.append(Finding("not-simple", label, "; ".join(props.issues)))
-        elif not props.degenerate and not props.convex:
+        elif not props.convex:
             report.violations.append(Finding("not-convex", label))
             valid[label] = False
-        if props.degenerate:
-            report.warnings.append(Finding("degenerate-polygon", label, poly.kind))
         if props.issues and valid[label]:
             report.warnings.append(Finding("polygon-issues", label, "; ".join(props.issues)))
     for key in sorted(kernel.nonfinite_contacts, key=_key_str):

@@ -99,8 +99,7 @@ def coplanar_seg_triangle(p0, p1, tri, n):
 def closed_intersection_points(p, q):
     """Witness points spanning the closed intersection of two convex polys."""
     pts = set()
-    p_tris = fan(p) if len(p.corners) >= 3 else []
-    q_tris = fan(q) if len(q.corners) >= 3 else []
+    p_tris, q_tris = fan(p), fan(q)
 
     def corners_in(poly, tris, other_corners):
         out = []
@@ -114,10 +113,6 @@ def closed_intersection_points(p, q):
 
     def edges(poly):
         cs = poly.corners
-        if len(cs) == 1:
-            return []
-        if len(cs) == 2:
-            return [(cs[0], cs[1])]
         return [(cs[i], cs[(i + 1) % len(cs)]) for i in range(len(cs))]
 
     for e0, e1 in edges(p):
@@ -126,55 +121,12 @@ def closed_intersection_points(p, q):
     for e0, e1 in edges(q):
         for t in p_tris:
             pts.update(seg_triangle_points(e0, e1, t))
-    # segment-segment for degenerate inputs
-    if not p_tris and not q_tris:
-        for a0, a1 in edges(p):
-            for b0, b1 in edges(q):
-                pts.update(seg_seg_points(a0, a1, b0, b1))
-    if len(p.corners) == 1 and q_tris:
-        if any(point_in_triangle(p.corners[0], t) for t in q_tris):
-            pts.add(p.corners[0])
-    if len(q.corners) == 1 and p_tris:
-        if any(point_in_triangle(q.corners[0], t) for t in p_tris):
-            pts.add(q.corners[0])
     return pts
 
 
-def seg_seg_points(a0, a1, b0, b1):
-    u, v, w = sub(a1, a0), sub(b1, b0), sub(b0, a0)
-    n = cross(u, v)
-    if n == (0, 0, 0):
-        if cross(u, w) != (0, 0, 0):
-            return []
-        uu = dot(u, u)
-        t0 = Fraction(dot(w, u), uu)
-        t1 = Fraction(dot(sub(b1, a0), u), uu)
-        lo, hi = max(min(t0, t1), Fraction(0)), min(max(t0, t1), Fraction(1))
-        if lo > hi:
-            return []
-        return [tuple(a0[k] + t * u[k] for k in range(3)) for t in {lo, hi}]
-    if dot(w, n) != 0:
-        return []
-    nn = dot(n, n)
-    t = Fraction(dot(cross(w, v), n), nn)
-    s = Fraction(dot(cross(w, u), n), nn)
-    if 0 <= t <= 1 and 0 <= s <= 1:
-        return [tuple(a0[k] + t * u[k] for k in range(3))]
-    return []
-
-
 def strictly_inside(x, poly):
-    """x in the relative interior of a convex polygon (or open segment)."""
+    """x in the relative interior of a convex polygon."""
     cs = poly.corners
-    if len(cs) == 1:
-        return False
-    if len(cs) == 2:
-        a, b = cs
-        d = sub(b, a)
-        if cross(d, sub(x, a)) != (0, 0, 0):
-            return False
-        t = dot(sub(x, a), d)
-        return 0 < t < dot(d, d)
     a = cs[0]
     n = None
     for i in range(1, len(cs) - 1):
@@ -202,17 +154,7 @@ def oracle_classify(p, q):
     shared = p_corners & q_corners
 
     def on_poly(x, poly):
-        tris = fan(poly)
-        if tris:
-            return any(point_in_triangle(x, t) for t in tris)
-        if len(poly.corners) == 2:
-            a, b = poly.corners
-            d = sub(b, a)
-            if cross(d, sub(x, a)) != (0, 0, 0):
-                return False
-            t = dot(sub(x, a), d)
-            return 0 <= t <= dot(d, d)
-        return tuple(x) == tuple(poly.corners[0])
+        return any(point_in_triangle(x, t) for t in fan(poly))
 
     for c in p_corners:
         if c not in q_corners and on_poly(c, q):

@@ -47,18 +47,17 @@ def reference_verify(scene):
             viol.append(Finding("non-finite", label, "corner with a non-finite coordinate"))
             valid[label] = False
             continue
-        poly = polygons[label]
-        props = polygon_properties(poly)
-        valid[label] = props.planar and (props.simple or props.degenerate)
-        if not props.planar:
+        props = polygon_properties(polygons[label])
+        valid[label] = props.planar and props.simple
+        if props.plane is None:
+            viol.append(Finding("degenerate-polygon", label, "; ".join(props.issues)))
+        elif not props.planar:
             viol.append(Finding("nonplanar", label, "; ".join(props.issues)))
-        elif not props.simple and not props.degenerate:
+        elif not props.simple:
             viol.append(Finding("not-simple", label, "; ".join(props.issues)))
-        elif not props.degenerate and not props.convex:
+        elif not props.convex:
             viol.append(Finding("not-convex", label))
             valid[label] = False
-        if props.degenerate:
-            warn.append(Finding("degenerate-polygon", label, poly.kind))
         if props.issues and valid[label]:
             warn.append(Finding("polygon-issues", label, "; ".join(props.issues)))
     for key in sorted(scene.contacts.keys() - contacts.keys(), key=_key_str):

@@ -96,19 +96,24 @@ class TestComplete:
         assert all(len(p.corners) == 4 for p in scene.polygons.values())
 
     def test_k3_degenerate(self):
+        # K3's degree-2 vertices are padded with a dummy K4 and retracted:
+        # each gets a triangle, where it once got a segment
         scene = represent_complete(3)
-        assert scene.meta["degenerate"]
-        assert all(p.kind == "segment" for p in scene.polygons.values())
-        assert verify_scene(scene).passed
+        assert "degenerate" not in scene.meta
+        assert all(len(p.corners) == 3 for p in scene.polygons.values())
+        report = verify_scene(scene)
+        assert report.passed and not report.warnings
+        assert scene.certificate.to_text() == report.to_text()
 
     def test_too_small(self):
-        with pytest.raises(ConstructionError):
-            represent_complete(2)
+        for n in (0, -1):
+            with pytest.raises(ConstructionError, match="n >= 1"):
+                represent_complete(n)
 
     @pytest.mark.parametrize("n, sha256", [
-        (10, "d2361e6171ac155081ee13d8cc33dcab31cf902d3ac17badd506288a2f81c5da"),
-        (12, "914115f71f2287278004cea94788a9cdcf49ee1be240ad46516714c50a3dbe99"),
-    ])
+        (10, "ec8cd8874b0aa6767ea26730021fa864b5df0c25b47145fdaafb3e2db0a9256c"),
+        (12, "ccaaa870d101999f7b1df834ba055ea9a3a0897cc9c5799407f01d04967e0eb4"),
+    ], ids=["10", "12"])
     def test_scene_file_bytes_are_pinned(self, tmp_path, n, sha256):
         out = tmp_path / "k.json"
         assert main(["represent", "--class", "complete", "--n", str(n), "-o", str(out)]) == 0
@@ -155,10 +160,19 @@ class TestMinDegree3:
         for v in g.vertices:
             assert scene.polygons[v].corners == full.polygons[v].corners
 
-    def test_low_degree_rejected(self):
+    def test_low_degree_rejected(self, monkeypatch):
+        # C5 is padded and certifies with triangles; strictify rejects the
+        # padded lift before it verifies anything
+        import polycontact.arrangement as arrangement
         c5 = graph_from_edge_list("1 2\n2 3\n3 4\n4 5\n5 1")
-        with pytest.raises(ConstructionError, match="degree"):
-            represent_min_degree3(c5)
+        scene = represent_min_degree3(c5)
+        assert scene.certificate.passed
+        assert all(len(p.corners) == 3 for p in scene.polygons.values())
+        calls = []
+        monkeypatch.setattr(arrangement, "verify_scene", calls.append)
+        with pytest.raises(ConstructionError, match="degree < 3"):
+            strictify(scene)
+        assert calls == []
 
 
 class TestStrictify:
@@ -194,9 +208,9 @@ class TestCertificate:
         import polycontact.arrangement as arrangement
         lift = arrangement._lift_scene
 
-        def lift_with_defect(g, arr, delta):
-            scene = lift(g, arr, delta)
-            if delta == F(1, 2):
+        def lift_with_defect(*args):
+            scene = lift(*args)
+            if args[-1] == F(1, 2):
                 x, y, z = scene.contacts[edge_key("3", "4")]
                 scene.contacts[edge_key("3", "4")] = (x, y, z + 1)
             return scene

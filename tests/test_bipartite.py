@@ -33,10 +33,12 @@ class TestToroidal:
             assert ok, c
 
     def test_k23_degenerate(self):
+        # part A is padded to 3 and the scene retracted: each B-polygon,
+        # once a segment, keeps its two contacts and pulls a third corner in
         scene = represent_bipartite_toroidal(complete_bipartite(2, 3))
-        assert scene.meta["degenerate"]
-        segs = [p for p in scene.polygons.values() if p.kind == "segment"]
-        assert len(segs) == 3  # the B-polygons are 2-gons
+        assert "degenerate" not in scene.meta
+        assert scene.meta["toroidal_grid"] == (3, 4)
+        assert all(len(p.corners) == 3 for p in scene.polygons.values())
         assert verify_scene(scene).passed
 
     def test_k44_minus_matching(self):
@@ -118,6 +120,12 @@ class TestIntegerGrid:
         report = verify_scene(scene)
         assert report.passed
         assert len(report.reconstructed) == 14
+
+    def test_repeated_part_label_rejected(self):
+        # a repeated label would count twice in the padded part sizes
+        parts = (["a1", "a1", "a2", "a3"], ["b1", "b2", "b3"])
+        with pytest.raises(ConstructionError, match="repeats a label"):
+            represent_bipartite_grid(complete_bipartite(3, 3), parts=parts)
 
     def test_core_polygon_budgets(self):
         for b in range(3, 17):

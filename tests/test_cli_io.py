@@ -237,9 +237,14 @@ class TestExport:
         assert any(l.startswith("f ") for l in text.splitlines())
 
     def test_obj_degenerate_lines(self):
-        scene = represent_complete(3)
-        text = scene_to_obj(scene)
-        assert any(l.startswith("l ") for l in text.splitlines())
+        # no construction emits a segment or a point, but a scene file may
+        # hold them (verify fails it); they export as a line and a point
+        scene = graph_scene(Graph.from_edges([], vertices=["s", "p"]),
+                            {"s": Polygon3(((0, 0, 0), (1, 0, 0))),
+                             "p": Polygon3(((0, 1, 0),))},
+                            {}, {"construction": "test", "arithmetic": "exact"})
+        lines = scene_to_obj(scene).splitlines()
+        assert "p 1" in lines and "l 2 3" in lines
 
     def test_svg_views(self):
         scene = represent_fano()
@@ -271,7 +276,7 @@ class TestCli:
         assert main(["verify", str(out)]) == 1
 
     def test_construction_error_exit_three(self, tmp_path):
-        assert main(["represent", "--class", "complete", "--n", "2",
+        assert main(["represent", "--class", "complete", "--n", "0",
                      "-o", str(tmp_path / "x.json")]) == 3
 
     def test_usage_error_exit_two(self, tmp_path):
@@ -539,11 +544,15 @@ class TestMalformedScene:
         lambda: _float_epsilon(-1e-9),
         lambda: _float_epsilon(float("nan")),
         lambda: _float_epsilon("1e-9"),
+        lambda: _coordinate(" +1_0/1 "),
+        lambda: _coordinate("\u0661/1"),
+        lambda: _coordinate("1/-2"),
     ], ids=["list", "string", "no-kind", "no-points", "no-polygons",
             "no-contacts", "zero-denominator", "not-a-number", "no-denominator",
             "one-element-contact", "no-corners", "null-structure",
             "nan", "inf", "minus-inf",
-            "negative-epsilon", "nan-epsilon", "string-epsilon"])
+            "negative-epsilon", "nan-epsilon", "string-epsilon",
+            "int-syntax", "arabic-indic-digit", "negative-denominator"])
     def test_exit_two(self, doc, tmp_path, capsys):
         doc = doc()
         with pytest.raises(InputError):

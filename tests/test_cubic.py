@@ -523,28 +523,44 @@ def test_chord_lift_retries_every_plan_then_raises(monkeypatch):
     assert len(calls) == 24 * draws
 
 
+def _connected_subcubic_graphs(n):
+    """Every labelled connected graph of maximum degree 3 on n vertices."""
+    vs = [str(i) for i in range(n)]
+    pairs = list(combinations(vs, 2))
+    for mask in range(1 << len(pairs)):
+        g = Graph.from_edges([pq for k, pq in enumerate(pairs) if mask >> k & 1],
+                             vertices=vs)
+        if all(g.degree(v) <= 3 for v in vs) and g.is_connected():
+            yield g
+
+
+# the CI profile sweeps n = 6 as well, about 10 s
+_SWEEP_N = 6 if os.environ.get("HYPOTHESIS_PROFILE") == "ci" else 5
+
+
+def _triangles(scene):
+    report = verify_scene(scene)
+    assert report.passed, report.to_text()
+    assert all(len(p.corners) == 3 for p in scene.polygons.values())
+    return report
+
+
 class TestMaxDegree3:
     def test_c5_segments(self):
+        # each vertex, once a segment, keeps its two contacts and pulls
+        # one dummy corner into its triangle
         c5 = graph_from_edge_list("1 2\n2 3\n3 4\n4 5\n5 1")
-        scene = represent_max_degree3(c5)
-        report = verify_scene(scene)
-        assert report.passed
-        assert all(p.kind == "segment" for p in scene.polygons.values())
+        report = _triangles(represent_max_degree3(c5))
         assert len(report.reconstructed) == 5
 
     def test_cubic_passthrough(self, k4):
-        scene = represent_max_degree3(k4)
-        assert verify_scene(scene).passed
-        assert all(p.kind == "polygon" for p in scene.polygons.values())
+        _triangles(represent_max_degree3(k4))
 
     def test_star_points(self):
+        # the leaves, once points, are triangles with two pulled corners
         g = graph_from_edge_list("c l1\nc l2\nc l3")
-        scene = represent_max_degree3(g)
-        report = verify_scene(scene)
-        assert report.passed
-        assert scene.polygons["c"].kind == "polygon"
-        for leaf in ("l1", "l2", "l3"):
-            assert scene.polygons[leaf].kind == "point"
+        report = _triangles(represent_max_degree3(g))
+        assert len(report.reconstructed) == 3
 
     def test_degree_cap(self, petersen):
         edges = [tuple(sorted(e)) for e in petersen.edges] + [("0", "2")]
@@ -554,10 +570,31 @@ class TestMaxDegree3:
 
     def test_path(self):
         g = graph_from_edge_list("1 2\n2 3\n3 4")
+        _triangles(represent_max_degree3(g))
+
+    def test_isolated_vertices_and_components(self):
+        # two paths and an isolated vertex; the old construction rejected it
+        g = Graph.from_edges([("1", "2"), ("2", "3"), ("4", "5"), ("5", "6"), ("6", "7")],
+                             vertices=[str(i) for i in range(1, 9)])
         scene = represent_max_degree3(g)
-        assert verify_scene(scene).passed
-        kinds = sorted(p.kind for p in scene.polygons.values())
-        assert kinds == ["point", "point", "segment", "segment"]
+        _triangles(scene)
+        assert set(scene.polygons) == set(g.vertices)
+
+    def test_every_connected_subcubic_graph(self):
+        # the graphs accepted are those the cubic augmentation finds, as
+        # before; each certifies with triangles
+        accepted = {}
+        for n in range(1, _SWEEP_N + 1):
+            for g in _connected_subcubic_graphs(n):
+                try:
+                    scene = represent_max_degree3(g)
+                except ConstructionError as exc:
+                    assert str(exc) == "cannot augment to a cubic graph"
+                    continue
+                _triangles(scene)
+                accepted[n] = accepted.get(n, 0) + 1
+        want = {3: 4, 4: 38, 5: 382, 6: 6640}
+        assert accepted == {n: count for n, count in want.items() if n <= _SWEEP_N}
 
 
 def _run_python(code, hash_seed="0"):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polycontact import Graph, geom, graph_scene, verify_scene
-from polycontact.geom import (PairClassification, Polygon3,
+from polycontact.geom import (GeometryError, PairClassification, Polygon3,
                               _one_side, _plane_sides, classify_pair, polygon_properties,
                               CORNER_CONTACT, DISJOINT, VIOLATION, BOUNDARY_TOUCH)
 
@@ -33,6 +33,20 @@ def _verified_pair(a, b):
     report = verify_scene(scene)
     return (report.pair_kinds[("a", "b")],
             [(f.code, f.witness) for f in report.violations])
+
+
+def _plane_less(a, b):
+    """b has no plane: `classify_pair` raises on either order, and
+    `verify_scene` reports b as a degenerate polygon and classifies no
+    pair."""
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(GeometryError, match="plane"):
+            classify_pair(x, y)
+    scene = graph_scene(Graph.from_edges([], vertices=["a", "b"]), {"a": a, "b": b}, {},
+                        {"construction": "test", "arithmetic": "exact"})
+    report = verify_scene(scene)
+    assert [(f.code, f.where) for f in report.violations] == [("degenerate-polygon", "b")]
+    assert report.pair_kinds == {}
 
 
 _EPS = 1e-9
@@ -85,7 +99,7 @@ class TestPolygonProperties:
     def test_unit_square(self):
         props = polygon_properties(P((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)))
         assert props.planar and props.simple and props.convex
-        assert props.strictly_convex and not props.degenerate
+        assert props.strictly_convex
 
     def test_midpoint_corner_not_strict(self):
         # a square with an edge midpoint inserted stays convex, not strictly
@@ -103,10 +117,13 @@ class TestPolygonProperties:
         assert not props.planar
 
     def test_degenerate_segment(self):
-        seg = P((0, 0, 0), (1, 1, 1))
-        props = polygon_properties(seg)
-        assert props.degenerate and props.planar
+        # a segment has no plane; every flag is False and the issue says why
+        props = polygon_properties(P((0, 0, 0), (1, 1, 1)))
+        assert not (props.planar or props.simple or props.convex)
         assert props.plane is props.axis is props.flat is None
+        assert props.issues == ["fewer than 3 corners"]
+        line = polygon_properties(P((0, 0, 0), (1, 1, 1), (2, 2, 2)))
+        assert line.plane is None and line.issues == ["all corners collinear"]
 
     def test_frame_from_first_noncollinear_triple(self):
         # a clockwise square, a warped one and one with a duplicate corner
@@ -402,93 +419,67 @@ class TestClassifyPair:
         assert classify_pair(a, b).kind == classify_pair(b, a).kind
 
     def test_segment_through_interior(self):
-        a = P((0, 0, 0), (4, 0, 0), (4, 4, 0), (0, 4, 0))
-        seg = P((2, 2, -1), (2, 2, 1))
-        res = classify_pair(a, seg)
-        assert res.kind == VIOLATION
+        _plane_less(P((0, 0, 0), (4, 0, 0), (4, 4, 0), (0, 4, 0)),
+                    P((2, 2, -1), (2, 2, 1)))
 
     def test_segment_corner_contact(self):
-        a = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
-        seg = P((0, 0, 0), (0, 0, 5))
-        res = classify_pair(a, seg)
-        assert res.kind == CORNER_CONTACT
+        _plane_less(P((0, 0, 0), (4, 0, 0), (0, 4, 0)), P((0, 0, 0), (0, 0, 5)))
 
     def test_point_polygon(self):
-        a = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
-        pt = P((4, 0, 0))
-        assert classify_pair(a, pt).kind == CORNER_CONTACT
-        inside = P((1, 1, 0))
-        assert classify_pair(a, inside).kind == VIOLATION
+        tri = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
+        for pt in (P((4, 0, 0)), P((1, 1, 0))):
+            _plane_less(tri, pt)
 
     def test_shared_corners_in_first_polygons_order(self):
         tri = P((0, 0, 0), (4, 0, 0), (0, 4, 0))
-        seg = P((4, 0, 0), (0, 0, 0))
-        assert classify_pair(tri, seg).shared_corners == list(tri.corners[:2])
-        assert classify_pair(seg, tri).shared_corners == list(seg.corners)
+        wall = P((4, 0, 0), (0, 0, 0), (0, 0, 4))
+        assert classify_pair(tri, wall).shared_corners == list(tri.corners[:2])
+        assert classify_pair(wall, tri).shared_corners == list(wall.corners[:2])
 
 
-# A collinear corner list is checked as the segment between its extreme
-# corners, wherever those stand in the list.
+# A collinear corner list has no plane, wherever its extreme corners stand
+# in the list and whatever it meets.
 COLLINEAR = P((0, 0, 0), (1, 0, 0), (2, 0, 0))
 
 
 class TestCollinearList:
     def test_span_pierces_triangle(self):
-        tri = P((F(3, 2), -1, -1), (F(3, 2), 1, -1), (F(3, 2), 0, 1))
-        for a, b in ((COLLINEAR, tri), (tri, COLLINEAR)):
-            res = classify_pair(a, b)
-            assert res.kind == VIOLATION
-            assert res.violations == [("interior-overlap", (F(3, 2), F(0), F(0)))]
+        _plane_less(P((F(3, 2), -1, -1), (F(3, 2), 1, -1), (F(3, 2), 0, 1)), COLLINEAR)
 
     def test_corner_on_span(self):
-        tri = P((F(3, 2), 0, 0), (3, 1, 1), (3, -1, 1))
-        for a, b in ((COLLINEAR, tri), (tri, COLLINEAR)):
-            res = classify_pair(a, b)
-            assert res.kind == VIOLATION
-            assert res.violations == [("corner-on-boundary", (F(3, 2), F(0), F(0)))]
+        _plane_less(P((F(3, 2), 0, 0), (3, 1, 1), (3, -1, 1)), COLLINEAR)
 
     def test_point_on_span_of_unordered_list(self):
-        unordered = P((1, 0, 0), (0, 0, 0), (2, 0, 0))
-        assert classify_pair(unordered, P((F(3, 2), 0, 0))).kind == VIOLATION
-        assert classify_pair(unordered, P((3, 0, 0))).kind == DISJOINT
+        _plane_less(P((0, 0, 5), (1, 0, 5), (0, 1, 5)), P((1, 0, 0), (0, 0, 0), (2, 0, 0)))
 
 
-def _random_other(rng):
-    """A point, a segment or a non-degenerate triangle on a small grid."""
+def _random_triangle(rng):
+    """A strictly convex triangle on a small grid."""
     while True:
-        k = rng.choice((1, 2, 3))
-        cs = [tuple(F(rng.randint(-1, 2)) for _ in range(3)) for _ in range(k)]
-        if len(set(cs)) < k:
-            continue
-        if k == 3 and not polygon_properties(Polygon3(tuple(cs))).strictly_convex:
-            continue
-        return Polygon3(tuple(cs))
+        tri = Polygon3(tuple(tuple(F(rng.randint(-1, 2)) for _ in range(3))
+                             for _ in range(3)))
+        if polygon_properties(tri).strictly_convex:
+            return tri
 
 
 def test_collinear_list_no_weaker_than_its_span():
-    """Where the segment between a collinear list's extreme corners is a
-    violation against q, so is the list, unless a middle corner of the
-    list is a corner of q."""
+    """A collinear corner list, like the segment between its extreme
+    corners, is a degenerate polygon whatever triangle it meets."""
     rng = random.Random(11)
-    violations = 0
-    for _ in range(3000):
+    checked = 0
+    while checked < 200:
         a = tuple(F(rng.randint(-1, 1)) for _ in range(3))
         d = tuple(F(rng.randint(-1, 1)) for _ in range(3))
         if not any(d):
             continue
         ts = sorted(rng.sample(range(-1, 5), rng.choice((3, 4))))
         pts = [tuple(x + F(t, 2) * y for x, y in zip(a, d)) for t in ts]
-        ends, middle = (pts[0], pts[-1]), pts[1:-1]
+        ends = (pts[0], pts[-1])
         rng.shuffle(pts)
-        lst, q = Polygon3(tuple(pts)), _random_other(rng)
-        if any(c in q.corners for c in middle):
-            continue
-        if classify_pair(Polygon3(ends), q).kind != VIOLATION:
-            continue
-        violations += 1
-        assert classify_pair(lst, q).kind == VIOLATION, (lst.corners, q.corners)
-        assert classify_pair(q, lst).kind == VIOLATION, (q.corners, lst.corners)
-    assert violations >= 100
+        q = _random_triangle(rng)
+        _plane_less(q, Polygon3(tuple(pts)))
+        _plane_less(q, Polygon3(ends))
+        checked += 1
 
 
 # ---------------------------------------------------------------------------
@@ -568,20 +559,12 @@ def test_classify_matches_bruteforce_oracle(pair):
 
 
 @st.composite
-def mixed_pairs(draw):
-    """Two of: point, segment, collinear corner list, convex polygon."""
-    def shape():
-        kind = draw(st.sampled_from(("point", "segment", "collinear", "polygon")))
-        if kind == "polygon":
-            pts2 = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=6))
-            hull = _hull2d(pts2)
-            if hull is None:
-                return None
-            cx, cy = draw(st.integers(-1, 1)), draw(st.integers(-1, 1))
-            return Polygon3(corners=tuple((F(x), F(y), F(x * cx + y * cy))
-                                          for x, y in hull))
-        if kind == "point":
-            return Polygon3(corners=(tuple(F(draw(coord)) for _ in range(3)),))
+def plane_less_pairs(draw):
+    """A point, a segment or a collinear corner list, and a convex polygon."""
+    kind = draw(st.sampled_from(("point", "segment", "collinear")))
+    if kind == "point":
+        shape = Polygon3(corners=(tuple(F(draw(coord)) for _ in range(3)),))
+    else:
         a = tuple(F(draw(coord)) for _ in range(3))
         d = tuple(F(draw(st.integers(-1, 1))) for _ in range(3))
         if not any(d):
@@ -589,16 +572,23 @@ def mixed_pairs(draw):
         count = 2 if kind == "segment" else draw(st.integers(3, 4))
         ts = draw(st.lists(st.integers(-4, 4), min_size=count, max_size=count,
                            unique=True))
-        return Polygon3(corners=tuple(tuple(x + F(t, 2) * y for x, y in zip(a, d))
-                                      for t in ts))
-
-    a, b = shape(), shape()
-    if a is None or b is None:
+        shape = Polygon3(corners=tuple(tuple(x + F(t, 2) * y for x, y in zip(a, d))
+                                       for t in ts))
+    hull = _hull2d(draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=6)))
+    if hull is None:
         return None
-    return a, b
+    cx, cy = draw(st.integers(-1, 1)), draw(st.integers(-1, 1))
+    return Polygon3(corners=tuple((F(x), F(y), F(x * cx + y * cy)) for x, y in hull)), shape
 
 
-@given(st.one_of(convex_polygon_pairs(), mixed_pairs()))
+@given(plane_less_pairs())
+def test_plane_less_polygon_raises(pair):
+    if pair is None:
+        return
+    _plane_less(*pair)
+
+
+@given(convex_polygon_pairs())
 def test_classify_symmetric_property(pair):
     if pair is None:
         return
@@ -606,7 +596,7 @@ def test_classify_symmetric_property(pair):
     assert classify_pair(a, b).kind == classify_pair(b, a).kind
 
 
-@given(st.one_of(convex_polygon_pairs(), mixed_pairs()))
+@given(convex_polygon_pairs())
 def test_float_kind_matches_exact_on_small_integers(pair):
     """Small integers and halves are exact floats, and `verify_scene` reads
     float corners as the binary rationals they are, so the pair's float

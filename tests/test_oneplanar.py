@@ -55,8 +55,7 @@ class TestRepresent:
         report = verify_scene(scene)
         assert report.passed, f"{name}: {report.to_text()}"
         for f in report.warnings:
-            assert f.code in ("boundary-touch", "degenerate-polygon",
-                              "polygon-issues")
+            assert f.code in ("boundary-touch", "polygon-issues")
         n = emb.graph.n
         ext = grid_extent(scene)
         assert ext.gx <= 3 * n // 2 - 1

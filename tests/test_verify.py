@@ -205,19 +205,20 @@ def _unrelated_pair_scene(a, b):
 
 class TestDegenerateCorners:
     def test_collinear_list_through_triangle_fails(self):
-        # the list's extreme corners span (0,0,0)-(2,0,0), which pierces
-        # the triangle's interior
+        # the list has no plane: it is a violation of its own, and its pair
+        # with the triangle it pierces is not classified
         line = T((0, 0, 0), (1, 0, 0), (2, 0, 0))
         tri = T(("3/2", -1, -1), ("3/2", 1, -1), ("3/2", 0, 1))
         report = verify_scene(_unrelated_pair_scene(line, tri))
         assert not report.passed
-        assert [(f.code, f.witness) for f in report.violations] == [
-            ("interior-overlap", (F(3, 2), F(0), F(0)))]
+        assert [(f.code, f.where, f.detail) for f in report.violations] == [
+            ("degenerate-polygon", "a", "all corners collinear")]
+        assert report.pair_kinds == {}
 
     def test_shared_corner_witness_is_first_polygons_corner(self):
         tri = T((0, 0, 0), (4, 0, 0), (0, 4, 0))
-        seg = T((4, 0, 0), (0, 0, 0))
-        report = verify_scene(_unrelated_pair_scene(tri, seg))
+        wall = T((4, 0, 0), (0, 0, 0), (0, 0, 4))
+        report = verify_scene(_unrelated_pair_scene(tri, wall))
         assert [(f.code, f.where, f.witness) for f in report.violations] == [
             ("shared-corner-without-edge", "a / b", (F(0), F(0), F(0)))]
 
@@ -548,7 +549,7 @@ def _random_pairs(seed, count):
     pairs = []
     for _ in range(count):
         a = Polygon3(corners=tuple(_rand_point(rng) for _ in range(3)))
-        if polygon_properties(a).degenerate:
+        if polygon_properties(a).plane is None:
             continue
         far = tuple(x + 100 for x in _rand_point(rng))
         s, t = F(rng.randint(1, 4), 12), F(rng.randint(1, 4), 12)
