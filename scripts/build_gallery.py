@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Build one scene of every construction class, verify, and export.
+"""Build one scene of every construction class, and export it.
 
 Writes scene JSON, OBJ and SVG files into --out (default ./gallery) and
-prints a one-line summary per scene with its grid extent.  A scene whose
-constructor certified it already (`scene.certificate`) is not verified
-again, and the extent a grid claim's check measured is not measured
-again.
+prints a one-line summary per scene with its grid extent.  Every
+constructor certifies its scene (`scene.certificate`) or raises, so no
+scene is verified again, and the extent a grid claim's check measured is
+not measured again.
 """
 
 import argparse
@@ -18,7 +18,7 @@ from polycontact import (complete_bipartite, embedding_from_json,
                          represent_cubic, represent_cycle_square,
                          represent_fano, represent_k33_unit_triangles,
                          represent_min_degree3, represent_oneplanar_cubic,
-                         represent_s239, verify_scene, write_scene)
+                         represent_s239, write_scene)
 from polycontact.export import scene_to_obj, scene_to_svg
 
 # two K4 gadgets (K4 with edge c-d subdivided by the slot vertex 1) joined
@@ -88,21 +88,14 @@ def main():
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    failures = 0
     for name, scene in build_all().items():
-        report = scene.certificate  # set by the certifying constructors
-        if report is None:
-            report = verify_scene(scene)
-        ext = report.grid_extent or grid_extent(scene)
-        status = "ok" if report.passed else "FAILED"
-        if not report.passed:
-            failures += 1
-        print(f"{name:28s} {status:6s} polygons={len(scene.polygons):3d} "
+        ext = scene.certificate.grid_extent or grid_extent(scene)
+        print(f"{name:28s} ok     polygons={len(scene.polygons):3d} "
               f"extent={ext.gx}x{ext.gy}x{ext.gz}")
         write_scene(out / f"{name}.scene.json", scene)
         (out / f"{name}.obj").write_text(scene_to_obj(scene))
         (out / f"{name}.svg").write_text(scene_to_svg(scene))
-    return 1 if failures else 0
+    return 0
 
 
 if __name__ == "__main__":

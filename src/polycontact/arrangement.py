@@ -27,10 +27,10 @@ i and j then meet exactly in the lifted p(i,j).  This needs minimum degree
 3, so a graph with lower degrees is padded first: each vertex of degree
 d < 3 is joined to 3 - d vertices of a dummy K4, and the lifted scene is
 retracted to the graph (`scene.retract`).  Every perturbation
-("slightly reduce", strictification) is a power-of-two rational chosen by
-halving until `verify_scene` passes the whole scene.  That report is the
-only contact check here: the returned scene carries it as its
-`certificate`.
+("slightly reduce", strictification) is a power-of-two rational: the
+candidate scenes for delta = 1/2, 1/4, ... go to `verify.certify`, which
+returns the first that passes with its report as its `certificate`.  That
+report is the only contact check here.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ from itertools import combinations
 from math import lcm
 
 from .core import Graph, edge_key
-from .geom import Polygon3
+from .geom import Polygon3, polygon_properties
 from .scene import ConstructionError, Scene, dummy_labels, graph_scene, retract
-from .verify import verify_scene
+from .verify import certify, verify_scene  # noqa: F401  perfbench/spans.py wraps verify_scene
 
 _MAX_HALVINGS = 128
 
@@ -205,20 +205,13 @@ def _pad_to_min_degree3(g: Graph) -> Graph:
 
 def represent_min_degree3(g: Graph) -> Scene:
     """Contact representation of any graph by convex polygons: g, padded
-    to minimum degree 3, is lifted over an arrangement of lines, halving
-    delta until `verify_scene` certifies the retracted scene.  A vertex of
-    degree below 3 gets a triangle."""
+    to minimum degree 3, is lifted over an arrangement of lines, and the
+    retracted scenes for delta = 1/2, 1/4, ... go to `certify`.  A vertex
+    of degree below 3 gets a triangle."""
     padded = _pad_to_min_degree3(g)
     arr = build_line_arrangement(padded.n)
-    delta = Fraction(1, 2)
-    for _ in range(_MAX_HALVINGS):
-        scene = _lift_scene(g, padded, arr, delta)
-        report = verify_scene(scene)
-        if report.passed:
-            scene.certificate = report
-            return scene
-        delta /= 2
-    raise ConstructionError("perturbation backoff failed")  # pragma: no cover
+    return certify(_lift_scene(g, padded, arr, Fraction(1, 2 ** k))
+                   for k in range(1, _MAX_HALVINGS + 1))
 
 
 def represent_complete(n: int) -> Scene:
@@ -239,9 +232,10 @@ def strictify(scene: Scene) -> Scene:
 
     Each contact's z drops by delta divided by its position along the
     governing line (measured from that line's first contact), which bows
-    formerly straight chains outward; delta is halved until the perturbed
-    scene passes verification with every polygon strictly convex.  A
-    vertex of degree below 3 (a padded lift) is a ConstructionError.
+    formerly straight chains outward; over delta = 1/4, 1/8, ..., the
+    perturbed scenes whose polygons are all strictly convex go to
+    `certify`, and the first that passes is returned.  A vertex of degree
+    below 3 (a padded lift) is a ConstructionError.
     """
     g: Graph = scene.structure
     low = [v for v in g.vertices if g.degree(v) < 3]
@@ -262,21 +256,20 @@ def strictify(scene: Scene) -> Scene:
                          for j, p in pts.items()}
         firsts[index[v]] = nbr[0]
 
-    delta = Fraction(1, 4)
-    for _ in range(_MAX_HALVINGS):
-        contacts = {}
-        for e in g.edges:
-            i, j = sorted(index[v] for v in e)
-            x, y, z = scene.contacts[e]
-            if j != firsts[i]:  # else the pair already lowered by the flatness rule
-                z -= delta / pos[i][j]
-            contacts[e] = (x, y, z)
-        candidate = _scene_from_contacts(g, order, contacts, dict(scene.meta))
-        report = verify_scene(candidate)
-        if report.passed and all(props.strictly_convex
-                                 for props in report.polygon_properties.values()):
-            candidate.meta["strictified"] = True
-            candidate.certificate = report
-            return candidate
-        delta /= 2
-    raise ConstructionError("strictification backoff failed")
+    def candidates():
+        for k in range(2, _MAX_HALVINGS + 2):
+            delta = Fraction(1, 2 ** k)
+            contacts = {}
+            for e in g.edges:
+                i, j = sorted(index[v] for v in e)
+                x, y, z = scene.contacts[e]
+                if j != firsts[i]:  # else the pair already lowered by the flatness rule
+                    z -= delta / pos[i][j]
+                contacts[e] = (x, y, z)
+            candidate = _scene_from_contacts(g, order, contacts,
+                                             dict(scene.meta, strictified=True))
+            if all(polygon_properties(p).strictly_convex
+                   for p in candidate.polygons.values()):
+                yield candidate
+
+    return certify(candidates())

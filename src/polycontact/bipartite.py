@@ -96,7 +96,7 @@ def _retract_complete(g: Graph, pa: list, pb: list, corner, meta: dict) -> Scene
                 for k, av in enumerate(pa) for m, bv in enumerate(pb)}
     padded = graph_scene(Graph(vertices=tuple(pa + pb), edges=frozenset(contacts)),
                          polygons, contacts, {})
-    return retract(g, padded, meta)
+    return certify([retract(g, padded, meta)])
 
 
 def represent_bipartite_toroidal(g: Graph, parts=None) -> Scene:
@@ -253,4 +253,4 @@ def represent_k33_unit_triangles() -> Scene:
         "beta_degrees": math.degrees(beta),
         "circle_radius": r,
     }
-    return certify(graph_scene(g, polygons, contacts, meta))
+    return certify([graph_scene(g, polygons, contacts, meta)])

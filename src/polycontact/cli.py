@@ -1,11 +1,11 @@
 """Command-line surface: construct, verify, analyze, export.
 
-Every construction is verified once before the scene file leaves the
-tool: the constructor's `certificate` is printed when it has one, and
-`verify_scene` runs otherwise.  `verify` prints the grid extent that the
-grid-claim check measured, and measures it only for scenes that claim
-none.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
-error, 3 construction precondition violation.
+Every constructor certifies its scene (`verify.certify`), and `represent`
+prints that `certificate`, to stderr when stdout gets the scene.  `verify`
+prints the grid extent that the grid-claim check measured, and measures
+it only for scenes that claim none.  Exit codes: 0 success, 1 `verify`
+failure, 2 usage or parse error, 3 construction precondition violation
+or no scene certifies.
 
 Each call builds the argument parser for the subcommand it names only
 (`build_parser([name])`); help, no arguments and an unknown command get
@@ -126,18 +126,13 @@ def _need(cond, msg):
 
 def cmd_represent(args) -> int:
     scene = _build_scene(args)
-    report = scene.certificate
-    if report is None:
-        report = verify_scene(scene)
-    print(report.to_text())
-    if not report.passed:
-        if args.output:
-            write_scene(args.output, scene)
-        return 1
+    report = scene.certificate.to_text()
     if args.output:
+        print(report)
         write_scene(args.output, scene)
         print(f"wrote {args.output}")
     else:
+        print(report, file=sys.stderr)
         sys.stdout.write(_dumps(scene_to_json(scene)) + "\n")
     return 0
 

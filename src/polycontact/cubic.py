@@ -19,8 +19,8 @@ vertices and are drawn by the Schnyder grid algorithm.
 
 Perfect matchings come from a stdlib Edmonds blossom search
 (`_max_matching`); in the bridged case, when a matching gives no workable
-plan or its chord lift fails, other matchings are tried.  Exact
-verification of every emitted scene is the correctness gate.
+plan or no scene drawn from it certifies, other matchings are tried.
+Every scene is returned through `verify.certify`, the correctness gate.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .geom import Polygon3
 from .planar import PlaneGraph
 from .scene import ConstructionError, Scene, dummy_labels, graph_scene, retract
 from .schnyder import schnyder_draw
-from .verify import verify_scene
+from .verify import certify, verify_scene  # noqa: F401  perfbench/spans.py wraps verify_scene
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +359,10 @@ _HUB = ("hub",)  # the hub's position key; vertex labels are strings
 
 
 def represent_2ec_cubic(g: Graph) -> Scene:
+    return certify([_2ec_cubic_scene(g)])
+
+
+def _2ec_cubic_scene(g: Graph) -> Scene:
     decomp = petersen_decompose(g)
     n = g.n
     if n == 4:
@@ -824,21 +828,27 @@ def represent_cubic(g: Graph) -> Scene:
     components' floorplans are drawn together by the Schnyder algorithm
     and each cut vertex becomes a vertical triangle over its bridge vertex.
     """
+    return _certified_cubic(g, lambda scene: scene)
+
+
+def _certified_cubic(g: Graph, finish) -> Scene:
+    """`represent_cubic`, with each candidate scene passed through `finish`
+    before it goes to `certify`."""
     if not g.is_regular(3):
         raise ConstructionError("graph is not cubic")
-    if not g.is_connected():
-        raise ConstructionError("graph is not connected")
-    bbt = bridge_block_tree(g)
+    bbt = bridge_block_tree(g)  # raises if g is not connected
     if not bbt.bridges:
-        return represent_2ec_cubic(g)
+        return certify([finish(_2ec_cubic_scene(g))])
 
     H, plans, vb_label = _build_floorplan(g, bbt)
     searches = {}
     while True:
-        scene, lifted = _draw_floorplan(g, H, plans, vb_label)
-        if scene is not None:
-            return scene
-        # the chord lift failed: move a lifted component, or else another
+        candidates, lifted = _draw_floorplan(g, H, plans, vb_label)
+        try:
+            return certify(map(finish, candidates))
+        except ConstructionError:
+            pass
+        # no candidate certifies: move a lifted component, or else another
         # one, on to its next workable plan; a component's search starts on
         # first need and skips the plan drawn first
         first = sorted({idx for idx, _ in lifted})
@@ -857,10 +867,11 @@ def represent_cubic(g: Graph) -> Scene:
 
 
 def _draw_floorplan(g: Graph, H, plans, vb_label):
-    """Schnyder-draw the floorplan and build the scene: (scene, lifted).
+    """Schnyder-draw the floorplan: (candidates, lifted).
 
-    scene is None when a chord lift is needed and no backoff step verifies;
-    lifted holds the (component, cycle) pairs whose chord was lifted.
+    candidates are its scenes, built lazily: one per lift height delta =
+    1/4, 1/8, ..., 2^-25, or one alone when no chord is lifted.  lifted
+    holds the (component, cycle) pairs whose chord was lifted.
     """
     H.check_planar()
     if len(H.rotation) > len(g.edges):
@@ -871,7 +882,7 @@ def _draw_floorplan(g: Graph, H, plans, vb_label):
     # a chord triangle degenerates when the drawing put the hub on the line
     # of its two rim corners (possible once a foot chain replaced the
     # closing edge); lift that chord's first corner slightly, backing off
-    # until exact verification accepts
+    # until a scene certifies
     lifted = set()
     for plan in plans:
         if plan.kind != "wheel":
@@ -915,17 +926,8 @@ def _draw_floorplan(g: Graph, H, plans, vb_label):
                                  "z": g.n // 2}}
         return graph_scene(g, polygons, contacts, meta)
 
-    if not lifted:
-        return build(Fraction(0)), lifted
-    delta = Fraction(1, 4)
-    for _ in range(24):
-        scene = build(delta)
-        report = verify_scene(scene)
-        if report.passed:
-            scene.certificate = report
-            return scene, lifted
-        delta /= 2
-    return None, lifted
+    deltas = [Fraction(1, 2 ** k) for k in range(2, 26)] if lifted else [Fraction(0)]
+    return map(build, deltas), lifted
 
 
 def _wheel_scene_part(plan: _WheelPlan, vb_label, pt, polygons, contacts,
@@ -1041,16 +1043,15 @@ def represent_max_degree3(g: Graph) -> Scene:
     The graph is padded to a cubic one with dummy edges (and a dummy
     vertex when the order is odd), and the cubic scene is retracted to it
     (`scene.retract`): a vertex of degree below 3 keeps its real contacts
-    and pulls the others into its triangle.
+    and pulls the others into its triangle.  Only retracted scenes are
+    certified.
     """
     bad = [v for v in g.vertices if g.degree(v) > 3]
     if bad:
         raise ConstructionError(f"vertices of degree > 3: {bad}")
     if g.is_regular(3):
         return represent_cubic(g)
-    scene = represent_cubic(_augment_to_cubic(g))
-    meta = dict(scene.meta)
-    meta["construction"] = "max-degree-3"
     half = (g.n + 1) // 2
-    meta["claimed_grid"] = {"x": 3 * half, "y": 3 * half, "z": half}
-    return retract(g, scene, meta)
+    grid = {"x": 3 * half, "y": 3 * half, "z": half}
+    return _certified_cubic(_augment_to_cubic(g), lambda scene: retract(
+        g, scene, dict(scene.meta, construction="max-degree-3", claimed_grid=grid)))

@@ -52,10 +52,10 @@ multiple of 2^-40 on the axis that line follows most closely.  So every
 quadrilateral is planar, and corners move by about 1e-12.  An odd scene
 keeps the exact corners of the n-1 scene for every contact it does not
 relax, and its relaxed polygons' planes pass through them.
-`represent_cycle_square` verifies every candidate scene and raises
-`ConstructionError` naming n when none passes.  `meta` records the layout,
-the iteration count, the final residual and the smallest angle between
-adjacent polygons' planes.
+`represent_cycle_square` hands one scene per layout to `verify.certify`
+and raises `ConstructionError` naming n when none passes.  `meta`
+records the layout, the iteration count, the final residual and the
+smallest angle between adjacent polygons' planes.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from operator import mul
 from .core import Graph, edge_key
 from .geom import ROUND_BITS, Polygon3, vcross, vdot, vsub
 from .scene import ConstructionError, Scene, graph_scene
-from .verify import verify_scene
+from .verify import certify
 
 _EDGE_RANGE = (1.0, 1.5)  # side lengths of relaxed split quadrilaterals
 _TURN_MARGIN = 0.2  # (u x v) . normal at each corner of a relaxed quad
@@ -109,7 +109,7 @@ def represent_cycle_square(n: int) -> Scene:
     Even n uses unit squares (unit-sided rhombi for n = 12); odd n relaxes
     a split of the even scene below it.  n = 5 (the complete graph K5) is
     out of scope.  Raises `ConstructionError` naming n when no layout
-    verifies; the returned scene's `certificate` is its passing report.
+    certifies; the returned scene's `certificate` is its passing report.
     """
     if n == 5:
         raise ConstructionError("n = 5 is the complete graph; unsupported here")
@@ -117,22 +117,20 @@ def represent_cycle_square(n: int) -> Scene:
         raise ConstructionError("need n >= 6")
     layouts = [(*_even_layout(n), {})] if n % 2 == 0 else _odd_layouts(n)
     g = cycle_square_graph(n)
-    for pts, quads, meta, fixed in layouts:
+
+    def scene(pts, quads, meta, fixed):
         exact = _round_planes(pts, quads, fixed)
         polygons = {str(i): Polygon3(corners=tuple(exact[k] for k in quads[i]))
                     for i in sorted(quads)}
         contacts = {edge_key(str(a), str(b)): exact[(a, b)] for a, b in pts}
         meta = {"construction": "cycle-square", "arithmetic": "exact", "n": n, **meta,
                 "min_dihedral_deg": _min_dihedral(pts, quads)}
-        scene = graph_scene(g, polygons, contacts, meta)
-        report = verify_scene(scene)
-        if report.passed:
-            scene.certificate = report
-            return scene
-    raise ConstructionError(
-        f"no verified cycle-square scene for n={n}: the {meta['layout']} "
-        f"layout has {len(report.violations)} violations, first "
-        f"{report.violations[0]}")
+        return graph_scene(g, polygons, contacts, meta)
+
+    try:
+        return certify(scene(*layout) for layout in layouts)
+    except ConstructionError as exc:
+        raise ConstructionError(f"no verified cycle-square scene for n={n}: {exc}") from None
 
 
 def _key(i: int, j: int, n: int):

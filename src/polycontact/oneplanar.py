@@ -26,6 +26,7 @@ from .geom import Polygon3
 from .planar import EmbeddingError, PlaneGraph
 from .scene import ConstructionError, Scene, graph_scene
 from .schnyder import schnyder_draw
+from .verify import certify
 
 
 def _edge_name(e: frozenset) -> str:
@@ -327,7 +328,7 @@ def represent_oneplanar_cubic(emb: OnePlaneEmbedding) -> Scene:
     meta = {"construction": "oneplanar-cubic", "arithmetic": "exact",
             "crossings": len(med.crossing_pairs),
             "claimed_grid": {"x": 3 * n // 2 - 1, "y": 3 * n // 2 - 1, "z": 3}}
-    return graph_scene(g, polygons, contacts, meta)
+    return certify([graph_scene(g, polygons, contacts, meta)])
 
 
 def _subdivide(pg: PlaneGraph, eid, new_vertex):

@@ -7,10 +7,10 @@ Coordinates are exact: ints and `Fraction`s.  `meta` carries the
 construction name, `"arithmetic": "exact"`, claimed grid bounds and any
 construction-specific parameters.
 
-`certificate` is the passing `VerificationReport` a constructor certified
-this very scene object with, or None.  It is not part of the scene: it is
-never compared, serialized or read back, and `verify_scene` ignores it.
-It goes stale if the scene is changed afterwards.
+`certificate` is the passing `VerificationReport` `verify.certify` gave
+this very scene object, or None (read from a file or built by hand).  It
+is not part of the scene: it is never compared, serialized or read back,
+and `verify_scene` ignores it.  It goes stale if the scene is changed.
 """
 
 from __future__ import annotations

@@ -85,7 +85,7 @@ def represent_fano(params: FanoParams = FanoParams()) -> Scene:
         polygons[block_label(b)] = Polygon3(corners=tuple(pos[v] for v in sorted(b)))
     meta = {"construction": "fano", "arithmetic": "exact",
             "alpha_degrees": params.alpha}
-    return certify(hypergraph_scene(h, polygons, contacts, meta))
+    return certify([hypergraph_scene(h, polygons, contacts, meta)])
 
 
 def _plane_from(points):
@@ -142,7 +142,7 @@ def represent_s239(params: S239Params = S239Params()) -> Scene:
     meta = {"construction": "s239", "arithmetic": "exact",
             "beta_degrees": params.beta, "scale": params.scale,
             "lift": params.lift, "cut_point": p}
-    return certify(hypergraph_scene(h, polygons, contacts, meta))
+    return certify([hypergraph_scene(h, polygons, contacts, meta)])
 
 
 # ---------------------------------------------------------------------------

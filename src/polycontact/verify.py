@@ -261,15 +261,20 @@ def verify_scene(scene: Scene) -> VerificationReport:
     return report
 
 
-def certify(scene: Scene) -> Scene:
-    """`scene` with its passing `verify_scene` report as its `certificate`;
-    ConstructionError naming the first violation if it fails."""
-    report = verify_scene(scene)
-    if not report.passed:
-        raise ConstructionError(f"{scene.meta['construction']} scene fails "
-                                f"verification: {report.violations[0]}")
-    scene.certificate = report
-    return scene
+def certify(candidates) -> Scene:
+    """The first of the scenes `candidates`, verified lazily in order, that
+    passes `verify_scene`, with that report as its `certificate`; else
+    ConstructionError naming the construction and the last one's first
+    violation.  Every constructor returns its scene through here."""
+    scene = None
+    for scene in candidates:
+        report = verify_scene(scene)
+        if report.passed:
+            scene.certificate = report
+            return scene
+    raise ConstructionError("no candidate scene" if scene is None else
+                            f"{scene.meta['construction']} scene fails "
+                            f"verification: {report.violations[0]}")
 
 
 def _reconstruct(scene: Scene, kernel: KernelScene, shared: dict,

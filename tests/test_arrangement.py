@@ -163,13 +163,13 @@ class TestMinDegree3:
     def test_low_degree_rejected(self, monkeypatch):
         # C5 is padded and certifies with triangles; strictify rejects the
         # padded lift before it verifies anything
-        import polycontact.arrangement as arrangement
+        import polycontact.verify as verify
         c5 = graph_from_edge_list("1 2\n2 3\n3 4\n4 5\n5 1")
         scene = represent_min_degree3(c5)
         assert scene.certificate.passed
         assert all(len(p.corners) == 3 for p in scene.polygons.values())
         calls = []
-        monkeypatch.setattr(arrangement, "verify_scene", calls.append)
+        monkeypatch.setattr(verify, "verify_scene", calls.append)
         with pytest.raises(ConstructionError, match="degree < 3"):
             strictify(scene)
         assert calls == []

@@ -7,13 +7,13 @@ import pytest
 from polycontact import (ConstructionError, Graph, complete_bipartite,
                          core_polygon, edge_key, grid_extent,
                          represent_bipartite_grid, represent_bipartite_toroidal,
-                         represent_k33_unit_triangles, verify_scene)
+                         represent_k33_unit_triangles)
 
 
 class TestToroidal:
     def test_k88_toroidal_positions(self):
         scene = represent_bipartite_toroidal(complete_bipartite(8, 8))
-        assert verify_scene(scene).passed
+        assert scene.certificate.passed
         assert scene.meta["toroidal_grid"] == (8, 14)
         # every corner is rotation step x half-circle step
         radius, dist = 1.0, 2.0
@@ -39,7 +39,7 @@ class TestToroidal:
         assert "degenerate" not in scene.meta
         assert scene.meta["toroidal_grid"] == (3, 4)
         assert all(len(p.corners) == 3 for p in scene.polygons.values())
-        assert verify_scene(scene).passed
+        assert scene.certificate.passed
 
     def test_k44_minus_matching(self):
         g = complete_bipartite(4, 4)
@@ -47,7 +47,7 @@ class TestToroidal:
                  if e not in {edge_key(f"a{i}", f"b{i}") for i in range(1, 5)}]
         g2 = Graph.from_edges(edges, vertices=g.vertices)
         scene = represent_bipartite_toroidal(g2, parts=scene_parts(g2))
-        report = verify_scene(scene)
+        report = scene.certificate
         assert report.passed
         assert len(report.reconstructed) == 12
 
@@ -99,7 +99,7 @@ def scene_parts(g):
 class TestIntegerGrid:
     def test_k816_extent_formula(self):
         scene = represent_bipartite_grid(complete_bipartite(8, 16))
-        assert verify_scene(scene).passed
+        assert scene.certificate.passed
         ext = grid_extent(scene)
         # span from the proof's formula: 4*3 (stack) + 4*3+2 (core) = 26
         assert ext.gx <= 26
@@ -107,7 +107,7 @@ class TestIntegerGrid:
 
     def test_k44_exact_integers(self):
         scene = represent_bipartite_grid(complete_bipartite(4, 4))
-        assert verify_scene(scene).passed
+        assert scene.certificate.passed
         for p in scene.polygons.values():
             for c in p.corners:
                 assert all(x.denominator == 1 for x in c)
@@ -117,7 +117,7 @@ class TestIntegerGrid:
         edges = [tuple(sorted(e)) for e in g.edges if e != edge_key("a1", "b1")]
         g2 = Graph.from_edges(edges, vertices=g.vertices)
         scene = represent_bipartite_grid(g2, parts=scene_parts(g2))
-        report = verify_scene(scene)
+        report = scene.certificate
         assert report.passed
         assert len(report.reconstructed) == 14
 
@@ -172,7 +172,7 @@ class TestK33:
 
     def test_nine_contacts_and_heights(self):
         scene = represent_k33_unit_triangles()
-        report = verify_scene(scene)
+        report = scene.certificate
         assert report.passed
         assert len(report.reconstructed) == 9
         zs = sorted({round(c[2], 9) for p in scene.polygons.values()

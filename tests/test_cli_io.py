@@ -12,14 +12,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from polycontact import (Graph, InputError, Polygon3, edge_key, graph_from_edge_list,
-                         graph_scene, represent_complete, represent_cycle_square,
-                         represent_fano, represent_min_degree3, scene_from_json,
-                         scene_to_json, verify_scene)
+from polycontact import (ConstructionError, Graph, InputError, Polygon3, edge_key,
+                         graph_from_edge_list, graph_scene, represent_complete,
+                         represent_cycle_square, represent_fano,
+                         represent_min_degree3, scene_from_json, scene_to_json,
+                         strictify, verify_scene)
 from polycontact.cli import main
 from polycontact.export import scene_to_obj, scene_to_svg
 from polycontact.sceneio import _dumps, read_scene, write_scene
 from polycontact.verify import grid_extent
+
+from conftest import gadget_chain
 
 _PETERSEN = "".join(f"{i} {(i + 1) % 5}\n{i} {i + 5}\n{i + 5} {(i + 2) % 5 + 5}\n"
                     for i in range(5))
@@ -93,9 +96,11 @@ class TestJsonBytes:
         write_scene(str(path), scene)
         assert path.read_text() == _dumped(doc)
 
+        # without -o, stdout is the scene file alone and the report goes to stderr
         assert main(["represent", *args]) == 0
-        report = verify_scene(scene).to_text()
-        assert capsys.readouterr().out == report + "\n" + _dumped(doc)
+        captured = capsys.readouterr()
+        assert captured.out == _dumped(doc)
+        assert captured.err == scene.certificate.to_text() + "\n"
 
         assert main(["verify", str(path), "--json"]) == 0
         out = capsys.readouterr().out
@@ -191,6 +196,89 @@ def test_every_class_writes_exact_coordinates(args, tmp_path, capsys):
             x = Fraction(int(num), int(den))
             assert point[axis] == f"{x.numerator}/{x.denominator}"
     assert main(["verify", str(out), "--json"]) == 0
+
+
+# one call per CLI class; `cubic` gets a bridged graph, so it draws a floorplan
+_ONE_PER_CLASS = {
+    "complete": ["--n", "5"],
+    "mindeg3": ["--input", "{petersen}"],
+    "bipartite-toroidal": ["--a", "2", "--b", "4"],
+    "bipartite-grid": ["--a", "2", "--b", "5"],
+    "k33": [],
+    "oneplanar-cubic": ["--input", "{k4x}"],
+    "cubic-2ec": ["--input", "{petersen}"],
+    "cubic": ["--input", "{chain}"],
+    "maxdeg3": ["--input", "{maxdeg3}"],
+    "cycle-square": ["--n", "7"],
+    "fano": [],
+    "s239": [],
+}
+
+
+def _class_argv(cls, tmp_path):
+    files = _input_files(tmp_path)
+    chain = tmp_path / "chain"
+    chain.write_text("".join(f"{u} {v}\n" for u, v in map(sorted, gadget_chain(2).edges)))
+    files["chain"] = chain
+    return ["--class", cls] + [a.format(**files) for a in _ONE_PER_CLASS[cls]]
+
+
+def _build(argv):
+    import polycontact.cli as cli
+    return cli._build_scene(cli.build_parser(["represent"]).parse_args(["represent", *argv]))
+
+
+def test_one_per_class_covers_every_class():
+    import polycontact.cli as cli
+    assert sorted(_ONE_PER_CLASS) == sorted(cli.CLASSES)
+
+
+@pytest.mark.parametrize("cls", sorted(_ONE_PER_CLASS))
+def test_every_class_certifies(cls, tmp_path):
+    # the constructor's certificate is the report a fresh verify gives
+    scene = _build(_class_argv(cls, tmp_path))
+    assert scene.certificate.passed
+    assert scene.certificate.to_text() == verify_scene(scene).to_text()
+
+
+@pytest.mark.parametrize("cls", sorted(_ONE_PER_CLASS))
+def test_every_class_fails_closed(cls, tmp_path, monkeypatch):
+    # with every verification failing, no constructor returns a scene and
+    # `represent` exits 3 without writing its file
+    import polycontact.verify as verify
+    argv = _class_argv(cls, tmp_path)
+    failing = verify.VerificationReport(violations=[verify.Finding("forced", "test")])
+    monkeypatch.setattr(verify, "verify_scene", lambda scene: failing)
+    with pytest.raises(ConstructionError):
+        _build(argv)
+    out = tmp_path / "scene.json"
+    assert main(["represent", *argv, "-o", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_strictify_fails_closed(monkeypatch):
+    import polycontact.verify as verify
+    scene = represent_complete(5)
+    failing = verify.VerificationReport(violations=[verify.Finding("forced", "test")])
+    monkeypatch.setattr(verify, "verify_scene", lambda scene: failing)
+    with pytest.raises(ConstructionError, match=r"^complete scene fails verification: \[forced\]"):
+        strictify(scene)
+
+
+def test_represent_to_stdout_pipes_into_verify(tmp_path):
+    # stdout without -o is the scene file alone; the report goes to stderr
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    scene = tmp_path / "k4.json"
+    with open(scene, "w") as fh:
+        rep = subprocess.run([sys.executable, "-m", "polycontact.cli", "represent",
+                              "--class", "complete", "--n", "4"], env=env, stdout=fh,
+                             stderr=subprocess.PIPE, text=True)
+    assert rep.returncode == 0
+    assert rep.stderr.startswith("pass: True\n")
+    ver = subprocess.run([sys.executable, "-m", "polycontact.cli", "verify", str(scene)],
+                         env=env, capture_output=True, text=True)
+    assert ver.returncode == 0, ver.stdout + ver.stderr
 
 
 def _triangle_pair(a_corners, b_corners, contact, arithmetic):

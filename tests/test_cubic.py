@@ -11,11 +11,11 @@ from types import SimpleNamespace
 import pytest
 
 import polycontact
-from polycontact import cubic
+from polycontact import cubic, verify
 from polycontact import (ConstructionError, Graph, bridge_block_tree,
                          edge_key, find_bridges, graph_from_edge_list,
                          grid_extent, petersen_decompose, represent_2ec_cubic,
-                         represent_cubic, represent_max_degree3, verify_scene)
+                         represent_cubic, represent_max_degree3)
 
 from conftest import gadget_chain, gadget_star, k4_gadget
 
@@ -275,20 +275,20 @@ class TestBridgeBlockTree:
 class TestRect2EC:
     def test_k4_small_grid(self, k4):
         scene = represent_2ec_cubic(k4)
-        assert verify_scene(scene).passed
+        assert scene.certificate.passed
         ext = grid_extent(scene)
         assert all(got <= cap for got, cap in zip(ext[:3], (3, 2, 2)))
 
     def test_petersen(self, petersen):
         scene = represent_2ec_cubic(petersen)
-        report = verify_scene(scene)
+        report = scene.certificate
         assert report.passed
         assert len(report.reconstructed) == 15
         assert grid_extent(scene).gz <= 5
 
     def test_prism_contacts(self, prism):
         scene = represent_2ec_cubic(prism)
-        report = verify_scene(scene)
+        report = scene.certificate
         assert report.passed
         assert len(report.reconstructed) == 9
 
@@ -317,7 +317,7 @@ class TestRect2EC:
     def test_enclosing_cycle_drops_to_z_minus_1(self, edges):
         g = graph_from_edge_list(edges.replace(" ", "\n").replace("-", " "))
         scene = represent_2ec_cubic(g)
-        report = verify_scene(scene)
+        report = scene.certificate
         assert report.passed, report.to_text()
         claim = scene.meta["claimed_grid"]
         assert claim == {"x": 3, "y": g.n // 2, "z": g.n // 2}
@@ -332,7 +332,7 @@ class TestCubicBridges:
         g = gadget_chain(k)
         assert g.is_regular(3)
         scene = represent_cubic(g)
-        report = verify_scene(scene)
+        report = scene.certificate
         assert report.passed, report.to_text()
         n = g.n
         ext = grid_extent(scene)
@@ -354,7 +354,7 @@ class TestCubicBridges:
     def test_star_single_vertex_component(self):
         g = gadget_star()
         scene = represent_cubic(g)
-        report = verify_scene(scene)
+        report = scene.certificate
         assert report.passed
         hub_poly = scene.polygons["hub"]
         assert len(hub_poly.corners) == 3
@@ -364,7 +364,7 @@ class TestCubicBridges:
     def test_2ec_delegates(self, petersen):
         scene = represent_cubic(petersen)
         assert scene.meta["construction"] == "cubic-2ec"
-        assert verify_scene(scene).passed
+        assert scene.certificate.passed
 
     def test_floorplan_injection_bound(self):
         for k in (2, 3):
@@ -382,7 +382,7 @@ class TestCubicBridges:
             edges.append((t, s[0]))
         g = Graph.from_edges(edges)
         scene = represent_cubic(g)
-        report = verify_scene(scene)
+        report = scene.certificate
         assert report.passed, report.to_text()
         for t in ("t1", "t2", "t3"):
             zs = {c[2] for c in scene.polygons[t].corners}
@@ -401,7 +401,7 @@ class TestCubicBridges:
         g = Graph.from_edges(edges)
         assert g.is_regular(3)
         scene = represent_cubic(g)
-        report = verify_scene(scene)
+        report = scene.certificate
         assert report.passed, report.to_text()
         n = g.n
         ext = grid_extent(scene)
@@ -420,7 +420,7 @@ class TestCubicBridges:
         g = Graph.from_edges(edges)
         assert g.is_regular(3)
         scene = represent_cubic(g)
-        report = verify_scene(scene)
+        report = scene.certificate
         assert report.passed, report.to_text()
 
     def test_disconnected_rejected(self):
@@ -487,7 +487,7 @@ def test_bridged_cubic_family(seed):
         assert seed in _REJECTED, str(exc)
         assert "no workable matching for the bridge feet" in str(exc)
         return
-    report = verify_scene(scene)
+    report = scene.certificate
     assert report.passed, report.to_text()
     ext, claim = grid_extent(scene), scene.meta["claimed_grid"]
     assert ext.gx <= claim["x"] and ext.gy <= claim["y"] and ext.gz <= claim["z"]
@@ -513,9 +513,9 @@ def test_chord_lift_retries_every_plan_then_raises(monkeypatch):
     plans = [len(list(cubic._component_plans(g, i, comp, bbt.bridges)))
              for i, comp in enumerate(bbt.components)]
     calls = []
-    monkeypatch.setattr(cubic, "verify_scene",
+    monkeypatch.setattr(verify, "verify_scene",
                         lambda scene: calls.append(scene) or
-                        SimpleNamespace(passed=False))
+                        SimpleNamespace(passed=False, violations=["forced"]))
     with pytest.raises(ConstructionError, match="^chord lift backoff failed$"):
         represent_cubic(g)
     draws = 1 + sum(k - 1 for k in plans)
@@ -539,7 +539,7 @@ _SWEEP_N = 6 if os.environ.get("HYPOTHESIS_PROFILE") == "ci" else 5
 
 
 def _triangles(scene):
-    report = verify_scene(scene)
+    report = scene.certificate
     assert report.passed, report.to_text()
     assert all(len(p.corners) == 3 for p in scene.polygons.values())
     return report
@@ -552,6 +552,16 @@ class TestMaxDegree3:
         c5 = graph_from_edge_list("1 2\n2 3\n3 4\n4 5\n5 1")
         report = _triangles(represent_max_degree3(c5))
         assert len(report.reconstructed) == 5
+
+    def test_c5_verifies_once(self, monkeypatch):
+        # only the retracted scene is verified, never the padded cubic one
+        c5 = graph_from_edge_list("1 2\n2 3\n3 4\n4 5\n5 1")
+        calls = []
+        monkeypatch.setattr(verify, "verify_scene", lambda scene, run=verify.verify_scene:
+                            calls.append(scene) or run(scene))
+        scene = represent_max_degree3(c5)
+        assert calls == [scene]
+        assert scene.meta["construction"] == "max-degree-3"
 
     def test_cubic_passthrough(self, k4):
         _triangles(represent_max_degree3(k4))

@@ -6,7 +6,7 @@ import pytest
 
 from polycontact import (ConstructionError, InputError, OnePlaneEmbedding,
                          build_modified_medial, grid_extent,
-                         represent_oneplanar_cubic, verify_scene)
+                         represent_oneplanar_cubic)
 
 from conftest import (all_oneplanar_fixtures, ek, k4_bconfig_embedding,
                       k4_crossed_embedding, k4_graph, k4_planar_embedding)
@@ -52,7 +52,7 @@ class TestRepresent:
     def test_fixture_verifies(self, name):
         emb = all_oneplanar_fixtures()[name]
         scene = represent_oneplanar_cubic(emb)
-        report = verify_scene(scene)
+        report = scene.certificate
         assert report.passed, f"{name}: {report.to_text()}"
         for f in report.warnings:
             assert f.code in ("boundary-touch", "polygon-issues")
@@ -89,7 +89,7 @@ class TestRepresent:
         scene = represent_oneplanar_cubic(emb)
         assert len(scene.polygons) == 6
         assert len(scene.contacts) == 9
-        report = verify_scene(scene)
+        report = scene.certificate
         assert report.passed
 
     def test_bad_interleaving_rejected(self):
