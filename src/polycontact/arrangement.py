@@ -78,8 +78,7 @@ def arrangement_ok(arr: Arrangement) -> bool:
     their x-coordinates, as ints over the line's least common denominator:
     line i has direction (1, 2 s_i), so x is an increasing affine function
     of the position along it, which keeps both the order and the gap
-    ratios.  `audit_arrangement` is the independent check, which assumes
-    no direction.
+    ratios.
     """
     for i in range(1, arr.n + 1):
         try:
@@ -90,39 +89,6 @@ def arrangement_ok(arr: Arrangement) -> bool:
         if not _monotone_halving([x.numerator * (d // x.denominator) for x in xs]):
             return False
     return True
-
-
-def audit_arrangement(arr):
-    """Independent ordering/halving audit, recomputed from raw points.
-
-    Uses squared distances only (never parameters from the construction's
-    own bookkeeping): collinear points are ordered by projecting onto the
-    extreme pair, and the halving inequality 2*d(next) <= d(prev) is
-    checked via 4*d2(next) <= d2(prev) on squared lengths.
-    """
-    failures = []
-    n = arr.n
-    for i in range(1, n + 1):
-        others = [j for j in range(1, n + 1) if j != i]
-        pts = [arr.point(i, j) for j in others]
-        first, last = pts[0], pts[-1]
-        axis = (last[0] - first[0], last[1] - first[1])
-        params = [(p[0] - first[0]) * axis[0] + (p[1] - first[1]) * axis[1]
-                  for p in pts]
-        inc = all(a < b for a, b in zip(params, params[1:]))
-        dec = all(a > b for a, b in zip(params, params[1:]))
-        if not (inc or dec):
-            failures.append(("order", i))
-            continue
-
-        def d2(a, b):
-            return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
-
-        gaps = [d2(pts[k], pts[k + 1]) for k in range(len(pts) - 1)]
-        for k in range(len(gaps) - 1):
-            if 4 * gaps[k + 1] > gaps[k]:
-                failures.append(("halving", i, k))
-    return failures
 
 
 def build_line_arrangement(n: int) -> Arrangement:

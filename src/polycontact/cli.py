@@ -7,17 +7,22 @@ it only for scenes that claim none.  Exit codes: 0 success, 1 `verify`
 failure, 2 usage or parse error, 3 construction precondition violation
 or no scene certifies.
 
+`CLASSES` maps each `represent --class` to its constructor and the
+reader of its input; `_build_scene` reads the input and calls the
+constructor.
+
 Each call builds the argument parser for the subcommand it names only
 (`build_parser([name])`); help, no arguments and an unknown command get
 every subcommand.  The output is the same either way.
 
 Loading `cli` imports `core`, `geom`, `scene`, `sceneio` and `verify`,
-which every scene-handling subcommand runs.  The constructions, the
-Steiner analyses and the exporters are imported on first use through the
-module `__getattr__` over `_LAZY`, so `verify` compiles none of them and
-`represent --class complete` only `arrangement`.  Call sites read those
-names off the module (`_m.represent_complete`), so a function set on
-`polycontact.cli` before or after the first call is the one that runs.
+which every scene-handling subcommand runs.  Any other name the package
+exports (its `_EXPORTS`) is imported on first use by the module
+`__getattr__` and kept here, so `verify` compiles no construction and
+`represent --class complete` only `arrangement`; `export` imports the
+exporters when it runs.  Call sites read those names off the module
+(`_m.represent_complete`), so a function set on `polycontact.cli` before
+or after the first call is the one that runs.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import importlib
 import json
 import sys
 
+from . import _SOURCE
 from .core import (BUILTIN_SYSTEMS, InputError, SteinerDescriptor,
                    blocks_from_text, builtin_system, graph_from_edge_list,
                    validate_steiner)
@@ -34,21 +40,6 @@ from .scene import ConstructionError
 from .sceneio import (_dumps, read_embedding, read_scene, scene_to_json,
                       write_scene)
 from .verify import grid_extent, verify_scene
-
-# module -> the names this module imports from it on first use (`__getattr__`)
-_LAZY = {
-    "arrangement": ("represent_complete", "represent_min_degree3"),
-    "bipartite": ("complete_bipartite", "represent_bipartite_grid",
-                  "represent_bipartite_toroidal", "represent_k33_unit_triangles"),
-    "cubic": ("represent_2ec_cubic", "represent_cubic", "represent_max_degree3"),
-    "cyclesq": ("represent_cycle_square",),
-    "export": ("scene_to_obj", "scene_to_svg"),
-    "oneplanar": ("represent_oneplanar_cubic",),
-    "steiner": ("FanoParams", "S239Params", "counting_certificate",
-                "coplanar_polygon_pairs", "find_obstruction_pattern",
-                "max_coplanar_vertices", "represent_fano", "represent_s239"),
-}
-_SOURCE = {name: module for module, names in _LAZY.items() for name in names}
 
 
 def __getattr__(name):
@@ -63,56 +54,60 @@ def __getattr__(name):
 # call sites read the lazy names off this module, so they see what was set on it
 _m = sys.modules[__name__]
 
-CLASSES = ["complete", "mindeg3", "bipartite-toroidal", "bipartite-grid",
-           "k33", "oneplanar-cubic", "cubic-2ec", "cubic", "maxdeg3",
-           "cycle-square", "fano", "s239"]
-
-ANALYSES = ["f-pattern", "counting", "coplanar-points", "coplanar-polygons",
-            "steiner-check"]
-
 
 def _read_text(path):
     with open(path) as fh:
         return fh.read()
 
 
-def _build_scene(args):
-    cls = args.cls
-    if cls == "complete":
-        _need(args.n is not None, "--n is required for complete")
-        return _m.represent_complete(args.n)
-    if cls == "cycle-square":
-        _need(args.n is not None, "--n is required for cycle-square")
-        return _m.represent_cycle_square(args.n)
-    if cls == "k33":
-        return _m.represent_k33_unit_triangles()
-    if cls == "fano":
-        return _m.represent_fano(_m.FanoParams(alpha=args.alpha))
-    if cls == "s239":
-        return _m.represent_s239(_m.S239Params(beta=args.beta))
-    if cls in ("bipartite-toroidal", "bipartite-grid"):
-        if args.a is not None and args.b is not None:
-            g = _m.complete_bipartite(args.a, args.b)
-        else:
-            _need(args.input is not None, "--a/--b or --input required")
-            g = graph_from_edge_list(_read_text(args.input))
-        fn = (_m.represent_bipartite_toroidal if cls == "bipartite-toroidal"
-              else _m.represent_bipartite_grid)
-        return fn(g)
-    if cls == "oneplanar-cubic":
-        _need(args.input is not None, "--input embedding.json required")
-        return _m.represent_oneplanar_cubic(read_embedding(args.input))
+# readers of a class's input: (args, class) -> the constructor's argument
+
+def _count(args, cls):
+    _need(args.n is not None, f"--n is required for {cls}")
+    return args.n
+
+
+def _edges(args, cls):
     _need(args.input is not None, f"--input edge list required for {cls}")
-    g = graph_from_edge_list(_read_text(args.input))
-    if cls == "mindeg3":
-        return _m.represent_min_degree3(g)
-    if cls == "cubic-2ec":
-        return _m.represent_2ec_cubic(g)
-    if cls == "cubic":
-        return _m.represent_cubic(g)
-    if cls == "maxdeg3":
-        return _m.represent_max_degree3(g)
-    raise AssertionError(cls)
+    return graph_from_edge_list(_read_text(args.input))
+
+
+def _bipartite(args, cls):
+    if args.a is not None and args.b is not None:
+        return _m.complete_bipartite(args.a, args.b)
+    _need(args.input is not None, "--a/--b or --input required")
+    return graph_from_edge_list(_read_text(args.input))
+
+
+def _embedding(args, cls):
+    _need(args.input is not None, "--input embedding.json required")
+    return read_embedding(args.input)
+
+
+# class -> (constructor, reader of its input; None: it takes none)
+CLASSES = {
+    "complete": ("represent_complete", _count),
+    "mindeg3": ("represent_min_degree3", _edges),
+    "bipartite-toroidal": ("represent_bipartite_toroidal", _bipartite),
+    "bipartite-grid": ("represent_bipartite_grid", _bipartite),
+    "k33": ("represent_k33_unit_triangles", None),
+    "oneplanar-cubic": ("represent_oneplanar_cubic", _embedding),
+    "cubic-2ec": ("represent_2ec_cubic", _edges),
+    "cubic": ("represent_cubic", _edges),
+    "maxdeg3": ("represent_max_degree3", _edges),
+    "cycle-square": ("represent_cycle_square", _count),
+    "fano": ("represent_fano", lambda args, cls: _m.FanoParams(alpha=args.alpha)),
+    "s239": ("represent_s239", lambda args, cls: _m.S239Params(beta=args.beta)),
+}
+
+ANALYSES = ["f-pattern", "counting", "coplanar-points", "coplanar-polygons",
+            "steiner-check"]
+
+
+def _build_scene(args):
+    constructor, read = CLASSES[args.cls]
+    inputs = () if read is None else (read(args, args.cls),)
+    return getattr(_m, constructor)(*inputs)
 
 
 class _Usage(Exception):
@@ -198,11 +193,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from . import export  # not a package export: loaded on first use
     scene = read_scene(args.file)
     if args.format == "obj":
-        text = _m.scene_to_obj(scene)
+        text = export.scene_to_obj(scene)
     else:
-        text = _m.scene_to_svg(scene, view=args.view)
+        text = export.scene_to_svg(scene, view=args.view)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)

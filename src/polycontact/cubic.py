@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 from .core import Graph, edge_key, find_bridges
 from .geom import Polygon3
@@ -843,12 +843,12 @@ def _certified_cubic(g: Graph, finish) -> Scene:
     H, plans, vb_label = _build_floorplan(g, bbt)
     searches = {}
     while True:
-        candidates, lifted = _draw_floorplan(g, H, plans, vb_label)
+        scene, lifted = _draw_floorplan(g, H, plans, vb_label)
         try:
-            return certify(map(finish, candidates))
+            return certify([finish(scene)])
         except ConstructionError:
             pass
-        # no candidate certifies: move a lifted component, or else another
+        # the scene does not certify: move a lifted component, or else another
         # one, on to its next workable plan; a component's search starts on
         # first need and skips the plan drawn first
         first = sorted({idx for idx, _ in lifted})
@@ -867,11 +867,10 @@ def _certified_cubic(g: Graph, finish) -> Scene:
 
 
 def _draw_floorplan(g: Graph, H, plans, vb_label):
-    """Schnyder-draw the floorplan: (candidates, lifted).
+    """Schnyder-draw the floorplan: (scene, lifted).
 
-    candidates are its scenes, built lazily: one per lift height delta =
-    1/4, 1/8, ..., 2^-25, or one alone when no chord is lifted.  lifted
-    holds the (component, cycle) pairs whose chord was lifted.
+    lifted holds the (component, cycle) pairs whose chord the scene lifts
+    (`_wheel_scene_part`).
     """
     H.check_planar()
     if len(H.rotation) > len(g.edges):
@@ -881,8 +880,7 @@ def _draw_floorplan(g: Graph, H, plans, vb_label):
 
     # a chord triangle degenerates when the drawing put the hub on the line
     # of its two rim corners (possible once a foot chain replaced the
-    # closing edge); lift that chord's first corner slightly, backing off
-    # until a scene certifies
+    # closing edge); such a chord's first corner is lifted
     lifted = set()
     for plan in plans:
         if plan.kind != "wheel":
@@ -898,47 +896,41 @@ def _draw_floorplan(g: Graph, H, plans, vb_label):
                 lifted.add((plan.index, ci))
 
     pt = _grid_point(pos)
-
-    def build(delta):
-        polygons = {}
-        contacts = {}
-        for b, lbl in vb_label.items():
-            contacts[b] = pt(lbl)
-        for plan in plans:
-            if plan.kind == "vertex":
-                u = plan.vertex
-                polygons[u] = Polygon3(
-                    corners=tuple(pt(lbl) for lbl in plan.vbs))
-            elif plan.kind == "cycle":
-                m = len(plan.order)
-                for t, u in enumerate(plan.order):
-                    b = [bk for bk in vb_label if u in bk][0]
-                    corners = (pt(plan.rim[t]), pt(plan.rim[(t + 1) % m]),
-                               pt(vb_label[b]))
-                    polygons[u] = Polygon3(corners=corners)
-                    contacts[edge_key(plan.order[t - 1], u)] = pt(plan.rim[t])
-            else:
-                _wheel_scene_part(plan, vb_label, pt, polygons, contacts,
-                                  lifted, delta)
-        meta = {"construction": "cubic", "arithmetic": "exact",
-                "floorplan_vertices": len(H.rotation),
-                "claimed_grid": {"x": 3 * g.n // 2, "y": 3 * g.n // 2,
-                                 "z": g.n // 2}}
-        return graph_scene(g, polygons, contacts, meta)
-
-    deltas = [Fraction(1, 2 ** k) for k in range(2, 26)] if lifted else [Fraction(0)]
-    return map(build, deltas), lifted
+    polygons = {}
+    contacts = {}
+    for b, lbl in vb_label.items():
+        contacts[b] = pt(lbl)
+    for plan in plans:
+        if plan.kind == "vertex":
+            u = plan.vertex
+            polygons[u] = Polygon3(
+                corners=tuple(pt(lbl) for lbl in plan.vbs))
+        elif plan.kind == "cycle":
+            m = len(plan.order)
+            for t, u in enumerate(plan.order):
+                b = [bk for bk in vb_label if u in bk][0]
+                corners = (pt(plan.rim[t]), pt(plan.rim[(t + 1) % m]),
+                           pt(vb_label[b]))
+                polygons[u] = Polygon3(corners=corners)
+                contacts[edge_key(plan.order[t - 1], u)] = pt(plan.rim[t])
+        else:
+            _wheel_scene_part(plan, vb_label, pt, polygons, contacts, lifted)
+    meta = {"construction": "cubic", "arithmetic": "exact",
+            "floorplan_vertices": len(H.rotation),
+            "claimed_grid": {"x": 3 * g.n // 2, "y": 3 * g.n // 2,
+                             "z": g.n // 2}}
+    return graph_scene(g, polygons, contacts, meta), lifted
 
 
 def _wheel_scene_part(plan: _WheelPlan, vb_label, pt, polygons, contacts,
-                      lifted=frozenset(), delta=0):
+                      lifted=frozenset()):
     """Add the triangles and contacts of one wheel plan.
 
     Cycle vertex j spans rim slots j and j+1 and the hub at its apex
     level; the chord vertex (last) spans the first and last slots and the
     hub at its own level, which those two slots share.  `pt(label, z)` is
     a floorplan label's point; a cycle in `lifted` raises its first slot
-    by delta.  Both cubic constructions build their wheels here.
+    by 1/4.  Both cubic constructions build their wheels here.
     """
     hub = plan.hub
     all_feet = {fk for fk, _, _ in plan.cut.values()}
@@ -950,7 +942,7 @@ def _wheel_scene_part(plan: _WheelPlan, vb_label, pt, polygons, contacts,
         def point_at(j, side):
             z = zc if j in (0, m - 1) else 0
             if j == 0 and (plan.index, ci) in lifted:
-                z = zc + delta
+                z = zc + Fraction(1, 4)
             names = row[j]
             return pt(names[0] if side == "first" else names[-1], z)
 
@@ -996,45 +988,46 @@ def _augment_to_cubic(g: Graph):
     """g with a dummy vertex (odd order) and dummy edges making every
     degree 3."""
     vertices = list(g.vertices)
-    dummy = None
+    deficit = {v: 3 - g.degree(v) for v in g.vertices}
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
     if g.n % 2 == 1:
         dummy = dummy_labels(g, 1)[0]
         vertices.append(dummy)
-    deficit = {v: 3 - g.degree(v) for v in g.vertices}
-    if dummy is not None:
-        deficit[dummy] = 3
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    if dummy is not None:
-        adj[dummy] = set()
+        deficit[dummy], adj[dummy] = 3, set()
     order = [v for v in vertices if deficit[v] > 0]
-    extra = []
 
-    def backtrack():
-        pending = [v for v in order if deficit[v] > 0]
-        if not pending:
-            return True
-        v = pending[0]
-        for w in pending[1:]:
-            if w in adj[v]:
-                continue
-            adj[v].add(w)
-            adj[w].add(v)
-            deficit[v] -= 1
-            deficit[w] -= 1
-            extra.append((v, w))
-            if backtrack():
-                return True
-            extra.pop()
-            adj[v].discard(w)
-            adj[w].discard(v)
-            deficit[v] += 1
-            deficit[w] += 1
-        return False
+    def choices():
+        # the edges from the first vertex short of degree 3 to later ones,
+        # in order (None once every degree is 3)
+        i = next((i for i, v in enumerate(order) if deficit[v] > 0), None)
+        if i is None:
+            return None
+        v = order[i]
+        return ((v, w) for w in islice(order, i + 1, None)
+                if deficit[w] > 0 and w not in adj[v])
 
-    if not backtrack():
-        raise ConstructionError("cannot augment to a cubic graph")
-    edges = [(tuple(e)[0], tuple(e)[1]) for e in g.edges] + extra
-    return Graph.from_edges(edges, vertices=vertices)
+    def toggle(v, w, step):  # add vw (step -1) or take it out again (1)
+        adj[v] ^= {w}
+        adj[w] ^= {v}
+        deficit[v] += step
+        deficit[w] += step
+
+    # depth-first search with an explicit stack: extra[k] is the edge tried
+    # at stack[k]; a step whose choices run out undoes its parent's edge
+    extra, stack = [], [choices()]
+    while stack[-1] is not None:
+        if len(extra) == len(stack):
+            toggle(*extra.pop(), 1)
+        edge = next(stack[-1], None)
+        if edge is None:
+            stack.pop()
+            if not stack:
+                raise ConstructionError("cannot augment to a cubic graph")
+            continue
+        toggle(*edge, -1)
+        extra.append(edge)
+        stack.append(choices())
+    return Graph.from_edges([tuple(e) for e in g.edges] + extra, vertices=vertices)
 
 
 def represent_max_degree3(g: Graph) -> Scene:

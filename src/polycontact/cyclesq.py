@@ -48,8 +48,9 @@ modelling with multiprecision integer arithmetic", 1997), on ints: each
 quadrilateral's plane gets an int normal, its float one scaled to a
 largest entry of 2^40 and rounded, and each contact goes on the line where
 its two polygons' planes meet, at its float coordinate rounded to a
-multiple of 2^-40 on the axis that line follows most closely.  So every
-quadrilateral is planar, and corners move by about 1e-12.  An odd scene
+multiple of 2^-40 on the axis that line follows most closely, or on z for
+a contact at z = 0, so the even layouts' middle ring stays in that plane.
+So every quadrilateral is planar, and corners move by about 1e-12.  An odd scene
 keeps the exact corners of the n-1 scene for every contact it does not
 relax, and its relaxed polygons' planes pass through them.
 `represent_cycle_square` hands one scene per layout to `verify.certify`
@@ -226,7 +227,9 @@ def _round_planes(pts: dict, quads: dict, fixed: dict) -> dict:
     ints.  Contact (i, j) goes on the line where planes i and j meet: on
     the axis k of the largest entry of their normals' cross product its
     coordinate is the float one rounded to a multiple of 2^-40, and
-    Cramer's rule gives the other two.
+    Cramer's rule gives the other two.  A contact at float z = 0 fixes z
+    instead when the line is not horizontal, so the even layouts' middle
+    ring stays in the plane z = 0.
     """
     one = 1 << ROUND_BITS
     planes = {}
@@ -252,7 +255,7 @@ def _round_planes(pts: dict, quads: dict, fixed: dict) -> dict:
             continue
         (ni, di), (nj, dj) = planes[key[0]], planes[key[1]]
         u = vcross(ni, nj)
-        k = max(range(3), key=lambda axis: abs(u[axis]))
+        k = 2 if p[2] == 0 and u[2] else max(range(3), key=lambda axis: abs(u[axis]))
         a, b = (k + 1) % 3, (k + 2) % 3
         xk = round(p[k] * one)
         ri, rj = di * one - ni[k] * xk, dj * one - nj[k] * xk

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import count, islice
 
 from .core import Graph, Hypergraph, block_label
-from .geom import Polygon3, is_zero_vec, vcross, vsub
+from .geom import Polygon3, _plane_of
 
 GRAPH = "graph"
 HYPERGRAPH = "hypergraph"
@@ -103,19 +103,19 @@ def retract(g: Graph, padded: Scene, meta: dict) -> Scene:
             continue
         kept = [c for c, r in zip(cs, real) if r]
         extra = {}  # position in cs -> pulled corner
-        if _collinear(kept):
+        if _plane_of(kept) is None:
             k = len(cs)
             sums = [sum(xs) for xs in zip(*cs)]
             for i, c in enumerate(cs):
                 chosen = kept + list(extra.values())
-                if not _collinear(chosen):
+                if _plane_of(chosen) is not None:
                     break
-                if real[i] or len(kept) > 1 and _collinear(kept[:2] + [c]):
+                if real[i] or len(kept) > 1 and _plane_of(kept[:2] + [c]) is None:
                     continue
                 p = tuple(Fraction(k * x + s, 2 * k) for x, s in zip(c, sums))
-                if len(chosen) < 2 or not _collinear(chosen + [p]):
+                if len(chosen) < 2 or _plane_of(chosen + [p]) is not None:
                     extra[i] = p
-            if _collinear(kept + list(extra.values())):
+            if _plane_of(kept + list(extra.values())) is None:
                 raise ConstructionError(f"cannot retract the polygon of {v!r}")
             pulled += len(extra)
         polygons[v] = Polygon3(corners=tuple(
@@ -131,12 +131,6 @@ def _ratios(p) -> tuple:
     give equal tuples, which hash faster than `Fraction`s do."""
     x, y, z = p
     return x.as_integer_ratio(), y.as_integer_ratio(), z.as_integer_ratio()
-
-
-def _collinear(points) -> bool:
-    """Whether distinct points lie on one line; fewer than 3 always do."""
-    return all(is_zero_vec(vcross(vsub(points[1], points[0]), vsub(c, points[0])))
-               for c in points[2:])
 
 
 def hypergraph_scene(h: Hypergraph, polygons: dict, contacts: dict, meta: dict) -> Scene:

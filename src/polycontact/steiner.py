@@ -88,12 +88,6 @@ def represent_fano(params: FanoParams = FanoParams()) -> Scene:
     return certify([hypergraph_scene(h, polygons, contacts, meta)])
 
 
-def _plane_from(points):
-    a, b, c = points
-    n = vcross(vsub(b, a), vsub(c, a))
-    return n, vdot(n, a)
-
-
 def represent_s239(params: S239Params = S239Params()) -> Scene:
     """Non-crossing triangle drawing of the triple system S(2,3,9).
 
@@ -115,8 +109,8 @@ def represent_s239(params: S239Params = S239Params()) -> Scene:
     pos["1"] = (0.0, 0.0, 0.75)
     pos["4"] = (0.0, 0.0, 0.25)
 
-    n1, d1 = _plane_from((pos["3"], pos["5"], pos["8"]))
-    n2, d2 = _plane_from((pos["2"], pos["6"], pos["9"]))
+    n1, d1 = _plane_of((pos["3"], pos["5"], pos["8"]))
+    n2, d2 = _plane_of((pos["2"], pos["6"], pos["9"]))
     # vertical plane through 8 and 9
     e89 = vsub(pos["9"], pos["8"])
     n3 = vcross(e89, (0.0, 0.0, 1.0))
@@ -127,7 +121,7 @@ def represent_s239(params: S239Params = S239Params()) -> Scene:
     p = tuple((d1 * vcross(n2, n3)[k] + d2 * vcross(n3, n1)[k]
                + d3 * vcross(n1, n2)[k]) / det for k in range(3))
     seven = (p[0], p[1], p[2] + params.lift)
-    n123, d123 = _plane_from((pos["1"], pos["2"], pos["3"]))
+    n123, d123 = _plane_of((pos["1"], pos["2"], pos["3"]))
     side_origin = vdot(n123, (0.0, 0.0, -10.0)) - d123
     side_seven = vdot(n123, seven) - d123
     if side_seven * side_origin <= 0:

@@ -20,10 +20,11 @@ from polycontact import (ConstructionError, Graph, SteinerDescriptor,
                          represent_k33_unit_triangles, represent_min_degree3,
                          represent_oneplanar_cubic, represent_s239,
                          validate_steiner, verify_scene)
-from polycontact.arrangement import audit_arrangement, build_line_arrangement
+from polycontact.arrangement import build_line_arrangement
 from polycontact.bipartite import complete_bipartite
 
 from conftest import all_oneplanar_fixtures, gadget_chain
+from test_arrangement import audit_arrangement
 from test_steiner import double_sqs
 
 

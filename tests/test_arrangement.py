@@ -10,8 +10,40 @@ from polycontact import (ConstructionError, Polygon3, arrangement_ok,
                          graph_from_edge_list, polygon_properties,
                          represent_complete, represent_min_degree3, strictify,
                          verify_scene)
-from polycontact.arrangement import audit_arrangement
 from polycontact.cli import main
+
+
+def audit_arrangement(arr):
+    """Independent ordering/halving audit of `arr`, recomputed from raw points.
+
+    Uses squared distances only (never parameters from the construction's
+    own bookkeeping): collinear points are ordered by projecting onto the
+    extreme pair, and the halving inequality 2*d(next) <= d(prev) is
+    checked via 4*d2(next) <= d2(prev) on squared lengths.
+    """
+    failures = []
+    n = arr.n
+    for i in range(1, n + 1):
+        others = [j for j in range(1, n + 1) if j != i]
+        pts = [arr.point(i, j) for j in others]
+        first, last = pts[0], pts[-1]
+        axis = (last[0] - first[0], last[1] - first[1])
+        params = [(p[0] - first[0]) * axis[0] + (p[1] - first[1]) * axis[1]
+                  for p in pts]
+        inc = all(a < b for a, b in zip(params, params[1:]))
+        dec = all(a > b for a, b in zip(params, params[1:]))
+        if not (inc or dec):
+            failures.append(("order", i))
+            continue
+
+        def d2(a, b):
+            return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
+
+        gaps = [d2(pts[k], pts[k + 1]) for k in range(len(pts) - 1)]
+        for k in range(len(gaps) - 1):
+            if 4 * gaps[k + 1] > gaps[k]:
+                failures.append(("halving", i, k))
+    return failures
 
 
 class TestArrangement:
@@ -24,6 +56,7 @@ class TestArrangement:
 
     @pytest.mark.parametrize("n", range(3, 41))
     def test_audit_passes(self, n):
+        # the build's certificate and the independent audit both pass
         arr = build_line_arrangement(n)
         assert arrangement_ok(arr)
         assert audit_arrangement(arr) == []

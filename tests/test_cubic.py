@@ -507,7 +507,8 @@ def test_component_plans_have_distinct_matchings():
 
 def test_chord_lift_retries_every_plan_then_raises(monkeypatch):
     # in this graph every plan lifts a chord; with verification failing,
-    # each component's plans are drawn in turn before the error
+    # each component's plans are drawn in turn, one scene verified per
+    # draw, before the error
     g = bridged_cubic(92)
     bbt = bridge_block_tree(g)
     plans = [len(list(cubic._component_plans(g, i, comp, bbt.bridges)))
@@ -520,7 +521,7 @@ def test_chord_lift_retries_every_plan_then_raises(monkeypatch):
         represent_cubic(g)
     draws = 1 + sum(k - 1 for k in plans)
     assert draws > 2
-    assert len(calls) == 24 * draws
+    assert len(calls) == draws
 
 
 def _connected_subcubic_graphs(n):
@@ -589,6 +590,14 @@ class TestMaxDegree3:
         scene = represent_max_degree3(g)
         _triangles(scene)
         assert set(scene.polygons) == set(g.vertices)
+
+    def test_long_path_augments(self):
+        # the augmentation search keeps its own stack, so a path longer than
+        # the interpreter's recursion limit still pads to a cubic graph
+        g = Graph.from_edges([(str(i), str(i + 1)) for i in range(2399)])
+        padded = cubic._augment_to_cubic(g)
+        assert padded.vertices == g.vertices and padded.is_regular(3)
+        assert g.edges <= padded.edges
 
     def test_every_connected_subcubic_graph(self):
         # the graphs accepted are those the cubic augmentation finds, as

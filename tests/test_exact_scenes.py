@@ -48,10 +48,11 @@ def test_random_toroidal_scenes_certify_exact():
 @pytest.mark.parametrize("args, points, polygons", [
     (["--class", "cycle-square", "--n", "6"], "6 (1-2, 1-6, 2-3, 3-4, 4-5, 5-6)", 0),
     (["--class", "cycle-square", "--n", "7"], "4 (1-2, 1-3, 1-6, 1-7)", 0),
-    (["--class", "cycle-square", "--n", "8"], "4 (1-2, 1-3, 1-7, 1-8)", 0),
-    (["--class", "cycle-square", "--n", "9"], "4 (1-2, 1-3, 1-8, 1-9)", 0),
-    (["--class", "cycle-square", "--n", "10"], "6 (1-10, 1-2, 10-9, 4-5, 5-6, 6-7)", 0),
-    (["--class", "cycle-square", "--n", "11"], "5 (1-3, 10-8, 3-5, 5-6, 6-8)", 0),
+    (["--class", "cycle-square", "--n", "8"], "8 (1-2, 1-8, 2-3, 3-4, 4-5, 5-6, 6-7, 7-8)", 0),
+    (["--class", "cycle-square", "--n", "9"], "5 (2-3, 3-4, 4-5, 5-6, 6-7)", 0),
+    (["--class", "cycle-square", "--n", "10"],
+     "10 (1-10, 1-2, 10-9, 2-3, 3-4, 4-5, 5-6, 6-7, 7-8, 8-9)", 0),
+    (["--class", "cycle-square", "--n", "11"], "7 (2-3, 3-4, 4-5, 5-6, 6-7, 7-8, 8-9)", 0),
     (["--class", "k33"], "4 (a1-b1, a1-b2, a3-b1, a3-b2)", 0),
     (["--class", "fano"], "3 (1, 2, 3)", 0),
     (["--class", "s239"], "3 (1, 2, 3)", 0),
@@ -61,8 +62,8 @@ def test_random_toroidal_scenes_certify_exact():
      "8 (a1-b1, a1-b3, a2-b1, a2-b3, a3-b1, a3-b3, a4-b1, a4-b3)", 2),
 ], ids=lambda a: "-".join(a[1::2]) if isinstance(a, list) else None)
 def test_coplanarity_answers(args, points, polygons, tmp_path, capsys):
-    # exact coplanarity: the cycle squares' rounded rings are no longer
-    # all on one plane, which a tolerance of 1e-9 used to grant
+    # exact coplanarity: the even cycle squares' middle ring lies exactly in
+    # z = 0, and an odd scene keeps the ring contacts it does not relax
     scene = tmp_path / "scene.json"
     assert main(["represent", *args, "-o", str(scene)]) == 0
     capsys.readouterr()
