@@ -1,10 +1,12 @@
 """Combinatorial data model: graphs, 1-plane embeddings, hypergraphs.
 
-Vertex labels are opaque strings everywhere; constructions that need an
-integer order (the complete-graph lift, for instance) index vertices by
-their position in `Graph.vertices`, which preserves first-appearance order
-from the input.  All containers are immutable after construction and safe
-to share across threads.
+Vertex labels are opaque strings everywhere: no code reads structure out
+of one.  Constructions that need an integer order (the complete-graph
+lift, for instance) index vertices by their position in `Graph.vertices`,
+which preserves first-appearance order from the input.  `block_label` is
+the one place that knows how a hypergraph block's polygon is labelled,
+and `Hypergraph` rejects two blocks with one label.  All containers are
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -139,7 +141,6 @@ def graph_from_edge_list(text: str) -> Graph:
     """
     edges = []
     seen = set()
-    order: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -155,30 +156,34 @@ def graph_from_edge_list(text: str) -> Graph:
             raise InputError(f"line {lineno}: duplicate edge {u} {v}")
         seen.add(k)
         edges.append((u, v))
-        for w in (u, v):
-            if w not in order:
-                order.append(w)
-    return Graph.from_edges(edges, vertices=order)
+    return Graph.from_edges(edges)
 
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """Vertex universe plus duplicate-free list of blocks (size >= 2)."""
+    """Vertex universe plus duplicate-free list of blocks (size >= 2).
+
+    Each block's polygon is labelled `block_label(block)`, so no two
+    blocks may share that label (blocks {"p,q", "r"} and {"p", "q,r"} do).
+    """
 
     vertices: tuple
     blocks: tuple  # of frozensets
 
     def __post_init__(self):
         vs = set(self.vertices)
-        seen = set()
+        seen = {}  # block label -> block
         for b in self.blocks:
             if len(b) < 2:
                 raise InputError(f"block {sorted(b)} smaller than 2")
             if not b <= vs:
                 raise InputError(f"block {sorted(b)} uses unknown vertex")
-            if b in seen:
-                raise InputError(f"duplicate block {sorted(b)}")
-            seen.add(b)
+            label = block_label(b)
+            if label in seen:
+                raise InputError(
+                    f"duplicate block {sorted(b)}" if seen[label] == b else
+                    f"blocks {sorted(seen[label])} and {sorted(b)} share the label {label!r}")
+            seen[label] = b
 
     @staticmethod
     def from_blocks(blocks: Iterable, vertices: Optional[Sequence[str]] = None) -> "Hypergraph":
@@ -224,6 +229,8 @@ def blocks_from_text(text: str) -> Hypergraph:
 
 
 def block_label(block: frozenset) -> str:
+    """The label of a block's polygon: its sorted vertex labels, joined by
+    commas.  Nothing parses it; readers look blocks up by it."""
     return ",".join(sorted(block))
 
 

@@ -862,7 +862,7 @@ def _certified_cubic(g: Graph, finish) -> Scene:
                 plans[i] = plan
                 break
         else:
-            raise ConstructionError("chord lift backoff failed")
+            raise ConstructionError("no workable plan gives a scene that certifies")
         H, plans, vb_label = _build_floorplan(g, bbt, plans)
 
 
@@ -872,7 +872,6 @@ def _draw_floorplan(g: Graph, H, plans, vb_label):
     lifted holds the (component, cycle) pairs whose chord the scene lifts
     (`_wheel_scene_part`).
     """
-    H.check_planar()
     if len(H.rotation) > len(g.edges):
         raise ConstructionError(f"floorplan has {len(H.rotation)} vertices, "
                                 f"more than the graph's {len(g.edges)} edges")

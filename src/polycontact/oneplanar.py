@@ -13,6 +13,11 @@ selected and its two triangles move their crossing corner one unit up --
 or down to -1 in the outer-face ("B-configuration") case, where the
 triangle of the outer vertex covers the entire drawing.  All other corners
 stay in the plane, so the grid has depth three.
+
+Vertex labels stay opaque: the vertices and edges this module adds to the
+plane graphs it draws are named by tuples (`planarize`,
+`ModifiedMedialGraph`), which no string label can equal, and no label is
+parsed.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .core import InputError, OnePlaneEmbedding, edge_key
+from .core import InputError, OnePlaneEmbedding
 from .geom import Polygon3
 from .planar import EmbeddingError, PlaneGraph
 from .scene import ConstructionError, Scene, graph_scene
@@ -29,60 +34,48 @@ from .schnyder import schnyder_draw
 from .verify import certify
 
 
-def _edge_name(e: frozenset) -> str:
-    return "|".join(sorted(e))
-
-
 def planarize(emb: OnePlaneEmbedding) -> tuple:
-    """Replace crossings by degree-4 dummies; returns (PlaneGraph, info).
+    """Replace crossings by degree-4 dummies; returns (PlaneGraph, crossings).
 
-    info maps crossing index -> (edge e, edge f) and carries the half-edge
-    naming.  The interleaving at each dummy is chosen so the whole rotation
-    system has genus zero; a drawing description admitting no such choice
-    is rejected.
+    `crossings` lists the crossing pairs, crossing k's dummy being vertex
+    ("x", k).  An uncrossed edge u-v (u < v) keeps the id (u, v); a crossed
+    one becomes the half-edges (u, v, 0) from u and (u, v, 1) into v.  The
+    interleaving at each dummy is chosen so the whole rotation system has
+    genus zero; a drawing description admitting no such choice is rejected.
     """
     g = emb.graph
     crossings = sorted(emb.crossings, key=lambda p: sorted(map(sorted, p)))
-    cross_of = {}
-    for k, pair in enumerate(crossings):
-        e, f = sorted(pair, key=lambda x: sorted(x))
-        cross_of[e] = (k, 0)
-        cross_of[f] = (k, 1)
+    cross_of = {e: k for k, pair in enumerate(crossings) for e in pair}
 
     def build(choices):
         pg = PlaneGraph()
         for v in g.vertices:
             pg.add_vertex(v)
         for k in range(len(crossings)):
-            pg.add_vertex(f"x{k}")
+            pg.add_vertex(("x", k))
         darts = {}  # (vertex, edge key) -> dart
-        for e in sorted(g.edges, key=lambda x: sorted(x)):
+        for e in sorted(g.edges, key=sorted):
             u, v = sorted(e)
-            name = _edge_name(e)
             if e in cross_of:
-                k, _ = cross_of[e]
-                e1 = pg.record_edge(u, f"x{k}", eid=f"{name}#0")
-                e2 = pg.record_edge(f"x{k}", v, eid=f"{name}#1")
-                darts[(u, e)] = (e1, 0)
-                darts[(v, e)] = (e2, 1)
+                x = ("x", cross_of[e])
+                darts[(u, e)] = (pg.record_edge(u, x, eid=(u, v, 0)), 0)
+                darts[(v, e)] = (pg.record_edge(x, v, eid=(u, v, 1)), 1)
             else:
-                eid = pg.record_edge(u, v, eid=name)
+                eid = pg.record_edge(u, v, eid=(u, v))
                 darts[(u, e)] = (eid, 0)
                 darts[(v, e)] = (eid, 1)
         for v in g.vertices:
             pg.rotation[v] = [darts[(v, e)] for e in emb.rotation[v]]
         for k, pair in enumerate(crossings):
-            e, f = sorted(pair, key=lambda x: sorted(x))
+            e, f = sorted(pair, key=sorted)
             u, v = sorted(e)
             w, x = sorted(f)
-            eu = (f"{_edge_name(e)}#0", 1)
-            ev = (f"{_edge_name(e)}#1", 0)
-            fw = (f"{_edge_name(f)}#0", 1)
-            fx = (f"{_edge_name(f)}#1", 0)
+            eu, ev = ((u, v, 0), 1), ((u, v, 1), 0)
+            fw, fx = ((w, x, 0), 1), ((w, x, 1), 0)
             if choices[k] == 0:
-                pg.rotation[f"x{k}"] = [eu, fw, ev, fx]
+                pg.rotation[("x", k)] = [eu, fw, ev, fx]
             else:
-                pg.rotation[f"x{k}"] = [eu, fx, ev, fw]
+                pg.rotation[("x", k)] = [eu, fx, ev, fw]
         return pg
 
     for choices in product((0, 1), repeat=len(crossings)):
@@ -97,11 +90,16 @@ def planarize(emb: OnePlaneEmbedding) -> tuple:
 
 @dataclass
 class ModifiedMedialGraph:
-    """Medial of a planarized 1-plane graph with merged crossing vertices."""
+    """Medial of a planarized 1-plane graph with merged crossing vertices.
+
+    Medial node ("m", u, v) stands for the uncrossed edge u-v (u < v) and
+    ("c", k) for both edges of crossing k; corner edge ("k", v, i) joins
+    the nodes of the i-th and next edge in v's rotation.
+    """
 
     plane: PlaneGraph
-    node_of_edge: dict      # edge key -> medial node label
-    crossing_pairs: list    # index -> (e, f) sorted edge keys
+    node_of_edge: dict      # edge key -> medial node
+    crossing_pairs: list    # index -> frozenset of the two crossing edge keys
     corner_edges: dict      # (vertex, rotation index) -> medial edge id
     vertex_face: dict       # original vertex -> face (list of darts)
     faces: list
@@ -116,12 +114,10 @@ def build_modified_medial(emb: OnePlaneEmbedding) -> ModifiedMedialGraph:
         raise ConstructionError("graph is not connected")
     pg, crossings = planarize(emb)
 
-    node_of = {}
-    for e in g.edges:
-        node_of[e] = f"m|{_edge_name(e)}"
+    node_of = {e: ("m", *sorted(e)) for e in g.edges}
     for k, pair in enumerate(crossings):
-        e, f = sorted(pair, key=lambda x: sorted(x))
-        node_of[e] = node_of[f] = f"c|{k}"
+        for e in pair:
+            node_of[e] = ("c", k)
 
     med = PlaneGraph()
     for node in sorted(set(node_of.values())):
@@ -129,12 +125,9 @@ def build_modified_medial(emb: OnePlaneEmbedding) -> ModifiedMedialGraph:
 
     # one medial edge per corner of the planarized graph at an original
     # vertex; corner (v, i) joins the medial nodes of rotation[v][i] and
-    # rotation[v][i+1]
+    # rotation[v][i+1], whose edge ids start with the edge's endpoints
     def parent_edge(dart):
-        eid = dart[0]
-        name = eid.split("#", 1)[0]
-        u, v = name.split("|")
-        return edge_key(u, v)
+        return frozenset(dart[0][:2])
 
     corner_edges = {}
     for v in g.vertices:
@@ -144,7 +137,7 @@ def build_modified_medial(emb: OnePlaneEmbedding) -> ModifiedMedialGraph:
             b = node_of[parent_edge(rot[(i + 1) % len(rot)])]
             if a == b:
                 raise ConstructionError("medial loop; unsupported configuration")
-            corner_edges[(v, i)] = med.record_edge(a, b, eid=f"k|{v}|{i}")
+            corner_edges[(v, i)] = med.record_edge(a, b, eid=("k", v, i))
 
     # rotations: plain medial node m_e, e = (u, v):
     # [toward succ_u(e), toward pred_u(e), toward succ_v(e), toward pred_v(e)]
@@ -156,30 +149,26 @@ def build_modified_medial(emb: OnePlaneEmbedding) -> ModifiedMedialGraph:
         pred = med.dart(corner_edges[(v, (i - 1) % len(rot))], node)  # corner (prev, e)
         return [succ, pred]
 
-    for e in sorted(g.edges, key=lambda x: sorted(x)):
-        if any(e in pair for pair in crossings):
-            continue
+    crossed = set().union(*crossings)
+    for e in sorted(g.edges - crossed, key=sorted):
         node = node_of[e]
         u, v = sorted(e)
-        dart_u = next(d for d in pg.rotation[u] if d[0] == _edge_name(e))
-        dart_v = next(d for d in pg.rotation[v] if d[0] == _edge_name(e))
-        med.rotation[node] = side_darts(u, dart_u, node) + side_darts(v, dart_v, node)
+        med.rotation[node] = (side_darts(u, ((u, v), 0), node)
+                              + side_darts(v, ((u, v), 1), node))
 
-    for k, pair in enumerate(crossings):
-        node = f"c|{k}"
+    for k in range(len(crossings)):
+        node = ("c", k)
         rot = []
-        dummy = f"x{k}"
-        for d in pg.rotation[dummy]:
+        for d in pg.rotation[("x", k)]:
             # pg.rev(d) is the dart leaving the far end toward the dummy
             rot += side_darts(pg.head(d), pg.rev(d), node)
         med.rotation[node] = rot
 
-    med.check_planar()
+    faces = med.check_planar()
     expected = len(g.edges) - len(crossings)
     if len(med.rotation) != expected:
         raise ConstructionError("medial vertex count mismatch")  # pragma: no cover
 
-    faces = med.faces()
     vertex_face = {}
     for v in g.vertices:
         ids = {corner_edges[(v, i)] for i in range(3)}
@@ -196,7 +185,7 @@ def build_modified_medial(emb: OnePlaneEmbedding) -> ModifiedMedialGraph:
 
 
 def _outer_medial_face(emb: OnePlaneEmbedding, med: ModifiedMedialGraph):
-    """The medial face to draw outside, plus B-configuration bookkeeping.
+    """The medial face to draw outside, and the edge to dip (or None).
 
     Normally this is the face-face of the drawing's outer face.  When that
     degenerates to a bigon (a crossing on the outer face boxed in by an
@@ -204,24 +193,18 @@ def _outer_medial_face(emb: OnePlaneEmbedding, med: ModifiedMedialGraph):
     boxing endpoint becomes the outer face and its crossed edge will dip
     to z = -1 rather than rise.
     """
-    g = emb.graph
     med_faces = med.faces
     vertex_faces = {id(f) for f in med.vertex_face.values()}
 
     target = None
     if emb.outer_face is not None:
         want = frozenset(emb.outer_face)
-        # find medial face-faces whose corner edges' parents match
-        matches = []
-        for f in med_faces:
-            if id(f) in vertex_faces:
-                continue
-            flat = set()
-            for d in f:
-                _, v, i = d[0].split("|")
-                flat |= _corner_parent_union(emb, med, v, int(i))
-            if frozenset(flat) == want:
-                matches.append(f)
+        edges_at = {}  # medial node -> the graph edges it stands for
+        for e, node in med.node_of_edge.items():
+            edges_at.setdefault(node, set()).add(e)
+        # find medial face-faces whose nodes stand for exactly those edges
+        matches = [f for f in med_faces if id(f) not in vertex_faces
+                   and set().union(*(edges_at[med.plane.tail(d)] for d in f)) == want]
         if len(matches) == 1:
             target = matches[0]
         elif not matches:
@@ -236,36 +219,17 @@ def _outer_medial_face(emb: OnePlaneEmbedding, med: ModifiedMedialGraph):
         return target, None
 
     # B-configuration: bigon between a crossing node and a plain medial
-    # node; both copies are corners at the two boxing endpoints
-    corners = [d[0] for d in target]
-    hosts = sorted({c.split("|")[1] for c in corners})
-    a = hosts[0]
+    # node; both copies are corners ("k", v, i) at the two boxing endpoints
+    a = min(d[0][1] for d in target)
     crossing_node = None
     for d in target:
         for node in (med.plane.tail(d), med.plane.head(d)):
-            if node.startswith("c|"):
+            if node[0] == "c":
                 crossing_node = node
     if crossing_node is None:
         raise ConstructionError("outer bigon without a crossing")
-    k = int(crossing_node.split("|")[1])
-    e, f = med.crossing_pairs[k]
-    dip_edge = e if a in e else f
-    return med.vertex_face[a], (k, dip_edge)
-
-
-def _corner_parent_union(emb, med, v, i):
-    # parent edges of the two darts forming corner i at v
-    eid = med.corner_edges[(v, i)]
-    a, b = med.plane.endpoints[eid]
-    out = set()
-    for node in (a, b):
-        if node.startswith("m|"):
-            u, w = node[2:].split("|")
-            out.add(edge_key(u, w))
-        else:
-            k = int(node.split("|")[1])
-            out |= set(med.crossing_pairs[k])
-    return frozenset(out)
+    e, f = med.crossing_pairs[crossing_node[1]]
+    return med.vertex_face[a], e if a in e else f
 
 
 def represent_oneplanar_cubic(emb: OnePlaneEmbedding) -> Scene:
@@ -291,30 +255,24 @@ def represent_oneplanar_cubic(emb: OnePlaneEmbedding) -> Scene:
         for eid in eids:
             if eid == keep:
                 continue
-            _subdivide(work, eid, f"s{subdivided}")
+            _subdivide(work, eid, ("s", subdivided))
             subdivided += 1
     outer_walk = _refind_face(work, outer)
 
     pos = schnyder_draw(work, outer_walk)
 
-    lift = {}
-    for k, (e, f) in enumerate(med.crossing_pairs):
-        if dip is not None and dip[0] == k:
-            lift[k] = (dip[1], -1)
+    # each crossing moves one edge's corner off the plane: the dipped edge
+    # down, else the smaller of its two edges up
+    rise = {}
+    for pair in med.crossing_pairs:
+        if dip in pair:
+            rise[dip] = -1
         else:
-            sel = min((e, f), key=lambda x: sorted(x))
-            lift[k] = (sel, 1)
+            rise[min(pair, key=sorted)] = 1
 
-    def point_of(e, v=None):
-        node = med.node_of_edge[e]
-        x, y = pos[node]
-        z = 0
-        if node.startswith("c|"):
-            k = int(node.split("|")[1])
-            sel, dz = lift[k]
-            if e == sel:
-                z = dz
-        return (Fraction(x), Fraction(y), Fraction(z))
+    def point_of(e):
+        x, y = pos[med.node_of_edge[e]]
+        return (Fraction(x), Fraction(y), Fraction(rise.get(e, 0)))
 
     polygons = {}
     contacts = {}
@@ -337,8 +295,8 @@ def _subdivide(pg: PlaneGraph, eid, new_vertex):
     iu = pg.rotation[u].index((eid, 0))
     iv = pg.rotation[v].index((eid, 1))
     del pg.endpoints[eid]
-    a = pg.record_edge(u, new_vertex, eid=f"{eid}a")
-    b = pg.record_edge(new_vertex, v, eid=f"{eid}b")
+    a = pg.record_edge(u, new_vertex, eid=(eid, "a"))
+    b = pg.record_edge(new_vertex, v, eid=(eid, "b"))
     pg.rotation[new_vertex] = [(a, 1), (b, 0)]
     pg.rotation[u][iu] = (a, 0)
     pg.rotation[v][iv] = (b, 1)

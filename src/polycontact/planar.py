@@ -150,15 +150,18 @@ class PlaneGraph:
             comps.append(comp)
         return comps
 
-    def check_planar(self):
-        """Raise unless the rotation system is a genus-zero embedding."""
+    def check_planar(self) -> list:
+        """The face walks (`faces()`); raise unless the rotation system is
+        a genus-zero embedding, that is unless V - E + F = 1 + C."""
+        faces = self.faces()
         v = len(self.rotation)
         e = len(self.endpoints)
-        f = len(self.faces())
+        f = len(faces)
         c = len(self.connected_components())
         if v - e + f != 1 + c:
             raise EmbeddingError(
                 f"embedding has positive genus: V={v} E={e} F={f} C={c}")
+        return faces
 
     def copy(self) -> "PlaneGraph":
         pg = PlaneGraph()
@@ -238,17 +241,17 @@ def triangulate_face(pg: PlaneGraph, walk, counter):
             counter[0] += 1
 
 
-def triangulate(pg: PlaneGraph, outer_walk):
+def triangulate(pg: PlaneGraph, outer_walk, faces):
     """Fully triangulate a simple connected plane graph.
 
-    Returns (graph copy, outer triangle vertices).  The outer triangle is
-    one of the faces created inside the given outer walk (the walk itself
-    when it is already a triangle).
+    `faces` are pg's face walks (`pg.faces()`).  Returns (graph copy, outer
+    triangle vertices).  The outer triangle is one of the faces created
+    inside the given outer walk (the walk itself when it is already a
+    triangle).
     """
     work = pg.copy()
     counter = [0]
 
-    faces = work.faces()
     outer_set = [tuple(d) for d in outer_walk]
     outer_idx = None
     for k, f in enumerate(faces):

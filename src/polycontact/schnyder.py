@@ -183,14 +183,14 @@ def schnyder_draw(pg: PlaneGraph, outer_walk=None):
     if pg.has_parallel_edges():
         raise DrawingError("parallel edges; subdivide before drawing")
     try:
-        pg.check_planar()
+        faces = pg.check_planar()
     except EmbeddingError as exc:
         raise DrawingError(f"not a planar embedding: {exc}") from None
-    if len(pg.connected_components()) != 1:
+    # check_planar held V - E + F = 1 + C, so C = 1 iff V - E + F = 2
+    if len(pg.rotation) - len(pg.endpoints) + len(faces) != 2:
         raise DrawingError("graph must be connected")
-    faces = pg.faces()
     if outer_walk is None:
         outer_walk = max(faces, key=len)
-    tri, outer_triangle = triangulate(pg, outer_walk)
+    tri, outer_triangle = triangulate(pg, outer_walk, faces)
     pos = schnyder_positions(tri, outer_triangle)
     return {v: pos[v] for v in pg.vertices()}

@@ -41,19 +41,17 @@ class FanoParams:
                 "alpha must lie in (0, 120) degrees and differ from 60")
 
 
+S239_SCALE = 0.2  # top triangle shrink factor
+S239_LIFT = 0.1   # z offset of vertex 7 above the cut point
+
+
 @dataclass(frozen=True)
 class S239Params:
     beta: float = 45.0   # degrees; < 60 keeps the upper triangles apart
-    scale: float = 0.2   # top triangle shrink factor
-    lift: float = 0.1    # z offset of the ninth vertex above the cut point
 
     def validate(self):
         if not (0.0 < self.beta < 60.0):
             raise ConstructionError("beta must lie in (0, 60) degrees")
-        if not (0.0 < self.scale < 1.0):
-            raise ConstructionError("scale must lie in (0, 1)")
-        if self.lift <= 0.0:
-            raise ConstructionError("lift must be positive")
 
 
 def _unit_triangle(labels, z, angle_offset=0.0, scale=1.0):
@@ -95,8 +93,8 @@ def represent_s239(params: S239Params = S239Params()) -> Scene:
     copy lifted one unit, rotated by beta and shrunk about its center;
     1 and 4 sit on the axis at heights 3/4 and 1/4.  Vertex 7 is the
     intersection of the planes through 3-5-8 and 2-6-9 with the vertical
-    plane through 8 and 9, lifted by the configured amount (it must stay
-    below the plane through 1-2-3).
+    plane through 8 and 9, lifted by S239_LIFT (it must stay below the
+    plane through 1-2-3).
     """
     params.validate()
     h = builtin_system("S239")
@@ -105,7 +103,7 @@ def represent_s239(params: S239Params = S239Params()) -> Scene:
     # copy maps 8 -> 3, 5 -> 6, 2 -> 9
     pos.update(_unit_triangle(["2", "8", "5"], 0.0))
     pos.update(_unit_triangle(["9", "3", "6"], 1.0, angle_offset=params.beta,
-                              scale=params.scale))
+                              scale=S239_SCALE))
     pos["1"] = (0.0, 0.0, 0.75)
     pos["4"] = (0.0, 0.0, 0.25)
 
@@ -120,7 +118,7 @@ def represent_s239(params: S239Params = S239Params()) -> Scene:
         raise ConstructionError("cut planes do not meet in a point")
     p = tuple((d1 * vcross(n2, n3)[k] + d2 * vcross(n3, n1)[k]
                + d3 * vcross(n1, n2)[k]) / det for k in range(3))
-    seven = (p[0], p[1], p[2] + params.lift)
+    seven = (p[0], p[1], p[2] + S239_LIFT)
     n123, d123 = _plane_of((pos["1"], pos["2"], pos["3"]))
     side_origin = vdot(n123, (0.0, 0.0, -10.0)) - d123
     side_seven = vdot(n123, seven) - d123
@@ -134,8 +132,8 @@ def represent_s239(params: S239Params = S239Params()) -> Scene:
     for b in h.blocks:
         polygons[block_label(b)] = Polygon3(corners=tuple(pos[v] for v in sorted(b)))
     meta = {"construction": "s239", "arithmetic": "exact",
-            "beta_degrees": params.beta, "scale": params.scale,
-            "lift": params.lift, "cut_point": p}
+            "beta_degrees": params.beta, "scale": S239_SCALE,
+            "lift": S239_LIFT, "cut_point": p}
     return certify([hypergraph_scene(h, polygons, contacts, meta)])
 
 

@@ -10,8 +10,11 @@ compares it with what the scene's combinatorial structure demands:
 * graph scenes: each edge's two polygons share exactly one corner, distinct
   across edges, and non-adjacent polygons share none,
 * hypergraph scenes: each vertex is one point that is a corner of exactly
-  the blocks containing it, distinct across vertices,
-* the declared contact map coincides with the reconstruction,
+  the blocks containing it, distinct across vertices, and two block
+  polygons (found by `block_label`, never by parsing a label) share only
+  their common vertices' points,
+* the declared contact map coincides with the reconstruction, and
+  declares no contact for a non-element (a non-edge or a non-vertex),
 * every coordinate is finite,
 * a `claimed_grid` in the scene's meta bounds its grid extent on each axis.
 
@@ -28,6 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional
 
+from .core import block_label
 from .geom import (Polygon3, classify_pair, polygon_properties,
                    BOUNDARY_TOUCH, DISJOINT, VIOLATION)
 from .scene import GRAPH, ConstructionError, Scene
@@ -250,6 +254,12 @@ def verify_scene(scene: Scene) -> VerificationReport:
             shared[key] = [(kernel.index[c], c) for c in cls.shared_corners]
 
     _reconstruct(scene, kernel, shared, report)
+    expected = scene.expected_contact_keys()
+    for key in scene.contacts:
+        if key not in expected:
+            report.violations.append(Finding(
+                "declared-mismatch", _key_str(key),
+                "declared contact for a non-element"))
     if "claimed_grid" in scene.meta:
         _check_grid_claim(scene, report)
 
@@ -338,12 +348,12 @@ def _reconstruct(scene: Scene, kernel: KernelScene, shared: dict,
                 ok = False
         if ok:
             recon[v] = pid, p
-    # blocks sharing vertices must share exactly those corner points
+    # blocks sharing vertices must share exactly those corner points; a
+    # polygon label that names no block stands for no vertex
+    block_of = {block_label(b): b for b in h.blocks}
     for key, pts in sorted(shared.items()):
         la, lb = key
-        ba = frozenset(la.split(","))
-        bb = frozenset(lb.split(","))
-        common = ba & bb
+        common = block_of.get(la, frozenset()) & block_of.get(lb, frozenset())
         expect = {kernel.contact_ids[v] for v in common if v in contacts}
         for i, p in pts:
             if i not in expect:
@@ -388,11 +398,6 @@ def _check_declared(scene: Scene, kernel: KernelScene, recon: dict,
             report.violations.append(Finding(
                 "declared-mismatch", _key_str(key),
                 "declared point differs from reconstruction", witness=declared))
-    for key in scene.contacts:
-        if key not in expected:
-            report.violations.append(Finding(
-                "declared-mismatch", _key_str(key),
-                "declared contact for a non-element"))
 
 
 def _check_grid_claim(scene: Scene, report: VerificationReport):

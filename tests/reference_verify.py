@@ -12,6 +12,7 @@ indexed verifier to it.
 import math
 from itertools import combinations
 
+from polycontact.core import block_label
 from polycontact.geom import (BOUNDARY_TOUCH, VIOLATION, classify_pair,
                               polygon_properties)
 from polycontact.scene import GRAPH
@@ -123,8 +124,9 @@ def reference_verify(scene):
                     ok = False
             if ok:
                 recon[v] = p
+        block_of = {block_label(b): b for b in h.blocks}
         for (la, lb), pts in sorted(shared.items()):
-            common = frozenset(la.split(",")) & frozenset(lb.split(","))
+            common = block_of.get(la, frozenset()) & block_of.get(lb, frozenset())
             expect = [contacts[v] for v in common if v in contacts]
             for p in pts:
                 if p not in expect:
@@ -151,10 +153,11 @@ def reference_verify(scene):
                 viol.append(Finding("declared-mismatch", _key_str(key),
                                     "declared point differs from reconstruction",
                                     witness=declared))
-        for key in scene.contacts:
-            if key not in want:
-                viol.append(Finding("declared-mismatch", _key_str(key),
-                                    "declared contact for a non-element"))
+    want = scene.expected_contact_keys()
+    for key in scene.contacts:
+        if key not in want:
+            viol.append(Finding("declared-mismatch", _key_str(key),
+                                "declared contact for a non-element"))
 
     if "claimed_grid" in scene.meta:
         claim = scene.meta["claimed_grid"]

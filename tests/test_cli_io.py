@@ -12,8 +12,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from polycontact import (ConstructionError, Graph, InputError, Polygon3, edge_key,
-                         graph_from_edge_list, graph_scene, represent_complete,
+from polycontact import (ConstructionError, Graph, Hypergraph, InputError, Polygon3,
+                         edge_key, graph_from_edge_list, graph_scene, represent_complete,
                          represent_cycle_square, represent_fano,
                          represent_min_degree3, scene_from_json, scene_to_json,
                          strictify, verify_scene)
@@ -451,6 +451,30 @@ class TestCli:
         assert main(["represent", "--class", "oneplanar-cubic",
                      "--input", str(emb), "-o", str(out)]) == 0
 
+    @pytest.mark.parametrize("labels", [
+        ["x0", "x1", "x2", "x3"],
+        ["a|", "a|b", "|", "b"],
+        ["a#0", "a#", "#1", "b"],
+        ["m|a", "m|a|b", "c|0", "k|a|0"],
+    ], ids=["dummy-names", "bar", "hash", "medial-names"])
+    @pytest.mark.parametrize("outer", [["e12", "e23", "e34", "e14"],
+                                       ["e12", "e13", "e24"]],
+                             ids=["crossing-inside", "b-configuration"])
+    def test_oneplanar_labels_are_opaque(self, labels, outer, tmp_path):
+        name = dict(zip("1234", labels))
+        doc = json.loads(json.dumps(_K4_CROSSED))
+        for rec in doc["vertices"]:
+            rec["id"] = name[rec["id"]]
+        for rec in doc["edges"]:
+            rec["endpoints"] = [name[v] for v in rec["endpoints"]]
+        doc["outer_face"] = outer
+        emb = tmp_path / "k4x.json"
+        emb.write_text(json.dumps(doc))
+        out = tmp_path / "k4x.scene.json"
+        assert main(["represent", "--class", "oneplanar-cubic",
+                     "--input", str(emb), "-o", str(out)]) == 0
+        assert main(["verify", str(out)]) == 0
+
     def test_analyze_fpattern(self, capsys):
         assert main(["analyze", "f-pattern", "--builtin", "S3410"]) == 0
         out = capsys.readouterr().out
@@ -737,3 +761,35 @@ class TestDuplicateRecords:
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path), "--json"]) == 2
         assert "duplicate" in capsys.readouterr().err
+
+
+class TestBlockLabels:
+    """A hypergraph scene's polygons are found by `block_label`, so two
+    blocks may not share one, and each contact must be a vertex's."""
+
+    def test_colliding_block_labels_exit_two(self, tmp_path, capsys):
+        blocks = [["p,q", "r", "s"], ["p", "q,r", "s"]]
+        with pytest.raises(InputError, match="share the label 'p,q,r,s'"):
+            Hypergraph.from_blocks(blocks)
+        # one pentagon through all five vertex points stands for both blocks
+        corners = {"p,q": (0, 0), "r": (2, 0), "s": (3, 2), "p": (1, 3), "q,r": (-1, 2)}
+        doc = {"kind": "hypergraph",
+               "structure": {"vertices": list(corners), "blocks": blocks},
+               "points": [{"id": v, "x": f"{x}/1", "y": f"{y}/1", "z": "0/1"}
+                          for v, (x, y) in corners.items()],
+               "polygons": [{"label": "p,q,r,s", "corners": list(corners)}],
+               "contacts": [{"point": v, "elements": [v]} for v in corners],
+               "meta": {"construction": "test", "arithmetic": "exact"}}
+        path = tmp_path / "collide.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        assert "share the label" in capsys.readouterr().err
+
+    def test_contact_of_no_vertex_exit_one(self, tmp_path, capsys):
+        doc = scene_to_json(represent_fano())
+        doc["contacts"].append({"point": doc["contacts"][0]["point"], "elements": ["zz"]})
+        path = tmp_path / "fano.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 1
+        assert "[declared-mismatch] zz: declared contact for a non-element" \
+            in capsys.readouterr().out

@@ -24,7 +24,7 @@ class TestModifiedMedial:
         med = build_modified_medial(k4_crossed_embedding())
         pg = med.plane
         assert len(pg.rotation) == 5
-        merged = [v for v in pg.vertices() if v.startswith("c|")]
+        merged = [v for v in pg.vertices() if v[0] == "c"]
         assert len(merged) == 1
         assert pg.degree(merged[0]) <= 8
 

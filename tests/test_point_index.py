@@ -107,6 +107,14 @@ class TestToleranceBoundary:
         for seed in range(10):
             assert_matches_reference(_scattered_scene(seed))
 
+    def test_contact_of_no_vertex(self):
+        base = represent_fano()
+        scene = Scene(base.kind, base.structure, base.polygons,
+                      dict(base.contacts, zz=base.contacts["1"]), base.meta)
+        report = assert_matches_reference(scene)
+        assert [(f.code, f.where) for f in report.violations] == [
+            ("declared-mismatch", "zz")]
+
 
 def _scattered_scene(seed):
     """Exact triangles in three clusters translated far apart, so that most

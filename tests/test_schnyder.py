@@ -131,6 +131,12 @@ class TestSchnyder:
         with pytest.raises(DrawingError, match="planar"):
             schnyder_draw(pg)
 
+    def test_isolated_vertex_rejected(self):
+        pg = build([("a", "b"), ("b", "c"), ("c", "a")],
+                   {"a": ["b", "c"], "b": ["c", "a"], "c": ["a", "b"], "d": []})
+        with pytest.raises(DrawingError, match="^graph must be connected$"):
+            schnyder_draw(pg)
+
     def test_quad_face_triangulated(self):
         # cube graph: every face is a quad, so dummy chords are needed
         pairs = [("000", "001"), ("001", "011"), ("011", "010"),
