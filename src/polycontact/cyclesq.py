@@ -36,12 +36,18 @@ The relaxation takes damped minimum-norm Gauss-Newton steps, in the stdlib
 only and deterministically.  Each evaluation computes every row's value,
 each quad's diagonal normal and unit once for its four turn rows, and no
 gradient: a row's gradient, over its free contacts only, is built at the
-points a step is taken from.  Gram entries are summed only for rows that
-share a contact, and the Cholesky factor and both triangular solves use
-slice products.  Every float operation is the one, in the same order, of
-the plain version kept in tests/test_cyclesq.py (full rows at every
-point, a normal per turn, a dense Gram matrix), so the scenes are bit for
-bit the ones it builds.
+points a step is taken from.  Gram entries are added up in place, only
+for rows that share a contact and only below the diagonal, and the
+Cholesky factor sets each row's leading zeros without a sum.  Every float
+operation is the one, in the same order, of the plain version kept in
+tests/test_cyclesq.py (full rows at every point, a normal per turn, a
+dense Gram matrix), so the scenes are bit for bit the ones it builds.
+
+Every float sum adds plainly, left to right from 0.0.  From Python 3.12,
+sum() of floats compensates its rounding errors (Neumaier), which changed
+the relaxation's steps, four of these scenes and, at n = 13, the outcome.
+So each sum here starts from `_ZERO`, which sum() adds plainly on every
+version, and the scenes are the same bits on Python 3.10 to 3.13.
 
 The float layout is then made exact plane first (S. Fortune, "Polyhedral
 modelling with multiprecision integer arithmetic", 1997), on ints: each
@@ -63,6 +69,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from math import cos, gcd, pi, sin, sqrt
 from operator import mul
 
@@ -76,6 +83,19 @@ _TURN_MARGIN = 0.2  # (u x v) . normal at each corner of a relaxed quad
 _RIDGE = 1e-9  # damping of the minimum-norm steps
 _TOL = 1e-14  # largest residual accepted as converged
 _MAX_STEPS = 200
+
+
+class _Plain(float):
+    """A float that sum() adds without compensation.  From Python 3.12,
+    sum() compensates only while its running total is an exact float, so
+    sum(terms, _ZERO) is 0.0 + t0 + t1 + ..., one rounding per term, on
+    every version: what sum(terms) is up to 3.11.  Arithmetic on `_ZERO`
+    gives a plain float; only an empty sum returns `_ZERO` itself, and
+    every such sum here is subtracted from or divided before it is used."""
+    __slots__ = ()
+
+
+_ZERO = _Plain()
 
 
 def cycle_square_graph(n: int) -> Graph:
@@ -243,7 +263,10 @@ def _round_planes(pts: dict, quads: dict, fixed: dict) -> dict:
             e = vsub(kept[1], kept[0])
             s = Fraction(vdot(n, e)) / vdot(e, e)
             n = tuple(a - s * b for a, b in zip(n, e))
-        d = vdot(n, kept[0]) if kept else round(sum(vdot(n, x) for x in q) / 4)
+        if kept:
+            d = vdot(n, kept[0])
+        else:
+            d = round(sum((vdot(n, x) for x in q), _ZERO) / 4)
         scale = math.lcm(*(Fraction(x).denominator for x in (*n, d)))
         n, d = [int(x * scale) for x in n], int(d * scale)
         g = math.gcd(*n, d)
@@ -267,7 +290,8 @@ def _round_planes(pts: dict, quads: dict, fixed: dict) -> dict:
 
 
 def _halfway(corner, polygon):
-    center = [sum(p[a] for p in polygon) / len(polygon) for a in range(3)]
+    center = [sum((p[a] for p in polygon), _ZERO) / len(polygon)
+              for a in range(3)]
     return tuple((corner[a] + center[a]) / 2 for a in range(3))
 
 
@@ -277,7 +301,7 @@ def _halfway(corner, polygon):
 
 def _square_rows(p, quads, free):
     """Planarity of every quad, then every side at unit length."""
-    out = [_plane_row(p, c) for c in quads]
+    out = [_plane_row(c, *[p[k] for k in c]) for c in quads]
     for c in quads:
         for k in range(4):
             length, d = _side(p, c[k - 1], c[k])
@@ -287,23 +311,48 @@ def _square_rows(p, quads, free):
 
 def _split_rows(p, quads, free):
     """Per freed quad: planarity, each side at a free contact while its
-    length is outside _EDGE_RANGE, each turn while below _TURN_MARGIN."""
+    length is outside _EDGE_RANGE, each turn while below _TURN_MARGIN.
+
+    The turn at corner c[k] is ((c[k]-c[k-1]) x (c[k+1]-c[k])) . unit
+    normal; all four positive means strictly convex.  The normal is the
+    diagonal cross product (c[2]-c[0]) x (c[3]-c[1]), held fixed in the
+    gradient.  Taken at corner k as (c[k+1]-c[k-1]) x (c[k+2]-c[k]) it is
+    the same IEEE vector for every k, since x - y = -(y - x) and
+    (-a) * b = -(a * b) hold exactly, so it and its unit are computed once
+    per quad.  (Only the sign of an exactly zero component could differ,
+    and a zero's sign never changes a nonzero sum.)  A side's length is
+    taken on its edge c[k] - c[k-1], whose squares are those of
+    c[k-1] - c[k]; its gradient takes c[k-1] - c[k] as subtracted, since
+    negating the edge would flip the sign of a zero component.
+    """
     lo, hi = _EDGE_RANGE
     out = []
     for c in quads:
-        out.append(_plane_row(p, c))
-        turns = _turns(p, c)
+        q = a, b, d, e = [p[k] for k in c]
+        out.append(_plane_row(c, a, b, d, e))
+        (ax, ay, az), (bx, by, bz), (dx, dy, dz), (ex, ey, ez) = q
+        fx, fy, fz = dx - ax, dy - ay, dz - az
+        gx, gy, gz = ex - bx, ey - by, ez - bz
+        nx, ny, nz = fy * gz - fz * gy, fz * gx - fx * gz, fx * gy - fy * gx
+        size = sqrt(nx * nx + ny * ny + nz * nz)
+        unit = nx, ny, nz = nx / size, ny / size, nz / size
+        edges = ((ax - ex, ay - ey, az - ez), (bx - ax, by - ay, bz - az),
+                 (dx - bx, dy - by, dz - bz), (ex - dx, ey - dy, ez - dz))
         for k in range(4):
-            a, b = c[k - 1], c[k]
-            if a in free or b in free:
-                length, d = _side(p, a, b)
-                v = length - lo
-                if v < 0 or v > hi - lo:
-                    out.append((v if v < 0 else v - (hi - lo), _side_grad,
-                                (a, b, d, length)))
-            turn, args = turns[k]
+            u, v = edges[k], edges[k - 3]  # c[k] - c[k-1], c[k+1] - c[k]
+            (ux, uy, uz), (vx, vy, vz) = u, v
+            ka, kb = c[k - 1], c[k]
+            if ka in free or kb in free:
+                length = sqrt(ux * ux + uy * uy + uz * uz)
+                over = length - lo
+                if over < 0 or over > hi - lo:
+                    out.append((over if over < 0 else over - (hi - lo),
+                                _side_grad, (ka, kb, vsub(q[k - 1], q[k]), length)))
+            turn = ((uy * vz - uz * vy) * nx + (uz * vx - ux * vz) * ny
+                    + (ux * vy - uy * vx) * nz)
             if turn < _TURN_MARGIN:
-                out.append((turn - _TURN_MARGIN, _turn_grad, args))
+                out.append((turn - _TURN_MARGIN, _turn_grad,
+                            (ka, kb, c[k - 3], u, v, unit)))
     return out
 
 
@@ -318,12 +367,15 @@ def _side_grad(free, a, b, d, length):
             if k in free}
 
 
-def _plane_row(p, c):
-    """det(b - a, c - a, d - a), zero exactly when the quad is planar."""
-    a = p[c[0]]
-    u, v, w = vsub(p[c[1]], a), vsub(p[c[2]], a), vsub(p[c[3]], a)
-    gu = vcross(v, w)
-    return vdot(u, gu), _plane_grad, (c, u, v, w, gu)
+def _plane_row(c, a, b, d, e):
+    """det(b - a, d - a, e - a) for the corners a, b, d, e of quad c, zero
+    exactly when the quad is planar."""
+    (ax, ay, az), (bx, by, bz), (dx, dy, dz), (ex, ey, ez) = a, b, d, e
+    u = ux, uy, uz = bx - ax, by - ay, bz - az
+    v = vx, vy, vz = dx - ax, dy - ay, dz - az
+    w = wx, wy, wz = ex - ax, ey - ay, ez - az
+    gu = gx, gy, gz = vy * wz - vz * wy, vz * wx - vx * wz, vx * wy - vy * wx
+    return ux * gx + uy * gy + uz * gz, _plane_grad, (c, u, v, w, gu)
 
 
 def _plane_grad(free, c, u, v, w, gu):
@@ -331,32 +383,6 @@ def _plane_grad(free, c, u, v, w, gu):
     ga = (-(gu[0] + gv[0] + gw[0]), -(gu[1] + gv[1] + gw[1]),
           -(gu[2] + gv[2] + gw[2]))
     return {k: g for k, g in zip(c, (ga, gu, gv, gw)) if k in free}
-
-
-def _turns(p, c):
-    """Turn at each corner c[k]: ((c[k]-c[k-1]) x (c[k+1]-c[k])) . unit
-    normal, as (value, gradient args).  All four positive means strictly
-    convex.
-
-    The normal is the diagonal cross product (c[2]-c[0]) x (c[3]-c[1]),
-    held fixed in the gradient.  Taken at corner k as
-    (c[k+1]-c[k-1]) x (c[k+2]-c[k]) it is the same IEEE vector for every
-    k, since x - y = -(y - x) and (-a) * b = -(a * b) hold exactly, so it
-    and its unit are computed once per quad.  (Only the sign of an exactly
-    zero component could differ, and a zero's sign never changes a
-    nonzero sum.)
-    """
-    q = [p[key] for key in c]
-    normal = vcross(vsub(q[2], q[0]), vsub(q[3], q[1]))
-    size = sqrt(vdot(normal, normal))
-    unit = (normal[0] / size, normal[1] / size, normal[2] / size)
-    edges = [vsub(q[k], q[k - 1]) for k in range(4)]  # c[k] - c[k-1]
-    out = []
-    for k in range(4):
-        u, v = edges[k], edges[(k + 1) % 4]
-        out.append((vdot(vcross(u, v), unit),
-                    (c[k - 1], c[k], c[(k + 1) % 4], u, v, unit)))
-    return out
 
 
 def _turn_grad(free, a, b, d, u, v, unit):
@@ -378,7 +404,7 @@ def _relax(pts: dict, free: set, rows_fn, quads):
     """
     def evaluate(p):
         rows = rows_fn(p, quads, free)
-        return rows, sum(row[0] * row[0] for row in rows)
+        return rows, sum([row[0] * row[0] for row in rows], _ZERO)
 
     rows, cost = evaluate(pts)
     for steps in range(_MAX_STEPS + 1):
@@ -389,10 +415,9 @@ def _relax(pts: dict, free: set, rows_fn, quads):
         scale = 1.0
         while True:
             trial = dict(pts)
-            for k, s in step.items():
-                q = pts[k]
-                trial[k] = (q[0] + scale * s[0], q[1] + scale * s[1],
-                            q[2] + scale * s[2])
+            for k, (sx, sy, sz) in step.items():
+                x, y, z = pts[k]
+                trial[k] = (x + scale * sx, y + scale * sy, z + scale * sz)
             trial_rows, trial_cost = evaluate(trial)
             if trial_cost < cost:
                 break
@@ -406,53 +431,65 @@ def _relax(pts: dict, free: set, rows_fn, quads):
 def _min_norm_step(rows) -> dict:
     """-J^T y with (J J^T + ridge I) y = r, for rows (value, {key: gradient}).
 
-    Gram entry (i, j), j <= i, is the sum of the dot products at the keys
-    the two rows share, in row i's key order; rows that share no key get
-    zero without a sum.
+    Gram entry (i, j), j <= i, starts at 0.0 and adds the dot product at
+    each key the two rows share, in row i's key order, in place: plain
+    addition, one rounding per term, on every Python (sum() of floats
+    compensates from 3.12).  Rows that share no key leave it 0.0.  Only the
+    lower triangle is built, row i from the first row it shares a key
+    with, as `_cholesky_solve` takes it.
     """
-    size = len(rows)
-    grads = [g for _, g in rows]
-    gram = [[0.0] * size for _ in range(size)]
-    earlier = {}  # contact key -> (row, gradient) of the rows so far
-    for i, gi in enumerate(grads):
-        terms = {}  # j -> dot products at the keys rows i and j share
-        for k, g in gi.items():
+    gram = []
+    earlier = {}  # contact key -> [(row, *gradient)] of the rows so far, by row
+    for i, (_, gi) in enumerate(rows):
+        row = [0.0] * (i + 1)
+        first = i
+        for k, (gx, gy, gz) in gi.items():
             seen = earlier.setdefault(k, [])
-            seen.append((i, g))
-            for j, h in seen:
-                terms.setdefault(j, []).append(
-                    g[0] * h[0] + g[1] * h[1] + g[2] * h[2])  # vdot
-        for j, t in terms.items():
-            gram[i][j] = gram[j][i] = sum(t)
-        gram[i][i] += _RIDGE
+            seen.append((i, gx, gy, gz))
+            for j, hx, hy, hz in seen:
+                row[j] += gx * hx + gy * hy + gz * hz  # vdot
+            if seen[0][0] < first:
+                first = seen[0][0]
+        row[i] += _RIDGE
+        gram.append(row[first:])
     y = _cholesky_solve(gram, [v for v, _ in rows])
     step = {}
-    for gi, yi in zip(grads, y):
-        for k, g in gi.items():
+    for (_, gi), yi in zip(rows, y):
+        for k, (gx, gy, gz) in gi.items():
             s = step.setdefault(k, [0.0, 0.0, 0.0])
-            s[0] -= yi * g[0]
-            s[1] -= yi * g[1]
-            s[2] -= yi * g[2]
+            s[0] -= yi * gx
+            s[1] -= yi * gy
+            s[2] -= yi * gz
     return step
 
 
 def _cholesky_solve(a, b):
-    """Solve a y = b by a Cholesky factor grown one row at a time; every
-    inner product is sum(map(mul, ...)) over the leading entries, in
-    increasing index order."""
+    """Solve a y = b for symmetric positive definite a, given by the rows of
+    its lower triangle: row i holds entries i + 1 - len(a[i]) .. i, and the
+    entries left of them are zero.
+
+    The Cholesky factor is grown one row at a time.  Its entries left of
+    a's row are zero too, and are set without a sum: each would be
+    (0 - 0.0) / positive, the products with them being signed zeros and
+    0.0 + (-0.0) = 0.0.  Every inner product is then the sum of the
+    products over all leading entries, in increasing index order, started
+    at `_ZERO` so that it adds plainly, one rounding per term, also where
+    sum() of floats compensates (Python 3.12 on).
+    """
     low = []
     for ai in a:
-        li = []
-        for aij, lj in zip(ai, low):
-            li.append((aij - sum(map(mul, li, lj))) / lj[-1])
-        li.append(sqrt(max(ai[len(li)] - sum(map(mul, li, li)), _RIDGE)))
+        li = [0.0] * (len(low) + 1 - len(ai))
+        for aij, lj in zip(ai, low[len(li):]):
+            li.append((aij - sum(map(mul, li, lj), _ZERO)) / lj[-1])
+        li.append(sqrt(max(ai[-1] - sum(map(mul, li, li), _ZERO), _RIDGE)))
         low.append(li)
     y = []
     for li, bi in zip(low, b):
-        y.append((bi - sum(map(mul, li, y))) / li[-1])
+        y.append((bi - sum(map(mul, li, y), _ZERO)) / li[-1])
+    cols = list(zip_longest(*low, fillvalue=0.0))  # cols[i][t] = L[t][i]
     for i in reversed(range(len(y))):
-        col = [lt[i] for lt in low[i + 1:]]
-        y[i] = (y[i] - sum(map(mul, col, y[i + 1:]))) / low[i][i]
+        y[i] = ((y[i] - sum(map(mul, cols[i][i + 1:], y[i + 1:]), _ZERO))
+                / low[i][i])
     return y
 
 

@@ -152,13 +152,16 @@ class PlaneGraph:
 
     def check_planar(self) -> list:
         """The face walks (`faces()`); raise unless the rotation system is
-        a genus-zero embedding, that is unless V - E + F = 1 + C."""
+        a genus-zero embedding.  Faces are traced per component, so each
+        component with an edge has V - E + F = 2 and an isolated vertex 1:
+        genus zero is V - E + F = C + (components with an edge)."""
         faces = self.faces()
         v = len(self.rotation)
         e = len(self.endpoints)
         f = len(faces)
         c = len(self.connected_components())
-        if v - e + f != 1 + c:
+        isolated = sum(1 for r in self.rotation.values() if not r)
+        if v - e + f != 2 * c - isolated:
             raise EmbeddingError(
                 f"embedding has positive genus: V={v} E={e} F={f} C={c}")
         return faces

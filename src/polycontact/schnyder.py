@@ -186,7 +186,8 @@ def schnyder_draw(pg: PlaneGraph, outer_walk=None):
         faces = pg.check_planar()
     except EmbeddingError as exc:
         raise DrawingError(f"not a planar embedding: {exc}") from None
-    # check_planar held V - E + F = 1 + C, so C = 1 iff V - E + F = 2
+    # check_planar held V - E + F = C + (components with an edge); with at
+    # least 3 vertices that is 2 exactly when C = 1
     if len(pg.rotation) - len(pg.endpoints) + len(faces) != 2:
         raise DrawingError("graph must be connected")
     if outer_walk is None:

@@ -2,6 +2,7 @@
 split quadrilaterals for odd n."""
 
 import functools
+import hashlib
 import math
 from math import sqrt
 from unittest import mock
@@ -14,6 +15,7 @@ from polycontact import (ConstructionError, cycle_square_graph,
 from polycontact import cyclesq
 from polycontact.cyclesq import _ring_winding
 from polycontact.geom import vcross, vdot, vsub
+from polycontact.sceneio import _dumps
 
 
 def edge_lengths(poly):
@@ -146,12 +148,38 @@ class TestOdd:
         assert scene_to_json(represent_cycle_square(9)) == first
 
 
+# sha256 of each scene's JSON text, and the steps of the relaxation that
+# built it (for odd n, of the split that certified).  The same on every
+# supported Python: every float sum in `cyclesq` adds left to right.
+SCENES = {
+    6: ("2135ec919502ff5e629e905c452db3afd39cf848961c0527b7a5bbaaa1900978", 0),
+    7: ("ae4f98a7133c41b2eb300a5e855b24345ba0c1f8971e5ea854bb11b8115d85b5", 41),
+    8: ("78daa314aaf3f39777f420cda8dd9ba86d12651486e305983f49e8a1ad0135e4", 0),
+    9: ("849200ac16a045351ccf4d8ac87c033ef4ed62cc48fa0cf22f8658305e73e1dc", 25),
+    10: ("f04d48e4e91e717c631bd6af8e2439388290b2470b8eccc7e9c27fdf44e7716c", 0),
+    11: ("bfa82853088a71eb9b0a2c5c1e33d5e899803f1224972972a4134230866e146e", 23),
+    12: ("157744baa027084faa7750060632d21763ed7a37f18d9e20bc8ab5a2d0661259", 6),
+    13: ("f8e76acfd4b46f802c0266cd9fcb2058e98364ba2e3a0284176df15a2bdedd0f", 47),
+}
+
+
+class TestPinned:
+    @pytest.mark.parametrize("n", sorted(SCENES))
+    def test_scene_bytes_and_iterations(self, n):
+        sha256, iterations = SCENES[n]
+        scene = represent_cycle_square(n)
+        assert scene.meta["iterations"] == iterations
+        text = _dumps(scene_to_json(scene))
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
 class TestFailClosed:
     @pytest.mark.parametrize("n", [13, 14, 15, 16])
     def test_verified_or_rejected_by_size(self, n):
         try:
             scene = represent_cycle_square(n)
         except ConstructionError as exc:
+            assert n >= 14, exc  # README: every n from 6 to 13 certifies
             assert f"n={n}:" in str(exc)
         else:
             report = verify_scene(scene)
@@ -161,7 +189,16 @@ class TestFailClosed:
 
 # The relaxation as first written, kept as a reference: every row's value
 # and full gradient rebuilt at every trial point, a turn's normal per
-# corner, a dense Gram matrix and generator sums.
+# corner, a dense Gram matrix, and every sum one left-to-right loop.
+
+def plain_sum(terms):
+    """0.0 + t0 + t1 + ..., one rounding per term: what sum() of floats
+    does up to Python 3.11 (from 3.12 it compensates)."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
 
 def ref_side_row(p, a, b, target):
     d = vsub(p[a], p[b])
@@ -224,7 +261,7 @@ def ref_relax(pts, free, rows_fn):
     def evaluate(p):
         rows = [(v, {k: g for k, g in grads.items() if k in free})
                 for v, grads in rows_fn(p)]
-        return rows, sum(v * v for v, _ in rows)
+        return rows, plain_sum(v * v for v, _ in rows)
 
     rows, cost = evaluate(pts)
     for steps in range(cyclesq._MAX_STEPS + 1):
@@ -249,16 +286,16 @@ def ref_relax(pts, free, rows_fn):
         rows, cost = trial_rows, trial_cost
 
 
-def ref_min_norm_step(rows):
+def ref_min_norm_step(rows, total=plain_sum):
     size = len(rows)
     gram = [[0.0] * size for _ in range(size)]
     for i, (_, gi) in enumerate(rows):
         for j in range(i + 1):
             gj = rows[j][1]
-            s = sum(vdot(g, gj[k]) for k, g in gi.items() if k in gj)
+            s = total(vdot(g, gj[k]) for k, g in gi.items() if k in gj)
             gram[i][j] = gram[j][i] = s
         gram[i][i] += cyclesq._RIDGE
-    y = ref_cholesky_solve(gram, [v for v, _ in rows])
+    y = ref_cholesky_solve(gram, [v for v, _ in rows], total)
     step = {}
     for (_, grads), yi in zip(rows, y):
         for k, g in grads.items():
@@ -268,29 +305,37 @@ def ref_min_norm_step(rows):
     return step
 
 
-def ref_cholesky_solve(a, b):
+def ref_cholesky_solve(a, b, total=plain_sum):
     size = len(b)
     low = [[0.0] * size for _ in range(size)]
     for i in range(size):
         li = low[i]
         for j in range(i + 1):
             lj = low[j]
-            s = a[i][j] - sum(li[t] * lj[t] for t in range(j))
+            s = a[i][j] - total(li[t] * lj[t] for t in range(j))
             li[j] = sqrt(max(s, cyclesq._RIDGE)) if i == j else s / lj[j]
     y = [0.0] * size
     for i in range(size):
-        y[i] = (b[i] - sum(low[i][t] * y[t] for t in range(i))) / low[i][i]
+        y[i] = (b[i] - total(low[i][t] * y[t] for t in range(i))) / low[i][i]
     for i in reversed(range(size)):
-        y[i] = (y[i] - sum(low[t][i] * y[t]
-                           for t in range(i + 1, size))) / low[i][i]
+        y[i] = (y[i] - total(low[t][i] * y[t]
+                             for t in range(i + 1, size))) / low[i][i]
     return y
+
+
+def lower(a):
+    """Row i of symmetric `a` as `_cholesky_solve` takes it: columns up
+    to the diagonal, from the first nonzero one."""
+    return [row[next(j for j, x in enumerate(row) if x):i + 1]
+            for i, row in enumerate(a)]
 
 
 def bits(x):
     """Floats, in (nested) tuples, lists and dicts, as their exact hex
-    strings, so equality is float for float and tells -0.0 from 0.0."""
+    strings, so equality is float for float and tells -0.0 from 0.0.  A
+    float subclass (`cyclesq._ZERO`'s) is its type, which no float equals."""
     if isinstance(x, float):
-        return x.hex()
+        return x.hex() if type(x) is float else type(x)
     if isinstance(x, int):
         return x
     if isinstance(x, dict):
@@ -351,8 +396,29 @@ class TestRelaxationReference:
     def test_cholesky(self):
         gram = [[4.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 2.0]]
         b = [1.0, -2.0, 0.5]
-        assert bits(cyclesq._cholesky_solve(gram, b)) == bits(
+        assert bits(cyclesq._cholesky_solve(lower(gram), b)) == bits(
             ref_cholesky_solve(gram, b))
+
+    def test_cholesky_adds_left_to_right(self):
+        # row 3's forward sum is 1e16 + 1 - 1e16: 0.0 added left to right,
+        # 1.0 compensated (sum() from Python 3.12 on)
+        gram = [[1.0, 0.0, 0.0, 1e8], [0.0, 1.0, 0.0, 1.0],
+                [0.0, 0.0, 1.0, 1e8], [1e8, 1.0, 1e8, 3e16]]
+        b = [1e8, 1.0, -1e8, 0.0]
+        want = ref_cholesky_solve(gram, b)
+        assert bits(ref_cholesky_solve(gram, b, math.fsum)) != bits(want)
+        assert bits(cyclesq._cholesky_solve(lower(gram), b)) == bits(want)
+
+    def test_gram_adds_left_to_right(self):
+        # the rows' Gram entry is 1e16 + 1 - 1e16; row 0 alone moves "d",
+        # by its y, which is zero exactly when that entry is
+        rows = [(0.0, {"a": (1e8, 0.0, 0.0), "b": (1.0, 0.0, 0.0),
+                       "c": (1e8, 0.0, 0.0), "d": (1.0, 0.0, 0.0)}),
+                (1.0, {"a": (1e8, 0.0, 0.0), "b": (1.0, 0.0, 0.0),
+                       "c": (-1e8, 0.0, 0.0)})]
+        want = ref_min_norm_step(rows)
+        assert bits(ref_min_norm_step(rows, math.fsum)) != bits(want)
+        assert bits(cyclesq._min_norm_step(rows)) == bits(want)
 
     @given(st.sampled_from([7, 9, 11]), st.data())
     def test_perturbed_starts(self, n, data):

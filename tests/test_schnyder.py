@@ -137,6 +137,16 @@ class TestSchnyder:
         with pytest.raises(DrawingError, match="^graph must be connected$"):
             schnyder_draw(pg)
 
+    def test_two_components_rejected(self):
+        # each triangle has its own outer face: V - E + F = 6 - 6 + 4
+        pg = build([("a", "b"), ("b", "c"), ("c", "a"),
+                    ("d", "e"), ("e", "f"), ("f", "d")],
+                   {"a": ["b", "c"], "b": ["c", "a"], "c": ["a", "b"],
+                    "d": ["e", "f"], "e": ["f", "d"], "f": ["d", "e"]})
+        assert len(pg.check_planar()) == 4
+        with pytest.raises(DrawingError, match="^graph must be connected$"):
+            schnyder_draw(pg)
+
     def test_quad_face_triangulated(self):
         # cube graph: every face is a quad, so dummy chords are needed
         pairs = [("000", "001"), ("001", "011"), ("011", "010"),
