@@ -17,6 +17,11 @@ triangle between its foot's two apex slots and the bridge vertex on the
 floor.  The floorplans join into one plane graph through the bridge
 vertices and are drawn by the Schnyder grid algorithm.
 
+Maximum degree 3: a graph that is not cubic gets one dummy vertex per
+missing degree, made cubic by one fixed gadget (`_pad_stubs`); the padded
+graph takes whichever of the two paths above applies, on its own grid, and
+its scene is retracted to the graph (`scene.retract`).
+
 Perfect matchings come from a stdlib Edmonds blossom search
 (`_max_matching`); in the bridged case, when a matching gives no workable
 plan or no scene drawn from it certifies, other matchings are tried.
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 
 from .core import Graph, edge_key, find_bridges
 from .geom import Polygon3
@@ -983,67 +988,43 @@ def _wheel_scene_part(plan: _WheelPlan, vb_label, pt, polygons, contacts,
 # ---------------------------------------------------------------------------
 
 
-def _augment_to_cubic(g: Graph):
-    """g with a dummy vertex (odd order) and dummy edges making every
-    degree 3."""
-    vertices = list(g.vertices)
-    deficit = {v: 3 - g.degree(v) for v in g.vertices}
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    if g.n % 2 == 1:
-        dummy = dummy_labels(g, 1)[0]
-        vertices.append(dummy)
-        deficit[dummy], adj[dummy] = 3, set()
-    order = [v for v in vertices if deficit[v] > 0]
-
-    def choices():
-        # the edges from the first vertex short of degree 3 to later ones,
-        # in order (None once every degree is 3)
-        i = next((i for i, v in enumerate(order) if deficit[v] > 0), None)
-        if i is None:
-            return None
-        v = order[i]
-        return ((v, w) for w in islice(order, i + 1, None)
-                if deficit[w] > 0 and w not in adj[v])
-
-    def toggle(v, w, step):  # add vw (step -1) or take it out again (1)
-        adj[v] ^= {w}
-        adj[w] ^= {v}
-        deficit[v] += step
-        deficit[w] += step
-
-    # depth-first search with an explicit stack: extra[k] is the edge tried
-    # at stack[k]; a step whose choices run out undoes its parent's edge
-    extra, stack = [], [choices()]
-    while stack[-1] is not None:
-        if len(extra) == len(stack):
-            toggle(*extra.pop(), 1)
-        edge = next(stack[-1], None)
-        if edge is None:
-            stack.pop()
-            if not stack:
-                raise ConstructionError("cannot augment to a cubic graph")
-            continue
-        toggle(*edge, -1)
-        extra.append(edge)
-        stack.append(choices())
-    return Graph.from_edges([tuple(e) for e in g.edges] + extra, vertices=vertices)
+def _pad_stubs(g: Graph) -> Graph:
+    """g, not cubic, made cubic: each missing degree (a stub) gets its own
+    dummy vertex.  With s stubs, s >= 3 dummies are joined in a cycle;
+    s = 2 dummies are the ends of the missing edge of a dummy K4 minus an
+    edge, and s = 1 is joined to both ends of that missing edge."""
+    # most stubs first, then every other place on the cycle: two stubs of a
+    # vertex with one edge are never neighbours there when s >= 4, so a
+    # bridge to it has a foot that is not an edge
+    stubs = sorted((v for v in g.vertices for _ in range(3 - g.degree(v))), key=g.degree)
+    s = len(stubs)
+    stubs[::2], stubs[1::2] = stubs[:(s + 1) // 2], stubs[(s + 1) // 2:]
+    d = dummy_labels(g, s + {1: 4, 2: 2}.get(s, 0))
+    pads = list(zip(stubs, d))
+    if s >= 3:
+        pads += [(d[i - 1], d[i]) for i in range(s)]
+    else:
+        a, b, c, e = d[-4:]  # K4 minus ab
+        pads += [(a, c), (a, e), (b, c), (b, e), (c, e)]
+        if s == 1:
+            pads += [(d[0], a), (d[0], b)]
+    return Graph(vertices=g.vertices + tuple(d),
+                 edges=g.edges | frozenset(edge_key(u, v) for u, v in pads))
 
 
 def represent_max_degree3(g: Graph) -> Scene:
     """Triangles for graphs of maximum degree 3.
 
-    The graph is padded to a cubic one with dummy edges (and a dummy
-    vertex when the order is odd), and the cubic scene is retracted to it
-    (`scene.retract`): a vertex of degree below 3 keeps its real contacts
-    and pulls the others into its triangle.  Only retracted scenes are
-    certified.
+    A cubic graph is `represent_cubic`'s.  Any other is padded to a cubic
+    one by `_pad_stubs`, and the cubic scene, on the padded graph's own
+    grid, is retracted to it (`scene.retract`): a vertex of degree below 3
+    keeps its real contacts and pulls the others into its triangle.  Only
+    retracted scenes are certified.
     """
     bad = [v for v in g.vertices if g.degree(v) > 3]
     if bad:
         raise ConstructionError(f"vertices of degree > 3: {bad}")
     if g.is_regular(3):
         return represent_cubic(g)
-    half = (g.n + 1) // 2
-    grid = {"x": 3 * half, "y": 3 * half, "z": half}
-    return _certified_cubic(_augment_to_cubic(g), lambda scene: retract(
-        g, scene, dict(scene.meta, construction="max-degree-3", claimed_grid=grid)))
+    return _certified_cubic(_pad_stubs(g), lambda scene: retract(
+        g, scene, dict(scene.meta, construction="max-degree-3")))
