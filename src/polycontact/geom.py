@@ -16,7 +16,11 @@ of the normals); its ends come from the corners on that plane and the
 edges whose corners lie on opposite sides, as int (num, den) pairs
 compared by cross-multiplication.  A pair whose intervals meet is decided
 on that line, with no point located (`_on_common_line`); `Fraction`s are
-built only for its overlap and touch witnesses.
+built only for its overlap and touch witnesses.  A pair that meets only
+at a shared corner skips that pass: before any interval is built, when
+both polygons leave the corner along the line in opposite directions, read
+from its neighbours (`_corner_meet`), and after, when one interval ends
+where the other starts, at a corner of both.
 
 Each polygon has one record, its `PolygonProperties`: the validity flags
 and the frame (supporting plane, drop axis, ccw 2D corners), derived once
@@ -388,6 +392,52 @@ def _lone_corner(sign, corners, others):
     return c if c in others else None
 
 
+def _corner_meet(pc, qc, sp, sq, dr):
+    """The shared corner c at which two polygons in crossing planes meet
+    and nowhere else, proved from c's neighbours; else None.
+
+    c is p's first corner on q's plane that is a corner of q.  Each
+    polygon's cut with the other's plane, on the planes' common line L, is
+    a segment that leaves c in the direction `_leaves` reads; when the two
+    directions are opposite, the cuts meet only at c, and so do the
+    polygons (their common points lie on L).  A second shared corner would
+    be a second common point, so no other corner of p is tried.
+    """
+    sign = sp[1]
+    for i in range(len(pc)):
+        if sign[i] == 0 and pc[i] in qc:
+            c = pc[i]
+            d = _leaves(pc, sp, i, dr)
+            return c if d and d == -_leaves(qc, sq, qc.index(c), dr) else None
+    return None
+
+
+def _leaves(corners, side, i, dr) -> int:
+    """The sign of t = vdot(dr, x) along the polygon's cut as it leaves
+    its corner i = c, on the other's plane, when c's neighbours u and w lie
+    strictly on opposite sides of that plane; else 0.  `side` is the
+    corners' (distances, signs) from `_plane_sides`.
+
+    A convex polygon lies in the wedge of its two edge lines at c (a half
+    plane at a straight angle), and the common line L, through c with u
+    and w strictly on either side, meets that wedge in a ray from c: the
+    cut is a segment on it that starts at c.  Edge uw crosses the plane at
+    x = (|d_w| u + |d_u| w) / (|d_u| + |d_w|), a point of the polygon on L,
+    so t(x) - t(c) has the sign of |d_w| (t(u) - t(c)) + |d_u| (t(w) - t(c)).
+    That sum is 0 exactly when x = c, that is when c is a straight angle
+    on segment uw, and when u and w both lie on the plane; the direction is
+    then not read (0).
+    """
+    dist, sign = side
+    j = (i + 1) % len(corners)
+    if sign[i - 1] != -sign[j]:
+        return 0
+    tc = vdot(dr, corners[i])
+    s = (abs(dist[j]) * (vdot(dr, corners[i - 1]) - tc)
+         + abs(dist[i - 1]) * (vdot(dr, corners[j]) - tc))
+    return (s > 0) - (s < 0)
+
+
 def classify_pair(p: Polygon3, q: Polygon3,
                   fp: Optional[PolygonProperties] = None,
                   fq: Optional[PolygonProperties] = None) -> PairClassification:
@@ -418,13 +468,29 @@ def classify_pair(p: Polygon3, q: Polygon3,
        strictly on one side (such a polygon meets the other only at that
        corner); q's distances are not computed when p's already say so;
        the pair is Disjoint when the planes are distinct and parallel;
-    2. crossing planes get both `_cut` intervals on the planes' common
-       line, and the pair is Disjoint when they miss; otherwise
-       `_on_common_line` decides it there, locating no point;
-    3. one plane gets the separating-axis test (`_separation`), and a
+    2. crossing planes are tried for a shared corner c that is their only
+       common point, before any interval is built: c is p's first corner
+       on q's plane that is also q's, and each polygon's cut with the
+       other's plane on the common line L leaves c in a direction read
+       from c's two neighbours when they lie strictly on opposite sides
+       of that plane (`_leaves`); opposite directions make the pair
+       CornerContact with c shared;
+    3. otherwise both `_cut` intervals on L are built, and the pair is
+       Disjoint when they miss; CornerContact when p's high end and q's
+       low end, or q's high end and p's low end, are corners at equal t,
+       one point c; otherwise `_on_common_line` decides it there,
+       locating no point;
+    4. one plane gets the separating-axis test (`_separation`), and a
        strict separation makes the pair Disjoint.  Otherwise each
        polygon's unshared corners are located on the other, and an
        overlap on the separating axes adds the interior overlap.
+
+    Both corner exits of steps 2 and 3 give what `_on_common_line` would:
+    the cuts meet only at c, so the polygons, whose common points lie on
+    L, meet only there.  Then c is the only shared corner, every
+    unshared corner on L falls outside the other's interval (it is on L
+    at another t than c's), and the common interval is the point c, not
+    open, so there is no violation and, with c shared, no touch point.
     """
     fp = fp or polygon_properties(p)
     fq = fq or polygon_properties(q)
@@ -446,10 +512,16 @@ def classify_pair(p: Polygon3, q: Polygon3,
     dr = vcross(fp.plane[0], fq.plane[0])
     cuts = None
     if not is_zero_vec(dr):
+        c = _corner_meet(p.corners, q.corners, sp, sq, dr)
+        if c is not None:
+            return PairClassification(kind=CORNER_CONTACT, shared_corners=[c])
         cuts = _cut(p.corners, sp, dr), _cut(q.corners, sq, dr)
         (lp, hp), (lq, hq) = cuts
         if _earlier(hp, lq) or _earlier(hq, lp):
             return PairClassification(kind=DISJOINT)
+        for e, f in ((hp, lq), (lp, hq)):  # p's end, q's end; a corner's den is 1
+            if e[4] is None and f[4] is None and e[0] == f[0]:
+                return PairClassification(kind=CORNER_CONTACT, shared_corners=[e[2]])
     elif sq[1][0]:
         return PairClassification(kind=DISJOINT)  # distinct parallel planes
     else:

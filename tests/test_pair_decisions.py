@@ -4,7 +4,11 @@
 their common line, drops strictly separated coplanar pairs before any
 corner is located, and calls a pair a corner contact from the plane-side
 signs alone when one polygon meets the other's plane only at a shared
-corner.  `reference_classify` below is the earlier path, which
+corner.  A crossing pair whose one common point is a shared corner skips
+`_cut` when the chords of both polygons on the common line leave that
+corner in opposite directions, read from its neighbours, and skips
+`_on_common_line` when the cuts meet only at a corner of both.
+`reference_classify` below is the earlier path, which
 locates every unshared corner on the other's plane in the other polygon,
 and the common interval's midpoint and ends in both.  The two must agree
 on everything: kind, shared corners, violations with their witnesses in
@@ -23,11 +27,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from polycontact import geom
+from polycontact import (complete_bipartite, geom, represent_bipartite_grid,
+                         represent_bipartite_toroidal, represent_complete,
+                         represent_cycle_square, represent_s239)
 from polycontact.geom import (BOUNDARY_TOUCH, CORNER_CONTACT, DISJOINT, VIOLATION,
                               PairClassification, Polygon3, _cut, _earlier,
                               _end_point, _one_side, _plane_sides, classify_pair,
                               cross2, polygon_properties, project2d, vcross, vdot)
+from polycontact.verify import KernelScene, _box_overlaps
 
 from oracle_geom import oracle_classify
 from test_geom import _hull2d, convex_polygon_pairs
@@ -217,7 +224,14 @@ def kgon_pairs(draw):
         bx, by, b0 = draw(small), draw(small), draw(small)
         b = _lift(draw(_kgon()), lambda x, y: bx * x + by * y + b0)
     a = _lift(ha, za)
+    place = _placer(draw)
+    return place(a), place(b)
 
+
+def _placer(draw):
+    """A map of a pair's polygons to `Polygon3`s: one drawn axis order and
+    denominator (None for ints) for both, and for each its own drawn
+    orientation and first corner."""
     order = draw(st.permutations((0, 1, 2)))
     den = draw(st.sampled_from((None, 1, 3)))
 
@@ -228,8 +242,7 @@ def kgon_pairs(draw):
             corners.reverse()
         start = draw(st.integers(0, len(corners) - 1))
         return Polygon3(tuple(corners[start:] + corners[:start]))
-
-    return place(a), place(b)
+    return place
 
 
 def _same_as_reference(pair):
@@ -258,6 +271,70 @@ def test_kinds_match_the_oracle(pair):
 
 
 # ---------------------------------------------------------------------------
+# Pairs that share exactly one corner, in crossing planes
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _at_origin(draw):
+    """A convex ccw polygon (`_kgon`, coordinates doubled) translated so
+    that one of its corners is (0, 0), listed first: a hull corner or, in
+    half of the draws, a straight angle added at an edge's midpoint."""
+    pts = [(2 * x, 2 * y) for x, y in draw(_kgon())]
+    i = draw(st.integers(0, len(pts) - 1))
+    if draw(st.booleans()):
+        (ax, ay), (bx, by) = pts[i], pts[(i + 1) % len(pts)]
+        i += 1
+        pts.insert(i, ((ax + bx) // 2, (ay + by) // 2))
+    cx, cy = pts[i]
+    pts = [(x - cx, y - cy) for x, y in pts]
+    return pts[i:] + pts[:i]
+
+
+@st.composite
+def corner_meet_pairs(draw):
+    """Two convex polygons in crossing planes with exactly one common
+    corner c, which is a hull corner or a straight angle of each.
+
+    Both are drawn around c = (0, 0) (`_at_origin`), and q is turned a half
+    turn about c in half of the draws, so that their chords on the common
+    line L leave c in the same or in opposite directions.  p is lifted to
+    z = ax x + ay y and q to z + k (x dy - y dx), so L lies over the line
+    through c along (dx, dy), which runs into p (the sum of p's corners)
+    or into q, along an edge at c of p or of q (a neighbour of c on the
+    other's plane), or anywhere.  The pair is then translated and placed
+    as by `kgon_pairs`."""
+    hp, hq = draw(_at_origin()), draw(_at_origin())
+    if draw(st.booleans()):
+        hq = [(-x, -y) for x, y in hq]
+    along = draw(st.sampled_from(("into p", "into q", "edge of p", "edge of q",
+                                  "any")))
+    if along == "any":
+        dx, dy = draw(small), draw(small)
+    elif along.startswith("into"):
+        dx, dy = map(sum, zip(*(hp if along == "into p" else hq)))
+    else:
+        h = hp if along == "edge of p" else hq
+        dx, dy = h[draw(st.sampled_from((1, -1)))]
+    assume((dx, dy) != (0, 0))
+    ax, ay, k = draw(small), draw(small), draw(st.sampled_from((-2, -1, 1, 2)))
+    ox, oy, oz = draw(grid), draw(grid), draw(grid)
+
+    def lift(pts, k):
+        return [(x + ox, y + oy, ax * x + ay * y + k * (x * dy - y * dx) + oz)
+                for x, y in pts]
+    a, b = lift(hp, 0), lift(hq, k)
+    assume(len(set(a) & set(b)) == 1)
+    place = _placer(draw)
+    return place(a), place(b)
+
+
+@given(corner_meet_pairs())
+def test_corner_meet_decisions_match_point_location(pair):
+    _same_as_reference(pair)
+
+
+# ---------------------------------------------------------------------------
 # A lone corner on the other's plane
 # ---------------------------------------------------------------------------
 
@@ -265,28 +342,30 @@ Q = Polygon3(((0, 0, 0), (4, 0, 0), (0, 4, 0)))  # on the plane z = 0
 
 
 def _decided(p, q, monkeypatch):
-    """`classify_pair(p, q)`, checked against the reference; also whether
-    it ran `_cut`, which every crossing pair past the plane-side exits
-    does."""
-    cuts = []
-    real = geom._cut
-
-    def counted(*args):
-        cuts.append(1)
-        return real(*args)
-    monkeypatch.setattr(geom, "_cut", counted)
+    """`classify_pair(p, q)`, checked against the reference; also the set
+    of the passes it ran of `_cut` and `_on_common_line`.  A crossing pair
+    past the plane-side exits runs `_cut` unless its one common point is a
+    shared corner that both polygons' chords on the common line leave in
+    opposite directions, and then `_on_common_line` unless the cuts meet
+    only at a corner of both."""
+    called = set()
+    for name in ("_cut", "_on_common_line"):
+        def counted(*args, name=name, real=getattr(geom, name)):
+            called.add(name)
+            return real(*args)
+        monkeypatch.setattr(geom, name, counted)
     ref = reference_classify(p, q)
     res = classify_pair(p, q)
     assert res == ref, (p.corners, q.corners)
-    return res, bool(cuts)
+    return res, called
 
 
 def test_lone_shared_corner_of_the_first_polygon(monkeypatch):
     # p meets Q's plane only at Q's corner (0, 0, 0), and lies above it
     p = Polygon3(((-1, 0, 1), (0, 0, 0), (0, -1, 1)))
-    res, cut = _decided(p, Q, monkeypatch)
+    res, called = _decided(p, Q, monkeypatch)
     assert res.kind == CORNER_CONTACT and res.shared_corners == [(0, 0, 0)]
-    assert not res.violations and not res.touch_witnesses and not cut
+    assert not res.violations and not res.touch_witnesses and not called
 
 
 def test_lone_shared_corner_of_the_second_polygon(monkeypatch):
@@ -294,12 +373,12 @@ def test_lone_shared_corner_of_the_second_polygon(monkeypatch):
     # on it; q meets p's plane only at p's corner (2, 2, 0)
     p = Polygon3(((-2, -2, 0), (2, -2, 0), (2, 2, 0), (-2, 2, 0)))
     q = Polygon3(((0, 0, 2), (2, 2, 0), (3, 3, 2)))
-    res, cut = _decided(p, q, monkeypatch)
+    res, called = _decided(p, q, monkeypatch)
     assert res.kind == CORNER_CONTACT and res.shared_corners == [(2, 2, 0)]
-    assert not cut
-    res, cut = _decided(q, p, monkeypatch)
+    assert not called
+    res, called = _decided(q, p, monkeypatch)
     assert res.kind == CORNER_CONTACT and res.shared_corners == [(2, 2, 0)]
-    assert not cut
+    assert not called
 
 
 @pytest.mark.parametrize("p, reason", [
@@ -310,9 +389,9 @@ def test_lone_shared_corner_of_the_second_polygon(monkeypatch):
 def test_lone_unshared_corner_on_the_other(p, reason, monkeypatch):
     # p's one corner on Q's plane is no corner of Q but lies on Q
     for a, b in ((p, Q), (Q, p)):
-        res, cut = _decided(a, b, monkeypatch)
+        res, called = _decided(a, b, monkeypatch)
         assert res.kind == VIOLATION and res.violations == [(reason, p.corners[0])]
-        assert not res.shared_corners and cut
+        assert not res.shared_corners and "_cut" in called
 
 
 def test_lone_unshared_corner_off_the_other(monkeypatch):
@@ -326,6 +405,79 @@ def test_two_shared_corners_take_the_full_path(monkeypatch):
     # p shares Q's edge from (0, 0, 0) to (4, 0, 0)
     p = Polygon3(((0, 0, 0), (4, 0, 0), (2, -1, 1)))
     for a, b in ((p, Q), (Q, p)):
-        res, cut = _decided(a, b, monkeypatch)
+        res, called = _decided(a, b, monkeypatch)
         assert res.kind == CORNER_CONTACT and res.shared_corners == list(a.corners[:2])
-        assert cut
+        assert called == {"_cut", "_on_common_line"}
+
+
+# ---------------------------------------------------------------------------
+# A shared corner as the one common point of crossing planes
+# ---------------------------------------------------------------------------
+
+
+def test_toroidal_corner_contact_is_decided_before_the_cuts(monkeypatch):
+    # a2 and b1 of the toroidal K4,4 straddle each other's planes and
+    # share one corner, which their chords leave in opposite directions
+    polygons = represent_bipartite_toroidal(complete_bipartite(4, 4)).polygons
+    p, q = polygons["a2"], polygons["b1"]
+    for a, b in ((p, q), (q, p)):
+        _, sign = _plane_sides(polygon_properties(b).plane, a.corners)
+        assert 1 in sign and -1 in sign
+        res, called = _decided(a, b, monkeypatch)
+        assert res.kind == CORNER_CONTACT and len(res.shared_corners) == 1
+        assert not called
+
+
+def test_straight_angle_corner_is_decided_at_the_cuts(monkeypatch):
+    # p, on z = 0, has a straight angle at c = (0, 0, 0) across q's plane
+    # x = 0, so its chord's direction is not read from c's neighbours; the
+    # cuts [0, 2] and [-2, 0] along y meet at c, a corner of both
+    p = Polygon3(((-2, 0, 0), (0, 0, 0), (2, 0, 0), (0, 2, 0)))
+    q = Polygon3(((0, 0, 0), (0, -2, 1), (0, -2, -1)))
+    for a, b in ((p, q), (q, p)):
+        res, called = _decided(a, b, monkeypatch)
+        assert res.kind == CORNER_CONTACT and res.shared_corners == [(0, 0, 0)]
+        assert called == {"_cut"}
+
+
+def test_cuts_meeting_at_a_corner_of_one_polygon(monkeypatch):
+    # p's corner c = (0, 0, 0) ends its cut where q's edge crosses z = 0,
+    # so c lies on q's boundary, no corner of q
+    p = Polygon3(((0, 0, 0), (2, 2, 0), (-2, 2, 0)))
+    q = Polygon3(((0, 0, 1), (0, 0, -1), (0, -2, 0)))
+    for a, b in ((p, q), (q, p)):
+        res, called = _decided(a, b, monkeypatch)
+        assert res.kind == VIOLATION
+        assert res.violations == [("corner-on-boundary", (0, 0, 0))]
+        assert called == {"_cut", "_on_common_line"}
+
+
+def test_chords_leaving_a_shared_corner_together(monkeypatch):
+    # both chords run from c = (0, 0, 0) to (0, 2, 0) through both interiors
+    p = Polygon3(((0, 0, 0), (2, 2, 0), (-2, 2, 0)))
+    q = Polygon3(((0, 0, 0), (0, 2, 1), (0, 2, -1)))
+    for a, b in ((p, q), (q, p)):
+        res, called = _decided(a, b, monkeypatch)
+        assert res.kind == VIOLATION and res.shared_corners == [(0, 0, 0)]
+        assert [reason for reason, _ in res.violations] == ["interior-overlap"]
+        assert called == {"_cut", "_on_common_line"}
+
+
+# ---------------------------------------------------------------------------
+# Every pair of real scenes whose boxes meet
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    lambda: represent_bipartite_toroidal(complete_bipartite(14, 14)),
+    lambda: represent_complete(12),
+    lambda: represent_bipartite_grid(complete_bipartite(8, 8)),
+    lambda: represent_cycle_square(7),
+    represent_s239,
+], ids=["toroidal-14x14", "complete-12", "grid-8x8", "cycle-square-7", "s239"])
+def test_scene_pairs_match_point_location(build):
+    kernel = KernelScene(build())
+    polygons = kernel.polygons
+    for a, b in sorted(_box_overlaps(kernel, sorted(polygons))):
+        p, q = polygons[a], polygons[b]
+        assert classify_pair(p, q) == reference_classify(p, q), (a, b)
