@@ -159,9 +159,9 @@ def _lift_scene(g: Graph, padded: Graph, arr: Arrangement, delta: Fraction) -> S
 
 def _pad_to_min_degree3(g: Graph) -> Graph:
     """g plus a dummy K4, each vertex of degree d < 3 joined to 3 - d of
-    its vertices; g itself when its minimum degree is 3."""
+    its vertices; g itself when it has vertices, all of degree 3 or more."""
     low = [v for v in g.vertices if g.degree(v) < 3]
-    if not low:
+    if g.vertices and not low:
         return g
     k4 = dummy_labels(g, 4)
     pads = [(v, d) for v in low for d in k4[:3 - g.degree(v)]]

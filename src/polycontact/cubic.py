@@ -226,6 +226,8 @@ def _perfect_matching(vertices, edges, forced=()):
 
 def petersen_decompose(g: Graph) -> PetersenDecomposition:
     """Perfect matching plus vertex-disjoint cycles covering a 2EC cubic graph."""
+    if not g.vertices:
+        raise ConstructionError("graph is empty: the cubic classes need vertices")
     bridges = find_bridges(g)
     if bridges:
         b = sorted(tuple(sorted(e)) for e in bridges)[0]
@@ -989,17 +991,18 @@ def _wheel_scene_part(plan: _WheelPlan, vb_label, pt, polygons, contacts,
 
 
 def _pad_stubs(g: Graph) -> Graph:
-    """g, not cubic, made cubic: each missing degree (a stub) gets its own
-    dummy vertex.  With s stubs, s >= 3 dummies are joined in a cycle;
-    s = 2 dummies are the ends of the missing edge of a dummy K4 minus an
-    edge, and s = 1 is joined to both ends of that missing edge."""
+    """g, not cubic or empty, made cubic: each missing degree (a stub) gets
+    its own dummy vertex.  With s stubs, s >= 3 dummies are joined in a
+    cycle; s = 2 dummies are the ends of the missing edge of a dummy K4
+    minus an edge, s = 1 is joined to both ends of that missing edge, and
+    s = 0 (the empty graph) is that edge: g plus a dummy K4."""
     # most stubs first, then every other place on the cycle: two stubs of a
     # vertex with one edge are never neighbours there when s >= 4, so a
     # bridge to it has a foot that is not an edge
     stubs = sorted((v for v in g.vertices for _ in range(3 - g.degree(v))), key=g.degree)
     s = len(stubs)
     stubs[::2], stubs[1::2] = stubs[:(s + 1) // 2], stubs[(s + 1) // 2:]
-    d = dummy_labels(g, s + {1: 4, 2: 2}.get(s, 0))
+    d = dummy_labels(g, s + {0: 4, 1: 4, 2: 2}.get(s, 0))
     pads = list(zip(stubs, d))
     if s >= 3:
         pads += [(d[i - 1], d[i]) for i in range(s)]
@@ -1008,6 +1011,8 @@ def _pad_stubs(g: Graph) -> Graph:
         pads += [(a, c), (a, e), (b, c), (b, e), (c, e)]
         if s == 1:
             pads += [(d[0], a), (d[0], b)]
+        elif s == 0:
+            pads.append((a, b))
     return Graph(vertices=g.vertices + tuple(d),
                  edges=g.edges | frozenset(edge_key(u, v) for u, v in pads))
 
@@ -1015,16 +1020,16 @@ def _pad_stubs(g: Graph) -> Graph:
 def represent_max_degree3(g: Graph) -> Scene:
     """Triangles for graphs of maximum degree 3.
 
-    A cubic graph is `represent_cubic`'s.  Any other is padded to a cubic
-    one by `_pad_stubs`, and the cubic scene, on the padded graph's own
-    grid, is retracted to it (`scene.retract`): a vertex of degree below 3
-    keeps its real contacts and pulls the others into its triangle.  Only
-    retracted scenes are certified.
+    A cubic graph is `represent_cubic`'s.  Any other, the empty graph too,
+    is padded to a cubic one by `_pad_stubs`, and the cubic scene, on the
+    padded graph's own grid, is retracted to it (`scene.retract`): a vertex
+    of degree below 3 keeps its real contacts and pulls the others into its
+    triangle.  Only retracted scenes are certified.
     """
     bad = [v for v in g.vertices if g.degree(v) > 3]
     if bad:
         raise ConstructionError(f"vertices of degree > 3: {bad}")
-    if g.is_regular(3):
+    if g.vertices and g.is_regular(3):
         return represent_cubic(g)
     return _certified_cubic(_pad_stubs(g), lambda scene: retract(
         g, scene, dict(scene.meta, construction="max-degree-3")))

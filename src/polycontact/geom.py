@@ -239,6 +239,17 @@ def polygon_properties(poly: Polygon3) -> PolygonProperties:
     O(k^2) scan of non-adjacent edge pairs, which finds and names the fault.
     A fold back at a corner puts a neighbour on a non-adjacent edge, so the
     scan needs no separate spike test.  Duplicate corners are equal tuples.
+
+    A triangle that passes the duplicate and plane checks is certified by
+    its plane, with no walk.  Its plane is (n, n.a) for n a positive
+    multiple of (b - a) x (c - a), so n.b - n.a = n.(b - a) = 0 and likewise
+    for c: exactly, all three corners lie on it.  Each turn of the projected
+    triangle is twice its signed area, the same at every corner, and that
+    area is a positive multiple of n's entry on the dropped axis, its
+    largest, which is not 0.  So the turns share one nonzero sign; the
+    edges' x-components sum to 0 and are not all 0, so the nonzero ones
+    change sign exactly twice; and `_winds_once` would accept it, with no
+    zero turn: planar, simple and strictly convex.
     """
     props = PolygonProperties()
     cs = poly.corners
@@ -260,6 +271,9 @@ def polygon_properties(poly: Polygon3) -> PolygonProperties:
 
     if plane is None:
         props.issues.append("fewer than 3 corners" if n < 3 else "all corners collinear")
+        return props
+    if n == 3:
+        props.planar = props.simple = props.convex = props.strictly_convex = True
         return props
     (nx, ny, nz), d = plane
     for x, y, z in cs:

@@ -50,15 +50,19 @@ def _coordinate(rec: dict, axis: str) -> Fraction:
 def scene_to_json(scene: Scene) -> dict:
     point_ids = {}
     points = []
+    by_object = {}  # id(point object) -> its point id; the scene holds each
 
-    # a point is keyed by the strings it is written as
+    # a point is keyed by the strings it is written as, each object read once
     def pid(p):
-        key = tuple(map(_ratio, p))
-        ident = point_ids.get(key)
+        ident = by_object.get(id(p))
         if ident is None:
-            ident = point_ids[key] = f"p{len(points)}"
-            x, y, z = key
-            points.append({"id": ident, "x": x, "y": y, "z": z})
+            key = tuple(map(_ratio, p))
+            ident = point_ids.get(key)
+            if ident is None:
+                ident = point_ids[key] = f"p{len(points)}"
+                x, y, z = key
+                points.append({"id": ident, "x": x, "y": y, "z": z})
+            by_object[id(p)] = ident
         return ident
 
     polygons = []

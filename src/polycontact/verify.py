@@ -105,7 +105,12 @@ class KernelScene:
     tuple (scaling by L > 0 is one-to-one, so equal points and only those
     share an id and a tuple): `index[point]` is its id, `ids[label]` holds a
     polygon's corner ids (`corner_sets[label]` as a set) and
-    `contact_ids[key]` a contact's id.
+    `contact_ids[key]` a contact's id.  A graph contact point is usually
+    one object held three times, as a corner of two polygons and as the
+    contact, so occurrences are grouped by object first: the finiteness
+    test, `as_integer_ratio` and the scaling run once per distinct object.
+    The scene holds every object through the call, so identity is only a
+    shortcut; interning stays by value, in first-seen order.
 
     On the ints the polygon checks, point location and the interval test
     of crossing pairs divide nothing.  `Fraction`s are built where two
@@ -115,18 +120,19 @@ class KernelScene:
     """
 
     def __init__(self, scene: Scene):
+        points = _point_objects(scene.polygons, scene.contacts)
+        bad = {i for i, p in points.items() if not _finite(p)}
         self.nonfinite_polygons = {label for label, poly in scene.polygons.items()
-                                   if not all(map(_finite, poly.corners))}
-        self.nonfinite_contacts = {k for k, p in scene.contacts.items()
-                                   if not _finite(p)}
+                                   if not bad.isdisjoint(map(id, poly.corners))}
+        self.nonfinite_contacts = {k for k, p in scene.contacts.items() if id(p) in bad}
         self.polygons = {label: poly for label, poly in scene.polygons.items()
                          if label not in self.nonfinite_polygons}
-        self.contacts = {k: tuple(p) for k, p in scene.contacts.items()
-                         if k not in self.nonfinite_contacts}
-        points = [c for poly in self.polygons.values() for c in poly.corners]
-        points += self.contacts.values()
+        contacts = {k: p for k, p in scene.contacts.items()
+                    if k not in self.nonfinite_contacts}
+        if bad:
+            points = _point_objects(self.polygons, contacts)
         ratios = [(x.as_integer_ratio(), y.as_integer_ratio(), z.as_integer_ratio())
-                  for x, y, z in points]
+                  for x, y, z in points.values()]
         dens = {den for r in ratios for _, den in r}
         self.scale = math.lcm(*dens)
         factor = {den: self.scale // den for den in dens}
@@ -135,15 +141,15 @@ class KernelScene:
         self.index = index = {}  # point -> id, in first-seen order
         for k in keys:
             index.setdefault(k, len(index))
-        ids = iter([index[k] for k in keys])
-        self.ids = {label: tuple(next(ids) for _ in poly.corners)
+        pid = {i: index[k] for i, k in zip(points, keys)}  # id(object) -> point id
+        self.ids = {label: tuple(pid[id(c)] for c in poly.corners)
                     for label, poly in self.polygons.items()}
-        self.contact_ids = {k: next(ids) for k in self.contacts}
-        self._own = dict(zip(keys, points))  # int point -> a scene point of it
+        self.contact_ids = {k: pid[id(p)] for k, p in contacts.items()}
+        self._own = dict(zip(keys, points.values()))  # int point -> a scene point of it
         scaled = list(index)
         self.polygons = {label: Polygon3(tuple(scaled[i] for i in self.ids[label]))
                          for label in self.polygons}
-        self.contacts = {k: scaled[self.contact_ids[k]] for k in self.contacts}
+        self.contacts = {k: scaled[self.contact_ids[k]] for k in contacts}
         self.corner_sets = {label: frozenset(ids) for label, ids in self.ids.items()}
 
     def unscale(self, p) -> tuple:
@@ -153,6 +159,14 @@ class KernelScene:
         if own is not None:
             return tuple(x if type(x) is Fraction else Fraction(x) for x in own)
         return tuple(Fraction(x, self.scale) for x in p)
+
+
+def _point_objects(polygons: dict, contacts: dict) -> dict:
+    """id(p) -> p for each corner and contact point object p, in first-seen
+    order.  The caller holds every object, so no id is reused."""
+    points = {id(c): c for poly in polygons.values() for c in poly.corners}
+    points.update((id(p), p) for p in contacts.values())
+    return points
 
 
 def _ratio(x) -> tuple:
@@ -325,6 +339,7 @@ def _reconstruct(scene: Scene, kernel: KernelScene, shared: dict,
     # then check corner incidence matches block membership exactly.
     h = scene.structure
     recon = {}
+    labels = sorted(kernel.polygons)
     for v in h.vertices:
         want = scene.polygons_for_contact(v)
         if v in kernel.nonfinite_contacts:
@@ -334,7 +349,7 @@ def _reconstruct(scene: Scene, kernel: KernelScene, shared: dict,
             continue
         p, pid = contacts[v], kernel.contact_ids[v]
         ok = True
-        for label in sorted(kernel.polygons):
+        for label in labels:
             is_corner = pid in kernel.corner_sets[label]
             if label in want and not is_corner:
                 report.violations.append(Finding(
@@ -423,7 +438,7 @@ def grid_extent(scene: Scene) -> GridExtent:
 
     This is the grid-line counting convention (a drawing in the xy-plane
     has z-extent 1).  Each axis counts the distinct (numerator,
-    denominator) pairs of its values.
+    denominator) pairs of its values, read once per point object.
     """
-    pts = list(scene.all_points())
+    pts = {id(p): p for p in scene.all_points()}.values()
     return GridExtent(*(len({_ratio(p[i]) for p in pts}) for i in range(3)))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import hypothesis
 import pytest
 
-from polycontact import Graph, OnePlaneEmbedding, Polygon3, edge_key, graph_scene
+from polycontact import Graph, OnePlaneEmbedding, Polygon3, Scene, edge_key, graph_scene
 
 # HYPOTHESIS_PROFILE=ci runs more examples in a fixed order
 hypothesis.settings.register_profile("suite", deadline=None, max_examples=60)
@@ -94,6 +94,16 @@ def merged_fan(edges):
     return graph_scene(Graph.from_edges(edges, vertices=sorted(polygons)), polygons,
                        {edge_key(u, v): origin for u, v in edges},
                        {"construction": "test", "arithmetic": "exact"})
+
+
+def fresh_points(scene):
+    """The scene with every corner and contact a new object of equal value,
+    and every other contact a list."""
+    polygons = {label: Polygon3(corners=tuple(tuple(list(c)) for c in poly.corners))
+                for label, poly in scene.polygons.items()}
+    contacts = {k: list(p) if i % 2 else tuple(list(p))
+                for i, (k, p) in enumerate(scene.contacts.items())}
+    return Scene(scene.kind, scene.structure, polygons, contacts, scene.meta)
 
 
 # ---------------------------------------------------------------------------

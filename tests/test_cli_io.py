@@ -22,7 +22,7 @@ from polycontact.export import scene_to_obj, scene_to_svg
 from polycontact.sceneio import _dumps, read_scene, write_scene
 from polycontact.verify import grid_extent
 
-from conftest import gadget_chain
+from conftest import fresh_points, gadget_chain
 
 _PETERSEN = "".join(f"{i} {(i + 1) % 5}\n{i} {i + 5}\n{i + 5} {(i + 2) % 5 + 5}\n"
                     for i in range(5))
@@ -313,6 +313,15 @@ class TestPointIds:
         assert doc["contacts"][0]["point"] == "p0"
 
 
+    @pytest.mark.parametrize("build", [lambda: represent_complete(5), represent_fano],
+                             ids=["k5", "fano"])
+    def test_equal_objects_write_as_one_shared(self, build):
+        # the writer reads each point object once; distinct but equal
+        # objects, contacts as lists too, still get one id and the same bytes
+        scene = build()
+        assert _dumps(scene_to_json(fresh_points(scene))) == _dumps(scene_to_json(scene))
+
+
 class TestExport:
     def test_obj_precision(self):
         scene = represent_fano()
@@ -443,6 +452,29 @@ class TestCli:
         out = tmp_path / "p.json"
         assert main(["represent", "--class", "mindeg3", "--input", str(edges),
                      "-o", str(out)]) == 0
+
+    @pytest.mark.parametrize("cls, written", [
+        ("mindeg3", True), ("maxdeg3", True), ("bipartite-grid", True),
+        ("bipartite-toroidal", True), ("cubic", False), ("cubic-2ec", False),
+    ])
+    def test_graph_with_no_vertices(self, cls, written, tmp_path, capsys):
+        # the classes that pad write an empty scene that certifies; the
+        # cubic classes name the empty graph and exit 3
+        edges = tmp_path / "empty.edges"
+        edges.write_text("")
+        out = tmp_path / "empty.json"
+        rc = main(["represent", "--class", cls, "--input", str(edges), "-o", str(out)])
+        err = capsys.readouterr().err
+        if not written:
+            assert rc == 3 and not out.exists()
+            assert err == "construction error: graph is empty: the cubic classes need vertices\n"
+            return
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["points"] == doc["polygons"] == doc["contacts"] == []
+        assert main(["verify", str(out), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] and report["contacts"] == 0 and report["violations"] == []
 
     def test_oneplanar_embedding_file(self, tmp_path):
         emb = tmp_path / "k4x.json"

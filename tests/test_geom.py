@@ -662,3 +662,74 @@ def test_exact_certificate_matches_scan(poly):
     assert props == _scanned(poly), poly.corners
     if props.convex:
         assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# Triangles certified by their plane, against the walk
+# ---------------------------------------------------------------------------
+
+
+def _walked(poly):
+    """`polygon_properties` with no triangle certificate: the coplanarity
+    loop, the turn list and `_winds_once`, then the turn count (a triangle
+    has no non-adjacent edges, so the scan finds nothing)."""
+    props = geom.PolygonProperties()
+    cs = poly.corners
+    n = len(cs)
+    props.plane = plane = geom._plane_of(cs)
+    if plane is not None:
+        props.axis = geom._drop_axis(plane[0])
+        pts = [geom.project2d(c, props.axis) for c in cs]
+        area2 = sum(geom.cross2(pts[0], a, b) for a, b in zip(pts[1:-1], pts[2:]))
+        props.flat = tuple(pts) if area2 > 0 else tuple(reversed(pts))
+    props.issues += [f"duplicate corners {i} and {j}" for i in range(n)
+                     for j in range(i + 1, n) if cs[i] == cs[j]]
+    if props.issues:
+        props.planar = True
+        return props
+    if plane is None:
+        props.issues.append("fewer than 3 corners" if n < 3 else "all corners collinear")
+        return props
+    normal, d = plane
+    if any(geom.vdot(normal, c) != d for c in cs):
+        props.issues.append("corners not coplanar")
+        return props
+    props.planar = True
+    turns = [geom._sign(geom.cross2(pts[i - 1], pts[i], pts[(i + 1) % n])) for i in range(n)]
+    if geom._winds_once(pts, turns):
+        props.simple = props.convex = True
+        props.strictly_convex = 0 not in turns
+        return props
+    props.simple = True
+    props.convex = not (1 in turns and -1 in turns)
+    props.strictly_convex = props.convex and 0 not in turns
+    return props
+
+
+@st.composite
+def triangles(draw):
+    """Three corners from a small grid: general, with a corner repeated, or
+    collinear, in any order, as ints or as Fractions over 1, 2 or 3."""
+    point = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
+    kind = draw(st.sampled_from(("general", "repeated", "collinear")))
+    a, b = draw(point), draw(point)
+    if kind == "general":
+        c = draw(point)
+    elif kind == "repeated":
+        c = draw(st.sampled_from((a, b)))
+    else:
+        t = draw(st.integers(-2, 3))
+        c = tuple(x + t * (y - x) for x, y in zip(a, b))
+    corners = draw(st.permutations((a, b, c)))
+    den = draw(st.sampled_from((None, 1, 2, 3)))
+    if den is not None:
+        corners = [tuple(F(x, den) for x in p) for p in corners]
+    return Polygon3(tuple(corners))
+
+
+@given(triangles())
+def test_triangle_certificate_matches_the_walk(poly):
+    """Every field of a triangle's record (flags, issues, plane, axis and
+    flat) equals the walk's.  This fails if the certificate runs before the
+    duplicate or plane checks, or leaves any flag False."""
+    assert polygon_properties(poly) == _walked(poly), poly.corners

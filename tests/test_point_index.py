@@ -5,7 +5,9 @@ contacts by id: two points match exactly when they are equal, however
 close two unequal ones are.  Every report here must equal
 `reference_verify`'s, which compares points pair by pair.  The reference
 also classifies every pair, so scenes with far-apart polygons hold the
-verifier's broad phase to it as well.
+verifier's broad phase to it as well.  Points are converted once per
+object, so a scene rebuilt with every point a fresh object must index,
+verify and measure as the scene that shares them.
 """
 
 import random
@@ -20,7 +22,8 @@ from polycontact import (Graph, Polygon3, Scene, complete_bipartite, edge_key, g
                          represent_2ec_cubic, represent_bipartite_toroidal,
                          represent_complete, represent_cubic,
                          represent_cycle_square, represent_fano, verify_scene)
-from conftest import gadget_chain, merged_fan
+from polycontact.verify import KernelScene, grid_extent
+from conftest import fresh_points, gadget_chain, merged_fan
 from oracle_geom import oracle_classify
 from reference_verify import reference_verify
 
@@ -226,3 +229,24 @@ class TestMutationFuzz:
             p, q = scene.polygons[a], scene.polygons[b]
             if {a, b} & changed and len(p.corners) == len(q.corners) == 3:
                 assert kind == oracle_classify(p, q), (a, b)
+
+
+# ---------------------------------------------------------------------------
+# Shared point objects against fresh ones
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["k5", "cubic-2ec-8", "toroidal-k44", "fano"])
+def test_fresh_point_objects_index_as_shared_ones(name):
+    shared = _base(name)
+    fresh = fresh_points(shared)
+    occurrences = [c for poly in fresh.polygons.values() for c in poly.corners]
+    occurrences += fresh.contacts.values()
+    assert len({id(p) for p in occurrences}) == len(occurrences)
+    objects = {id(c) for poly in shared.polygons.values() for c in poly.corners}
+    assert len(objects) < len(occurrences)  # the constructed scene shares points
+    a, b = KernelScene(shared), KernelScene(fresh)
+    assert a.scale == b.scale
+    assert list(a.index.items()) == list(b.index.items())
+    assert (a.ids, a.contact_ids, a.corner_sets) == (b.ids, b.contact_ids, b.corner_sets)
+    assert verify_scene(fresh) == verify_scene(shared)
+    assert grid_extent(fresh) == grid_extent(shared)
