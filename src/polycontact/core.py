@@ -86,17 +86,27 @@ class Graph:
         return all(self.degree(v) == d for v in self.vertices)
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
+        return len(components(self.vertices, self.neighbors)) <= 1
+
+
+def components(vertices, neighbors) -> list:
+    """The components of the graph on `vertices` whose edges at v are
+    `neighbors(v)`, as frozensets in order of their first vertex."""
+    comps = []
+    seen = set()
+    for s in vertices:
+        if s in seen:
+            continue
+        comp = {s}
+        stack = [s]
         while stack:
-            v = stack.pop()
-            for w in self.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
+            for w in neighbors(stack.pop()):
+                if w not in comp:
+                    comp.add(w)
                     stack.append(w)
-        return len(seen) == self.n
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
 
 
 def find_bridges(g: Graph) -> set:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .core import Graph, edge_key, find_bridges
+from .core import Graph, components, edge_key, find_bridges
 from .geom import Polygon3
 from .planar import PlaneGraph
 from .scene import ConstructionError, Scene, dummy_labels, graph_scene, retract
@@ -58,24 +58,8 @@ def bridge_block_tree(g: Graph) -> BridgeBlockTree:
     if not g.is_connected():
         raise ConstructionError("graph is not connected")
     bridges = find_bridges(g)
-    comp_of = {}
-    comps = []
-    for start in g.vertices:
-        if start in comp_of:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in g.neighbors(v):
-                if edge_key(v, w) in bridges or w in comp:
-                    continue
-                comp.add(w)
-                stack.append(w)
-        idx = len(comps)
-        comps.append(frozenset(comp))
-        for v in comp:
-            comp_of[v] = idx
+    comps = components(g.vertices, lambda v: [
+        w for w in g.neighbors(v) if edge_key(v, w) not in bridges])
     return BridgeBlockTree(components=comps, bridges=bridges)
 
 
@@ -600,12 +584,9 @@ def _try_wheel_plan(idx, cut, feet, core, reduced_edges, matching, reasons):
                       cycles=rotated, slots=slots, apex=apex)
 
 
-def _build_floorplan(g: Graph, bbt: BridgeBlockTree, plans=None):
-    """Assemble the global plane graph H and per-component bookkeeping.
-
-    `plans` holds one plan per component; by default each component's
-    first workable plan.
-    """
+def _build_floorplan(g: Graph, bbt: BridgeBlockTree, plans):
+    """Assemble the global plane graph H from one plan per component:
+    (H, vb_label), vb_label naming each bridge's vertex in H."""
     H = PlaneGraph()
     vb_label = {}
     for bi, b in enumerate(sorted(bbt.bridges, key=lambda e: tuple(sorted(e)))):
@@ -613,10 +594,6 @@ def _build_floorplan(g: Graph, bbt: BridgeBlockTree, plans=None):
     for lbl in vb_label.values():
         H.add_vertex(lbl)
     vb_sides = {lbl: {} for lbl in vb_label.values()}  # label -> {comp: [darts]}
-
-    if plans is None:
-        plans = [next(_component_plans(g, idx, comp, bbt.bridges))
-                 for idx, comp in enumerate(bbt.components)]
 
     for plan in plans:
         if plan.kind == "vertex":
@@ -632,7 +609,7 @@ def _build_floorplan(g: Graph, bbt: BridgeBlockTree, plans=None):
         for ci in sorted(sides):
             rot.extend(sides[ci])
         H.rotation[lbl] = rot
-    return H, plans, vb_label
+    return H, vb_label
 
 
 def _embed_vertex_comp(H, g, plan, vb_label, vb_sides):
@@ -847,30 +824,26 @@ def _certified_cubic(g: Graph, finish) -> Scene:
     if not bbt.bridges:
         return certify([finish(_2ec_cubic_scene(g))])
 
-    H, plans, vb_label = _build_floorplan(g, bbt)
-    searches = {}
+    searches = [_component_plans(g, i, comp, bbt.bridges)
+                for i, comp in enumerate(bbt.components)]
+    plans = [next(search) for search in searches]
     while True:
+        H, vb_label = _build_floorplan(g, bbt, plans)
         scene, lifted = _draw_floorplan(g, H, plans, vb_label)
         try:
             return certify([finish(scene)])
         except ConstructionError:
             pass
         # the scene does not certify: move a lifted component, or else another
-        # one, on to its next workable plan; a component's search starts on
-        # first need and skips the plan drawn first
+        # one, on to its next workable plan
         first = sorted({idx for idx, _ in lifted})
         for i in first + [i for i in range(len(plans)) if i not in first]:
-            if i not in searches:
-                searches[i] = _component_plans(g, i, bbt.components[i],
-                                               bbt.bridges)
-                next(searches[i])
             plan = next(searches[i], None)
             if plan is not None:
                 plans[i] = plan
                 break
         else:
             raise ConstructionError("no workable plan gives a scene that certifies")
-        H, plans, vb_label = _build_floorplan(g, bbt, plans)
 
 
 def _draw_floorplan(g: Graph, H, plans, vb_label):
@@ -992,20 +965,26 @@ def _wheel_scene_part(plan: _WheelPlan, vb_label, pt, polygons, contacts,
 
 def _pad_stubs(g: Graph) -> Graph:
     """g, not cubic or empty, made cubic: each missing degree (a stub) gets
-    its own dummy vertex.  With s stubs, s >= 3 dummies are joined in a
-    cycle; s = 2 dummies are the ends of the missing edge of a dummy K4
-    minus an edge, s = 1 is joined to both ends of that missing edge, and
-    s = 0 (the empty graph) is that edge: g plus a dummy K4."""
-    # most stubs first, then every other place on the cycle: two stubs of a
-    # vertex with one edge are never neighbours there when s >= 4, so a
-    # bridge to it has a foot that is not an edge
+    its own dummy vertex.  With s stubs, s >= 4 dummies are joined in a
+    cycle; s = 3 dummies d0, d1, d2 and two more, x and y, form the 5-cycle
+    d0 x d2 y d1 with the chord x y, so d0 and d2 are not neighbours; s = 2
+    dummies are the ends of the missing edge of a dummy K4 minus an edge,
+    s = 1 is joined to both ends of that missing edge, and s = 0 (the empty
+    graph) is that edge: g plus a dummy K4.  The padded order is at most
+    max(4n, n + 5)."""
+    # most stubs first, then every other place: the two stubs of a vertex
+    # with one edge are never neighbours on the cycle when s >= 4, and take
+    # d0 and d2 when s = 3, so a bridge to it has a foot that is not an edge
     stubs = sorted((v for v in g.vertices for _ in range(3 - g.degree(v))), key=g.degree)
     s = len(stubs)
     stubs[::2], stubs[1::2] = stubs[:(s + 1) // 2], stubs[(s + 1) // 2:]
-    d = dummy_labels(g, s + {0: 4, 1: 4, 2: 2}.get(s, 0))
+    d = dummy_labels(g, s + {0: 4, 1: 4, 2: 2, 3: 2}.get(s, 0))
     pads = list(zip(stubs, d))
-    if s >= 3:
+    if s >= 4:
         pads += [(d[i - 1], d[i]) for i in range(s)]
+    elif s == 3:
+        x, y = d[3:]
+        pads += [(d[0], x), (x, d[2]), (d[2], y), (y, d[1]), (d[1], d[0]), (x, y)]
     else:
         a, b, c, e = d[-4:]  # K4 minus ab
         pads += [(a, c), (a, e), (b, c), (b, e), (c, e)]

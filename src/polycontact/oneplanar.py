@@ -257,7 +257,9 @@ def represent_oneplanar_cubic(emb: OnePlaneEmbedding) -> Scene:
                 continue
             _subdivide(work, eid, ("s", subdivided))
             subdivided += 1
-    outer_walk = _refind_face(work, outer)
+    # each parallel class keeps its copy on the outer walk, so some outer
+    # dart survives the subdivisions and the face is traced from it
+    outer_walk = work.face(next(d for d in outer if d[0] in work.endpoints))
 
     pos = schnyder_draw(work, outer_walk)
 
@@ -300,17 +302,3 @@ def _subdivide(pg: PlaneGraph, eid, new_vertex):
     pg.rotation[new_vertex] = [(a, 1), (b, 0)]
     pg.rotation[u][iu] = (a, 0)
     pg.rotation[v][iv] = (b, 1)
-
-
-def _refind_face(pg: PlaneGraph, old_walk):
-    """Re-locate a face after subdivisions using a surviving dart."""
-    alive = [d for d in old_walk if d[0] in pg.endpoints]
-    if not alive:
-        raise ConstructionError("outer face lost in subdivision")
-    d0 = alive[0]
-    walk = [d0]
-    d = pg.next_in_face(d0)
-    while d != d0:
-        walk.append(d)
-        d = pg.next_in_face(d)
-    return walk

@@ -4,13 +4,17 @@ A dart is (edge_id, end) with end 0 leaving endpoints[edge_id][0] and end 1
 leaving endpoints[edge_id][1].  Rotations list the darts leaving each vertex
 in counterclockwise order.  Faces are traced with the interior on the left:
 the dart after d in its face is the rotation predecessor of rev(d) at the
-head of d.  An embedding is planar (genus zero) iff V - E + F = 1 + C.
+head of d.  An embedding is planar (genus zero) iff every component with an
+edge has V - E + F = 2 and every isolated vertex 1, that is iff
+V - E + F = 2C - (isolated vertices) over the whole graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
+
+from .core import components
 
 
 class EmbeddingError(ValueError):
@@ -111,55 +115,40 @@ class PlaneGraph:
             seen.add(k)
         return False
 
-    def faces(self):
-        """All face walks, each a list of darts."""
-        darts = [(eid, end) for eid in self.endpoints for end in (0, 1)]
-        unused = set(darts)
-        out = []
-        for d0 in darts:
-            if d0 not in unused:
-                continue
-            walk = []
-            d = d0
-            while True:
-                walk.append(d)
-                unused.discard(d)
-                d = self.next_in_face(d)
-                if d == d0:
-                    break
-                if len(walk) > 4 * len(darts):
-                    raise EmbeddingError("face tracing does not close")
-            out.append(walk)
-        return out
+    def face(self, dart):
+        """The walk of the face left of `dart`, starting there.  A face has
+        at most 2E darts, so a walk that runs longer never closes: the
+        rotations are not a permutation of the darts."""
+        walk = [dart]
+        d = self.next_in_face(dart)
+        while d != dart:
+            walk.append(d)
+            if len(walk) > 2 * len(self.endpoints):
+                raise EmbeddingError("face tracing does not close")
+            d = self.next_in_face(d)
+        return walk
 
-    def connected_components(self):
-        comps = []
-        seen = set()
-        for s in self.rotation:
-            if s in seen:
-                continue
-            comp = {s}
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for w in self.neighbors(v):
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(comp)
-        return comps
+    def faces(self):
+        """All face walks, each starting at its first dart in edge order."""
+        out = []
+        traced = set()
+        for eid in self.endpoints:
+            for d in ((eid, 0), (eid, 1)):
+                if d not in traced:
+                    out.append(self.face(d))
+                    traced.update(out[-1])
+        return out
 
     def check_planar(self) -> list:
         """The face walks (`faces()`); raise unless the rotation system is
-        a genus-zero embedding.  Faces are traced per component, so each
-        component with an edge has V - E + F = 2 and an isolated vertex 1:
-        genus zero is V - E + F = C + (components with an edge)."""
+        a genus-zero embedding.  The count check: faces are traced per
+        component, so each component with an edge has V - E + F = 2 and an
+        isolated vertex 1, and genus zero is V - E + F = 2C - isolated."""
         faces = self.faces()
         v = len(self.rotation)
         e = len(self.endpoints)
         f = len(faces)
-        c = len(self.connected_components())
+        c = len(components(self.rotation, self.neighbors))
         isolated = sum(1 for r in self.rotation.values() if not r)
         if v - e + f != 2 * c - isolated:
             raise EmbeddingError(
@@ -247,10 +236,13 @@ def triangulate_face(pg: PlaneGraph, walk, counter):
 def triangulate(pg: PlaneGraph, outer_walk, faces):
     """Fully triangulate a simple connected plane graph.
 
-    `faces` are pg's face walks (`pg.faces()`).  Returns (graph copy, outer
-    triangle vertices).  The outer triangle is one of the faces created
-    inside the given outer walk (the walk itself when it is already a
-    triangle).
+    `faces` are pg's face walks (`pg.check_planar()`).  Returns (graph copy,
+    outer triangle vertices).  The outer triangle is one of the faces
+    created inside the given outer walk (the walk itself when it is already
+    a triangle).  No face is traced again: every chord and stellation
+    splits a walk in hand and leaves triangles, and the count check
+    E = 3V - 6 confirms it, since on a connected genus-zero embedding with
+    no face shorter than 3 it holds exactly when every face is a triangle.
     """
     work = pg.copy()
     counter = [0]
@@ -291,9 +283,7 @@ def triangulate(pg: PlaneGraph, outer_walk, faces):
                 counter[0] += 1
                 stellate(work, w, s)
                 # stellation triangulated the face; outer triangle = first one
-                rot = work.rotation[s]
-                d0 = rot[0]
-                w = [d0, work.next_in_face(d0), work.next_in_face(work.next_in_face(d0))]
+                w = work.face(work.rotation[s][0])
             if len(w) == 3:
                 break
         outer_triangle = [work.tail(d) for d in w]
@@ -302,10 +292,9 @@ def triangulate(pg: PlaneGraph, outer_walk, faces):
         if k == outer_idx:
             continue
         triangulate_face(work, f, counter)
-    # the outer face region (now partially chorded) may still have big faces
-    remaining = [f for f in work.faces() if len(f) > 3]
-    for f in remaining:
-        triangulate_face(work, f, counter)
 
-    work.check_planar()
+    v, e = len(work.rotation), len(work.endpoints)
+    if e != 3 * v - 6:
+        raise EmbeddingError(f"triangulation left a face of more than 3 "
+                             f"darts: V={v} E={e}")
     return work, outer_triangle

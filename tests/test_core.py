@@ -5,6 +5,7 @@ import pytest
 from polycontact import (InputError, SteinerDescriptor, blocks_from_text,
                          builtin_descriptor, builtin_system,
                          graph_from_edge_list, validate_steiner)
+from polycontact.core import components
 
 
 class TestEdgeList:
@@ -50,6 +51,21 @@ class TestEdgeList:
         assert g1.degree("x") == 0 and g1.neighbors("x") == []
         assert g1 == g2 and hash(g1) == hash(g2)
         assert repr(g1) == repr(g2)
+
+
+class TestComponents:
+    def test_first_vertex_order(self):
+        g = graph_from_edge_list("c d\na b\nd e\nf g")
+        nbrs = {v: g.neighbors(v) for v in g.vertices}
+        order = ["b", "f", "x", "e", "a", "c", "d", "g"]
+        nbrs["x"] = []
+        assert components(order, nbrs.__getitem__) == [
+            frozenset("ab"), frozenset("fg"), frozenset("x"), frozenset("cde")]
+
+    def test_is_connected(self):
+        assert graph_from_edge_list("").is_connected()
+        assert graph_from_edge_list("a b\nb c").is_connected()
+        assert not graph_from_edge_list("a b\nc d").is_connected()
 
 
 class TestBuiltinSystems:

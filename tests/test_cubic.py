@@ -493,6 +493,22 @@ def test_bridged_cubic_family(seed):
     assert ext.gx <= claim["x"] and ext.gy <= claim["y"] and ext.gz <= claim["z"]
 
 
+def test_bridge_block_tree_components_on_bridged_seeds():
+    # the 2-edge-connected components are the components left when the
+    # bridges are cut, in order of their first vertex
+    import networkx as nx
+    for seed in range(180):
+        g = bridged_cubic(seed)
+        bbt = bridge_block_tree(g)
+        cut = nx.Graph()
+        cut.add_nodes_from(g.vertices)
+        cut.add_edges_from(tuple(e) for e in g.edges - bbt.bridges)
+        first = {v: i for i, v in enumerate(g.vertices)}
+        want = sorted(nx.connected_components(cut),
+                      key=lambda c: min(first[v] for v in c))
+        assert bbt.components == [frozenset(c) for c in want], seed
+
+
 def test_component_plans_have_distinct_matchings():
     # a matching drawn under several foot subsets makes one plan, not many
     for seed in (23, 81, 92):
@@ -612,6 +628,19 @@ class TestMaxDegree3:
                                  + [f"i{j}" for j in range(k)])
             _triangles(represent_max_degree3(g))
 
+    def test_three_stubs_keep_a_pendant_foot_off_an_edge(self):
+        # pendant 9 has two stubs and the subdivided K4 one: 9's dummies
+        # sit apart on the s = 3 gadget, so the foot at 9 is no edge
+        g = graph_from_edge_list(
+            "4 5\n4 7\n4 8\n5 6\n5 8\n6 7\n6 8\n7 9\n"
+            "a b\na c\na d\nb c\nb e\nc d\nd e")
+        assert sum(3 - g.degree(v) for v in g.vertices) == 3
+        padded = cubic._pad_stubs(g)
+        assert padded.n == g.n + 5 and padded.is_regular(3)
+        scene = represent_max_degree3(g)
+        _triangles(scene)
+        assert scene.meta["claimed_grid"] == {"x": 27, "y": 27, "z": 11}
+
     def test_every_connected_subcubic_graph(self):
         # every one certifies with triangles, with no rejection allowed
         accepted = {}
@@ -657,6 +686,6 @@ def test_oversized_floorplan_is_construction_error(monkeypatch):
         rotation = {f"x{i}": [] for i in range(len(g.edges) + 1)}
 
     monkeypatch.setattr(cubic, "_build_floorplan",
-                        lambda g, bbt: (Floorplan(), [], {}))
+                        lambda g, bbt, plans: (Floorplan(), {}))
     with pytest.raises(ConstructionError, match="floorplan has"):
         represent_cubic(g)

@@ -7,9 +7,9 @@ import pytest
 from conftest import all_oneplanar_fixtures, ek, gadget_chain
 
 from polycontact import Graph, OnePlaneEmbedding, represent_cubic, represent_oneplanar_cubic
-from polycontact import schnyder
+from polycontact import planar, schnyder
 from polycontact.oneplanar import build_modified_medial
-from polycontact.planar import PlaneGraph, stellate
+from polycontact.planar import EmbeddingError, PlaneGraph, stellate, triangulate
 from polycontact.schnyder import DrawingError, schnyder_draw, schnyder_positions
 
 
@@ -51,6 +51,25 @@ def octahedron_plane():
     edges = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]
              if anti[u] != v]
     return build(edges, rotations)
+
+
+def cube_plane():
+    # every face is a quad
+    pairs = [("000", "001"), ("001", "011"), ("011", "010"),
+             ("010", "000"), ("100", "101"), ("101", "111"),
+             ("111", "110"), ("110", "100"), ("000", "100"),
+             ("001", "101"), ("011", "111"), ("010", "110")]
+    rotations = {
+        "000": ["001", "100", "010"],
+        "001": ["011", "101", "000"],
+        "011": ["010", "111", "001"],
+        "010": ["011", "000", "110"],
+        "100": ["101", "110", "000"],
+        "101": ["111", "100", "001"],
+        "111": ["011", "110", "101"],
+        "110": ["111", "010", "100"],
+    }
+    return build(pairs, rotations)
 
 
 def drawing_is_planar(pg, pos):
@@ -103,6 +122,25 @@ class TestPlaneGraph:
         pg.check_planar()
         assert len(pg.faces()) == 8
 
+    def test_faces_are_the_walks_face_traces(self):
+        pg = octahedron_plane()
+        faces = pg.faces()
+        assert sorted(d for f in faces for d in f) == sorted(
+            (eid, end) for eid in pg.endpoints for end in (0, 1))
+        for f in faces:
+            assert pg.face(f[0]) == f
+            assert pg.face(f[1]) == f[1:] + f[:1]
+
+    def test_face_off_a_rotation_that_is_no_permutation(self):
+        # x lists its dart to a twice: the walk from x to b comes back into
+        # the two-dart face of x-a and would go round it for ever
+        pg = build([("x", "a"), ("x", "b")], {"x": ["a", "b", "a"],
+                                              "a": ["x"], "b": ["x"]})
+        with pytest.raises(EmbeddingError, match="does not close"):
+            pg.face(pg.dart(pg.edge_between("x", "b"), "x"))
+        with pytest.raises(EmbeddingError, match="does not close"):
+            pg.faces()
+
 
 class TestSchnyder:
     def test_k4(self):
@@ -149,25 +187,47 @@ class TestSchnyder:
 
     def test_quad_face_triangulated(self):
         # cube graph: every face is a quad, so dummy chords are needed
-        pairs = [("000", "001"), ("001", "011"), ("011", "010"),
-                 ("010", "000"), ("100", "101"), ("101", "111"),
-                 ("111", "110"), ("110", "100"), ("000", "100"),
-                 ("001", "101"), ("011", "111"), ("010", "110")]
-        rotations = {
-            "000": ["001", "100", "010"],
-            "001": ["011", "101", "000"],
-            "011": ["010", "111", "001"],
-            "010": ["011", "000", "110"],
-            "100": ["101", "110", "000"],
-            "101": ["111", "100", "001"],
-            "111": ["011", "110", "101"],
-            "110": ["111", "010", "100"],
-        }
-        pg = build(pairs, rotations)
+        pg = cube_plane()
         pg.check_planar()
         pos = schnyder_draw(pg)
         assert drawing_is_planar(pg, pos)
         assert len(pos) == 8
+
+    def test_face_left_open_is_embedding_error(self, monkeypatch):
+        # the count check E = 3V - 6 catches a quadrilateral left behind,
+        # with no face traced after the split
+        pg = cube_plane()
+        faces = pg.check_planar()
+        real = planar.triangulate_face
+        monkeypatch.setattr(planar, "triangulate_face", lambda pg, walk, counter:
+                            None if len(walk) == 4 else real(pg, walk, counter))
+        with pytest.raises(EmbeddingError, match="more than 3 darts"):
+            triangulate(pg, faces[0], faces)
+
+    @pytest.mark.parametrize("plane", [k4_plane, octahedron_plane, cube_plane,
+                                       lambda: prism_medial(6)],
+                             ids=["k4", "octahedron", "cube", "prism-medial-6"])
+    def test_draw_traces_faces_once(self, plane, monkeypatch):
+        pg = plane()
+        calls = []
+        real = PlaneGraph.faces
+        monkeypatch.setattr(PlaneGraph, "faces",
+                            lambda self: calls.append(self) or real(self))
+        schnyder_draw(pg)
+        assert calls == [pg]
+
+    def test_faces_traced_per_build(self, monkeypatch):
+        # once for the floorplan; the 1-plane build also traces the
+        # planarization and the medial graph
+        calls = []
+        real = PlaneGraph.faces
+        monkeypatch.setattr(PlaneGraph, "faces",
+                            lambda self: calls.append(self) or real(self))
+        represent_cubic(gadget_chain(5))
+        assert len(calls) == 1
+        calls.clear()
+        represent_oneplanar_cubic(prism_oneplane(10))
+        assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +391,10 @@ class TestBrokenRealizer:
         self._draw_with(monkeypatch, orphan)
 
 
-def prism_medial(k):
-    """Medial graph of the prism C_k x K2 (3k vertices), with rotations
-    laid out as `conftest.prism_embedding` lays out k = 3: inner cycle
-    1..k, outer cycle k+1..2k, outer face the outer cycle."""
+def prism_oneplane(k):
+    """The prism C_k x K2 with no crossing, its rotations laid out as
+    `conftest.prism_embedding` lays out k = 3: inner cycle 1..k, outer
+    cycle k+1..2k, outer face the outer cycle."""
     inner = [str(i) for i in range(1, k + 1)]
     outer = [str(k + i) for i in range(1, k + 1)]
     edges, rotation = [], {}
@@ -345,10 +405,14 @@ def prism_medial(k):
                               ek(inner[i], inner[prv])]
         rotation[outer[i]] = [ek(outer[i], inner[i]), ek(outer[i], outer[prv]),
                               ek(outer[i], outer[nxt])]
-    emb = OnePlaneEmbedding(
+    return OnePlaneEmbedding(
         graph=Graph.from_edges(edges), rotation=rotation, crossings=frozenset(),
         outer_face=frozenset(ek(outer[i], outer[(i + 1) % k]) for i in range(k)))
-    return build_modified_medial(emb).plane
+
+
+def prism_medial(k):
+    """Medial graph of `prism_oneplane(k)` (3k vertices)."""
+    return build_modified_medial(prism_oneplane(k)).plane
 
 
 def test_prism_medial_60_vertices():
