@@ -11,9 +11,11 @@ or no scene certifies.
 reader of its input; `_build_scene` reads the input and calls the
 constructor.
 
-Each call builds the argument parser for the subcommand it names only
-(`build_parser([name])`); help, no arguments and an unknown command get
-every subcommand.  The output is the same either way.
+A call that names a known subcommand builds that subcommand's parser
+alone (`_parse_args`).  The root parser, with every subcommand
+(`build_parser`), is built only for help, no command, an unknown command
+or arguments the subcommand leaves over; every text and exit code is the
+root parser's either way.  Nothing is kept from one call to the next.
 
 Loading `cli` imports `core`, `geom`, `scene`, `sceneio` and `verify`,
 which every scene-handling subcommand runs.  Any other name the package
@@ -73,6 +75,8 @@ def _edges(args, cls):
 
 
 def _bipartite(args, cls):
+    for opt, size in (("--a", args.a), ("--b", args.b)):
+        _need(size is None or size >= 0, f"{opt} is {size}; a part size is at least 0")
     if args.a is not None and args.b is not None:
         return _m.complete_bipartite(args.a, args.b)
     _need(args.input is not None, "--a/--b or --input required")
@@ -258,31 +262,41 @@ COMMANDS = {
 }
 
 
-def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
-    """The parser with the subcommands `names` (all by default).
-
-    A subcommand's prog, usage and errors do not depend on its siblings.
-    With fewer than all, the root's usage still names every command, so the
-    one error the root can then report (unrecognized arguments) reads the
-    same; with all of them, a missing command is still called "cmd".
-    """
-    ap = argparse.ArgumentParser(prog="polycontact")
-    every = "{" + ",".join(COMMANDS) + "}"
-    sub = ap.add_subparsers(dest="cmd", required=True,
-                            metavar=every if len(names) < len(COMMANDS) else None)
-    for name in names:
-        help_, add_arguments, func = COMMANDS[name]
-        p = sub.add_parser(name, help=help_)
-        add_arguments(p)
-        p.set_defaults(func=func)
+def _command_parser(ap, name):
+    """ap, given the arguments and the command of subcommand `name`."""
+    _, add_arguments, func = COMMANDS[name]
+    add_arguments(ap)
+    ap.set_defaults(func=func)
     return ap
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The root parser, with every subcommand."""
+    ap = argparse.ArgumentParser(prog="polycontact")
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    for name, (help_, _, _) in COMMANDS.items():
+        _command_parser(sub.add_parser(name, help=help_), name)
+    return ap
+
+
+def _parse_args(argv):
+    """argv's namespace.  When argv names a known command, that command's
+    parser alone parses the rest, under the prog the root parser gives it;
+    anything it leaves over, help, no command and an unknown command go to
+    the root parser, so every text and exit code is the root parser's."""
+    if argv and argv[0] in COMMANDS:
+        ap = _command_parser(argparse.ArgumentParser(prog=f"polycontact {argv[0]}"),
+                             argv[0])
+        args, rest = ap.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    ap = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
     try:
-        args = ap.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

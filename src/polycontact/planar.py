@@ -11,6 +11,7 @@ V - E + F = 2C - (isolated vertices) over the whole graph.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -168,18 +169,19 @@ def add_chord(pg: PlaneGraph, walk, i, j):
 
     Returns (eid, walk_a, walk_b): the two sub-face walks after the split.
     """
-    m = len(walk)
-    u = pg.tail(walk[i])
-    v = pg.tail(walk[j])
-    ru = pg.rotation[u]
-    rv = pg.rotation[v]
-    pos_u = ru.index(pg.rev(walk[(i - 1) % m]))
-    pos_v = rv.index(walk[j]) + 1
-    eid = pg.add_edge(u, v, pos_u=pos_u, pos_v=pos_v)
-    c, crev = (eid, 0), (eid, 1)
-    walk_a = [c] + walk[j:] + walk[:i]
-    walk_b = [crev] + walk[i:j]
+    eid = _chord(pg, walk[(i - 1) % len(walk)], walk[j])
+    walk_a = [(eid, 0)] + walk[j:] + walk[:i]
+    walk_b = [(eid, 1)] + walk[i:j]
     return eid, walk_a, walk_b
+
+
+def _chord(pg: PlaneGraph, before, after):
+    """Add a chord from head(before) to tail(after) inside the face whose
+    walk runs from dart `before` on to dart `after`; return its edge id."""
+    u, v = pg.head(before), pg.tail(after)
+    pos_u = pg.rotation[u].index(pg.rev(before))
+    pos_v = pg.rotation[v].index(after) + 1
+    return pg.add_edge(u, v, pos_u=pos_u, pos_v=pos_v)
 
 
 def stellate(pg: PlaneGraph, walk, new_vertex):
@@ -256,38 +258,7 @@ def triangulate(pg: PlaneGraph, outer_walk, faces):
     if outer_idx is None:
         raise EmbeddingError("outer walk is not a face")
 
-    if len(outer_walk) == 3:
-        outer_triangle = [work.tail(d) for d in outer_walk]
-    else:
-        w = list(outer_walk)
-        # chord off triangles until the face is a triangle; the last piece
-        # containing the original darts becomes the outer triangle
-        while len(w) > 3:
-            m = len(w)
-            tails = [work.tail(d) for d in w]
-            placed = False
-            for i in range(m):
-                j = (i + 2) % m
-                a, b = tails[i], tails[j]
-                if a == b or work.adjacent(a, b):
-                    continue
-                lo, hi = min(i, j), max(i, j)
-                if (hi - lo) != 2:
-                    continue
-                _, wa, wb = add_chord(work, w, lo, hi)
-                w = wa if len(wa) >= len(wb) else wb
-                placed = True
-                break
-            if not placed:
-                s = f"steiner{counter[0]}"
-                counter[0] += 1
-                stellate(work, w, s)
-                # stellation triangulated the face; outer triangle = first one
-                w = work.face(work.rotation[s][0])
-            if len(w) == 3:
-                break
-        outer_triangle = [work.tail(d) for d in w]
-
+    outer_triangle = _clip_outer(work, outer_walk, counter)
     for k, f in enumerate(faces):
         if k == outer_idx:
             continue
@@ -298,3 +269,63 @@ def triangulate(pg: PlaneGraph, outer_walk, faces):
         raise EmbeddingError(f"triangulation left a face of more than 3 "
                              f"darts: V={v} E={e}")
     return work, outer_triangle
+
+
+def _clip_outer(pg: PlaneGraph, walk, counter):
+    """Chord ears off the outer face `walk` until it is a triangle, the
+    piece that keeps the rest of the walk, and return its vertices.
+
+    An ear is the two darts from position i; it is clipped unless the
+    tails at i and i + 2 are one vertex or already adjacent.  A scan looks
+    at the ears from `start` (the walk's first dart, then the last chord)
+    on, all but the two that wrap past the start, and clips the first it
+    can; when it can clip none, the face is stellated and the triangle is
+    the hub's first.  A chord changes only its own ear and the one before
+    it, and it only adds adjacency, so an ear skipped earlier stays
+    skipped: `todo` holds the ears changed since they were looked at, in
+    the order the scan meets them, and the scan passes every other ear
+    unread.  Positions index the original walk, whose cyclic order the
+    pieces keep.
+    """
+    size = m = len(walk)
+    dart = list(walk)
+    tail = [pg.tail(d) for d in walk]
+    nxt = [(k + 1) % m for k in range(m)]
+    prv = [(k - 1) % m for k in range(m)]
+    adj = {v: set(pg.neighbors(v)) for v in tail}
+    todo = deque(range(m))
+    pending = [True] * m  # on `todo`; off once looked at or cut away
+    start = at = 0  # the scan's start and the first ear it has not passed
+    while m > 3:
+        end = prv[prv[start]]  # the first ear the scan does not reach
+        while todo and not pending[todo[0]]:
+            todo.popleft()
+        if not todo or (end - at) % size <= (todo[0] - at) % size:
+            hub = f"steiner{counter[0]}"
+            counter[0] += 1
+            k, rest = start, []
+            for _ in range(m):
+                rest.append(dart[k])
+                k = nxt[k]
+            stellate(pg, rest, hub)
+            return [pg.tail(d) for d in pg.face(pg.rotation[hub][0])]
+        i = todo.popleft()
+        pending[i] = False
+        j = nxt[nxt[i]]
+        a, b = tail[i], tail[j]
+        if a == b or b in adj[a]:
+            at = nxt[i]
+            continue
+        eid = _chord(pg, dart[prv[i]], dart[j])
+        adj[a].add(b)
+        adj[b].add(a)
+        pending[nxt[i]] = False
+        dart[i], nxt[i], prv[j] = (eid, 0), j, i
+        m -= 1
+        start = at = i
+        todo.appendleft(i)
+        pending[i] = True
+        if not pending[prv[i]]:
+            pending[prv[i]] = True
+            todo.append(prv[i])
+    return [tail[start], tail[nxt[start]], tail[nxt[nxt[start]]]]

@@ -3,9 +3,11 @@
 Scene JSON: {kind, structure, points, polygons, contacts, meta}.  Every
 coordinate is a "num/den" string in lowest terms, so a round trip is
 bit-identical.  Points are shared by id so corner coincidences survive the
-trip exactly.  A scene file's bytes are `json.dumps(doc, indent=1)` and a
-newline, where `doc` is `scene_to_json(scene)`; `_dumps` writes that text
-without json's pure-Python indenting encoder.  The reader fails closed: a
+trip exactly.  A read converts each distinct coordinate string to a
+Fraction once, so equal coordinates share one object.  A scene file's
+bytes are `json.dumps(doc, indent=1)` and a newline, where `doc` is
+`scene_to_json(scene)`; `_dumps` writes that text without json's
+pure-Python indenting encoder.  The reader fails closed: a
 `meta.arithmetic` other than "exact", a coordinate that is not "num/den",
 or a duplicate point id, polygon label or contact is an InputError, not a
 silent misreading.
@@ -119,8 +121,16 @@ def _scene_from_doc(doc: dict) -> Scene:
         raise InputError(f"meta.arithmetic is {meta['arithmetic']!r}; "
                          "only \"exact\" scenes are read")
     pts = {}
+    read = {}  # coordinate string -> its Fraction
     for rec in doc["points"]:
-        _add(pts, rec["id"], tuple(_coordinate(rec, axis) for axis in "xyz"), "point id")
+        xyz = []
+        for axis in "xyz":
+            s = rec[axis]
+            value = read.get(s) if type(s) is str else None
+            if value is None:
+                value = read[s] = _coordinate(rec, axis)
+            xyz.append(value)
+        _add(pts, rec["id"], tuple(xyz), "point id")
     if kind == GRAPH:
         structure = Graph.from_edges(doc["structure"]["edges"],
                                      vertices=doc["structure"]["vertices"])

@@ -225,7 +225,7 @@ def _class_argv(cls, tmp_path):
 
 def _build(argv):
     import polycontact.cli as cli
-    return cli._build_scene(cli.build_parser(["represent"]).parse_args(["represent", *argv]))
+    return cli._build_scene(cli._parse_args(["represent", *argv]))
 
 
 def test_one_per_class_covers_every_class():
@@ -446,6 +446,21 @@ class TestCli:
         assert main(["represent", "--class", "bipartite-grid", "--a", "3",
                      "--b", "4", "-o", str(out)]) == 0
 
+    @pytest.mark.parametrize("cls", ["bipartite-grid", "bipartite-toroidal"])
+    @pytest.mark.parametrize("a, b, named", [("-2", "3", "--a"), ("3", "-1", "--b"),
+                                             ("-1", "-1", "--a")])
+    def test_negative_part_size_is_usage_error(self, cls, a, b, named, tmp_path, capsys):
+        out = tmp_path / "k.json"
+        assert main(["represent", "--class", cls, "--a", a, "--b", b, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"usage error: {named} is -")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cls", ["bipartite-grid", "bipartite-toroidal"])
+    def test_empty_part_is_valid(self, cls, tmp_path):
+        out = tmp_path / "k03.json"
+        assert main(["represent", "--class", cls, "--a", "0", "--b", "3", "-o", str(out)]) == 0
+        assert len(read_scene(str(out)).polygons) == 3
+
     def test_mindeg3_input_file(self, tmp_path):
         edges = tmp_path / "petersen.edges"
         edges.write_text(_PETERSEN)
@@ -549,12 +564,15 @@ class TestCli:
         assert "cycle-square" in capsys.readouterr().out
 
 
+_ABBREVIATED = ["represent", "--cl", "complete", "--n", "3"]  # parses: --cl is --class
 _PARSER_CASES = [
     ["-h"], ["represent", "-h"], ["verify", "-h"], ["analyze", "-h"],
     ["export", "-h"], ["info", "-h"], [], ["nope"], ["represent"],
     ["represent", "--class", "nope"], ["verify"],
     ["verify", "scene.json", "--epsilon", "-1"],
     ["represent", "--class", "complete", "--n", "4", "--no-verify"],
+    _ABBREVIATED, ["represent", "--class", "complete", "--n", "x"],
+    ["represent", "--class", "complete", "--n", "4", "-o"], ["verify", "a", "b"],
 ]
 
 
@@ -565,8 +583,8 @@ def _run_main(argv, capsys):
 
 
 class TestParser:
-    """Each call builds only the subcommand it names; every text stays the
-    one a parser with every subcommand gives."""
+    """A call naming a known command builds that command's parser alone;
+    every text stays the one the root parser, with every subcommand, gives."""
 
     @pytest.mark.parametrize("columns", ["40", "200"])
     @pytest.mark.parametrize("argv", _PARSER_CASES, ids=" ".join)
@@ -574,10 +592,9 @@ class TestParser:
         import polycontact.cli as cli
         monkeypatch.setenv("COLUMNS", columns)
         got = _run_main(argv, capsys)
-        build = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda names: build())
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
         assert _run_main(argv, capsys) == got
-        assert got[0] == (0 if "-h" in argv else 2)
+        assert got[0] == (0 if "-h" in argv or argv == _ABBREVIATED else 2)
 
     def test_root_texts(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "200")
@@ -587,16 +604,33 @@ class TestParser:
         assert _run_main(["info", "x"], capsys) == (
             2, "", usage + "polycontact: error: unrecognized arguments: x\n")
 
-    def test_builds_only_the_called_subcommand(self, capsys, monkeypatch):
+    def test_parsers_built_per_call(self, tmp_path, capsys, monkeypatch):
+        # one parser for a known command with nothing left over; the root
+        # parser, with every subcommand, for anything else; none kept
+        import argparse
         import polycontact.cli as cli
+        scene = tmp_path / "k4.json"
+        write_scene(str(scene), represent_complete(4))
         built = []
-        build = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser",
-                            lambda names: built.append(list(names)) or build(names))
-        for argv in (["info"], ["verify", "-h"], ["-h"], [], ["nope"]):
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        root = ["polycontact"] + [f"polycontact {name}" for name in cli.COMMANDS]
+        for argv, progs in [
+                (["info"], ["polycontact info"]),
+                (["verify", str(scene), "--json"], ["polycontact verify"]),
+                (["represent", "--class", "complete", "--n", "4"], ["polycontact represent"]),
+                (["-h"], root), ([], root), (["nope"], root),
+                (["info", "x"], ["polycontact info"] + root),
+                (["info"], ["polycontact info"])]:
+            built.clear()
             main(argv)
-        every = list(cli.COMMANDS)
-        assert built == [["info"], ["verify"], every, every, every]
+            assert built == progs, argv
+        capsys.readouterr()
 
     def test_no_parser_built_at_import(self):
         code = ("import argparse, sys\n"
@@ -763,6 +797,35 @@ class TestFloatSceneRejected:
         doc["points"][2]["z"] = value
         with pytest.raises(InputError, match="^point 'p2': coordinate z is .*, not \"num/den\"$"):
             scene_from_json(doc)
+
+
+class TestCoordinatesReadOnce:
+    """A read converts each distinct coordinate string once; a malformed
+    one is refused where it first appears, as before."""
+
+    _REPEATS = [("0/1", "0/1", "0/1"), ("4/1", "0/1", "0/1"), ("0/1", "4/1", "0/1"),
+                ("1/1", "1/1", "-1/1"), ("1/1", "1/1", "1/1"), ("4/1", "1/1", "0/1")]
+
+    def test_equal_strings_share_one_fraction(self):
+        scene = scene_from_json(_two_triangle_doc(self._REPEATS, "exact"))
+        objects = {}
+        for poly in scene.polygons.values():
+            for corner in poly.corners:
+                for c in corner:
+                    objects.setdefault(c, set()).add(id(c))
+        assert sorted(objects) == [-1, 0, 1, 4]
+        assert all(len(ids) == 1 for ids in objects.values())
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1/0", "zero denominator in coordinate '1/0'"),
+        ("3", "point 'p4': coordinate y is '3', not \"num/den\""),
+        (["1/1"], "point 'p4': coordinate y is ['1/1'], not \"num/den\""),
+    ], ids=["zero-denominator", "no-slash", "unhashable"])
+    def test_first_malformed_coordinate(self, bad, message):
+        coords = self._REPEATS[:4] + [("1/1", bad, "0/1"), (bad, "1/1", bad)]
+        with pytest.raises(InputError) as exc:
+            scene_from_json(_two_triangle_doc(coords, "exact"))
+        assert str(exc.value) == message
 
 
 def _duplicated(where, record):

@@ -420,3 +420,95 @@ def test_prism_medial_60_vertices():
     assert len(pg.vertices()) == 60
     pos = schnyder_draw(pg)
     assert_on_grid(pg, pos, 60)
+
+
+def random_plane_graph(rng, n):
+    """A random tree on n vertices grown into a connected plane graph by
+    chords inside random faces; outer walks may repeat vertices."""
+    pg = PlaneGraph()
+    pg.add_vertex(0)
+    for v in range(1, n):
+        pg.add_vertex(v)
+        u = rng.randrange(v)
+        pg.add_edge(u, v, pos_u=rng.randint(0, len(pg.rotation[u])))
+    for _ in range(rng.randint(0, 2 * n)):
+        f = rng.choice(pg.faces())
+        i, j = sorted(rng.sample(range(len(f)), 2)) if len(f) > 1 else (0, 0)
+        a, b = pg.tail(f[i]), pg.tail(f[j])
+        if 2 <= j - i < len(f) - 1 and a != b and not pg.adjacent(a, b):
+            planar.add_chord(pg, f, i, j)
+    return pg
+
+
+def clip_outer_by_rescan(pg, walk, counter):
+    """`planar._clip_outer` as a plain rescan: after every chord, tails are
+    read again and the ears looked at from the chord on."""
+    w = list(walk)
+    while len(w) > 3:
+        tails = [pg.tail(d) for d in w]
+        for i in range(len(w) - 2):
+            if tails[i] != tails[i + 2] and not pg.adjacent(tails[i], tails[i + 2]):
+                _, w, _ = planar.add_chord(pg, w, i, i + 2)
+                break
+        else:
+            hub = f"steiner{counter[0]}"
+            counter[0] += 1
+            stellate(pg, w, hub)
+            w = pg.face(pg.rotation[hub][0])
+    return [pg.tail(d) for d in w]
+
+
+class TestOuterEars:
+    """The outer ear loop clips the chords a rescan after every chord
+    clips, in the same order, and stellates where the rescan does."""
+
+    @staticmethod
+    def _same_as_rescan(pg, walk):
+        def outcome(clip):
+            work = pg.copy()
+            try:
+                return clip(work, walk, [0]), work.endpoints, work.rotation
+            except EmbeddingError as exc:  # stellating a walk that repeats a vertex
+                return str(exc)
+        got = outcome(planar._clip_outer)
+        assert got == outcome(clip_outer_by_rescan)
+        return got
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_outer_walks(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            pg = random_plane_graph(rng, rng.randint(3, 30))
+            faces = pg.check_planar()
+            for walk in (max(faces, key=len), rng.choice(faces)):
+                k = rng.randrange(len(walk))
+                self._same_as_rescan(pg, walk[k:] + walk[:k])
+
+    def test_every_face_of_the_chain_floorplan(self, monkeypatch):
+        plans = []
+        real = schnyder.triangulate
+        monkeypatch.setattr(schnyder, "triangulate", lambda pg, outer, faces:
+                            plans.append(pg.copy()) or real(pg, outer, faces))
+        represent_cubic(gadget_chain(6))
+        for walk in plans[0].faces():
+            self._same_as_rescan(plans[0], walk)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stellates_where_the_rescan_does(self, seed, monkeypatch):
+        # made-up adjacency, seen alike by both loops, blocks ears until
+        # some scans find none and stellate
+        rng = random.Random(seed)
+        hubs = 0
+        for _ in range(60):
+            n = rng.randint(4, 16)
+            pg = random_plane_graph(rng, n)
+            blocked = {frozenset(p) for p in combinations(range(n), 2) if rng.random() < 0.7}
+            neighbors, adjacent = PlaneGraph.neighbors, PlaneGraph.adjacent
+            with monkeypatch.context() as mp:
+                mp.setattr(PlaneGraph, "neighbors", lambda self, v: neighbors(self, v) + [
+                    w for w in range(n) if frozenset((v, w)) in blocked])
+                mp.setattr(PlaneGraph, "adjacent", lambda self, u, v: adjacent(self, u, v)
+                           or frozenset((u, v)) in blocked)
+                got = self._same_as_rescan(pg, max(pg.faces(), key=len))
+            hubs += isinstance(got, tuple) and "steiner0" in got[0]
+        assert hubs
