@@ -16,10 +16,10 @@ at s_i = sum(4**-k for 1 <= k < i).  Why it has both properties:
   a, b, c are never concurrent, since that needs (c - a)(c - b) = 0.
 
 Every s_i is S_i / D, for D = 4**(n-1) and the int
-S_i = (4**(i-1) - 1) / 3 * 4**(n-i), so the build makes each coordinate
-as one `Fraction` of two ints, with a power-of-two denominator and at
-most 4n bits.  One `arrangement_ok`, run on ints too, is its
-certificate; the build raises if it fails.
+S_i = (4**(i-1) - 1) / 3 * 4**(n-i).  An `Arrangement` keeps only these n
+ints and D, and makes each crossing on demand as two `Fraction`s of ints,
+with a power-of-two denominator and at most 4n bits.  Its certificate,
+`arrangement_ok`, runs on the ints S_i + S_j; the build raises if it fails.
 
 Lifting intersection point p(i,j) to z = min(i,j) makes the convex hull of
 each line's lifted points a polygon in a vertical plane; polygons of lines
@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .core import Graph, edge_key
 from .geom import Polygon3, polygon_properties
@@ -48,25 +47,22 @@ from .verify import certify, verify_scene  # noqa: F401  perfbench/spans.py wrap
 _MAX_HALVINGS = 128
 
 
-@dataclass
+@dataclass(frozen=True)
 class Arrangement:
-    """n lines, given by their pairwise intersection points."""
+    """The lines y = 2 s_i x - s_i**2, tangent to y = x**2 at s_i = S_i / D,
+    for the ints s = (S_1, ..., S_n) and d = D > 0."""
 
-    n: int
-    points: dict  # frozenset({i,j}) -> (x, y)
+    s: tuple
+    d: int
+
+    @property
+    def n(self) -> int:
+        return len(self.s)
 
     def point(self, i: int, j: int):
-        return self.points[frozenset((i, j))]
-
-
-def _monotone_halving(ts) -> bool:
-    """ts is strictly monotone and each gap is at most half the one before."""
-    inc = all(a < b for a, b in zip(ts, ts[1:]))
-    dec = all(a > b for a, b in zip(ts, ts[1:]))
-    if not (inc or dec):
-        return False
-    gaps = [abs(b - a) for a, b in zip(ts, ts[1:])]
-    return all(2 * g_next <= g_prev for g_prev, g_next in zip(gaps, gaps[1:]))
+        """The crossing p(i,j) = ((S_i + S_j) / 2D, S_i S_j / D**2) of lines i and j."""
+        si, sj = self.s[i - 1], self.s[j - 1]
+        return Fraction(si + sj, 2 * self.d), Fraction(si * sj, self.d * self.d)
 
 
 def arrangement_ok(arr: Arrangement) -> bool:
@@ -75,18 +71,17 @@ def arrangement_ok(arr: Arrangement) -> bool:
     Along each line, intersections with the other lines must appear in
     index order (one direction or the other), and every consecutive gap
     must be at most half the previous one.  The crossings are compared on
-    their x-coordinates, as ints over the line's least common denominator:
-    line i has direction (1, 2 s_i), so x is an increasing affine function
-    of the position along it, which keeps both the order and the gap
-    ratios.
+    their x-coordinates times 2D, the ints S_i + S_j for j != i: line i
+    has direction (1, 2 s_i), so x is an increasing affine function of the
+    position along it, and neither that nor a positive scale changes the
+    order or the gap ratios.
     """
-    for i in range(1, arr.n + 1):
-        try:
-            xs = [arr.point(i, j)[0] for j in range(1, arr.n + 1) if j != i]
-        except KeyError:
+    for i, si in enumerate(arr.s):
+        xs = [si + sj for j, sj in enumerate(arr.s) if j != i]
+        gaps = [b - a for a, b in zip(xs, xs[1:])]
+        if not (all(g > 0 for g in gaps) or all(g < 0 for g in gaps)):
             return False
-        d = lcm(*(x.denominator for x in xs))
-        if not _monotone_halving([x.numerator * (d // x.denominator) for x in xs]):
+        if any(2 * abs(g_next) > abs(g_prev) for g_prev, g_next in zip(gaps, gaps[1:])):
             return False
     return True
 
@@ -96,11 +91,8 @@ def build_line_arrangement(n: int) -> Arrangement:
     the tangents to y = x**2 at s_i = (1 - 4**(1-i)) / 3 (module docstring)."""
     if n < 3:
         raise ConstructionError("need at least 3 lines")
-    d = 4 ** (n - 1)
-    s = {i: (4 ** (i - 1) - 1) // 3 * 4 ** (n - i) for i in range(1, n + 1)}
-    arr = Arrangement(n=n, points={
-        frozenset((i, j)): (Fraction(s[i] + s[j], 2 * d), Fraction(s[i] * s[j], d * d))
-        for i in s for j in range(i + 1, n + 1)})
+    arr = Arrangement(s=tuple((4 ** (i - 1) - 1) // 3 * 4 ** (n - i) for i in range(1, n + 1)),
+                      d=4 ** (n - 1))
     if not arrangement_ok(arr):
         raise ConstructionError(f"arrangement of {n} lines failed its exact re-check")
     return arr

@@ -75,9 +75,11 @@ def _edges(args, cls):
 
 
 def _bipartite(args, cls):
-    for opt, size in (("--a", args.a), ("--b", args.b)):
+    a, b = ("--a", args.a), ("--b", args.b)
+    for (opt, size), (other, other_size) in ((a, b), (b, a)):
         _need(size is None or size >= 0, f"{opt} is {size}; a part size is at least 0")
-    if args.a is not None and args.b is not None:
+        _need(size is None or other_size is not None, f"{opt} given without {other}")
+    if args.a is not None:
         return _m.complete_bipartite(args.a, args.b)
     _need(args.input is not None, "--a/--b or --input required")
     return graph_from_edge_list(_read_text(args.input))

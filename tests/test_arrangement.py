@@ -1,6 +1,7 @@
 """Line arrangement and the lifted complete-graph construction."""
 
 import hashlib
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -62,47 +63,52 @@ class TestArrangement:
         assert audit_arrangement(arr) == []
         # at most 4n bits per coordinate, which rules out quadratic growth
         assert all(max(c.numerator.bit_length(), c.denominator.bit_length()) <= 4 * n
-                   for p in arr.points.values() for c in p)
+                   for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                   for c in arr.point(i, j))
 
     @pytest.mark.parametrize("n", range(3, 41))
     def test_points_are_the_closed_form(self, n):
         # p(i,j) = ((s_i + s_j)/2, s_i s_j) with s_i = (1 - 4**(1-i)) / 3,
         # in Fraction arithmetic
         s = {i: F(4 ** (i - 1) - 1, 3 * 4 ** (i - 1)) for i in range(1, n + 1)}
-        assert build_line_arrangement(n).points == {
-            frozenset((i, j)): ((s[i] + s[j]) / 2, s[i] * s[j])
-            for i in s for j in s if i < j}
+        arr = build_line_arrangement(n)
+        assert {(i, j): arr.point(i, j) for i in s for j in s if i < j} == {
+            (i, j): ((s[i] + s[j]) / 2, s[i] * s[j]) for i in s for j in s if i < j}
 
-    def test_non_dyadic_points_are_checked_exactly(self):
-        # line 1 meets lines 3, 4, 5 at x = 5/32, 21/128, 85/512
+    def test_halving_boundary(self):
+        # line 1 meets line j at x = S_j / 2D; in the closed form for n = 6,
+        # S_5 - S_4 = 4 and S_6 - S_5 = 1
         arr = build_line_arrangement(6)
-        p14 = arr.point(1, 4)
-        # in order, but the gap before p(1,4) (1/192) is less than twice
-        # the one after it (5/512 - 1/192 = 7/1536)
-        arr.points[frozenset((1, 4))] = (F(5, 32) + F(1, 192), p14[1])
-        assert not arrangement_ok(arr)
-        # p(1,6) at x = 1/6, a third of the way past p(1,5) = 85/512 (the
-        # last gap may be at most half of 1/512), still holds on lines 1 and 6
-        arr.points[frozenset((1, 4))] = p14
-        arr.points[frozenset((1, 6))] = (F(1, 6), F(0))
-        assert arrangement_ok(arr)
+        s = list(arr.s)
+        # the gap before p(1,6) exactly twice the one after it passes, and
+        # also holds on lines 2..6
+        s[5] = s[4] + 2
+        tight = replace(arr, s=tuple(s))
+        assert arrangement_ok(tight)
+        assert audit_arrangement(tight) == []
+        # one unit less than twice the next gap is rejected
+        s[3] += 1
+        short = replace(arr, s=tuple(s))
+        assert not arrangement_ok(short)
+        assert audit_arrangement(short) != []
 
-    def test_missing_point_rejected(self):
-        arr = build_line_arrangement(5)
-        del arr.points[frozenset((2, 4))]
-        assert not arrangement_ok(arr)
-
-    @pytest.mark.parametrize("broken", ["swapped", "no-halving"])
+    @pytest.mark.parametrize("broken", ["swapped", "no-halving", "merged-gap"])
     def test_broken_arrangement_rejected_by_both_checks(self, broken):
-        # line 1 is y = 0 and meets line j at (s_j / 2, 0)
+        # line 1 is y = 0 and meets line j at (S_j / 2D, 0); in the closed
+        # form for n = 6, S_3 - S_2 = 64
         arr = build_line_arrangement(6)
-        p13, p14 = arr.point(1, 3), arr.point(1, 4)
+        s = list(arr.s)
         if broken == "swapped":
-            arr.points[frozenset((1, 3))], arr.points[frozenset((1, 4))] = p14, p13
-        else:
+            # p(1,3) and p(1,4) change places on line 1
+            s[2], s[3] = s[3], s[2]
+        elif broken == "no-halving":
             # still in order, but the gap after p(1,3) outgrows the one before
-            p12 = arr.point(1, 2)
-            arr.points[frozenset((1, 3))] = (p12[0] + (p13[0] - p12[0]) / 8, F(0))
+            s[2] = s[1] + (s[2] - s[1]) // 8
+        else:
+            # S_1..S_6 itself halves (gaps 256, 64, 32, 4, 1), but line 4
+            # skips S_4: its gap from p(4,3) to p(4,5), 36, outgrows 64 / 2
+            s[3:] = [s[2] + 32, s[2] + 36, s[2] + 37]
+        arr = replace(arr, s=tuple(s))
         assert not arrangement_ok(arr)
         assert audit_arrangement(arr) != []
 
@@ -192,6 +198,28 @@ class TestMinDegree3:
         assert scene.contacts == full.contacts
         for v in g.vertices:
             assert scene.polygons[v].corners == full.polygons[v].corners
+
+    def test_sparse_lift_reads_one_point_per_padded_edge(self, tmp_path, monkeypatch):
+        # a 200-vertex path is padded to 204 lines, and one delta lifts it:
+        # the lift computes the crossing of each padded edge once, and the
+        # scene file is the one the table of all C(204, 2) crossings gave
+        import polycontact.arrangement as arrangement
+        point, calls = arrangement.Arrangement.point, []
+
+        def counted(arr, i, j):
+            calls.append((i, j))
+            return point(arr, i, j)
+
+        monkeypatch.setattr(arrangement.Arrangement, "point", counted)
+        edges = tmp_path / "path.txt"
+        edges.write_text("".join(f"{i} {i + 1}\n" for i in range(199)))
+        out = tmp_path / "path.json"
+        assert main(["represent", "--class", "mindeg3", "--input", str(edges),
+                     "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "6fb63aa9649e4f41fcd133b7cd7581cb83c1b197587996df79c301ae54b87d0d"
+        padded = arrangement._pad_to_min_degree3(graph_from_edge_list(edges.read_text()))
+        assert len(set(calls)) == len(calls) == len(padded.edges) == 407
 
     def test_low_degree_rejected(self, monkeypatch):
         # C5 is padded and certifies with triangles; strictify rejects the

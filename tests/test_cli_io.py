@@ -456,6 +456,18 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("cls", ["bipartite-grid", "bipartite-toroidal"])
+    @pytest.mark.parametrize("given, missing", [("--a", "--b"), ("--b", "--a")])
+    def test_lone_part_size_is_usage_error(self, cls, given, missing, tmp_path, capsys):
+        # one size beside an edge list is refused, not dropped for the file's graph
+        edges = tmp_path / "e.txt"
+        edges.write_text("0 1\n")
+        out = tmp_path / "k.json"
+        assert main(["represent", "--class", cls, given, "3", "--input", str(edges),
+                     "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"usage error: {given} given without {missing}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cls", ["bipartite-grid", "bipartite-toroidal"])
     def test_empty_part_is_valid(self, cls, tmp_path):
         out = tmp_path / "k03.json"
         assert main(["represent", "--class", cls, "--a", "0", "--b", "3", "-o", str(out)]) == 0
