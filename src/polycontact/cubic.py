@@ -1,13 +1,13 @@
 """Cubic graphs as touching triangles on small grids.
 
-2-edge-connected case: split the edges into a perfect matching and disjoint
-cycles, draw the cycle vertices around the boundary of a 3 x n/2 rectangle
-with a hub inside, give every matching edge one z-slot above the hub (both
-apexes coincide there, realizing the matching contact) and make each
-cycle's last-placed vertex the chord-based horizontal triangle at its own
-slot, which is the topmost of its cycle.  If a chord drawn across the
-rectangle strictly encloses the hub, that chord (and its partner apex)
-moves to z = -1 and everything above compacts down one step.
+Bridgeless case, connected or not: split the edges into a perfect matching
+and disjoint cycles, draw the cycle vertices around the boundary of a
+3 x n/2 rectangle with a hub inside, give every matching edge one z-slot
+above the hub (both apexes coincide there, realizing the matching contact)
+and make each cycle's last-placed vertex the chord-based horizontal
+triangle at its own slot, which is the topmost of its cycle.  If a chord
+drawn across the rectangle strictly encloses the hub, that chord (and its
+partner apex) moves to z = -1 and everything above compacts down one step.
 
 Bridged case: every 2-edge-connected component becomes a floorplan (wheel,
 plain cycle, or a single triangle for one-vertex components) after cutting
@@ -15,7 +15,8 @@ bridge-incident vertices and restoring their edge as a "foot"; feet are
 forced into the perfect matching, so each cut vertex returns as a vertical
 triangle between its foot's two apex slots and the bridge vertex on the
 floor.  The floorplans join into one plane graph through the bridge
-vertices and are drawn by the Schnyder grid algorithm.
+vertices and are drawn by the Schnyder grid algorithm.  A bridged graph with
+several components has each built on its own and set side by side along x.
 
 Maximum degree 3: a graph that is not cubic gets one dummy vertex per
 missing degree, made cubic by one fixed gadget (`_pad_stubs`); the padded
@@ -55,8 +56,6 @@ class BridgeBlockTree:
 
 def bridge_block_tree(g: Graph) -> BridgeBlockTree:
     """2-edge-connected components joined by the bridges of g."""
-    if not g.is_connected():
-        raise ConstructionError("graph is not connected")
     bridges = find_bridges(g)
     comps = components(g.vertices, lambda v: [
         w for w in g.neighbors(v) if edge_key(v, w) not in bridges])
@@ -209,7 +208,8 @@ def _perfect_matching(vertices, edges, forced=()):
 
 
 def petersen_decompose(g: Graph) -> PetersenDecomposition:
-    """Perfect matching plus vertex-disjoint cycles covering a 2EC cubic graph."""
+    """Perfect matching plus vertex-disjoint cycles covering a bridgeless
+    cubic graph, connected or not: each component has them (Petersen, 1891)."""
     if not g.vertices:
         raise ConstructionError("graph is empty: the cubic classes need vertices")
     bridges = find_bridges(g)
@@ -218,8 +218,6 @@ def petersen_decompose(g: Graph) -> PetersenDecomposition:
         raise ConstructionError(f"graph has a bridge {b[0]}-{b[1]}")
     if not g.is_regular(3):
         raise ConstructionError("graph is not cubic")
-    if not g.is_connected():
-        raise ConstructionError("graph is not connected")
     matching = _perfect_matching(g.vertices, g.edges)
     if matching is None:
         raise ConstructionError("no perfect matching found")  # pragma: no cover
@@ -343,7 +341,7 @@ def _k4_scene(g: Graph) -> Scene:
 
 
 # ---------------------------------------------------------------------------
-# 2-edge-connected cubic graphs on a 3 x n/2 x n/2 grid
+# Bridgeless cubic graphs on a 3 x n/2 x n/2 grid
 # ---------------------------------------------------------------------------
 
 _HUB = ("hub",)  # the hub's position key; vertex labels are strings
@@ -806,11 +804,13 @@ def _embed_wheel_comp(H, g, plan, vb_label, vb_sides):
 
 
 def represent_cubic(g: Graph) -> Scene:
-    """Any connected cubic graph as touching triangles, exact coordinates.
+    """Any cubic graph as touching triangles, exact coordinates.
 
     Without bridges this is the rectangle construction; with bridges the
     components' floorplans are drawn together by the Schnyder algorithm
     and each cut vertex becomes a vertical triangle over its bridge vertex.
+    A bridged graph with several components has each one built on its own
+    and set side by side (`_side_by_side`).
     """
     return _certified_cubic(g, lambda scene: scene)
 
@@ -820,9 +820,14 @@ def _certified_cubic(g: Graph, finish) -> Scene:
     before it goes to `certify`."""
     if not g.is_regular(3):
         raise ConstructionError("graph is not cubic")
-    bbt = bridge_block_tree(g)  # raises if g is not connected
+    bbt = bridge_block_tree(g)
     if not bbt.bridges:
         return certify([finish(_2ec_cubic_scene(g))])
+    parts = components(g.vertices, g.neighbors)
+    if len(parts) > 1:
+        subs = [Graph(vertices=tuple(v for v in g.vertices if v in part),
+                      edges=frozenset(e for e in g.edges if e <= part)) for part in parts]
+        return certify([finish(_side_by_side(g, [represent_cubic(sub) for sub in subs]))])
 
     searches = [_component_plans(g, i, comp, bbt.bridges)
                 for i, comp in enumerate(bbt.components)]
@@ -844,6 +849,26 @@ def _certified_cubic(g: Graph, finish) -> Scene:
                 break
         else:
             raise ConstructionError("no workable plan gives a scene that certifies")
+
+
+def _side_by_side(g: Graph, scenes) -> Scene:
+    """One scene of g from its components' `scenes`, each moved along x past
+    the previous one's largest x plus 1.  Their boxes are then apart, so
+    they add no contact, and no coordinate value is shared on x: each
+    axis's grid claim is the sum of theirs."""
+    polygons, contacts, x = {}, {}, 0
+    for scene in scenes:
+        points = set(scene.all_points())
+        dx = x - min(p[0] for p in points)
+        moved = {p: (p[0] + dx, p[1], p[2]) for p in points}
+        x = max(p[0] for p in moved.values()) + 1
+        for v, poly in scene.polygons.items():
+            polygons[v] = Polygon3(corners=tuple(map(moved.get, poly.corners)))
+        contacts.update((e, moved[p]) for e, p in scene.contacts.items())
+    claims = [scene.meta["claimed_grid"] for scene in scenes]
+    meta = {"construction": "cubic", "arithmetic": "exact", "components": len(scenes),
+            "claimed_grid": {axis: sum(c[axis] for c in claims) for axis in "xyz"}}
+    return graph_scene(g, polygons, contacts, meta)
 
 
 def _draw_floorplan(g: Graph, H, plans, vb_label):

@@ -423,11 +423,30 @@ class TestCubicBridges:
         report = scene.certificate
         assert report.passed, report.to_text()
 
-    def test_disconnected_rejected(self):
-        g = graph_from_edge_list(
-            "a b\na c\na d\nb c\nb d\nc d\nx y\nx z\nx w\ny z\ny w\nz w")
-        with pytest.raises(ConstructionError, match="connected"):
-            represent_cubic(g)
+    def test_disconnected_components(self, petersen):
+        # a bridgeless union is one rectangle; a bridged one is its
+        # components side by side, and the certificate checks the claim
+        k4 = lambda p: [(f"{p}{i}", f"{p}{j}") for i, j in combinations("abcd", 2)]
+        for edges in (k4("x") + k4("y"), k4("x") + [tuple(e) for e in petersen.edges]):
+            g = Graph.from_edges(edges)
+            for represent in (represent_cubic, represent_2ec_cubic):
+                scene = represent(g)
+                assert scene.certificate.passed and "components" not in scene.meta
+        chain = gadget_chain(3)
+        g = Graph.from_edges([tuple(e) for e in chain.edges] + k4("x"))
+        scene = represent_cubic(g)
+        report = scene.certificate
+        assert report.passed, report.to_text()
+        assert scene.meta["components"] == 2 and report.grid_extent is not None
+        claims = [represent_cubic(part).meta["claimed_grid"]
+                  for part in (chain, Graph.from_edges(k4("x")))]
+        n = g.n
+        for a, cap in zip("xyz", (3 * n // 2, 3 * n // 2, n // 2)):
+            assert scene.meta["claimed_grid"][a] == claims[0][a] + claims[1][a] <= cap
+        p2 = Graph.from_edges([tuple(e) for e in chain.edges] + [("q0", "q1")])
+        scene = represent_max_degree3(p2)
+        assert scene.meta["components"] == 2
+        _triangles(scene)
 
 
 def random_2ec_cubic_edges(n, rng):
@@ -640,6 +659,25 @@ class TestMaxDegree3:
         scene = represent_max_degree3(g)
         _triangles(scene)
         assert scene.meta["claimed_grid"] == {"x": 27, "y": 27, "z": 11}
+
+    def test_atlas(self):
+        # every graph with 1 <= n <= 7 and max degree 3, connected or not,
+        # certifies but the one whose bridge foot duplicates an edge
+        import networkx as nx
+
+        foot = {(0, 1), (0, 5), (0, 6), (1, 2), (1, 6), (2, 3), (2, 4), (3, 4), (4, 5), (5, 6)}
+        certified = 0
+        for a in nx.graph_atlas_g():
+            if not 1 <= a.number_of_nodes() <= 7 or max(d for _, d in a.degree()) > 3:
+                continue
+            g = Graph.from_edges(a.edges, vertices=[str(v) for v in a.nodes])
+            if set(a.edges) == foot:
+                with pytest.raises(ConstructionError, match="bridge foot duplicates an edge"):
+                    represent_max_degree3(g)
+                continue
+            _triangles(represent_max_degree3(g))
+            certified += 1
+        assert certified == 252
 
     def test_every_connected_subcubic_graph(self):
         # every one certifies with triangles, with no rejection allowed

@@ -29,13 +29,13 @@ class TestModifiedMedial:
         assert pg.degree(merged[0]) <= 8
 
     def test_disconnected_rejected(self):
+        # two K4s: cubic, so the connectivity check is what rejects them
         from polycontact import Graph
-        g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "a"),
-                              ("x", "y"), ("y", "z"), ("z", "x")])
+        g = Graph.from_edges([(p + u, p + w) for p in "xy"
+                              for u, w in ("ab", "ac", "ad", "bc", "bd", "cd")])
         rot = {v: [ek(v, w) for w in g.neighbors(v)] for v in g.vertices}
-        with pytest.raises((ConstructionError, InputError)):
-            emb = OnePlaneEmbedding(graph=g, rotation=rot,
-                                    crossings=frozenset())
+        emb = OnePlaneEmbedding(graph=g, rotation=rot, crossings=frozenset())
+        with pytest.raises(ConstructionError, match="graph is not connected"):
             build_modified_medial(emb)
 
     def test_non_cubic_rejected(self):
