@@ -614,16 +614,10 @@ def _embed_vertex_comp(H, g, plan, vb_label, vb_sides):
     u = plan.vertex
     labels = [vb_label[edge_key(u, w)] for w in sorted(g.neighbors(u))]
     plan.vbs = labels
+    eid = {frozenset(p): H.record_edge(*p) for p in combinations(labels, 2)}
     for j, lbl in enumerate(labels):
-        nxt = labels[(j + 1) % 3]
-        prv = labels[(j - 1) % 3]
-        darts = []
-        for other in (nxt, prv):
-            eid = H.edge_between(lbl, other)
-            if eid is None:
-                eid = H.record_edge(lbl, other)
-            darts.append(H.dart(eid, lbl))
-        vb_sides[lbl][plan.index] = darts
+        vb_sides[lbl][plan.index] = [H.dart(eid[frozenset((lbl, other))], lbl)
+                                     for other in (labels[(j + 1) % 3], labels[(j - 1) % 3])]
 
 
 def _embed_cycle_comp(H, g, plan, vb_label, vb_sides):

@@ -97,16 +97,6 @@ class PlaneGraph:
     def neighbors(self, v):
         return [self.head(d) for d in self.rotation[v]]
 
-    def adjacent(self, u, v) -> bool:
-        """Whether an edge u-v has a dart in u's rotation; O(deg u)."""
-        return any(self.head(d) == v for d in self.rotation[u])
-
-    def edge_between(self, u, v):
-        for eid, (a, b) in self.endpoints.items():
-            if {a, b} == {u, v}:
-                return eid
-        return None
-
     def has_parallel_edges(self) -> bool:
         seen = set()
         for a, b in self.endpoints.values():
@@ -164,17 +154,6 @@ class PlaneGraph:
         return pg
 
 
-def add_chord(pg: PlaneGraph, walk, i, j):
-    """Add a chord between tail(walk[i]) and tail(walk[j]) inside the face.
-
-    Returns (eid, walk_a, walk_b): the two sub-face walks after the split.
-    """
-    eid = _chord(pg, walk[(i - 1) % len(walk)], walk[j])
-    walk_a = [(eid, 0)] + walk[j:] + walk[:i]
-    walk_b = [(eid, 1)] + walk[i:j]
-    return eid, walk_a, walk_b
-
-
 def _chord(pg: PlaneGraph, before, after):
     """Add a chord from head(before) to tail(after) inside the face whose
     walk runs from dart `before` on to dart `after`; return its edge id."""
@@ -204,65 +183,27 @@ def stellate(pg: PlaneGraph, walk, new_vertex):
     return eids
 
 
-def triangulate_face(pg: PlaneGraph, walk, counter):
-    """Triangulate one face by non-duplicating chords, stellating if stuck."""
-    stack = [walk]
-    while stack:
-        w = stack.pop()
-        if len(w) <= 3:
-            continue
-        m = len(w)
-        tails = [pg.tail(d) for d in w]
-        placed = False
-        for i in range(m):
-            for off in range(2, m - 1):
-                j = (i + off) % m
-                a, b = tails[i], tails[j]
-                if a == b:
-                    continue
-                if pg.adjacent(a, b):
-                    continue
-                lo, hi = min(i, j), max(i, j)
-                _, wa, wb = add_chord(pg, w, lo, hi)
-                stack.append(wa)
-                stack.append(wb)
-                placed = True
-                break
-            if placed:
-                break
-        if not placed:
-            stellate(pg, w, f"steiner{counter[0]}")
-            counter[0] += 1
-
-
 def triangulate(pg: PlaneGraph, outer_walk, faces):
     """Fully triangulate a simple connected plane graph.
 
     `faces` are pg's face walks (`pg.check_planar()`).  Returns (graph copy,
-    outer triangle vertices).  The outer triangle is one of the faces
-    created inside the given outer walk (the walk itself when it is already
-    a triangle).  No face is traced again: every chord and stellation
-    splits a walk in hand and leaves triangles, and the count check
-    E = 3V - 6 confirms it, since on a connected genus-zero embedding with
-    no face shorter than 3 it holds exactly when every face is a triangle.
+    outer triangle vertices).  One routine, `_clip_ears`, chords every face:
+    first the given outer walk, whose last piece is the outer triangle (the
+    walk itself when it is already a triangle), then every other face of
+    more than 3 darts in the order of `faces`.  No face is traced again:
+    every chord and stellation splits a walk in hand and leaves triangles,
+    and the count check E = 3V - 6 confirms it, since on a connected
+    genus-zero embedding with no face shorter than 3 it holds exactly when
+    every face is a triangle.
     """
-    work = pg.copy()
-    counter = [0]
-
-    outer_set = [tuple(d) for d in outer_walk]
-    outer_idx = None
-    for k, f in enumerate(faces):
-        if len(f) == len(outer_walk) and set(map(tuple, f)) == set(outer_set):
-            outer_idx = k
-            break
-    if outer_idx is None:
+    outer = set(outer_walk)
+    if not any(len(f) == len(outer_walk) and set(f) == outer for f in faces):
         raise EmbeddingError("outer walk is not a face")
-
-    outer_triangle = _clip_outer(work, outer_walk, counter)
-    for k, f in enumerate(faces):
-        if k == outer_idx:
-            continue
-        triangulate_face(work, f, counter)
+    work, counter = pg.copy(), [0]
+    outer_triangle = _clip_ears(work, outer_walk, counter)
+    for f in faces:
+        if len(f) > 3 and set(f) != outer:  # a triangle needs no chord
+            _clip_ears(work, f, counter)
 
     v, e = len(work.rotation), len(work.endpoints)
     if e != 3 * v - 6:
@@ -271,9 +212,10 @@ def triangulate(pg: PlaneGraph, outer_walk, faces):
     return work, outer_triangle
 
 
-def _clip_outer(pg: PlaneGraph, walk, counter):
-    """Chord ears off the outer face `walk` until it is a triangle, the
-    piece that keeps the rest of the walk, and return its vertices.
+def _clip_ears(pg: PlaneGraph, walk, counter):
+    """Chord ears off the face `walk`, outer or inner, until it is a
+    triangle, the piece that keeps the rest of the walk, and return its
+    vertices.
 
     An ear is the two darts from position i; it is clipped unless the
     tails at i and i + 2 are one vertex or already adjacent.  A scan looks

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from polycontact import (ConstructionError, InputError, OnePlaneEmbedding,
-                         build_modified_medial, grid_extent,
+                         build_modified_medial, embedding_from_json, grid_extent,
                          represent_oneplanar_cubic)
 
 from conftest import (all_oneplanar_fixtures, ek, k4_bconfig_embedding,
@@ -117,3 +117,32 @@ class TestRepresent:
         with pytest.raises(InputError, match="1-plane"):
             represent_oneplanar_cubic(OnePlaneEmbedding(
                 graph=g, rotation=rotation, crossings=frozenset()))
+
+
+# A 1-plane drawing, 6 vertices and 2 crossings, whose scene fails
+# verification under the default outer face (the longest face of the
+# modified medial graph) and certifies under the face e3 e4 e5.  The
+# default face choice is not fixed, so this pins both outcomes.
+_REJECTED_DEFAULT_FACE = {
+    "vertices": [{"id": "0", "rotation": ["e2", "e0", "e1"]},
+                 {"id": "1", "rotation": ["e3", "e0", "e4"]},
+                 {"id": "2", "rotation": ["e7", "e5", "e6"]},
+                 {"id": "3", "rotation": ["e1", "e3", "e5"]},
+                 {"id": "4", "rotation": ["e8", "e6", "e4"]},
+                 {"id": "5", "rotation": ["e7", "e2", "e8"]}],
+    "edges": [{"id": f"e{k}", "endpoints": list(ends)} for k, ends in enumerate(
+        ["01", "03", "05", "13", "14", "23", "24", "25", "45"])],
+    "crossings": [["e5", "e4"], ["e6", "e2"]],
+}
+
+
+class TestOuterFaceChoice:
+    def test_default_outer_face_fails_closed(self):
+        emb = embedding_from_json(_REJECTED_DEFAULT_FACE)
+        with pytest.raises(ConstructionError,
+                           match=r"scene fails verification: \[interior-overlap\]"):
+            represent_oneplanar_cubic(emb)
+
+    def test_another_outer_face_certifies(self):
+        emb = embedding_from_json(dict(_REJECTED_DEFAULT_FACE, outer_face=["e3", "e4", "e5"]))
+        assert represent_oneplanar_cubic(emb).certificate.passed

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 from conftest import all_oneplanar_fixtures, ek, gadget_chain
+from test_cubic import bridged_cubic
 
 from polycontact import Graph, OnePlaneEmbedding, represent_cubic, represent_oneplanar_cubic
 from polycontact import planar, schnyder
@@ -25,6 +26,11 @@ def build(edges, rotations):
     for v, nbrs in rotations.items():
         pg.rotation[v] = [darts[(v, w)] for w in nbrs]
     return pg
+
+
+def edge_between(pg, u, v):
+    """The id of an edge u-v of pg, or None."""
+    return next((eid for eid, ends in pg.endpoints.items() if set(ends) == {u, v}), None)
 
 
 def k4_plane():
@@ -137,7 +143,7 @@ class TestPlaneGraph:
         pg = build([("x", "a"), ("x", "b")], {"x": ["a", "b", "a"],
                                               "a": ["x"], "b": ["x"]})
         with pytest.raises(EmbeddingError, match="does not close"):
-            pg.face(pg.dart(pg.edge_between("x", "b"), "x"))
+            pg.face(pg.dart(edge_between(pg, "x", "b"), "x"))
         with pytest.raises(EmbeddingError, match="does not close"):
             pg.faces()
 
@@ -194,15 +200,21 @@ class TestSchnyder:
         assert len(pos) == 8
 
     def test_face_left_open_is_embedding_error(self, monkeypatch):
-        # the count check E = 3V - 6 catches a quadrilateral left behind,
-        # with no face traced after the split
+        # the count check E = 3V - 6 catches the quadrilaterals other than
+        # the outer one left behind, with no face traced after the split
         pg = cube_plane()
         faces = pg.check_planar()
-        real = planar.triangulate_face
-        monkeypatch.setattr(planar, "triangulate_face", lambda pg, walk, counter:
-                            None if len(walk) == 4 else real(pg, walk, counter))
+        real = planar._clip_ears
+        monkeypatch.setattr(planar, "_clip_ears", lambda pg, walk, counter:
+                            real(pg, walk, counter) if walk == faces[0] else None)
         with pytest.raises(EmbeddingError, match="more than 3 darts"):
             triangulate(pg, faces[0], faces)
+
+    def test_outer_walk_not_a_face_rejected(self):
+        pg = cube_plane()
+        faces = pg.check_planar()
+        with pytest.raises(EmbeddingError, match="^outer walk is not a face$"):
+            triangulate(pg, faces[0][:3], faces)
 
     @pytest.mark.parametrize("plane", [k4_plane, octahedron_plane, cube_plane,
                                        lambda: prism_medial(6)],
@@ -284,7 +296,7 @@ def flood_positions(pg, outer):
     out = schnyder._realizer(pg, outer, cover)
     roots = (a, b, c)
     pos = {a: (n - 2, 1), b: (0, n - 2), c: (1, 0)}
-    outer_edge = (pg.edge_between(b, c), pg.edge_between(c, a), pg.edge_between(a, b))
+    outer_edge = (edge_between(pg, b, c), edge_between(pg, c, a), edge_between(pg, a, b))
     for v in pg.vertices():
         if v in roots:
             continue
@@ -294,7 +306,7 @@ def flood_positions(pg, outer):
             p_next, p_prev = paths[(i + 1) % 3], paths[(i + 2) % 3]
             cyc = {outer_edge[i]}
             for pth in (p_next, p_prev):
-                cyc.update(pg.edge_between(x, y) for x, y in zip(pth, pth[1:]))
+                cyc.update(edge_between(pg, x, y) for x, y in zip(pth, pth[1:]))
             region = _flood_region(pg, cyc, set(p_next) | set(p_prev), roots[i])
             coords.append(len(region) - len(p_prev))
         pos[v] = (coords[0], coords[1])
@@ -435,20 +447,21 @@ def random_plane_graph(rng, n):
         f = rng.choice(pg.faces())
         i, j = sorted(rng.sample(range(len(f)), 2)) if len(f) > 1 else (0, 0)
         a, b = pg.tail(f[i]), pg.tail(f[j])
-        if 2 <= j - i < len(f) - 1 and a != b and not pg.adjacent(a, b):
-            planar.add_chord(pg, f, i, j)
+        if 2 <= j - i < len(f) - 1 and a != b and b not in pg.neighbors(a):
+            planar._chord(pg, f[i - 1], f[j])
     return pg
 
 
 def clip_outer_by_rescan(pg, walk, counter):
-    """`planar._clip_outer` as a plain rescan: after every chord, tails are
+    """`planar._clip_ears` as a plain rescan: after every chord, tails are
     read again and the ears looked at from the chord on."""
     w = list(walk)
     while len(w) > 3:
         tails = [pg.tail(d) for d in w]
         for i in range(len(w) - 2):
-            if tails[i] != tails[i + 2] and not pg.adjacent(tails[i], tails[i + 2]):
-                _, w, _ = planar.add_chord(pg, w, i, i + 2)
+            if tails[i] != tails[i + 2] and tails[i + 2] not in pg.neighbors(tails[i]):
+                eid = planar._chord(pg, w[i - 1], w[i + 2])
+                w = [(eid, 0)] + w[i + 2:] + w[:i]
                 break
         else:
             hub = f"steiner{counter[0]}"
@@ -470,7 +483,7 @@ class TestOuterEars:
                 return clip(work, walk, [0]), work.endpoints, work.rotation
             except EmbeddingError as exc:  # stellating a walk that repeats a vertex
                 return str(exc)
-        got = outcome(planar._clip_outer)
+        got = outcome(planar._clip_ears)
         assert got == outcome(clip_outer_by_rescan)
         return got
 
@@ -503,12 +516,61 @@ class TestOuterEars:
             n = rng.randint(4, 16)
             pg = random_plane_graph(rng, n)
             blocked = {frozenset(p) for p in combinations(range(n), 2) if rng.random() < 0.7}
-            neighbors, adjacent = PlaneGraph.neighbors, PlaneGraph.adjacent
+            neighbors = PlaneGraph.neighbors
             with monkeypatch.context() as mp:
                 mp.setattr(PlaneGraph, "neighbors", lambda self, v: neighbors(self, v) + [
                     w for w in range(n) if frozenset((v, w)) in blocked])
-                mp.setattr(PlaneGraph, "adjacent", lambda self, u, v: adjacent(self, u, v)
-                           or frozenset((u, v)) in blocked)
                 got = self._same_as_rescan(pg, max(pg.faces(), key=len))
             hubs += isinstance(got, tuple) and "steiner0" in got[0]
         assert hubs
+
+
+def triangulate_by_rescan(pg, outer_walk, faces):
+    """`triangulate` with `clip_outer_by_rescan` run on the outer walk and
+    then on each longer face in order."""
+    work, counter = pg.copy(), [0]
+    outer = clip_outer_by_rescan(work, outer_walk, counter)
+    for f in faces:
+        if len(f) > 3 and set(f) != set(outer_walk):
+            clip_outer_by_rescan(work, f, counter)
+    return work, outer
+
+
+class TestEveryFaceClipped:
+    """`triangulate` chords every face with the ear clip: the edges and
+    rotations of the rescan, one `_clip_ears` call per face of more than 3
+    darts and none for a triangle."""
+
+    @staticmethod
+    def _same_as_rescan(pg, outer_walk, faces, monkeypatch):
+        calls = []
+        real = planar._clip_ears
+        with monkeypatch.context() as mp:
+            mp.setattr(planar, "_clip_ears", lambda pg, walk, counter:
+                       calls.append(walk) or real(pg, walk, counter))
+            work, outer = triangulate(pg, outer_walk, faces)
+        want, want_outer = triangulate_by_rescan(pg, outer_walk, faces)
+        assert (outer, work.endpoints, work.rotation) == (
+            want_outer, want.endpoints, want.rotation)
+        assert calls == [outer_walk] + [
+            f for f in faces if len(f) > 3 and set(f) != set(outer_walk)]
+
+    def test_bridged_seed_132_floorplan(self, monkeypatch):
+        # one floorplan with inner faces of 11 and 10 darts
+        plans = []
+        real = schnyder.triangulate
+        monkeypatch.setattr(schnyder, "triangulate", lambda pg, outer, faces:
+                            plans.append((pg.copy(), outer, faces))
+                            or real(pg, outer, faces))
+        assert represent_cubic(bridged_cubic(132)).certificate.passed
+        assert plans
+        for pg, outer, faces in plans:
+            self._same_as_rescan(pg, outer, faces, monkeypatch)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_plane_graphs(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        for _ in range(40):
+            pg = random_plane_graph(rng, rng.randint(3, 30))
+            faces = pg.check_planar()
+            self._same_as_rescan(pg, max(faces, key=len), faces, monkeypatch)
