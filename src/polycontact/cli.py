@@ -39,8 +39,7 @@ from .core import (BUILTIN_SYSTEMS, InputError, SteinerDescriptor,
                    blocks_from_text, builtin_system, graph_from_edge_list,
                    validate_steiner)
 from .scene import ConstructionError
-from .sceneio import (_dumps, read_embedding, read_scene, scene_to_json,
-                      write_scene)
+from .sceneio import _dumps, _scene_text, read_embedding, read_scene, write_scene
 from .verify import grid_extent, verify_scene
 
 
@@ -126,6 +125,8 @@ def _need(cond, msg):
 
 
 def cmd_represent(args) -> int:
+    """Build and certify the scene; write its file with `write_scene` (-o)
+    or the same bytes, `_scene_text` and a newline, to stdout."""
     scene = _build_scene(args)
     report = scene.certificate.to_text()
     if args.output:
@@ -134,7 +135,7 @@ def cmd_represent(args) -> int:
         print(f"wrote {args.output}")
     else:
         print(report, file=sys.stderr)
-        sys.stdout.write(_dumps(scene_to_json(scene)) + "\n")
+        sys.stdout.write(_scene_text(scene) + "\n")
     return 0
 
 

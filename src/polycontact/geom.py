@@ -263,8 +263,9 @@ def polygon_properties(poly: Polygon3) -> PolygonProperties:
                     for (ax, ay), (bx, by) in zip(pts[1:-1], pts[2:]))
         props.flat = tuple(pts) if area2 > 0 else tuple(reversed(pts))
 
-    props.issues += [f"duplicate corners {i} and {j}" for i in range(n)
-                     for j in range(i + 1, n) if cs[i] == cs[j]]
+    if len(set(cs)) < n:  # only then name every duplicate pair, in O(k^2)
+        props.issues += [f"duplicate corners {i} and {j}" for i in range(n)
+                         for j in range(i + 1, n) if cs[i] == cs[j]]
     if props.issues:
         props.planar = True
         return props

@@ -184,37 +184,41 @@ def build_modified_medial(emb: OnePlaneEmbedding) -> ModifiedMedialGraph:
                                vertex_face=vertex_face, faces=faces)
 
 
-def _outer_medial_face(emb: OnePlaneEmbedding, med: ModifiedMedialGraph):
-    """The medial face to draw outside, and the edge to dip (or None).
+def _outer_medial_faces(emb: OnePlaneEmbedding, med: ModifiedMedialGraph):
+    """The medial face-faces to draw outside, in the order to try them.
 
-    Normally this is the face-face of the drawing's outer face.  When that
-    degenerates to a bigon (a crossing on the outer face boxed in by an
-    edge between two of its endpoints), the vertex face of the smaller
-    boxing endpoint becomes the outer face and its crossed edge will dip
-    to z = -1 rather than rise.
+    With the drawing's `outer_face`, its face-face alone.  Otherwise every
+    face-face, the longest first: the scene drawn around one face can fail
+    verification where the scene around another certifies.
     """
-    med_faces = med.faces
     vertex_faces = {id(f) for f in med.vertex_face.values()}
+    candidates = [f for f in med.faces if id(f) not in vertex_faces]
+    if emb.outer_face is None:
+        return sorted(candidates, key=lambda f: (len(f), sorted(d[0] for d in f)),
+                      reverse=True)
+    want = frozenset(emb.outer_face)
+    edges_at = {}  # medial node -> the graph edges it stands for
+    for e, node in med.node_of_edge.items():
+        edges_at.setdefault(node, set()).add(e)
+    # find medial face-faces whose nodes stand for exactly those edges
+    matches = [f for f in candidates
+               if set().union(*(edges_at[med.plane.tail(d)] for d in f)) == want]
+    if not matches:
+        raise InputError("outer_face does not match any face")
+    if len(matches) > 1:
+        raise InputError("outer_face is ambiguous; give more edges")
+    return matches
 
-    target = None
-    if emb.outer_face is not None:
-        want = frozenset(emb.outer_face)
-        edges_at = {}  # medial node -> the graph edges it stands for
-        for e, node in med.node_of_edge.items():
-            edges_at.setdefault(node, set()).add(e)
-        # find medial face-faces whose nodes stand for exactly those edges
-        matches = [f for f in med_faces if id(f) not in vertex_faces
-                   and set().union(*(edges_at[med.plane.tail(d)] for d in f)) == want]
-        if len(matches) == 1:
-            target = matches[0]
-        elif not matches:
-            raise InputError("outer_face does not match any face")
-        else:
-            raise InputError("outer_face is ambiguous; give more edges")
-    else:
-        candidates = [f for f in med_faces if id(f) not in vertex_faces]
-        target = max(candidates, key=lambda f: (len(f), sorted(d[0] for d in f)))
 
+def _outer_and_dip(med: ModifiedMedialGraph, target):
+    """The medial face to draw outside for face-face `target`, and the edge
+    to dip (or None).
+
+    Normally this is `target` itself.  When it degenerates to a bigon (a
+    crossing on the outer face boxed in by an edge between two of its
+    endpoints), the vertex face of the smaller boxing endpoint becomes the
+    outer face and its crossed edge will dip to z = -1 rather than rise.
+    """
     if len(target) >= 3:
         return target, None
 
@@ -233,11 +237,18 @@ def _outer_medial_face(emb: OnePlaneEmbedding, med: ModifiedMedialGraph):
 
 
 def represent_oneplanar_cubic(emb: OnePlaneEmbedding) -> Scene:
-    """Touching-triangle scene for a 1-plane cubic graph, depth-3 grid."""
-    g = emb.graph
-    med = build_modified_medial(emb)
-    outer, dip = _outer_medial_face(emb, med)
+    """Touching-triangle scene for a 1-plane cubic graph, depth-3 grid.
 
+    Without an `outer_face`, the scene drawn around each face-face in
+    turn, longest first, goes to `certify` until one passes."""
+    med = build_modified_medial(emb)
+    return certify(_drawn_scene(emb, med, *_outer_and_dip(med, f))
+                   for f in _outer_medial_faces(emb, med))
+
+
+def _drawn_scene(emb: OnePlaneEmbedding, med: ModifiedMedialGraph, outer, dip) -> Scene:
+    """The scene drawn with medial face `outer` outside and `dip` dipped."""
+    g = emb.graph
     # subdivide parallel medial edges so the drawing input is simple,
     # keeping any copy that lies on the chosen outer walk
     work = med.plane.copy()
@@ -288,7 +299,7 @@ def represent_oneplanar_cubic(emb: OnePlaneEmbedding) -> Scene:
     meta = {"construction": "oneplanar-cubic", "arithmetic": "exact",
             "crossings": len(med.crossing_pairs),
             "claimed_grid": {"x": 3 * n // 2 - 1, "y": 3 * n // 2 - 1, "z": 3}}
-    return certify([graph_scene(g, polygons, contacts, meta)])
+    return graph_scene(g, polygons, contacts, meta)
 
 
 def _subdivide(pg: PlaneGraph, eid, new_vertex):

@@ -5,12 +5,11 @@ coordinate is a "num/den" string in lowest terms, so a round trip is
 bit-identical.  Points are shared by id so corner coincidences survive the
 trip exactly.  A read converts each distinct coordinate string to a
 Fraction once, so equal coordinates share one object.  A scene file's
-bytes are `json.dumps(doc, indent=1)` and a newline, where `doc` is
-`scene_to_json(scene)`; `_dumps` writes that text without json's
-pure-Python indenting encoder.  The reader fails closed: a
-`meta.arithmetic` other than "exact", a coordinate that is not "num/den",
-or a duplicate point id, polygon label or contact is an InputError, not a
-silent misreading.
+bytes are `json.dumps(scene_to_json(scene), indent=1)` and a newline;
+`_scene_text` writes that text in one pass over `_records`, with no
+document.  The reader fails closed: a `meta.arithmetic` other than
+"exact", a coordinate that is not "num/den", or a duplicate point id,
+polygon label or contact is an InputError, not a silent misreading.
 """
 
 from __future__ import annotations
@@ -49,53 +48,69 @@ def _coordinate(rec: dict, axis: str) -> Fraction:
     return Fraction(num, den)
 
 
-def scene_to_json(scene: Scene) -> dict:
-    point_ids = {}
-    points = []
-    by_object = {}  # id(point object) -> its point id; the scene holds each
+def _records(scene: Scene) -> tuple:
+    """The scene's records in file order, decided here alone: points' coordinate
+    strings by id ("p{i}"), (label, corner ids) by label, (point id, elements) per
+    contact, the structure, and `meta` with `str()` for each value json cannot encode."""
+    coords = []
+    ids = {}  # id(point object; the scene holds each), coordinate strings -> point id
 
     # a point is keyed by the strings it is written as, each object read once
     def pid(p):
-        ident = by_object.get(id(p))
+        ident = ids.get(id(p))
         if ident is None:
             key = tuple(map(_ratio, p))
-            ident = point_ids.get(key)
+            ident = ids.get(key)
             if ident is None:
-                ident = point_ids[key] = f"p{len(points)}"
-                x, y, z = key
-                points.append({"id": ident, "x": x, "y": y, "z": z})
-            by_object[id(p)] = ident
+                ident = ids[key] = f"p{len(coords)}"
+                coords.append(key)
+            ids[id(p)] = ident
         return ident
 
-    polygons = []
-    for label in sorted(scene.polygons):
-        poly = scene.polygons[label]
-        polygons.append({"label": label,
-                         "corners": [pid(c) for c in poly.corners]})
-    contacts = []
+    polygons = [(label, [pid(c) for c in scene.polygons[label].corners])
+                for label in sorted(scene.polygons)]
+    s = scene.structure
     if scene.kind == GRAPH:
-        for e in sorted(scene.contacts, key=lambda e: sorted(e)):
-            contacts.append({"point": pid(scene.contacts[e]),
-                             "elements": sorted(e)})
-        structure = {"vertices": list(scene.structure.vertices),
-                     "edges": [sorted(e) for e in
-                               sorted(scene.structure.edges, key=sorted)]}
+        contacts = [(pid(scene.contacts[e]), pair)
+                    for pair, e in sorted((sorted(e), e) for e in scene.contacts)]
+        structure = {"vertices": list(s.vertices), "edges": sorted(map(sorted, s.edges))}
     else:
-        for v in sorted(scene.contacts):
-            contacts.append({"point": pid(scene.contacts[v]),
-                             "elements": [v]})
-        structure = {"vertices": list(scene.structure.vertices),
-                     "blocks": [sorted(b) for b in scene.structure.blocks]}
-
-    meta = {}
-    for k, v in scene.meta.items():
+        contacts = [(pid(scene.contacts[v]), [v]) for v in sorted(scene.contacts)]
+        structure = {"vertices": list(s.vertices), "blocks": [sorted(b) for b in s.blocks]}
+    meta = dict(scene.meta)
+    for k, v in meta.items():
         try:
             json.dumps(v)
-            meta[k] = v
         except TypeError:
             meta[k] = str(v)
-    return {"kind": scene.kind, "structure": structure, "points": points,
-            "polygons": polygons, "contacts": contacts, "meta": meta}
+    return coords, polygons, contacts, structure, meta
+
+
+def scene_to_json(scene: Scene) -> dict:
+    """The scene file's document: the dict view of `_records(scene)`."""
+    coords, polygons, contacts, structure, meta = _records(scene)
+    return {"kind": scene.kind, "structure": structure,
+            "points": [dict(id=f"p{i}", x=x, y=y, z=z) for i, (x, y, z) in enumerate(coords)],
+            "polygons": [dict(label=label, corners=ids) for label, ids in polygons],
+            "contacts": [dict(point=p, elements=els) for p, els in contacts], "meta": meta}
+
+
+def _scene_text(scene: Scene) -> str:
+    """`_dumps(scene_to_json(scene))`, written from `_records` with no document."""
+    coords, polygons, contacts, structure, meta = _records(scene)
+    pad = "\n   "  # a record's fields
+    return "".join((
+        '{\n "kind": ', _dumps(scene.kind), ',\n "structure": ', _dumps(structure, "\n "),
+        ',\n "points": ', _array([
+            f'{{\n   "id": "p{i}",\n   "x": "{x}",\n   "y": "{y}",\n   "z": "{z}"\n  }}'
+            for i, (x, y, z) in enumerate(coords)], "\n "),
+        ',\n "polygons": ', _array([
+            f'{{\n   "label": {_dumps(label, pad)},\n   "corners": {_dumps(corners, pad)}\n  }}'
+            for label, corners in polygons], "\n "),
+        ',\n "contacts": ', _array([
+            f'{{\n   "point": "{point}",\n   "elements": {_dumps(elements, pad)}\n  }}'
+            for point, elements in contacts], "\n "),
+        ',\n "meta": ', _dumps(meta, "\n "), "\n}"))
 
 
 def scene_from_json(doc: dict) -> Scene:
@@ -162,48 +177,37 @@ def _add(table: dict, key, value, what: str):
     table[key] = value
 
 
-def _dumps(doc) -> str:
-    """`json.dumps(doc, indent=1)`, without json's pure-Python encoder."""
-    out = []
-    _encode(doc, "\n", out.append)
-    return "".join(out)
-
-
-def _encode(o, pad: str, put):
-    """Put o's indent-1 JSON text, at the depth `pad` ("\n" and the
-    indent) gives.  Strings, lists, tuples and str-keyed dicts are written
-    here; every other value (numbers, bools, None, other dicts, subclasses)
-    is json's own text, indented to that depth.  A scalar or an empty
-    container has no line break to indent, so its text comes from json's C
-    encoder: the indenting one leaves reference cycles behind."""
+def _dumps(o, pad: str = "\n") -> str:
+    """`json.dumps(o, indent=1)` at the depth `pad` ("\n" and the indent)
+    gives.  Strings, lists, tuples and str-keyed dicts are written here;
+    every other value is json's own text, indented to that depth.  A scalar
+    or an empty container has no line break to indent, so its text comes
+    from json's C encoder: the indenting one leaves reference cycles."""
     t = type(o)
+    inner = pad + " "
     if t is str:
-        put(_quote(o))
-    elif (t is list or t is tuple) and o:
-        inner = pad + " "
-        sep = "[" + inner
-        for x in o:
-            put(sep)
-            _encode(x, inner, put)
-            sep = "," + inner
-        put(pad + "]")
-    elif t is dict and o and all(type(k) is str for k in o):
-        inner = pad + " "
-        sep = "{" + inner
-        for k, v in o.items():
-            put(sep + _quote(k) + ": ")
-            _encode(v, inner, put)
-            sep = "," + inner
-        put(pad + "}")
-    elif isinstance(o, (list, tuple, dict)) and o:
-        put(json.dumps(o, indent=1).replace("\n", pad))
-    else:
-        put(json.dumps(o))
+        return _quote(o)
+    if (t is list or t is tuple) and o:
+        return _array([*map(_quote, o)] if all(type(x) is str for x in o)
+                      else [_dumps(x, inner) for x in o], pad)
+    if t is dict and o and all(type(k) is str for k in o):
+        return ("{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _dumps(v, inner) for k, v in o.items()]) + pad + "}")
+    if isinstance(o, (list, tuple, dict)) and o:
+        return json.dumps(o, indent=1).replace("\n", pad)
+    return json.dumps(o)
+
+
+def _array(texts: list, pad: str) -> str:
+    """The JSON list, at the depth `pad` gives, of items written one deeper."""
+    inner = pad + " "
+    return "[" + inner + ("," + inner).join(texts) + pad + "]" if texts else "[]"
 
 
 def write_scene(path: str, scene: Scene):
+    """Write the scene file: `_scene_text(scene)` and a newline."""
     with open(path, "w") as fh:
-        fh.write(_dumps(scene_to_json(scene)) + "\n")
+        fh.write(_scene_text(scene) + "\n")
 
 
 def read_scene(path: str) -> Scene:
@@ -211,9 +215,7 @@ def read_scene(path: str) -> Scene:
         return scene_from_json(json.load(fh))
 
 
-# ---------------------------------------------------------------------------
 # Embedding JSON for 1-plane inputs
-# ---------------------------------------------------------------------------
 
 
 def embedding_from_json(doc: dict) -> OnePlaneEmbedding:
@@ -227,9 +229,7 @@ def embedding_from_json(doc: dict) -> OnePlaneEmbedding:
         edges.append((str(u), str(v)))
     vertices = [str(rec["id"]) for rec in doc["vertices"]]
     g = Graph.from_edges(edges, vertices=vertices)
-    rotation = {}
-    for rec in doc["vertices"]:
-        rotation[str(rec["id"])] = [by_id[e] for e in rec["rotation"]]
+    rotation = {str(rec["id"]): [by_id[e] for e in rec["rotation"]] for rec in doc["vertices"]}
     crossings = frozenset(frozenset((by_id[a], by_id[b]))
                           for a, b in doc.get("crossings", []))
     outer = doc.get("outer_face")

@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from polycontact import (ConstructionError, Graph, Hypergraph, InputError, Polygon3,
                          edge_key, graph_from_edge_list, graph_scene, represent_complete,
@@ -19,7 +19,8 @@ from polycontact import (ConstructionError, Graph, Hypergraph, InputError, Polyg
                          strictify, verify_scene)
 from polycontact.cli import main
 from polycontact.export import scene_to_obj, scene_to_svg
-from polycontact.sceneio import _dumps, read_scene, write_scene
+from polycontact.scene import GRAPH, HYPERGRAPH, Scene
+from polycontact.sceneio import _dumps, _scene_text, read_scene, write_scene
 from polycontact.verify import grid_extent
 
 from conftest import fresh_points, gadget_chain
@@ -143,6 +144,56 @@ class TestDumps:
             gc.enable()
 
 
+_coordinates = (st.integers() | st.integers(-2 ** 300, 2 ** 300) | st.fractions()
+                | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _scenes(draw):
+    """A graph or hypergraph scene with escaped labels, shared point objects,
+    equal points held by distinct objects, and a `meta` json cannot all encode."""
+    pool = draw(st.lists(st.tuples(_coordinates, _coordinates, _coordinates),
+                         min_size=1, max_size=6))
+    # the same values again in new objects, once as other number types
+    pool += [tuple(list(p)) for p in pool[:2]] + [tuple(map(Fraction, pool[0]))]
+    point = st.sampled_from(pool)
+    if draw(st.booleans()):
+        labels = draw(st.lists(_json_text, unique=True, max_size=6)
+                      | st.lists(st.integers(), unique=True, max_size=6))
+        pairs = [frozenset((u, v)) for i, u in enumerate(labels) for v in labels[i + 1:]]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        structure = Graph(vertices=tuple(labels), edges=frozenset(edges))
+        kind, contacts = GRAPH, {e: draw(point) for e in edges}
+    else:
+        labels = draw(st.lists(_json_text, unique=True, max_size=6))
+        blocks = draw(st.lists(st.frozensets(st.sampled_from(labels), min_size=2),
+                               unique=True, max_size=4)) if len(labels) > 1 else []
+        try:
+            structure = Hypergraph(vertices=tuple(labels), blocks=tuple(blocks))
+        except InputError:  # two blocks with one label
+            assume(False)
+        kind, contacts = HYPERGRAPH, {v: draw(point) for v in labels}
+    polygons = {label: Polygon3(tuple(draw(st.lists(point, min_size=1, max_size=5))))
+                for label in labels}
+    meta = draw(st.dictionaries(st.integers() | _json_text, _json_values | st.sampled_from(
+        [Fraction(1, 3), complex(1, -2), [1, Fraction(2)], {(1, 2): "tuple key"}]),
+        max_size=4))
+    return Scene(kind=kind, structure=structure, polygons=polygons,
+                 contacts=contacts, meta=meta)
+
+
+class TestSceneText:
+    """`_scene_text` writes `scene_to_json`'s document as json.dumps(indent=1)."""
+
+    @given(_scenes())
+    @example(Scene(kind=GRAPH, structure=Graph(vertices=(), edges=frozenset()),
+                   polygons={}, contacts={}))
+    @example(Scene(kind=HYPERGRAPH, structure=Hypergraph(vertices=(), blocks=()),
+                   polygons={}, contacts={}))
+    def test_matches_json(self, scene):
+        assert _scene_text(scene) == json.dumps(scene_to_json(scene), indent=1)
+
+
 _MAXDEG3 = "0 1\n1 2\n1 3\n3 4\n"
 
 
@@ -169,8 +220,9 @@ def _input_files(tmp_path):
 
 
 @pytest.mark.parametrize("args", _EVERY_CLASS, ids=_CLASS_IDS)
-def test_every_class_writes_json_bytes(args, tmp_path, monkeypatch):
-    # the scene the command builds is written as json.dumps(indent=1) writes it
+def test_every_class_writes_json_bytes(args, tmp_path, monkeypatch, capsys):
+    # the scene the command builds is written as json.dumps(indent=1) writes
+    # it, and without -o the same bytes go to stdout
     import polycontact.cli as cli
     files = _input_files(tmp_path)
     built = []
@@ -180,6 +232,9 @@ def test_every_class_writes_json_bytes(args, tmp_path, monkeypatch):
     argv = [a.format(**files) for a in args]
     assert main(["represent", *argv, "-o", str(out)]) == 0
     assert out.read_text() == json.dumps(scene_to_json(built[0]), indent=1) + "\n"
+    capsys.readouterr()
+    assert main(["represent", *argv]) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 @pytest.mark.parametrize("args", _EVERY_CLASS, ids=_CLASS_IDS)

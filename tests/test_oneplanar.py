@@ -6,7 +6,7 @@ import pytest
 
 from polycontact import (ConstructionError, InputError, OnePlaneEmbedding,
                          build_modified_medial, embedding_from_json, grid_extent,
-                         represent_oneplanar_cubic)
+                         oneplanar, represent_oneplanar_cubic, verify_scene)
 
 from conftest import (all_oneplanar_fixtures, ek, k4_bconfig_embedding,
                       k4_crossed_embedding, k4_graph, k4_planar_embedding)
@@ -120,9 +120,8 @@ class TestRepresent:
 
 
 # A 1-plane drawing, 6 vertices and 2 crossings, whose scene fails
-# verification under the default outer face (the longest face of the
-# modified medial graph) and certifies under the face e3 e4 e5.  The
-# default face choice is not fixed, so this pins both outcomes.
+# verification under the default outer face (the longest face-face of the
+# modified medial graph) and certifies under the face e3 e4 e5.
 _REJECTED_DEFAULT_FACE = {
     "vertices": [{"id": "0", "rotation": ["e2", "e0", "e1"]},
                  {"id": "1", "rotation": ["e3", "e0", "e4"]},
@@ -137,11 +136,16 @@ _REJECTED_DEFAULT_FACE = {
 
 
 class TestOuterFaceChoice:
-    def test_default_outer_face_fails_closed(self):
-        emb = embedding_from_json(_REJECTED_DEFAULT_FACE)
-        with pytest.raises(ConstructionError,
-                           match=r"scene fails verification: \[interior-overlap\]"):
-            represent_oneplanar_cubic(emb)
+    def test_next_face_certifies_where_the_default_fails(self, monkeypatch):
+        # with no outer_face, the default face's scene is drawn first and
+        # fails; a later face-face's scene is the one certified
+        drawn = []
+        monkeypatch.setattr(oneplanar, "_drawn_scene", lambda *a, draw=oneplanar._drawn_scene:
+                            drawn.append(draw(*a)) or drawn[-1])
+        scene = represent_oneplanar_cubic(embedding_from_json(_REJECTED_DEFAULT_FACE))
+        assert scene.certificate.passed and verify_scene(scene).passed
+        assert len(drawn) > 1 and scene is drawn[-1]
+        assert verify_scene(drawn[0]).violations[0].code == "interior-overlap"
 
     def test_another_outer_face_certifies(self):
         emb = embedding_from_json(dict(_REJECTED_DEFAULT_FACE, outer_face=["e3", "e4", "e5"]))
