@@ -35,11 +35,10 @@ report is the only contact check here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import Graph, edge_key
+from .core import Frozen, Graph, edge_key
 from .geom import Polygon3, polygon_properties
 from .scene import ConstructionError, Scene, dummy_labels, graph_scene, retract
 from .verify import certify, verify_scene  # noqa: F401  perfbench/spans.py wraps verify_scene
@@ -47,13 +46,15 @@ from .verify import certify, verify_scene  # noqa: F401  perfbench/spans.py wrap
 _MAX_HALVINGS = 128
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(Frozen):
     """The lines y = 2 s_i x - s_i**2, tangent to y = x**2 at s_i = S_i / D,
     for the ints s = (S_1, ..., S_n) and d = D > 0."""
 
-    s: tuple
-    d: int
+    _fields = ("s", "d")
+
+    def __init__(self, s: tuple, d: int):
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "d", d)
 
     @property
     def n(self) -> int:

@@ -5,7 +5,9 @@ prints that `certificate`, to stderr when stdout gets the scene.  `verify`
 prints the grid extent that the grid-claim check measured, and measures
 it only for scenes that claim none.  Exit codes: 0 success, 1 `verify`
 failure, 2 usage or parse error, 3 construction precondition violation
-or no scene certifies.
+or no scene certifies.  A file that cannot be read (`OSError`, such as a
+directory, or bytes that are not UTF-8) is a parse error, never a
+traceback.
 
 `CLASSES` maps each `represent --class` to its constructor and the
 reader of its input; `_build_scene` reads the input and calls the
@@ -18,8 +20,9 @@ or arguments the subcommand leaves over; every text and exit code is the
 root parser's either way.  Nothing is kept from one call to the next.
 
 Loading `cli` imports `core`, `geom`, `scene`, `sceneio` and `verify`,
-which every scene-handling subcommand runs.  Any other name the package
-exports (its `_EXPORTS`) is imported on first use by the module
+which every scene-handling subcommand runs; their records are plain
+classes with hand-written methods (`core.Record`).  Any other name the
+package exports (its `_EXPORTS`) is imported on first use by the module
 `__getattr__` and kept here, so `verify` compiles no construction and
 `represent --class complete` only `arrangement`; `export` imports the
 exporters when it runs.  Call sites read those names off the module
@@ -307,7 +310,8 @@ def main(argv=None) -> int:
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (InputError, json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
+    except (InputError, json.JSONDecodeError, UnicodeDecodeError, OSError, KeyError) as exc:
+        # not ValueError: ConstructionError is one, and exits 3
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ConstructionError as exc:

@@ -7,11 +7,14 @@ which preserves first-appearance order from the input.  `block_label` is
 the one place that knows how a hypergraph block's polygon is labelled,
 and `Hypergraph` rejects two blocks with one label.  All containers are
 immutable after construction and safe to share across threads.
+
+`Record` and `Frozen` are the bases of the package's records: plain
+classes, each with its own `__init__`, so loading a module generates no
+code for them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
@@ -21,20 +24,60 @@ class InputError(ValueError):
     """Malformed combinatorial input (parse errors, broken invariants)."""
 
 
+class Record:
+    """A record: `==` compares the `_fields` of two instances of one
+    class as a tuple, and `repr` shows them as `Name(field=value, ...)`."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Frozen(Record):
+    """A record whose `__init__` sets its `_fields` once, through
+    `object.__setattr__`: any later assignment raises, it hashes by its
+    fields, and it copies and pickles by calling its class on them."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 def edge_key(u: str, v: str) -> frozenset:
     if u == v:
         raise InputError(f"self-loop at {u!r}")
     return frozenset((u, v))
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Frozen):
     """Labeled undirected simple graph."""
 
-    vertices: tuple
-    edges: frozenset  # of frozenset pairs
+    _fields = ("vertices", "edges")
 
-    def __post_init__(self):
+    def __init__(self, vertices: tuple, edges: frozenset):  # of frozenset pairs
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
         if len(set(self.vertices)) != len(self.vertices):
             raise InputError("duplicate vertex labels")
         vs = set(self.vertices)
@@ -60,8 +103,8 @@ class Graph:
 
     @cached_property
     def _adjacency(self) -> dict:
-        # Built on first use; not a dataclass field, so equality and hash
-        # still compare vertices and edges only.
+        # Built on first use in the instance's __dict__; not one of
+        # `_fields`, so equality and hash still compare vertices and edges only.
         adj = {v: set() for v in self.vertices}
         for e in self.edges:
             u, v = tuple(e)
@@ -169,18 +212,18 @@ def graph_from_edge_list(text: str) -> Graph:
     return Graph.from_edges(edges)
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(Frozen):
     """Vertex universe plus duplicate-free list of blocks (size >= 2).
 
     Each block's polygon is labelled `block_label(block)`, so no two
     blocks may share that label (blocks {"p,q", "r"} and {"p", "q,r"} do).
     """
 
-    vertices: tuple
-    blocks: tuple  # of frozensets
+    _fields = ("vertices", "blocks")
 
-    def __post_init__(self):
+    def __init__(self, vertices: tuple, blocks: tuple):  # of frozensets
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "blocks", blocks)
         vs = set(self.vertices)
         seen = {}  # block label -> block
         for b in self.blocks:
@@ -244,13 +287,13 @@ def block_label(block: frozenset) -> str:
     return ",".join(sorted(block))
 
 
-@dataclass(frozen=True)
-class SteinerDescriptor:
-    t: int
-    k: int
-    n: int
+class SteinerDescriptor(Frozen):
+    _fields = ("t", "k", "n")
 
-    def __post_init__(self):
+    def __init__(self, t: int, k: int, n: int):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
         if not (0 < self.t < self.k < self.n):
             raise InputError(f"need 0 < t < k < n, got {self}")
 
@@ -401,8 +444,7 @@ def builtin_descriptor(name: str) -> SteinerDescriptor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OnePlaneEmbedding:
+class OnePlaneEmbedding(Frozen):
     """Rotation system plus crossing pairs describing a 1-plane drawing.
 
     `rotation` maps each vertex to the cyclic (counterclockwise) order of
@@ -411,12 +453,14 @@ class OnePlaneEmbedding:
     once, and crossing edges must not share an endpoint.
     """
 
-    graph: Graph
-    rotation: dict
-    crossings: frozenset
-    outer_face: Optional[frozenset] = None  # edge-key set identifying a face
+    _fields = ("graph", "rotation", "crossings", "outer_face")
 
-    def __post_init__(self):
+    def __init__(self, graph: Graph, rotation: dict, crossings: frozenset,
+                 outer_face: Optional[frozenset] = None):  # edge-key set identifying a face
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "outer_face", outer_face)
         counts = {e: 0 for e in self.graph.edges}
         for v in self.graph.vertices:
             if v not in self.rotation:

@@ -31,11 +31,11 @@ Every scene is returned through `verify.certify`, the correctness gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from typing import Optional
 
-from .core import Graph, components, edge_key, find_bridges
+from .core import Graph, Record, components, edge_key, find_bridges
 from .geom import Polygon3
 from .planar import PlaneGraph
 from .scene import ConstructionError, Scene, dummy_labels, graph_scene, retract
@@ -48,10 +48,12 @@ from .verify import certify, verify_scene  # noqa: F401  perfbench/spans.py wrap
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BridgeBlockTree:
-    components: list  # list of frozensets of vertices
-    bridges: set  # edge keys
+class BridgeBlockTree(Record):
+    _fields = ("components", "bridges")
+
+    def __init__(self, components: list, bridges: set):
+        self.components = components  # list of frozensets of vertices
+        self.bridges = bridges  # edge keys
 
 
 def bridge_block_tree(g: Graph) -> BridgeBlockTree:
@@ -67,10 +69,12 @@ def bridge_block_tree(g: Graph) -> BridgeBlockTree:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PetersenDecomposition:
-    matching: set  # edge keys
-    cycles: list  # each a list of vertex labels in cycle order
+class PetersenDecomposition(Record):
+    _fields = ("matching", "cycles")
+
+    def __init__(self, matching: set, cycles: list):
+        self.matching = matching  # edge keys
+        self.cycles = cycles  # each a list of vertex labels in cycle order
 
 
 def _cycles_after_matching(vertices, edges, matching):
@@ -431,32 +435,43 @@ def _place_hub(n, boundary, seq, cycles, mate):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _WheelPlan:
-    index: int
-    cut: dict            # cut vertex -> (foot edge key, bridge key, kind)
-    matching: set        # matching of the reduced graph (includes feet)
-    cycles: list         # reduced-graph cycles, chord vertex last
-    slots: dict          # matching edge -> (lo, hi)
-    apex: dict           # reduced vertex -> z slot
-    hub: object = None   # floorplan label of the hub
-    slot_nodes: list = field(default_factory=list)  # per cycle, per slot: rim labels
-    cycle_foot_at: dict = field(default_factory=dict)  # (cycle, slot) -> cut vertex
-    kind: str = "wheel"
+class _WheelPlan(Record):
+    kind = "wheel"
+    _fields = ("index", "cut", "matching", "cycles", "slots", "apex", "hub",
+               "slot_nodes", "cycle_foot_at")
+
+    def __init__(self, index: int, cut: dict, matching: set, cycles: list, slots: dict,
+                 apex: dict, hub: object = None, slot_nodes: Optional[list] = None,
+                 cycle_foot_at: Optional[dict] = None):
+        self.index = index
+        self.cut = cut            # cut vertex -> (foot edge key, bridge key, kind)
+        self.matching = matching  # matching of the reduced graph (includes feet)
+        self.cycles = cycles      # reduced-graph cycles, chord vertex last
+        self.slots = slots        # matching edge -> (lo, hi)
+        self.apex = apex          # reduced vertex -> z slot
+        self.hub = hub            # floorplan label of the hub
+        # per cycle, per slot: rim labels
+        self.slot_nodes = [] if slot_nodes is None else slot_nodes
+        # (cycle, slot) -> cut vertex
+        self.cycle_foot_at = {} if cycle_foot_at is None else cycle_foot_at
 
 
-@dataclass
-class _CyclePlan:
-    index: int
-    order: list          # comp vertices in cycle order
-    kind: str = "cycle"
+class _CyclePlan(Record):
+    kind = "cycle"
+    _fields = ("index", "order")
+
+    def __init__(self, index: int, order: list):
+        self.index = index
+        self.order = order  # comp vertices in cycle order
 
 
-@dataclass
-class _VertexPlan:
-    index: int
-    vertex: str
-    kind: str = "vertex"
+class _VertexPlan(Record):
+    kind = "vertex"
+    _fields = ("index", "vertex")
+
+    def __init__(self, index: int, vertex: str):
+        self.index = index
+        self.vertex = vertex
 
 
 def _component_plans(g: Graph, idx, comp, bridges):

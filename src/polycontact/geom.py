@@ -61,10 +61,11 @@ interval logic exact and simple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Optional, Sequence
+
+from .core import Frozen, Record
 
 Point3 = tuple  # (x, y, z) of int or Fraction
 
@@ -118,8 +119,7 @@ def is_zero_vec(v) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Polygon3:
+class Polygon3(Frozen):
     """An ordered corner list in 3D.
 
     A polygon has at least 3 corners that are not collinear.  A shorter or
@@ -129,28 +129,35 @@ class Polygon3:
     points must stay corners even when a convex hull would drop them.
     """
 
-    corners: tuple
+    __slots__ = _fields = ("corners",)
 
-    def __post_init__(self):
-        if len(self.corners) < 1:
+    def __init__(self, corners: tuple):
+        if len(corners) < 1:
             raise GeometryError("polygon needs at least one corner")
+        object.__setattr__(self, "corners", corners)
 
 
-@dataclass
-class PolygonProperties:
+class PolygonProperties(Record):
     """One polygon's validity flags and the frame the pair classifier
     reads: its supporting plane (None for fewer than 3 corners or collinear
     ones), the axis dropped for 2D work, and `flat`, the corners projected
     along that axis in ccw order."""
 
-    planar: bool = False
-    simple: bool = False
-    convex: bool = False
-    strictly_convex: bool = False
-    issues: list = field(default_factory=list)
-    plane: Optional[tuple] = None
-    axis: Optional[int] = None
-    flat: Optional[tuple] = None
+    __slots__ = _fields = ("planar", "simple", "convex", "strictly_convex", "issues",
+                           "plane", "axis", "flat")
+
+    def __init__(self, planar: bool = False, simple: bool = False, convex: bool = False,
+                 strictly_convex: bool = False, issues: Optional[list] = None,
+                 plane: Optional[tuple] = None, axis: Optional[int] = None,
+                 flat: Optional[tuple] = None):
+        self.planar = planar
+        self.simple = simple
+        self.convex = convex
+        self.strictly_convex = strictly_convex
+        self.issues = [] if issues is None else issues
+        self.plane = plane
+        self.axis = axis
+        self.flat = flat
 
 
 def _plane_of(corners: Sequence[Point3]):
@@ -345,12 +352,16 @@ BOUNDARY_TOUCH = "BoundaryTouch"
 VIOLATION = "Violation"
 
 
-@dataclass
-class PairClassification:
-    kind: str
-    shared_corners: list = field(default_factory=list)
-    touch_witnesses: list = field(default_factory=list)
-    violations: list = field(default_factory=list)  # (reason, witness point)
+class PairClassification(Record):
+    __slots__ = _fields = ("kind", "shared_corners", "touch_witnesses", "violations")
+
+    def __init__(self, kind: str, shared_corners: Optional[list] = None,
+                 touch_witnesses: Optional[list] = None,
+                 violations: Optional[list] = None):  # (reason, witness point)
+        self.kind = kind
+        self.shared_corners = [] if shared_corners is None else shared_corners
+        self.touch_witnesses = [] if touch_witnesses is None else touch_witnesses
+        self.violations = [] if violations is None else violations
 
 
 def _locate_point(f: PolygonProperties, q: Point3) -> str:

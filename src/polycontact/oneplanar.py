@@ -22,11 +22,10 @@ parsed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .core import InputError, OnePlaneEmbedding
+from .core import InputError, OnePlaneEmbedding, Record
 from .geom import Polygon3
 from .planar import EmbeddingError, PlaneGraph
 from .scene import ConstructionError, Scene, graph_scene
@@ -88,8 +87,7 @@ def planarize(emb: OnePlaneEmbedding) -> tuple:
     raise InputError("rotation system plus crossings is not a 1-plane drawing")
 
 
-@dataclass
-class ModifiedMedialGraph:
+class ModifiedMedialGraph(Record):
     """Medial of a planarized 1-plane graph with merged crossing vertices.
 
     Medial node ("m", u, v) stands for the uncrossed edge u-v (u < v) and
@@ -97,12 +95,17 @@ class ModifiedMedialGraph:
     the nodes of the i-th and next edge in v's rotation.
     """
 
-    plane: PlaneGraph
-    node_of_edge: dict      # edge key -> medial node
-    crossing_pairs: list    # index -> frozenset of the two crossing edge keys
-    corner_edges: dict      # (vertex, rotation index) -> medial edge id
-    vertex_face: dict       # original vertex -> face (list of darts)
-    faces: list
+    _fields = ("plane", "node_of_edge", "crossing_pairs", "corner_edges", "vertex_face",
+               "faces")
+
+    def __init__(self, plane: PlaneGraph, node_of_edge: dict, crossing_pairs: list,
+                 corner_edges: dict, vertex_face: dict, faces: list):
+        self.plane = plane
+        self.node_of_edge = node_of_edge      # edge key -> medial node
+        self.crossing_pairs = crossing_pairs  # index -> frozenset of the two crossing edge keys
+        self.corner_edges = corner_edges      # (vertex, rotation index) -> medial edge id
+        self.vertex_face = vertex_face        # original vertex -> face (list of darts)
+        self.faces = faces
 
 
 def build_modified_medial(emb: OnePlaneEmbedding) -> ModifiedMedialGraph:

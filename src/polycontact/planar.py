@@ -12,21 +12,23 @@ V - E + F = 2C - (isolated vertices) over the whole graph.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import components
+from .core import Record, components
 
 
 class EmbeddingError(ValueError):
     pass
 
 
-@dataclass
-class PlaneGraph:
-    endpoints: dict = field(default_factory=dict)  # eid -> (u, v)
-    rotation: dict = field(default_factory=dict)  # vertex -> [darts]
-    _next_eid: int = 0
+class PlaneGraph(Record):
+    _fields = ("endpoints", "rotation", "_next_eid")
+
+    def __init__(self, endpoints: Optional[dict] = None, rotation: Optional[dict] = None,
+                 _next_eid: int = 0):
+        self.endpoints = {} if endpoints is None else endpoints  # eid -> (u, v)
+        self.rotation = {} if rotation is None else rotation  # vertex -> [darts]
+        self._next_eid = _next_eid
 
     # -- construction -------------------------------------------------
 

@@ -15,11 +15,11 @@ and `verify_scene` ignores it.  It goes stale if the scene is changed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice
+from typing import Optional
 
-from .core import Graph, Hypergraph, block_label
+from .core import Graph, Hypergraph, Record, block_label
 from .geom import Polygon3, _plane_of
 
 GRAPH = "graph"
@@ -30,14 +30,18 @@ class ConstructionError(ValueError):
     """A construction precondition failed or the method degenerates."""
 
 
-@dataclass
-class Scene:
-    kind: str
-    structure: object  # Graph or Hypergraph
-    polygons: dict  # label -> Polygon3
-    contacts: dict  # graph: edge key -> point; hypergraph: vertex -> point
-    meta: dict = field(default_factory=dict)
-    certificate: object = field(default=None, compare=False, repr=False)  # VerificationReport
+class Scene(Record):
+    __slots__ = ("kind", "structure", "polygons", "contacts", "meta", "certificate")
+    _fields = __slots__[:-1]  # the certificate is neither compared nor shown
+
+    def __init__(self, kind: str, structure: object, polygons: dict, contacts: dict,
+                 meta: Optional[dict] = None, certificate: object = None):
+        self.kind = kind
+        self.structure = structure  # Graph or Hypergraph
+        self.polygons = polygons  # label -> Polygon3
+        self.contacts = contacts  # graph: edge key -> point; hypergraph: vertex -> point
+        self.meta = {} if meta is None else meta
+        self.certificate = certificate  # VerificationReport
 
     def expected_contact_keys(self):
         if self.kind == GRAPH:

@@ -121,12 +121,18 @@ def scene_from_json(doc: dict) -> Scene:
     if not isinstance(doc, dict) or not _SCENE_KEYS <= doc.keys():
         raise InputError("a scene is an object with keys "
                          + ", ".join(sorted(_SCENE_KEYS)))
+    return _read(_scene_from_doc, doc, "scene")
+
+
+def _read(reader, doc, what: str):
+    """reader(doc), with any error a malformed document raises in it
+    (other than InputError) raised as InputError, naming `what`."""
     try:
-        return _scene_from_doc(doc)
+        return reader(doc)
     except InputError:
         raise
     except (TypeError, ValueError, LookupError, AttributeError) as exc:
-        raise InputError(f"malformed scene: {type(exc).__name__}: {exc}") from exc
+        raise InputError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 
 def _scene_from_doc(doc: dict) -> Scene:
@@ -220,7 +226,13 @@ def read_scene(path: str) -> Scene:
 
 def embedding_from_json(doc: dict) -> OnePlaneEmbedding:
     """{vertices:[{id, rotation:[edge ids]}], edges:[{id, endpoints}],
-    crossings:[[edge id, edge id]], outer_face: [edge ids] (optional)}"""
+    crossings:[[edge id, edge id]], outer_face: [edge ids] (optional)};
+    InputError if any part of it is malformed (a wrong type or shape, a
+    missing key or edge id) or it is no 1-plane rotation system."""
+    return _read(_embedding_from_doc, doc, "embedding")
+
+
+def _embedding_from_doc(doc: dict) -> OnePlaneEmbedding:
     by_id = {}
     edges = []
     for rec in doc["edges"]:

@@ -19,21 +19,23 @@ count passes 8 (convex case) or reaches 18 (any quadrilaterals).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Optional
 
-from .core import Hypergraph, InputError, SteinerDescriptor, block_label, validate_steiner
+from .core import (Frozen, Hypergraph, InputError, Record, SteinerDescriptor, block_label,
+                   validate_steiner)
 from .geom import Polygon3, _plane_of, round_point, vcross, vdot, vscale, vsub
 from .scene import ConstructionError, Scene, hypergraph_scene
 from .verify import certify
 from .core import builtin_system
 
 
-@dataclass(frozen=True)
-class FanoParams:
-    alpha: float = 85.0  # degrees, 0 < alpha < 120, alpha != 60
+class FanoParams(Frozen):
+    _fields = ("alpha",)
+
+    def __init__(self, alpha: float = 85.0):  # degrees, 0 < alpha < 120, alpha != 60
+        object.__setattr__(self, "alpha", alpha)
 
     def validate(self):
         if not (0.0 < self.alpha < 120.0) or abs(self.alpha - 60.0) < 1e-12:
@@ -45,9 +47,11 @@ S239_SCALE = 0.2  # top triangle shrink factor
 S239_LIFT = 0.1   # z offset of vertex 7 above the cut point
 
 
-@dataclass(frozen=True)
-class S239Params:
-    beta: float = 45.0   # degrees; < 60 keeps the upper triangles apart
+class S239Params(Frozen):
+    _fields = ("beta",)
+
+    def __init__(self, beta: float = 45.0):  # degrees; < 60 keeps the upper triangles apart
+        object.__setattr__(self, "beta", beta)
 
     def validate(self):
         if not (0.0 < self.beta < 60.0):
@@ -221,14 +225,17 @@ KNOWN_CASE_S348 = "KnownCase_S348"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass
-class ObstructionCertificate:
-    kind: str
-    n: int
-    convex_link_edges: int
-    any_link_edges: int
-    planar_bound: int
-    note: str = ""
+class ObstructionCertificate(Record):
+    _fields = ("kind", "n", "convex_link_edges", "any_link_edges", "planar_bound", "note")
+
+    def __init__(self, kind: str, n: int, convex_link_edges: int, any_link_edges: int,
+                 planar_bound: int, note: str = ""):
+        self.kind = kind
+        self.n = n
+        self.convex_link_edges = convex_link_edges
+        self.any_link_edges = any_link_edges
+        self.planar_bound = planar_bound
+        self.note = note
 
     def __str__(self):
         return (f"{self.kind}(n={self.n}, convex link edges "

@@ -26,23 +26,25 @@ exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional
 
-from .core import block_label
+from .core import Record, block_label
 from .geom import (Polygon3, classify_pair, polygon_properties,
                    BOUNDARY_TOUCH, DISJOINT, VIOLATION)
 from .scene import GRAPH, ConstructionError, Scene
 
 
-@dataclass
-class Finding:
-    code: str
-    where: str
-    detail: str = ""
-    witness: Optional[tuple] = None
+class Finding(Record):
+    __slots__ = _fields = ("code", "where", "detail", "witness")
+
+    def __init__(self, code: str, where: str, detail: str = "",
+                 witness: Optional[tuple] = None):
+        self.code = code
+        self.where = where
+        self.detail = detail
+        self.witness = witness
 
     def __str__(self):
         w = f" at {_fmt_point(self.witness)}" if self.witness is not None else ""
@@ -53,15 +55,22 @@ def _fmt_point(p):
     return "(" + ", ".join(str(c) for c in p) + ")"
 
 
-@dataclass
-class VerificationReport:
-    passed: bool = False
-    polygon_properties: dict = field(default_factory=dict)
-    pair_kinds: dict = field(default_factory=dict)  # (a,b) -> kind
-    reconstructed: dict = field(default_factory=dict)  # contact key -> point
-    violations: list = field(default_factory=list)  # Finding
-    warnings: list = field(default_factory=list)  # Finding
-    grid_extent: Optional[GridExtent] = None  # measured for a claimed_grid
+class VerificationReport(Record):
+    __slots__ = _fields = ("passed", "polygon_properties", "pair_kinds", "reconstructed",
+                           "violations", "warnings", "grid_extent")
+
+    def __init__(self, passed: bool = False, polygon_properties: Optional[dict] = None,
+                 pair_kinds: Optional[dict] = None, reconstructed: Optional[dict] = None,
+                 violations: Optional[list] = None, warnings: Optional[list] = None,
+                 grid_extent: Optional[GridExtent] = None):
+        self.passed = passed
+        self.polygon_properties = {} if polygon_properties is None else polygon_properties
+        self.pair_kinds = {} if pair_kinds is None else pair_kinds  # (a,b) -> kind
+        # contact key -> point
+        self.reconstructed = {} if reconstructed is None else reconstructed
+        self.violations = [] if violations is None else violations  # Finding
+        self.warnings = [] if warnings is None else warnings  # Finding
+        self.grid_extent = grid_extent  # measured for a claimed_grid
 
     def to_text(self) -> str:
         lines = [f"pass: {self.passed}",

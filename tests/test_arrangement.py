@@ -1,13 +1,12 @@
 """Line arrangement and the lifted complete-graph construction."""
 
 import hashlib
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from polycontact import (ConstructionError, Polygon3, arrangement_ok,
-                         build_line_arrangement, edge_key,
+from polycontact import (Arrangement, ConstructionError, Polygon3,
+                         arrangement_ok, build_line_arrangement, edge_key,
                          graph_from_edge_list, polygon_properties,
                          represent_complete, represent_min_degree3, strictify,
                          verify_scene)
@@ -83,12 +82,12 @@ class TestArrangement:
         # the gap before p(1,6) exactly twice the one after it passes, and
         # also holds on lines 2..6
         s[5] = s[4] + 2
-        tight = replace(arr, s=tuple(s))
+        tight = Arrangement(s=tuple(s), d=arr.d)
         assert arrangement_ok(tight)
         assert audit_arrangement(tight) == []
         # one unit less than twice the next gap is rejected
         s[3] += 1
-        short = replace(arr, s=tuple(s))
+        short = Arrangement(s=tuple(s), d=arr.d)
         assert not arrangement_ok(short)
         assert audit_arrangement(short) != []
 
@@ -108,7 +107,7 @@ class TestArrangement:
             # S_1..S_6 itself halves (gaps 256, 64, 32, 4, 1), but line 4
             # skips S_4: its gap from p(4,3) to p(4,5), 36, outgrows 64 / 2
             s[3:] = [s[2] + 32, s[2] + 36, s[2] + 37]
-        arr = replace(arr, s=tuple(s))
+        arr = Arrangement(s=tuple(s), d=arr.d)
         assert not arrangement_ok(arr)
         assert audit_arrangement(arr) != []
 

@@ -605,7 +605,15 @@ class TestCli:
     def test_analyze_counting(self, capsys):
         assert main(["analyze", "counting", "--builtin", "S3410",
                      "--n", "10"]) == 0
-        assert "ConvexQuadObstruction" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "ConvexQuadObstruction(n=10, convex link edges 24, looser count 12, "
+            "planar bound 21)\n")
+
+    def test_analyze_bad_descriptor_names_it(self, capsys):
+        assert main(["analyze", "steiner-check", "--builtin", "S237",
+                     "--t", "3", "--k", "2", "--n", "7"]) == 2
+        assert capsys.readouterr() == (
+            "", "input error: need 0 < t < k < n, got SteinerDescriptor(t=3, k=2, n=7)\n")
 
     def test_analyze_steiner_check(self, capsys):
         assert main(["analyze", "steiner-check", "--builtin", "PG3",
@@ -955,3 +963,39 @@ class TestBlockLabels:
         assert main(["verify", str(path)]) == 1
         assert "[declared-mismatch] zz: declared contact for a non-element" \
             in capsys.readouterr().out
+
+
+def _k4_embedding(**changes):
+    return json.dumps(dict(_K4_CROSSED, **changes)).encode()
+
+
+_ONEPLANAR = ["represent", "--class", "oneplanar-cubic", "--input", "{in}", "-o", "{out}"]
+_MINDEG3 = ["represent", "--class", "mindeg3", "--input", "{in}", "-o", "{out}"]
+
+
+class TestUnreadableInput:
+    """An input no reader can take exits 2 with one `input error:` line,
+    never 1 (a scene that fails verification) or a traceback.  A case with
+    no bytes names a directory."""
+
+    @pytest.mark.parametrize("argv, content", [
+        (_ONEPLANAR, _k4_embedding(edges=[{"id": "e12", "endpoints": ["1", "2", "3"]}]
+                                   + _K4_CROSSED["edges"][1:])),
+        (_ONEPLANAR, _k4_embedding(vertices=5)),
+        (_ONEPLANAR, b"[1, 2]"),
+        (_ONEPLANAR, _k4_embedding(crossings=[["e12", "e12"]])),
+        (_MINDEG3, b"\xff\xfe"),
+        (["verify", "{in}"], b"\xff\xfe"),
+        (["verify", "{in}"], None),
+        (_MINDEG3, None),
+    ], ids=["three-endpoints", "vertices-not-a-list", "top-level-list", "edge-crosses-itself",
+            "edge-list-not-utf8", "scene-not-utf8", "verify-directory", "input-directory"])
+    def test_exit_two(self, argv, content, tmp_path, capsys):
+        path = tmp_path
+        if content is not None:
+            path = tmp_path / "input"
+            path.write_bytes(content)
+        argv = [a.format(**{"in": path, "out": tmp_path / "out.json"}) for a in argv]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error: ") and err.count("\n") == 1

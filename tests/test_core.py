@@ -1,11 +1,16 @@
 """Graphs, hypergraphs, parsing and the built-in block systems."""
 
+import copy
+import pickle
+
 import pytest
 
-from polycontact import (InputError, SteinerDescriptor, blocks_from_text,
+from polycontact import (Arrangement, FanoParams, InputError, PairClassification, Polygon3,
+                         Scene, SteinerDescriptor, VerificationReport, blocks_from_text,
                          builtin_descriptor, builtin_system,
                          graph_from_edge_list, validate_steiner)
 from polycontact.core import components
+from polycontact.verify import Finding
 
 
 class TestEdgeList:
@@ -51,6 +56,44 @@ class TestEdgeList:
         assert g1.degree("x") == 0 and g1.neighbors("x") == []
         assert g1 == g2 and hash(g1) == hash(g2)
         assert repr(g1) == repr(g2)
+
+
+class TestRecords:
+    """Records are plain classes: built by position or keyword, each default
+    container fresh, equal when their fields are; the frozen ones hash,
+    refuse assignment and copy."""
+
+    @pytest.mark.parametrize("rec, field", [
+        (Polygon3(((0, 0, 0), (1, 0, 0), (0, 1, 0))), "corners"),
+        (SteinerDescriptor(2, 3, 7), "t"), (Arrangement(s=(0, 3, 4), d=1), "d"),
+        (FanoParams(), "alpha"), (graph_from_edge_list("1 2\n2 3"), "edges"),
+    ], ids=lambda x: type(x).__name__ if not isinstance(x, str) else None)
+    def test_frozen(self, rec, field):
+        with pytest.raises(AttributeError):
+            setattr(rec, field, None)
+        with pytest.raises(AttributeError):
+            delattr(rec, field)
+        for twin in (copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+            assert twin == rec and hash(twin) == hash(rec) and twin is not rec
+
+    def test_fresh_defaults(self):
+        a, b = PairClassification("Disjoint"), PairClassification(kind="Disjoint")
+        a.shared_corners.append((0, 0, 0))
+        assert b.shared_corners == [] and a != b
+        assert VerificationReport().violations is not VerificationReport().violations
+        assert Scene("graph", None, {}, {}).meta is not Scene("graph", None, {}, {}).meta
+
+    def test_equality_and_repr(self):
+        g = graph_from_edge_list("1 2")
+        one = Scene("graph", g, {}, {}, {"n": 2})
+        other = Scene(kind="graph", structure=g, polygons={}, contacts={}, meta={"n": 2},
+                      certificate=VerificationReport(passed=True))
+        assert one == other and repr(one) == repr(other)
+        assert repr(one) == (f"Scene(kind='graph', structure={g!r}, polygons={{}}, "
+                             "contacts={}, meta={'n': 2})")
+        assert repr(Finding("missing-contact", "1 / 2")) == (
+            "Finding(code='missing-contact', where='1 / 2', detail='', witness=None)")
+        assert Finding("c", "w") != ("c", "w", "", None)
 
 
 class TestComponents:

@@ -76,6 +76,7 @@ if sys.argv[2:]:
     with contextlib.redirect_stdout(io.StringIO()):
         rc = main(sys.argv[2:])
 print(json.dumps({"rc": rc, "networkx": "networkx" in sys.modules,
+                  "dataclasses": "dataclasses" in sys.modules,
                   "loaded": sorted(m for m in sys.modules
                                    if m.split(".")[0] == "polycontact")}))
 """
@@ -86,6 +87,7 @@ class TestImportFootprint:
         got = _fresh(_FOOTPRINT, "polycontact")
         assert got["loaded"] == ["polycontact"]
         assert not got["networkx"]
+        assert not got["dataclasses"]
 
     def test_find_bridges_loads_core_only(self):
         got = _fresh("import json, sys\nfrom polycontact import find_bridges\n"
@@ -97,6 +99,7 @@ class TestImportFootprint:
         got = _fresh(_FOOTPRINT, "polycontact.cli")
         assert got["loaded"] == _CLI_BASE
         assert not got["networkx"]
+        assert not got["dataclasses"]
 
     @pytest.mark.parametrize("json_flag", [["--json"], []])
     def test_verify_loads_no_construction(self, tmp_path, capsys, json_flag):
@@ -107,6 +110,7 @@ class TestImportFootprint:
         assert got["rc"] == 0
         assert got["loaded"] == _CLI_BASE
         assert not got["networkx"]
+        assert not got["dataclasses"]
 
     def test_represent_complete_adds_arrangement_only(self, tmp_path):
         got = _fresh(_FOOTPRINT, "polycontact.cli", "represent", "--class",
@@ -114,6 +118,7 @@ class TestImportFootprint:
         assert got["rc"] == 0
         assert got["loaded"] == sorted(_CLI_BASE + ["polycontact.arrangement"])
         assert not got["networkx"]
+        assert not got["dataclasses"]
 
     @pytest.mark.parametrize("cls", ["cubic-2ec", "cubic", "maxdeg3"])
     def test_cubic_classes_load_no_networkx(self, tmp_path, cls):
@@ -127,6 +132,7 @@ class TestImportFootprint:
         assert got["rc"] == 0
         assert "polycontact.cubic" in got["loaded"]
         assert not got["networkx"]
+        assert not got["dataclasses"]
 
 
 _RESOLVE = """
@@ -152,7 +158,7 @@ except AttributeError as exc:
 print(json.dumps({"names": names, "dir": sorted(set(polycontact.__all__)
                                                 - set(dir(polycontact))),
                   "star": sorted(set(star) - {"__builtins__"}),
-                  "missing": missing}))
+                  "missing": missing, "dataclasses": "dataclasses" in sys.modules}))
 """
 
 
@@ -167,6 +173,7 @@ class TestPublicApi:
         assert got["dir"] == []
         assert got["star"] == _ALL
         assert got["missing"] == "module 'polycontact' has no attribute 'no_such_name'"
+        assert not got["dataclasses"]
 
     def test_submodules_resolve(self):
         import importlib
